@@ -18,16 +18,9 @@ inputs.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .errors import NonFinite
-
-_BINARY = {"add", "sub", "mul_elem", "div_elem"}
-_UNARY = {"exp", "log", "sum", "mean", "row_l2_normalize", "tanh", "relu",
-          "transpose", "scalar_mul", "clamp_min", "masked_sum"}
-
 
 class Node:
     __slots__ = ("idx", "op", "parents", "aux", "value", "grad",
@@ -293,7 +286,3 @@ def backward(tape: Tape):
             _accumulate(p[0], g * (p[0].value > node.aux))
         else:
             raise ValueError(f"unknown op {op!r}")
-
-
-def gradient(node: Node) -> Optional[np.ndarray]:
-    return node.grad

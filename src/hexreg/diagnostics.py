@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import (BadConfig, DegenerateDistribution, EmptyTrainSet,
                      InsufficientSamples, MissingLabels, ZeroMatrix)
-from .linalg import as_matrix, row_norms, singular_values
+from .linalg import _safe_unit_rows, as_matrix, singular_values
 from .rng import Rng
 
 RANKME_EPS = 1e-7
@@ -155,12 +155,6 @@ def distribution_stats(sims, superclass_labels, positive_index=None,
         skew_super=_guarded_skew(pool_super) if pool_super.size else None,
         skew_regular=_guarded_skew(pool_regular) if pool_regular.size else None,
         ratio=ratio)
-
-
-def _safe_unit_rows(m: np.ndarray) -> np.ndarray:
-    norms = row_norms(m)
-    norms = np.where(norms > 1e-12, norms, 1.0)
-    return m / norms[:, None]
 
 
 def knn_accuracy(train_repr, train_labels, query_repr, query_labels,

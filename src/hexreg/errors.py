@@ -83,10 +83,6 @@ class NotNormalized(NumericalError):
     pass
 
 
-class NoConvergence(NumericalError):
-    pass
-
-
 class NonFinite(NumericalError):
     pass
 
@@ -96,10 +92,6 @@ class EmptyBatch(NumericalError):
 
 
 class DegenerateBatch(NumericalError):
-    pass
-
-
-class EmptyH(NumericalError):
     pass
 
 

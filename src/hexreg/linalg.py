@@ -1,19 +1,16 @@
 """Dense matrix kernels: row normalization, cosine similarity, singular values.
 
 Matrices are 2-D C-contiguous float64 numpy arrays throughout. Singular
-values come from a cyclic Jacobi eigendecomposition of the smaller Gram
-matrix, which keeps the package free of LAPACK-backed SVD calls and makes
-the spectrum computation easy to reproduce elsewhere.
+values come straight from ``np.linalg.svd`` on the matrix itself rather
+than from the eigenvalues of its Gram matrix, which would square the
+condition number and lose the small values that subset RankMe depends on.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoConvergence, NonFinite, NotNormalized, ZeroRow
-
-_JACOBI_MAX_SWEEPS = 100
-_JACOBI_TOL = 1e-12
+from .errors import NonFinite, NotNormalized, ZeroRow
 
 
 def as_matrix(m) -> np.ndarray:
@@ -45,6 +42,14 @@ def l2_normalize_rows(m) -> np.ndarray:
     return a / norms[:, None]
 
 
+def _safe_unit_rows(m: np.ndarray) -> np.ndarray:
+    """Like l2_normalize_rows, but rows with norm at or below 1e-12 are
+    left as they are instead of raising."""
+    norms = row_norms(m)
+    norms = np.where(norms > 1e-12, norms, 1.0)
+    return m / norms[:, None]
+
+
 def cosine_sim_matrix(z) -> np.ndarray:
     """Pairwise cosine similarities of unit-norm rows.
 
@@ -68,64 +73,6 @@ def cosine_sim_matrix(z) -> np.ndarray:
     return sims
 
 
-def _jacobi_eigenvalues_sym(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps row-cyclically over all (p, q) pairs, zeroing A[p, q] with a
-    two-sided rotation. Converges when the off-diagonal Frobenius norm
-    drops below 1e-12 relative to the matrix norm; capped at 100 sweeps.
-    """
-    n = a.shape[0]
-    if n == 1:
-        return a[:1, 0].copy()
-    a = a.copy()
-    fro = np.sqrt((a * a).sum())
-    if fro == 0.0:
-        return np.zeros(n)
-    stop = _JACOBI_TOL * fro
-    # Rotations below this cannot keep the off-norm above the stop level.
-    skip = stop / (2.0 * n)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = a - np.diag(np.diag(a))
-        if np.sqrt((off * off).sum()) <= stop:
-            return np.diag(a).copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    off = a - np.diag(np.diag(a))
-    if np.sqrt((off * off).sum()) <= stop:
-        return np.diag(a).copy()
-    raise NoConvergence(f"Jacobi eigensolver did not converge in {_JACOBI_MAX_SWEEPS} sweeps")
-
-
 def singular_values(m) -> np.ndarray:
-    """Singular values of m, sorted descending, length min(rows, cols).
-
-    Computed as square roots of the eigenvalues of the smaller Gram matrix
-    (m^T m or m m^T); tiny negative eigenvalues from rounding are clamped
-    to zero.
-    """
-    a = as_matrix(m)
-    rows, cols = a.shape
-    gram = a.T @ a if cols <= rows else a @ a.T
-    evals = _jacobi_eigenvalues_sym(gram)
-    evals = np.where(evals > 0.0, evals, 0.0)
-    return np.sort(np.sqrt(evals))[::-1].copy()
+    """Singular values of m, sorted descending, length min(rows, cols)."""
+    return np.linalg.svd(as_matrix(m), compute_uv=False)

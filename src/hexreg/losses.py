@@ -10,14 +10,14 @@ reweighted term
     q_i = ( sum_h e^{s_h/t} (s_h/t) / ((1/N) sum_h e^{s_h/t})
             -+ N t e^{s_pos/t} ) / (1 - t)
 
-while every non-member (the positive included) keeps its ordinary
-exponential term. With an empty H(i) the denominator degenerates to the
-plain InfoNCE denominator, bitwise.
+where -+ is ``qhi_sign``: "subtract" (the default) or "add". Every
+non-member (the positive included) keeps its ordinary exponential term.
+With an empty H(i) the denominator degenerates to the plain InfoNCE
+denominator, bitwise.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,8 +25,7 @@ import numpy as np
 
 from .autodiff import Node, Tape
 from .errors import (BadAlpha, BadConfig, BadTemperature, DegenerateBatch,
-                     EmptyH, EmptyQueue, NonPositiveDenominator, TauOne,
-                     ZeroVariance)
+                     EmptyQueue, NonPositiveDenominator, TauOne, ZeroVariance)
 from .hierarchy import HierarchyMask
 from .linalg import cosine_sim_matrix
 
@@ -114,41 +113,6 @@ def info_nce(b: ContrastiveBatch) -> LossBreakdown:
         invariance_term=float((-pos_logit).mean()),
         regularization_term=float(np.log(denom).mean()),
     )
-
-
-def hex_reweight(anchor_sims_H, pos_sim: float, tau: float, N: int,
-                 sign: str = "subtract") -> float:
-    """Reweighted contribution of one anchor's hierarchical members.
-
-    ``sign`` selects whether the positive's scaled exponential is subtracted
-    (the default) or added. For a single member the weighted ratio is
-    evaluated in its algebraically collapsed form N * s / tau, which the
-    general expression equals exactly in that case.
-    """
-    if tau <= 0.0:
-        raise BadTemperature(f"temperature must be > 0, got {tau}")
-    if abs(tau - 1.0) <= 1e-12:
-        raise TauOne("the 1 - tau normalization vanishes at tau == 1")
-    if sign not in QHI_SIGNS:
-        raise BadConfig(f"sign must be one of {QHI_SIGNS}, got {sign!r}")
-    if N < 1:
-        raise BadConfig(f"N must be >= 1, got {N}")
-    sims = [float(s) for s in np.asarray(anchor_sims_H, dtype=np.float64).ravel()]
-    if not sims:
-        raise EmptyH("no hierarchical members for this anchor")
-    if len(sims) == 1:
-        ratio = N * (sims[0] / tau)
-    else:
-        num = 0.0
-        den = 0.0
-        for s in sims:
-            e = math.exp(s / tau)
-            num += e * (s / tau)
-            den += e
-        ratio = num / (den / N)
-    pos_term = N * tau * math.exp(pos_sim / tau)
-    core = ratio - pos_term if sign == "subtract" else ratio + pos_term
-    return core / (1.0 - tau)
 
 
 def hex_loss(b: ContrastiveBatch, mask: HierarchyMask, *,
@@ -243,16 +207,9 @@ class NNQueue:
         return np.vstack(self._rows)
 
 
-def nnclr_positive(q: NNQueue, z_i: np.ndarray) -> np.ndarray:
-    """Queue entry with the highest cosine similarity to z_i; ties go to the
-    oldest entry."""
-    entries = q.as_matrix()
-    sims = entries @ np.asarray(z_i, dtype=np.float64).ravel()
-    return entries[int(np.argmax(sims))].copy()
-
-
 def nnclr_positive_rows(q: NNQueue, z: np.ndarray) -> np.ndarray:
-    """Vectorized nnclr_positive over the rows of z."""
+    """For each row of z, the queue entry with the highest cosine similarity;
+    ties go to the oldest entry."""
     entries = q.as_matrix()
     sims = np.asarray(z, dtype=np.float64) @ entries.T
     return entries[np.argmax(sims, axis=1)].copy()

@@ -11,6 +11,7 @@ order and label 1 is the augmentation domain, keyed per step and view.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -25,10 +26,11 @@ from . import diagnostics as diag
 from . import losses as losses_mod
 from .autodiff import Tape, backward, forward
 from .data import GenParams, HierarchicalDataset, augment_batch, generate, load_csv
-from .errors import (BadConfig, BadDims, IoError, NonFinite, VersionMismatch)
+from .errors import (BadConfig, BadDims, IoError, NonFinite, SchemaError,
+                     VersionMismatch)
 from .hierarchy import (HierarchyMask, mask_quality, supervised_mask,
                         threshold_mask, whole_batch_mask)
-from .linalg import cosine_sim_matrix, row_norms
+from .linalg import _safe_unit_rows, cosine_sim_matrix, row_norms
 from .losses import (NNQueue, build_barlow_graph, build_combined_graph,
                      build_hex_graph, build_info_nce_graph,
                      build_vicreg_graph, nnclr_positive_rows,
@@ -289,12 +291,6 @@ def unit_rows(y: np.ndarray) -> np.ndarray:
     if (norms <= 1e-12).any():
         raise NonFinite("projector produced a zero embedding row")
     return y / norms[:, None]
-
-
-def _safe_unit_rows(m: np.ndarray) -> np.ndarray:
-    norms = row_norms(m)
-    norms = np.where(norms > 1e-12, norms, 1.0)
-    return m / norms[:, None]
 
 
 def build_model_graph(tape: Tape, params: ModelParams, views: list):
@@ -609,8 +605,24 @@ def run_diagnostics(state: TrainState, dataset: HierarchicalDataset,
 
 
 # ---------------------------------------------------------------------------
-# metrics CSV
+# output files
 # ---------------------------------------------------------------------------
+
+def _write_atomic(path: str, data: bytes):
+    """Write data to a temp file beside path, then os.replace it into place.
+
+    A process crash mid-write leaves the previous file intact; without an
+    fsync this does not guard against power loss."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError as e:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise IoError(f"cannot write {path}: {e}") from e
+
 
 def _format_cell(v) -> str:
     if v is None:
@@ -621,13 +633,10 @@ def _format_cell(v) -> str:
 
 
 def write_metrics_csv(rows: list, path: str):
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(METRICS_COLUMNS) + "\n")
-            for row in rows:
-                fh.write(",".join(_format_cell(row.get(c)) for c in METRICS_COLUMNS) + "\n")
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from e
+    lines = [",".join(METRICS_COLUMNS)]
+    lines += [",".join(_format_cell(row.get(c)) for c in METRICS_COLUMNS)
+              for row in rows]
+    _write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_metrics_csv(path: str) -> list:
@@ -636,6 +645,8 @@ def read_metrics_csv(path: str) -> list:
             lines = fh.read().splitlines()
     except OSError as e:
         raise IoError(f"cannot read {path}: {e}") from e
+    if not lines or not lines[0]:
+        raise SchemaError(f"{path}: empty metrics file, expected a header row")
     header = lines[0].split(",")
     rows = []
     for ln in lines[1:]:
@@ -686,15 +697,9 @@ def save_checkpoint(state: TrainState, path: str):
         "queue_len": len(state.queue) if state.queue is not None else None,
     }
     blob = json.dumps(header, sort_keys=True).encode()
-    try:
-        with open(path, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            for _, a in arrays:
-                fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from e
+    parts = [CHECKPOINT_MAGIC, struct.pack("<I", len(blob)), blob]
+    parts += [np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in arrays]
+    _write_atomic(path, b"".join(parts))
 
 
 def load_checkpoint(path: str) -> TrainState:
@@ -807,7 +812,6 @@ def run_training(config: TrainConfig, out_dir: Optional[str] = None,
     }
     if out_dir is not None:
         write_metrics_csv(rows, os.path.join(out_dir, "metrics.csv"))
-        with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_atomic(os.path.join(out_dir, "summary.json"),
+                      (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode())
     return rows, summary, state

@@ -111,6 +111,15 @@ class TestTrain:
         assert (open(os.path.join(full, "metrics.csv")).read()
                 == open(os.path.join(part, "metrics.csv")).read())
 
+    def test_resume_into_empty_metrics_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, train={"epochs": 4})
+        part = str(tmp_path / "part")
+        main(["train", "--config", cfg, "--out", part, "--checkpoint-every", "2"])
+        open(os.path.join(part, "metrics.csv"), "w").close()
+        ckpt = os.path.join(part, "ckpt_000002.bin")
+        assert main(["train", "--config", cfg, "--out", part, "--resume", ckpt]) == 2
+        assert "metrics.csv" in capsys.readouterr().err
+
 
 class TestEval:
     def test_eval_checkpoint(self, tmp_path, capsys):

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from hexreg.errors import NoConvergence, NotNormalized, ZeroRow
+from hexreg.errors import NotNormalized, ZeroRow
 from hexreg.linalg import cosine_sim_matrix, l2_normalize_rows, singular_values
 
 
 def symmetric_3x3_eigenvalues(a):
     """Closed-form eigenvalues of a symmetric 3x3 matrix via the
     characteristic polynomial (trigonometric form). Independent of the
-    Jacobi route under test."""
+    SVD route under test."""
     a = np.asarray(a, dtype=np.float64)
     p1 = a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2
     if p1 == 0.0:

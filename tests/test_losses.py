@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from hexreg.autodiff import Tape, backward, forward
-from hexreg.errors import (BadAlpha, BadTemperature, DegenerateBatch, EmptyH,
+from hexreg.errors import (BadAlpha, BadTemperature, DegenerateBatch,
                            EmptyQueue, TauOne, ZeroVariance)
-from hexreg.hierarchy import supervised_mask, threshold_mask, whole_batch_mask
+from hexreg.hierarchy import (HierarchyMask, supervised_mask, threshold_mask,
+                              whole_batch_mask)
 from hexreg.linalg import cosine_sim_matrix, l2_normalize_rows
 from hexreg.losses import (ContrastiveBatch, NNQueue, barlow_loss,
                            build_barlow_graph, build_combined_graph,
                            build_hex_graph, build_info_nce_graph,
                            build_vicreg_graph, combined_loss, hex_loss,
-                           hex_reweight, info_nce, nnclr_positive,
+                           info_nce, nnclr_positive_rows,
                            paired_positive_index, vicreg_loss)
 
 
@@ -32,6 +33,13 @@ def oracle_qhi(sims_h, pos_sim, tau, n, sign="subtract"):
     pos = n * tau * math.exp(pos_sim / tau)
     core = num / den - pos if sign == "subtract" else num / den + pos
     return core / (1.0 - tau)
+
+
+def qhi_scale(sims_h, pos_sim, tau, n):
+    """Size of the two terms the reweighting adds or subtracts: the yardstick
+    for rounding, since "subtract" can cancel them against each other."""
+    ratio = n * max(abs(s) for s in sims_h) / tau
+    return (ratio + n * tau * math.exp(pos_sim / tau)) / abs(1.0 - tau)
 
 
 def oracle_hex_loss(z, pos, tau, member, qhi_tau, big_n, sign="subtract",
@@ -127,48 +135,104 @@ class TestInfoNce:
 # hierarchical reweighting
 # ---------------------------------------------------------------------------
 
+def hex_graph(z, member, *, qhi_tau, qhi_n, sign="subtract"):
+    """Evaluated build_hex_graph over rows z (pairing i <-> i + n/2) with an
+    explicit membership matrix."""
+    pos = paired_positive_index(len(z) // 2)
+    mask = HierarchyMask(np.asarray(member, dtype=bool), "fixed", pos)
+    t = Tape()
+    info = build_hex_graph(t, t.input(z), mask, 0.1, qhi_tau=qhi_tau,
+                           qhi_sign=sign, qhi_n=qhi_n)
+    forward(t)
+    return info
+
+
+def worked_example_batch():
+    """Anchor 0 = e1 with positive row 2 = e1 and one member, row 1, at
+    similarity 0.5; rows 1-3 have no members."""
+    z = np.array([[1.0, 0.0], [0.5, math.sqrt(0.75)], [1.0, 0.0], [0.0, 1.0]])
+    member = np.zeros((4, 4), dtype=bool)
+    member[0, 1] = True
+    return z, member
+
+
 class TestHexReweight:
+    """Per-row reweighted term q_raw of the HEX graph against oracle_qhi."""
+
     def test_single_member_worked_example(self):
-        got = hex_reweight([0.5], 1.0, 0.5, 4)
+        z, member = worked_example_batch()
+        got = hex_graph(z, member, qhi_tau=0.5, qhi_n=4).q_raw.value[0, 0]
         expected = (4.0 - 2.0 * math.exp(2.0)) / 0.5
-        assert got == expected
+        assert got == pytest.approx(expected, rel=1e-14)
         assert got == pytest.approx(-21.5562, abs=5e-4)
 
     def test_tau_one(self):
+        z, member = worked_example_batch()
         with pytest.raises(TauOne):
-            hex_reweight([0.5], 0.9, 1.0, 4)
+            hex_graph(z, member, qhi_tau=1.0, qhi_n=4)
 
     def test_empty_members(self):
-        with pytest.raises(EmptyH):
-            hex_reweight([], 0.9, 0.5, 4)
+        z, member = worked_example_batch()
+        info = hex_graph(z, member, qhi_tau=0.5, qhi_n=4)
+        t = Tape()
+        ref = build_info_nce_graph(t, t.input(z), paired_positive_index(2), 0.1)
+        forward(t)
+        assert info.rows_with_h.tolist() == [True, False, False, False]
+        np.testing.assert_array_equal(info.log_denominator.value[1:],
+                                      ref.log_denominator.value[1:])
+        assert info.log_denominator.value[0, 0] != ref.log_denominator.value[0, 0]
 
     def test_two_members_vs_oracle(self):
-        got = hex_reweight([0.8, 0.8], 0.9, 0.1, 8)
-        want = oracle_qhi([0.8, 0.8], 0.9, 0.1, 8)
-        assert got == pytest.approx(want, rel=1e-12)
+        rng = np.random.default_rng(2)
+        z = l2_normalize_rows(rng.normal(size=(16, 6)))
+        member = np.zeros((16, 16), dtype=bool)
+        member[0, [3, 11]] = True
+        got = hex_graph(z, member, qhi_tau=0.1, qhi_n=8).q_raw.value[0, 0]
+        hs = [float(np.dot(z[0], z[3])), float(np.dot(z[0], z[11]))]
+        pos_sim = float(np.dot(z[0], z[8]))
+        want = oracle_qhi(hs, pos_sim, 0.1, 8)
+        assert abs(got - want) <= 1e-12 * qhi_scale(hs, pos_sim, 0.1, 8)
 
-    def test_single_member_algebraic_collapse_exact(self):
+    def test_single_member_algebraic_collapse(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            s = float(rng.uniform(-1, 1))
-            p = float(rng.uniform(-1, 1))
+            n = int(rng.integers(2, 9))
+            z = l2_normalize_rows(rng.normal(size=(2 * n, 4)))
+            member = np.zeros((2 * n, 2 * n), dtype=bool)
+            i = int(rng.integers(0, 2 * n))
+            j = int(rng.choice([a for a in range(2 * n) if a not in (i, (i + n) % (2 * n))]))
+            member[i, j] = True
             tau = float(rng.choice([0.1, 0.2, 0.5, 0.7]))
-            n = int(rng.integers(2, 17))
-            got = hex_reweight([s], p, tau, n)
-            want = (n * (s / tau) - n * tau * math.exp(p / tau)) / (1.0 - tau)
-            assert got == want
+            big_n = int(rng.integers(2, 17))
+            got = hex_graph(z, member, qhi_tau=tau, qhi_n=big_n).q_raw.value[i, 0]
+            s = float(np.dot(z[i], z[j]))
+            p = float(np.dot(z[i], z[(i + n) % (2 * n)]))
+            want = (big_n * (s / tau) - big_n * tau * math.exp(p / tau)) / (1.0 - tau)
+            assert abs(got - want) <= 1e-12 * qhi_scale([s], p, tau, big_n)
 
     def test_random_tuples_vs_oracle(self):
         rng = np.random.default_rng(3)
-        for _ in range(200):
-            h = rng.uniform(-1, 1, size=rng.integers(1, 9)).tolist()
-            p = float(rng.uniform(-1, 1))
+        checked = 0
+        for trial in range(40):
+            n = int(rng.choice([2, 4, 8]))
+            b = random_batch(rng, n)
+            sims = cosine_sim_matrix(b.z)
+            mask = threshold_mask(sims, float(rng.uniform(-0.5, 0.6)), b.positive_index)
+            if not mask.membership.any():
+                continue
             tau = float(rng.choice([0.1, 0.2, 0.5, 0.9]))
-            n = int(rng.integers(2, 17))
-            sign = "subtract" if rng.uniform() < 0.5 else "add"
-            got = hex_reweight(h, p, tau, n, sign)
-            want = oracle_qhi(h, p, tau, n, sign)
-            assert got == pytest.approx(want, rel=1e-12)
+            sign = "subtract" if trial % 2 else "add"
+            for big_n in (b.n_anchors, b.n_rows):
+                q = hex_graph(b.z, mask.membership, qhi_tau=tau, qhi_n=big_n,
+                              sign=sign).q_raw.value[:, 0]
+                for i in np.nonzero(mask.membership.any(axis=1))[0]:
+                    hs = [float(np.dot(b.z[i], b.z[a]))
+                          for a in np.nonzero(mask.membership[i])[0]]
+                    p = float(np.dot(b.z[i], b.z[b.positive_index[i]]))
+                    want = oracle_qhi(hs, p, tau, big_n, sign)
+                    assert abs(q[i] - want) <= 1e-12 * qhi_scale(hs, p, tau, big_n)
+                    checked += 1
+        assert checked > 100
 
 
 class TestHexLoss:
@@ -235,23 +299,23 @@ class TestNNQueue:
         q = NNQueue(8)
         z = l2_normalize_rows(np.random.default_rng(8).normal(size=(3, 4)))
         q.push(z)
-        np.testing.assert_array_equal(nnclr_positive(q, z[1]), z[1])
+        np.testing.assert_array_equal(nnclr_positive_rows(q, z), z)
 
     def test_chooses_most_similar(self):
         q = NNQueue(4)
         q.push(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        np.testing.assert_array_equal(nnclr_positive(q, np.array([0.6, 0.8])),
-                                      [0.0, 1.0])
+        out = nnclr_positive_rows(q, np.array([[0.6, 0.8], [0.8, 0.6]]))
+        np.testing.assert_array_equal(out, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_empty_queue(self):
         with pytest.raises(EmptyQueue):
-            nnclr_positive(NNQueue(4), np.array([1.0, 0.0]))
+            nnclr_positive_rows(NNQueue(4), np.array([[1.0, 0.0]]))
 
     def test_tie_breaks_to_oldest(self):
         q = NNQueue(4)
         q.push(np.array([[0.0, 1.0], [0.0, -1.0]]))  # both orthogonal to query
-        out = nnclr_positive(q, np.array([1.0, 0.0]))
-        np.testing.assert_array_equal(out, [0.0, 1.0])
+        out = nnclr_positive_rows(q, np.array([[1.0, 0.0]]))
+        np.testing.assert_array_equal(out, [[0.0, 1.0]])
 
     def test_fifo_eviction(self):
         q = NNQueue(2)
@@ -353,12 +417,13 @@ class TestGraphParity:
             eps = float(rng.uniform(-0.2, 0.5))
             mask = threshold_mask(sims, eps, b.positive_index)
             sign = "subtract" if trial % 2 else "add"
-            t = Tape()
-            z = t.input(b.z)
-            build_hex_graph(t, z, mask, b.tau, qhi_sign=sign)
-            val = forward(t)
-            ref = hex_loss(b, mask, qhi_sign=sign)
-            assert val == pytest.approx(ref.total, abs=1e-12)
+            for qhi_n in (b.n_anchors, b.n_rows):
+                t = Tape()
+                z = t.input(b.z)
+                build_hex_graph(t, z, mask, b.tau, qhi_sign=sign, qhi_n=qhi_n)
+                val = forward(t)
+                ref = hex_loss(b, mask, qhi_sign=sign, qhi_n=qhi_n)
+                assert val == pytest.approx(ref.total, abs=1e-12)
 
     def test_hex_graph_gradients_finite(self):
         rng = np.random.default_rng(14)

@@ -246,6 +246,22 @@ class TestCheckpointing:
         with pytest.raises(IoError):
             load_checkpoint(path)
 
+    def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        state = init_state(cfg, generate(cfg.data).dim)
+        path = tmp_path / "s.bin"
+        save_checkpoint(state, str(path))
+        before = path.read_bytes()
+        state.epoch += 1
+
+        def fail(src, dst):
+            raise OSError("disk full")
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(IoError, match="disk full"):
+            save_checkpoint(state, str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["s.bin"]
+
 
 class TestLossKinds:
     @pytest.mark.parametrize("kind", ["simclr", "simclr_hex", "nnclr",
