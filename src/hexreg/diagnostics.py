@@ -99,24 +99,38 @@ def subset_rank_curve(representations, superclass_labels, n_subsets: int,
                           float(np.mean(random_vals)), n_subsets, subset_size)
 
 
+def _moments(v: np.ndarray) -> tuple:
+    """Mean and the population central moments m2, m3 of v, from one
+    centring pass. The cube is formed by multiplying, since ``d ** 3``
+    calls pow once per element."""
+    mean = v.mean()
+    d = v - mean
+    dd = d * d
+    m2 = float(dd.mean())
+    dd *= d
+    return float(mean), m2, float(dd.mean())
+
+
 def skewness(values) -> float:
     """Fisher-Pearson g1 = m3 / m2^(3/2) with population central moments."""
     v = np.asarray(values, dtype=np.float64).ravel()
     if v.size < 3:
         raise DegenerateDistribution(f"need >= 3 values, got {v.size}")
-    d = v - v.mean()
-    m2 = float((d * d).mean())
+    _, m2, m3 = _moments(v)
     if m2 <= 1e-15:
         raise DegenerateDistribution("variance below 1e-15")
-    m3 = float((d ** 3).mean())
     return m3 / m2 ** 1.5
 
 
-def _guarded_skew(pool: np.ndarray) -> Optional[float]:
-    d = pool - pool.mean()
-    if pool.size < 3 or float((d * d).mean()) <= 1e-15:
-        return None
-    return skewness(pool)
+def _pool_summary(pool: np.ndarray) -> tuple:
+    """(mean, skew) of a pool: (None, None) when empty, skew None when
+    fewer than 3 values or variance at or below 1e-15."""
+    if not pool.size:
+        return None, None
+    mean, m2, m3 = _moments(pool)
+    if pool.size < 3 or m2 <= 1e-15:
+        return mean, None
+    return mean, m3 / m2 ** 1.5
 
 
 def distribution_stats(sims, superclass_labels, positive_index=None,
@@ -142,19 +156,30 @@ def distribution_stats(sims, superclass_labels, positive_index=None,
         pos = np.asarray(positive_index, dtype=np.intp)
         eligible[np.arange(n), pos] = False
     same = labels[:, None] == labels[None, :]
-    pool_super = s[eligible & same]
-    pool_regular = s[eligible & ~same]
-    mean_super = float(pool_super.mean()) if pool_super.size else None
-    mean_regular = float(pool_regular.mean()) if pool_regular.size else None
+    mean_super, skew_super = _pool_summary(s[eligible & same])
+    mean_regular, skew_regular = _pool_summary(s[eligible & ~same])
     ratio = None
     if mean_super is not None and mean_regular is not None and mean_regular != 0.0:
         ratio = mean_super / mean_regular
     return DistributionStats(
         epoch=epoch, space=space_tag,
         mean_super=mean_super, mean_regular=mean_regular,
-        skew_super=_guarded_skew(pool_super) if pool_super.size else None,
-        skew_regular=_guarded_skew(pool_regular) if pool_regular.size else None,
+        skew_super=skew_super, skew_regular=skew_regular,
         ratio=ratio)
+
+
+def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k largest entries per row, largest first, ties
+    to the lowest index: the first k columns of a stable argsort of -sims.
+
+    Only the entries at or above each row's k-th largest value are sorted."""
+    kth = np.partition(sims, sims.shape[1] - k, axis=1)[:, -k]
+    rows, cols = np.nonzero(sims >= kth[:, None])
+    # lexsort is stable and np.nonzero yields ascending columns per row,
+    # so equal similarities stay in index order.
+    cols = cols[np.lexsort((-sims[rows, cols], rows))]
+    starts = np.searchsorted(rows, np.arange(sims.shape[0]))
+    return cols[starts[:, None] + np.arange(k)]
 
 
 def knn_accuracy(train_repr, train_labels, query_repr, query_labels,
@@ -173,7 +198,7 @@ def knn_accuracy(train_repr, train_labels, query_repr, query_labels,
     if k < 1 or k > train.shape[0]:
         raise BadConfig(f"k must lie in [1, {train.shape[0]}], got {k}")
     sims = _safe_unit_rows(query) @ _safe_unit_rows(train).T
-    order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    order = _top_k(sims, k)
     correct = 0
     for qi in range(query.shape[0]):
         neigh = order[qi]

@@ -12,6 +12,12 @@ import numpy as np
 
 from .errors import NonFinite, NotNormalized, ZeroRow
 
+# Rows per band in _mirror_upper. Bands keep the loop to n / 64 numpy calls
+# with no temporary larger than one 64x64 block; the diagonal block of a
+# band copies through the fixed strict-lower mask below.
+_MIRROR_BLOCK = 64
+_MIRROR_LOWER = np.tri(_MIRROR_BLOCK, k=-1, dtype=bool)
+
 
 def as_matrix(m) -> np.ndarray:
     """Coerce to a 2-D float64 array, rejecting non-finite entries."""
@@ -50,12 +56,25 @@ def _safe_unit_rows(m: np.ndarray) -> np.ndarray:
     return m / norms[:, None]
 
 
+def _mirror_upper(m: np.ndarray) -> np.ndarray:
+    """Copy the strict upper triangle of square m onto its lower triangle in
+    place, one band of rows at a time, and return m."""
+    n = m.shape[0]
+    for r0 in range(0, n, _MIRROR_BLOCK):
+        r1 = min(r0 + _MIRROR_BLOCK, n)
+        m[r1:, r0:r1] = m[r0:r1, r1:].T
+        block = m[r0:r1, r0:r1]
+        np.copyto(block, block.T, where=_MIRROR_LOWER[:r1 - r0, :r1 - r0])
+    return m
+
+
 def cosine_sim_matrix(z) -> np.ndarray:
     """Pairwise cosine similarities of unit-norm rows.
 
-    Each off-diagonal pair is computed once and mirrored, so the result is
-    bitwise symmetric. The diagonal is set to exactly 1 and all values are
-    clamped into [-1, 1] to absorb rounding before threshold logic.
+    The upper triangle of the product is mirrored onto the lower one, so
+    the result is bitwise symmetric whatever order the matrix product
+    summed in. The diagonal is set to exactly 1 and all values are clamped
+    into [-1, 1] to absorb rounding before threshold logic.
 
     Raises NotNormalized if any row norm deviates from 1 by more than 1e-9.
     """
@@ -65,9 +84,7 @@ def cosine_sim_matrix(z) -> np.ndarray:
     if off.max(initial=0.0) > 1e-9:
         i = int(np.argmax(off))
         raise NotNormalized(f"row {i} has norm {norms[i]:.12f}, expected 1 +- 1e-9")
-    full = a @ a.T
-    upper = np.triu(full, 1)
-    sims = upper + upper.T
+    sims = _mirror_upper(a @ a.T)
     np.fill_diagonal(sims, 1.0)
     np.clip(sims, -1.0, 1.0, out=sims)
     return sims

@@ -20,6 +20,10 @@ this recipe:
   The sine branch is deliberately discarded: each Gaussian maps to a fixed
   pair of counters, which keeps the stream stateless and trivially
   resumable.
+* ``randbelow(n)`` maps the next uniform u to ``min(floor(u * n), n - 1)``.
+* ``shuffle`` is Fisher-Yates from the high index down:
+  ``for i = n-1 .. 1: j = randbelow(i + 1); swap(items[i], items[j])``,
+  so a list of n items consumes exactly n - 1 uniforms (none for n < 2).
 """
 
 from __future__ import annotations
@@ -89,9 +93,15 @@ class Rng:
         return min(int(self.uniform() * n), n - 1)
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates from the high index down."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
+        """In-place Fisher-Yates from the high index down.
+
+        For n items, draws the same n - 1 uniforms and indices as calling
+        ``randbelow`` once per swap, all at once; only the swaps run in
+        Python."""
+        bound = np.arange(len(items), 1, -1)
+        js = np.minimum((self.uniform_array(bound.size) * bound).astype(np.intp),
+                        bound - 1)
+        for i, j in zip(range(len(items) - 1, 0, -1), js.tolist()):
             items[i], items[j] = items[j], items[i]
 
     # -- vectorized draws (bitwise identical to the scalar path) ---------

@@ -35,7 +35,7 @@ from .losses import (NNQueue, build_barlow_graph, build_combined_graph,
                      build_hex_graph, build_info_nce_graph,
                      build_vicreg_graph, nnclr_positive_rows,
                      paired_positive_index)
-from .rng import Rng, _M64, _PHI, _SPLIT, _mix64_array
+from .rng import Rng, _PHI, _SPLIT, _mix64_array
 from .schedule import ThresholdSchedule, adaptive_threshold, threshold_for_epoch
 
 CHECKPOINT_MAGIC = b"HEXCKPT1"

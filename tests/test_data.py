@@ -185,3 +185,18 @@ class TestRngContract:
         expect = np.sqrt(-2.0 * np.log(1.0 - pair[0])) * np.cos(2.0 * np.pi * pair[1])
         r2 = Rng.from_seed(8)
         assert r2.gauss() == pytest.approx(expect, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 1600])
+    def test_shuffle_matches_scalar_fisher_yates(self, n):
+        for seed in (0, 1, 7, 2024):
+            for start in (0, 3, 1 << 40):
+                stream = Rng(Rng.from_seed(seed).key, start)
+                expect = list(range(n))
+                for i in range(n - 1, 0, -1):
+                    j = stream.randbelow(i + 1)
+                    expect[i], expect[j] = expect[j], expect[i]
+                rng = Rng(Rng.from_seed(seed).key, start)
+                got = list(range(n))
+                rng.shuffle(got)
+                assert got == expect
+                assert rng.counter == stream.counter == start + max(n - 1, 0)

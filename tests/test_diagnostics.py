@@ -9,6 +9,35 @@ from hexreg.errors import (BadConfig, DegenerateDistribution, EmptyTrainSet,
 from hexreg.linalg import l2_normalize_rows
 
 
+def skew_oracle(values):
+    d = np.asarray(values, dtype=np.float64) - np.mean(values)
+    return float((d ** 3).mean() / ((d ** 2).mean()) ** 1.5)
+
+
+def cosine_oracle(query, train):
+    def unit(m):
+        m = np.asarray(m, dtype=np.float64)
+        norms = np.sqrt((m * m).sum(axis=1))
+        return m / np.where(norms > 1e-12, norms, 1.0)[:, None]
+    return unit(query) @ unit(train).T
+
+
+def knn_oracle(train, train_labels, query, query_labels, k):
+    """Full stable sort of every query's similarities, then the documented
+    vote: most neighbours, then largest summed similarity, then lowest label."""
+    sims = cosine_oracle(query, train)
+    order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    hits = 0
+    for qi, neigh in enumerate(order):
+        votes = {}
+        for t in neigh:
+            cnt, tot = votes.get(train_labels[t], (0, 0.0))
+            votes[train_labels[t]] = (cnt + 1, tot + sims[qi, t])
+        winner = min(votes.items(), key=lambda kv: (-kv[1][0], -kv[1][1], kv[0]))[0]
+        hits += winner == query_labels[qi]
+    return hits / len(query_labels)
+
+
 def rankme_oracle(m, eps=1e-7):
     """Independent route: LAPACK spectrum + the entropy formula."""
     sv = np.sqrt(np.maximum(np.linalg.eigvalsh(m.T @ m), 0.0))[::-1]
@@ -115,6 +144,12 @@ class TestSkewness:
         assert skewness(v + 17.3) == pytest.approx(base, abs=1e-10)
         assert skewness(v * 41.0) == pytest.approx(base, abs=1e-10)
 
+    def test_matches_pow_oracle(self):
+        rng = np.random.default_rng(58)
+        for v in (rng.exponential(size=5000), rng.normal(size=7),
+                  np.tanh(rng.normal(size=20000)) - 0.3, rng.gamma(0.5, size=999)):
+            assert skewness(v) == pytest.approx(skew_oracle(v), rel=1e-12)
+
 
 class TestDistributionStats:
     def test_all_same_superclass(self):
@@ -156,6 +191,23 @@ class TestDistributionStats:
         st = distribution_stats(sims, labels, positive_index=pos)
         assert st.mean_super == pytest.approx(0.2)
 
+    def test_skews_match_pow_oracle(self):
+        rng = np.random.default_rng(59)
+        labels = np.repeat([0, 1, 2], 40)
+        centers = rng.normal(size=(3, 6))
+        z = l2_normalize_rows(2.0 * centers[labels] + rng.normal(size=(120, 6)))
+        sims = z @ z.T
+        pos = rng.permutation(120)
+        st = distribution_stats(sims, labels, positive_index=pos)
+        eligible = ~np.eye(120, dtype=bool)
+        eligible[np.arange(120), pos] = False
+        same = labels[:, None] == labels[None, :]
+        assert st.mean_super == sims[eligible & same].mean()
+        assert st.skew_super == pytest.approx(skew_oracle(sims[eligible & same]),
+                                              rel=1e-12)
+        assert st.skew_regular == pytest.approx(skew_oracle(sims[eligible & ~same]),
+                                                rel=1e-12)
+
 
 class TestKnnAccuracy:
     def test_exact_duplicates(self):
@@ -193,6 +245,40 @@ class TestKnnAccuracy:
         # k=3 -> two votes for 0, one for 1
         acc = knn_accuracy(train, labels, np.array([[1.0, 0.0]]), [0], k=3)
         assert acc == 1.0
+
+    def test_matches_full_sort_with_boundary_ties(self):
+        # one-decimal vectors and duplicated train rows make exact ties at
+        # the k-th neighbour common; count them so the case cannot vanish
+        rng = np.random.default_rng(60)
+        boundary_ties = 0
+        for _ in range(60):
+            n, q, d = rng.integers(6, 80), rng.integers(1, 30), rng.integers(2, 5)
+            train = np.round(rng.normal(size=(n, d)), 1)
+            train[n // 2:] = train[:n - n // 2]
+            query = np.round(rng.normal(size=(q, d)), 1)
+            tl = rng.integers(0, 3, size=n)
+            ql = rng.integers(0, 3, size=q)
+            for k in (1, 2, 5, n):
+                assert knn_accuracy(train, tl, query, ql, k) == \
+                    knn_oracle(train, tl, query, ql, k)
+            top = -np.sort(-cosine_oracle(query, train), axis=1)
+            boundary_ties += int((top[:, 4] == top[:, 5]).sum())
+        assert boundary_ties > 0
+
+    @pytest.mark.parametrize("b_label, c_label, expect", [(1, 2, 1.0), (2, 1, 0.0)])
+    def test_kept_tied_neighbour_decides_similarity_tiebreak(self, b_label,
+                                                              c_label, expect):
+        # k=4: three rows above the tie, then rows 3 and 4 tie exactly at
+        # cosine 0.4. Keeping row 3 with label 1 ties labels 0 and 1 at two
+        # votes each, and the summed similarity (1.35 > 1.1) picks label 1;
+        # with label 2 on row 3, label 0 wins on votes.
+        def at(c):
+            return [c, np.sqrt(1.0 - c * c)]
+        train = np.array([at(0.6), at(0.5), at(0.95), at(0.4), at(0.4), at(0.1)])
+        labels = np.array([0, 0, 1, b_label, c_label, 2])
+        query, ql = np.array([[1.0, 0.0]]), np.array([1])
+        assert knn_accuracy(train, labels, query, ql, k=4) == expect
+        assert knn_oracle(train, labels, query, ql, k=4) == expect
 
     def test_deterministic(self):
         rng = np.random.default_rng(57)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hexreg.errors import NotNormalized, ZeroRow
-from hexreg.linalg import cosine_sim_matrix, l2_normalize_rows, singular_values
+from hexreg.linalg import (_mirror_upper, cosine_sim_matrix, l2_normalize_rows,
+                           singular_values)
 
 
 def symmetric_3x3_eigenvalues(a):
@@ -81,6 +82,34 @@ class TestCosineSimMatrix:
         sims = cosine_sim_matrix(z)
         assert np.array_equal(sims, sims.T)
         assert np.array_equal(np.diag(sims), np.ones(40))
+        assert sims.min() >= -1.0 and sims.max() <= 1.0
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 600])
+    def test_mirror_upper_on_asymmetric_input(self, n):
+        # a @ a.T may already come back symmetric from BLAS, so the mirror
+        # is checked on its own, on a matrix whose triangles all differ
+        m = np.random.default_rng(n).normal(size=(n, n))
+        upper = np.triu(m, 1)
+        expect = upper + upper.T + np.diag(np.diag(m))
+        out = _mirror_upper(m)
+        assert out is m
+        assert m.tobytes() == expect.tobytes()
+
+    def test_mirror_across_partial_band(self):
+        # 600 rows is not a multiple of the mirror band, so the last band
+        # and its diagonal block are partial
+        rng = np.random.default_rng(6)
+        z = l2_normalize_rows(rng.normal(size=(600, 8)))
+        z[7] = z[300]
+        sims = cosine_sim_matrix(z)
+        full = z @ z.T
+        upper = np.triu(full, 1)
+        expect = upper + upper.T
+        np.fill_diagonal(expect, 1.0)
+        np.clip(expect, -1.0, 1.0, out=expect)
+        assert sims.tobytes() == expect.tobytes()
+        assert sims.tobytes() == sims.T.copy().tobytes()
+        assert (np.diag(sims) == 1.0).all()
         assert sims.min() >= -1.0 and sims.max() <= 1.0
 
 

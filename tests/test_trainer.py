@@ -4,15 +4,14 @@ import os
 import numpy as np
 import pytest
 
-from hexreg.autodiff import Tape, backward, forward
+from hexreg.autodiff import Tape, forward
 from hexreg.data import generate
 from hexreg.errors import IoError, VersionMismatch
 from hexreg.losses import build_info_nce_graph, paired_positive_index
 from hexreg.trainer import (ModelConfig, TrainConfig, build_model_graph,
                             concat_rows, evaluate, init_params, init_state,
                             load_checkpoint, mlp_forward, run_training,
-                            save_checkpoint, train_epoch, unit_rows,
-                            write_metrics_csv)
+                            save_checkpoint, train_epoch, unit_rows)
 
 
 def tiny_config(**over):
@@ -35,7 +34,6 @@ def tiny_config(**over):
 
 
 def metrics_text(rows):
-    import io
     buf = []
     from hexreg.trainer import METRICS_COLUMNS, _format_cell
     for row in rows:
