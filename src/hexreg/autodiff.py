@@ -7,13 +7,20 @@ fixed to what the encoder, projector and loss graphs need:
 
     input, constant, matmul, add, sub, mul_elem, div_elem, scalar_mul,
     exp, log, sum, mean, row_l2_normalize, tanh, relu, transpose,
-    masked_sum, clamp_min
+    masked_sum, clamp_min, pick, vstack
 
-Masks (for masked_sum) are plain constant arrays, never nodes, so no
-gradient can flow into them. Elementwise binaries support the usual numpy
-broadcasting between 2-D shapes; gradients are reduced back over broadcast
-axes. Values and gradients are deterministic functions of the graph and its
-inputs.
+``pick(a, cols)`` is the n x 1 column of ``a[i, cols[i]]``; ``vstack(a, b)``
+stacks two row blocks. Masks (for masked_sum) and column indices (for pick)
+are plain constant arrays, never nodes, so no gradient can flow into them.
+Elementwise binaries support the usual numpy broadcasting between 2-D
+shapes; gradients are reduced back over broadcast axes. Values and gradients
+are deterministic functions of the graph and its inputs.
+
+Gradients are computed only for parents that require one: constants, masks
+and every node built from constants alone get none. A gradient array is
+never written in place once made, so one array may be handed to several
+parents: the first contribution to a node is kept as it is and later ones
+are added out of place.
 """
 
 from __future__ import annotations
@@ -145,6 +152,17 @@ class Tape:
     def clamp_min(self, a: Node, bound: float, name="") -> Node:
         return self._record("clamp_min", (a,), aux=float(bound), name=name)
 
+    def pick(self, a: Node, cols, name="") -> Node:
+        """n x 1 column holding a[i, cols[i]] for each of a's n rows."""
+        cols = np.asarray(cols, dtype=np.intp)
+        if cols.ndim != 1:
+            raise ValueError(f"pick needs one column index per row, got shape {cols.shape}")
+        return self._record("pick", (a,), aux=(np.arange(cols.shape[0]), cols), name=name)
+
+    def vstack(self, a: Node, b: Node, name="") -> Node:
+        """a's rows followed by b's rows."""
+        return self._record("vstack", (a, b), name=name)
+
 
 def _compute(node: Node) -> np.ndarray:
     op = node.op
@@ -186,6 +204,14 @@ def _compute(node: Node) -> np.ndarray:
         return (p[0].value * node.aux).sum(axis=1, keepdims=True)
     if op == "clamp_min":
         return np.maximum(p[0].value, node.aux)
+    if op == "pick":
+        rows, cols = node.aux
+        if p[0].value.shape[0] != rows.shape[0]:
+            raise ValueError(f"node {node.idx} ({node.name or op}): {rows.shape[0]} "
+                             f"column indices for {p[0].value.shape[0]} rows")
+        return p[0].value[rows, cols][:, None]
+    if op == "vstack":
+        return np.vstack((p[0].value, p[1].value))
     raise ValueError(f"unknown op {op!r}")
 
 
@@ -214,19 +240,21 @@ def forward(tape: Tape) -> float:
 
 
 def _accumulate(parent: Node, grad: np.ndarray):
-    if not parent.requires_grad:
-        return
+    """Add one contribution to parent.grad; callers check requires_grad.
+
+    Out of place: ``grad`` may also be held by another node."""
     grad = _unbroadcast(grad, parent.value.shape)
     if parent.grad is None:
-        parent.grad = grad.copy()
+        parent.grad = grad
     else:
-        parent.grad += grad
+        parent.grad = parent.grad + grad
 
 
 def backward(tape: Tape):
     """Populate .grad for every node on a path from an input to the terminal.
 
-    Must be called after forward. Constants and masks receive no gradient.
+    Must be called after forward. Constants, masks and nodes computed from
+    constants alone receive no gradient, and none is computed for them.
     """
     terminal = tape.nodes[-1]
     if terminal.value is None:
@@ -241,25 +269,43 @@ def backward(tape: Tape):
         if not np.isfinite(g).all():
             raise NonFinite(f"non-finite gradient at node {node.idx} "
                             f"({node.name or node.op})")
-        if node.op in ("input", "constant"):
+        if node.op == "input" or not node.requires_grad:
             continue
+        # A unary node requires a gradient only through its one parent;
+        # binary ops check each parent.
         op = node.op
         p = node.parents
         if op == "matmul":
-            _accumulate(p[0], g @ p[1].value.T)
-            _accumulate(p[1], p[0].value.T @ g)
+            if p[0].requires_grad:
+                _accumulate(p[0], g @ p[1].value.T)
+            if p[1].requires_grad:
+                _accumulate(p[1], p[0].value.T @ g)
         elif op == "add":
-            _accumulate(p[0], g)
-            _accumulate(p[1], g)
+            if p[0].requires_grad:
+                _accumulate(p[0], g)
+            if p[1].requires_grad:
+                _accumulate(p[1], g)
         elif op == "sub":
-            _accumulate(p[0], g)
-            _accumulate(p[1], -g)
+            if p[0].requires_grad:
+                _accumulate(p[0], g)
+            if p[1].requires_grad:
+                _accumulate(p[1], -g)
         elif op == "mul_elem":
-            _accumulate(p[0], g * p[1].value)
-            _accumulate(p[1], g * p[0].value)
+            if p[0].requires_grad:
+                _accumulate(p[0], g * p[1].value)
+            if p[1].requires_grad:
+                _accumulate(p[1], g * p[0].value)
         elif op == "div_elem":
-            _accumulate(p[0], g / p[1].value)
-            _accumulate(p[1], -g * node.value / p[1].value)
+            if p[0].requires_grad:
+                _accumulate(p[0], g / p[1].value)
+            if p[1].requires_grad:
+                _accumulate(p[1], -g * node.value / p[1].value)
+        elif op == "vstack":
+            n_top = p[0].value.shape[0]
+            if p[0].requires_grad:
+                _accumulate(p[0], g[:n_top])
+            if p[1].requires_grad:
+                _accumulate(p[1], g[n_top:])
         elif op == "scalar_mul":
             _accumulate(p[0], g * node.aux)
         elif op == "exp":
@@ -282,6 +328,11 @@ def backward(tape: Tape):
             _accumulate(p[0], g.T)
         elif op == "masked_sum":
             _accumulate(p[0], g * node.aux)
+        elif op == "pick":
+            rows, cols = node.aux
+            scattered = np.zeros(p[0].value.shape)
+            scattered[rows, cols] = g[:, 0]
+            _accumulate(p[0], scattered)
         elif op == "clamp_min":
             _accumulate(p[0], g * (p[0].value > node.aux))
         else:

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import BadParams, IoError, SchemaError
-from .rng import Rng, mix64, _M64, _PHI, _mix64_array
+from .rng import Rng, _M64, _PHI, _mix64_array
 
 
 @dataclass

@@ -314,12 +314,6 @@ class ContrastiveGraphInfo:
         )
 
 
-def _positive_onehot(n: int, positive_index: np.ndarray) -> np.ndarray:
-    m = np.zeros((n, n))
-    m[np.arange(n), positive_index] = 1.0
-    return m
-
-
 def build_info_nce_graph(tape: Tape, z_node: Node, positive_index,
                          tau: float) -> ContrastiveGraphInfo:
     if tau <= 0.0:
@@ -329,7 +323,7 @@ def build_info_nce_graph(tape: Tape, z_node: Node, positive_index,
     sims = tape.matmul(z_node, tape.transpose(z_node), name="sims")
     logits = tape.scalar_mul(sims, 1.0 / tau, name="logits")
     expl = tape.exp(logits, name="exp_logits")
-    pos_logits = tape.masked_sum(logits, _positive_onehot(n, pos), name="pos_logits")
+    pos_logits = tape.pick(logits, pos, name="pos_logits")
     denom = tape.masked_sum(expl, _nonself_mask(n), name="denominator")
     log_denom = tape.log(denom, name="log_denominator")
     loss_vec = tape.sub(log_denom, pos_logits, name="per_anchor_loss")
@@ -364,7 +358,7 @@ def build_hex_graph(tape: Tape, z_node: Node, mask: HierarchyMask, tau: float,
     sims = tape.matmul(z_node, tape.transpose(z_node), name="sims")
     logits = tape.scalar_mul(sims, 1.0 / tau, name="logits")
     expl = tape.exp(logits, name="exp_logits")
-    pos_logits = tape.masked_sum(logits, _positive_onehot(n, pos), name="pos_logits")
+    pos_logits = tape.pick(logits, pos, name="pos_logits")
     non_h = _nonself_mask(n)
     non_h[member] = 0.0
     base = tape.masked_sum(expl, non_h, name="non_member_sum")
@@ -379,7 +373,7 @@ def build_hex_graph(tape: Tape, z_node: Node, mask: HierarchyMask, tau: float,
         den = tape.scalar_mul(tape.masked_sum(expq, hf), 1.0 / qhi_n, name="q_denominator")
         safe_den = tape.add(den, tape.constant((~rows_with)[:, None].astype(np.float64)))
         ratio = tape.div_elem(num, safe_den, name="q_ratio")
-        pos_exp_q = tape.masked_sum(expq, _positive_onehot(n, pos), name="pos_exp_q")
+        pos_exp_q = tape.pick(expq, pos, name="pos_exp_q")
         pos_term = tape.scalar_mul(pos_exp_q, qhi_n * qhi_tau, name="q_pos_term")
         if qhi_sign == "subtract":
             core = tape.sub(ratio, pos_term, name="q_core")

@@ -314,16 +314,6 @@ def build_model_graph(tape: Tape, params: ModelParams, views: list):
     return w_nodes, b_nodes, outs
 
 
-def concat_rows(tape: Tape, top, bottom, n_top: int, n_bottom: int):
-    """Stack two row blocks with constant selector matmuls (no concat op)."""
-    sel_a = np.zeros((n_top + n_bottom, n_top))
-    sel_a[:n_top] = np.eye(n_top)
-    sel_b = np.zeros((n_top + n_bottom, n_bottom))
-    sel_b[n_top:] = np.eye(n_bottom)
-    return tape.add(tape.matmul(tape.constant(sel_a), top),
-                    tape.matmul(tape.constant(sel_b), bottom))
-
-
 # ---------------------------------------------------------------------------
 # training state
 # ---------------------------------------------------------------------------
@@ -393,11 +383,14 @@ def train_epoch(state: TrainState, dataset: HierarchicalDataset) -> dict:
         b = len(idx)
         if b < 2:
             break
+        # Even keys augment view a, odd keys view b. Augmentation is row by
+        # row, so both views come from one call on the stacked rows.
         keys = _augment_keys(aug_dom.child(step), 2 * b)
-        xa = augment_batch(dataset.x[idx], cfg.augment.noise_sigma,
-                           cfg.augment.mask_prob, keys[0::2])
-        xb = augment_batch(dataset.x[idx], cfg.augment.noise_sigma,
-                           cfg.augment.mask_prob, keys[1::2])
+        x = dataset.x[idx]
+        views = augment_batch(np.vstack((x, x)), cfg.augment.noise_sigma,
+                              cfg.augment.mask_prob,
+                              np.concatenate((keys[0::2], keys[1::2])))
+        xa, xb = views[:b], views[b:]
 
         try:
             row = _train_step(state, xa, xb,
@@ -469,14 +462,14 @@ def _train_step(state: TrainState, xa, xb, batch_supers, lr, epoch) -> dict:
     tape = Tape()
     w_nodes, b_nodes, outs = build_model_graph(tape, state.params, [xa, xb])
     (r_a, y_a), (r_b, y_b) = outs
-    y_cat = concat_rows(tape, y_a, y_b, b, b)
-    z_node = tape.row_l2_normalize(y_cat, name="embeddings")
-    if nn_rows is not None:
-        keep_c = tape.constant(keep, name="nn_keep")
-        pad_c = tape.constant(pad, name="nn_rows")
-        z_node = tape.add(tape.mul_elem(z_node, keep_c), pad_c, name="nn_batch")
-
     loss_cfg = cfg.loss
+    if loss_cfg.is_hex or not loss_cfg.is_dim:
+        z_node = tape.row_l2_normalize(tape.vstack(y_a, y_b), name="embeddings")
+        if nn_rows is not None:
+            keep_c = tape.constant(keep, name="nn_keep")
+            pad_c = tape.constant(pad, name="nn_rows")
+            z_node = tape.add(tape.mul_elem(z_node, keep_c), pad_c, name="nn_batch")
+
     qhi_n = b if loss_cfg.qhi_n == "anchors" else 2 * b
     contra = None
     dim = None

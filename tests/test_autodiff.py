@@ -192,12 +192,22 @@ def _graph_for_op(op, rng):
         a = t.input(rng.normal(size=(3, 3)) * 2.0)
         t.sum(t.clamp_min(a, 0.5))
         return t, [a]
+    if op == "pick":
+        a = t.input(rng.normal(size=(4, 3)))
+        picked = t.pick(a, [2, 0, 2, 1])
+        t.sum(t.mul_elem(picked, t.constant(rng.normal(size=(4, 1)))))
+        return t, [a]
+    if op == "vstack":
+        a = t.input(rng.normal(size=(2, 3)))
+        b = t.input(rng.normal(size=(3, 3)))
+        t.sum(t.mul_elem(t.vstack(a, b), t.constant(rng.normal(size=(5, 3)))))
+        return t, [a, b]
     raise AssertionError(op)
 
 
 ALL_OPS = ["matmul", "add", "sub", "mul_elem", "div_elem", "scalar_mul",
            "exp", "log", "sum", "mean", "row_l2_normalize", "tanh", "relu",
-           "transpose", "masked_sum", "clamp_min"]
+           "transpose", "masked_sum", "clamp_min", "pick", "vstack"]
 
 
 @pytest.mark.parametrize("op", ALL_OPS)
@@ -226,3 +236,80 @@ def test_shared_parameter_accumulates():
     forward(t)
     backward(t)
     np.testing.assert_array_equal(x.grad, [[2.0, 2.0]])
+
+
+class TestPickAndVstack:
+    """pick and vstack give the bits of the forms they replace: a one-hot
+    masked_sum, and a stack built from two selector matmuls and an add."""
+
+    def test_pick_matches_one_hot_masked_sum_bitwise(self):
+        rng = np.random.default_rng(21)
+        for n, m in ((1, 1), (4, 4), (7, 3), (128, 128)):
+            a_val = rng.normal(size=(n, m)) * 10.0
+            cols = rng.integers(0, m, size=n)
+            w = rng.normal(size=(n, 1))
+            one_hot = np.zeros((n, m))
+            one_hot[np.arange(n), cols] = 1.0
+            results = []
+            for use_pick in (True, False):
+                t = Tape()
+                a = t.input(a_val)
+                out = t.pick(a, cols) if use_pick else t.masked_sum(a, one_hot)
+                t.sum(t.mul_elem(out, t.constant(w)))
+                forward(t)
+                backward(t)
+                results.append((out.value, a.grad))
+            (v_new, g_new), (v_old, g_old) = results
+            assert v_new.shape == (n, 1)
+            np.testing.assert_array_equal(v_new, v_old)
+            np.testing.assert_array_equal(g_new, g_old)
+
+    def test_pick_rejects_a_row_count_mismatch(self):
+        t = Tape()
+        t.sum(t.pick(t.input(np.ones((3, 2))), [0, 1]))
+        with pytest.raises(ValueError, match="2 column indices for 3 rows"):
+            forward(t)
+
+    def test_vstack_matches_selector_matmul_stack_bitwise(self):
+        rng = np.random.default_rng(22)
+        for n_top, n_bottom, d in ((1, 1, 1), (5, 5, 4), (3, 7, 2), (64, 64, 8)):
+            top_val = rng.normal(size=(n_top, d))
+            bottom_val = rng.normal(size=(n_bottom, d))
+            w = rng.normal(size=(n_top + n_bottom, d))
+            sel_a = np.zeros((n_top + n_bottom, n_top))
+            sel_a[:n_top] = np.eye(n_top)
+            sel_b = np.zeros((n_top + n_bottom, n_bottom))
+            sel_b[n_top:] = np.eye(n_bottom)
+            results = []
+            for use_vstack in (True, False):
+                t = Tape()
+                top, bottom = t.input(top_val), t.input(bottom_val)
+                if use_vstack:
+                    out = t.vstack(top, bottom)
+                else:
+                    out = t.add(t.matmul(t.constant(sel_a), top),
+                                t.matmul(t.constant(sel_b), bottom))
+                t.sum(t.mul_elem(out, t.constant(w)))
+                forward(t)
+                backward(t)
+                results.append((out.value, top.grad, bottom.grad))
+            for new, old in zip(*results):
+                np.testing.assert_array_equal(new, old)
+
+
+def test_gradient_shared_by_two_parents_is_not_mutated():
+    # add(x, y) hands one gradient array to both x and y; u = 3x and v = 5y
+    # are recorded earlier, so backward adds their contributions afterwards.
+    # A gradient written in place would leak y's second contribution into x.
+    t = Tape()
+    x = t.input([[1.0, -2.0], [0.5, 3.0]])
+    y = t.input([[4.0, 0.0], [-1.0, 2.0]])
+    u = t.scalar_mul(x, 3.0)
+    v = t.scalar_mul(y, 5.0)
+    s = t.add(x, y)
+    t.sum(t.add(s, t.add(u, v)))
+    forward(t)
+    backward(t)
+    np.testing.assert_array_equal(x.grad, np.full((2, 2), 4.0))
+    np.testing.assert_array_equal(y.grad, np.full((2, 2), 6.0))
+    np.testing.assert_array_equal(s.grad, np.ones((2, 2)))

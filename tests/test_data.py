@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hexreg.data import (GenParams, HierarchicalDataset, augment,
-                         augment_batch, generate, load_csv, save_csv)
+from hexreg.data import (GenParams, augment, augment_batch, generate,
+                         load_csv, save_csv)
 from hexreg.errors import BadParams, SchemaError
 from hexreg.linalg import cosine_sim_matrix, l2_normalize_rows
 from hexreg.rng import Rng

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from hexreg.diagnostics import (DistributionStats, RankCurvePoint,
-                                distribution_stats, knn_accuracy, rankme,
-                                skewness, subset_rank_curve)
+from hexreg.diagnostics import (RankCurvePoint, distribution_stats,
+                                knn_accuracy, rankme, skewness,
+                                subset_rank_curve)
 from hexreg.errors import (BadConfig, DegenerateDistribution, EmptyTrainSet,
                            InsufficientSamples, ZeroMatrix)
 from hexreg.linalg import l2_normalize_rows

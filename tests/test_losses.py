@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexreg.autodiff import Tape, backward, forward
 from hexreg.errors import (BadAlpha, BadTemperature, DegenerateBatch,
@@ -9,7 +11,7 @@ from hexreg.errors import (BadAlpha, BadTemperature, DegenerateBatch,
 from hexreg.hierarchy import (HierarchyMask, supervised_mask, threshold_mask,
                               whole_batch_mask)
 from hexreg.linalg import cosine_sim_matrix, l2_normalize_rows
-from hexreg.losses import (ContrastiveBatch, NNQueue, barlow_loss,
+from hexreg.losses import (QHI_SIGNS, ContrastiveBatch, NNQueue, barlow_loss,
                            build_barlow_graph, build_combined_graph,
                            build_hex_graph, build_info_nce_graph,
                            build_vicreg_graph, combined_loss, hex_loss,
@@ -290,6 +292,55 @@ class TestHexLoss:
         assert with_anchor_n.total != with_view_n.total
 
 
+@st.composite
+def hex_cases(draw):
+    """Unit rows of 2b views, a membership mask without self or positive,
+    and the HEX settings: temperatures, sign and qhi_n in {anchors, rows}."""
+    b = draw(st.integers(2, 8))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    z = l2_normalize_rows(rng.normal(size=(2 * b, draw(st.integers(2, 6)))))
+    pos = paired_positive_index(b)
+    bits = draw(st.lists(st.booleans(), min_size=4 * b * b, max_size=4 * b * b))
+    member = np.array(bits).reshape(2 * b, 2 * b)
+    member[np.arange(2 * b), np.arange(2 * b)] = False
+    member[np.arange(2 * b), pos] = False
+    return dict(z=z, pos=pos, member=member,
+                tau=draw(st.sampled_from([0.1, 0.2, 0.5])),
+                qhi_tau=draw(st.sampled_from([0.07, 0.1, 0.5])),
+                sign=draw(st.sampled_from(QHI_SIGNS)),
+                qhi_n=b * draw(st.sampled_from([1, 2])))
+
+
+def _graph_value(c, member):
+    t = Tape()
+    build_hex_graph(t, t.input(c["z"]), HierarchyMask(member, "fixed", c["pos"]),
+                    c["tau"], qhi_tau=c["qhi_tau"], qhi_sign=c["sign"],
+                    qhi_n=c["qhi_n"])
+    return forward(t)
+
+
+class TestHexProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(hex_cases())
+    def test_graph_matches_oracle(self, c):
+        # The total is mean log-denominator minus mean positive logit, and
+        # the two can cancel to ~1e-7, so the yardstick is their size.
+        b = ContrastiveBatch(c["z"], c["pos"], c["tau"])
+        mask = HierarchyMask(c["member"], "fixed", c["pos"])
+        want = hex_loss(b, mask, qhi_tau=c["qhi_tau"], qhi_sign=c["sign"],
+                        qhi_n=c["qhi_n"])
+        scale = abs(want.invariance_term) + abs(want.regularization_term)
+        assert abs(_graph_value(c, c["member"]) - want.total) <= 1e-12 * scale
+
+    @settings(max_examples=30, deadline=None)
+    @given(hex_cases())
+    def test_empty_mask_equals_info_nce_bitwise(self, c):
+        t = Tape()
+        build_info_nce_graph(t, t.input(c["z"]), c["pos"], c["tau"])
+        assert _graph_value(c, np.zeros_like(c["member"])) == forward(t)
+
+
 # ---------------------------------------------------------------------------
 # NN queue
 # ---------------------------------------------------------------------------
@@ -424,6 +475,74 @@ class TestGraphParity:
                 val = forward(t)
                 ref = hex_loss(b, mask, qhi_sign=sign, qhi_n=qhi_n)
                 assert val == pytest.approx(ref.total, abs=1e-12)
+
+    def test_hex_graph_matches_one_hot_selector_graph_bitwise(self):
+        # The graph as it was built before pick and vstack existed: the two
+        # views stacked by selector matmuls, positives read by one-hot sums.
+        def old_graph(t, ya, yb, member, pos, tau, qhi_tau, sign, qhi_n,
+                      eps_den=1e-6):
+            b = ya.value.shape[0]
+            n = 2 * b
+            sel_a = np.zeros((n, b))
+            sel_a[:b] = np.eye(b)
+            sel_b = np.zeros((n, b))
+            sel_b[b:] = np.eye(b)
+            z = t.row_l2_normalize(t.add(t.matmul(t.constant(sel_a), ya),
+                                         t.matmul(t.constant(sel_b), yb)))
+            one_hot = np.zeros((n, n))
+            one_hot[np.arange(n), pos] = 1.0
+            rows_with = member.any(axis=1)
+            sims = t.matmul(z, t.transpose(z))
+            logits = t.scalar_mul(sims, 1.0 / tau)
+            expl = t.exp(logits)
+            pos_logits = t.masked_sum(logits, one_hot)
+            non_h = 1.0 - np.eye(n)
+            non_h[member] = 0.0
+            denom = t.masked_sum(expl, non_h)
+            if rows_with.any():
+                hf = member.astype(np.float64)
+                logits_q = t.scalar_mul(sims, 1.0 / qhi_tau)
+                expq = t.exp(logits_q)
+                num = t.masked_sum(t.mul_elem(expq, logits_q), hf)
+                den = t.scalar_mul(t.masked_sum(expq, hf), 1.0 / qhi_n)
+                safe_den = t.add(den, t.constant((~rows_with)[:, None].astype(np.float64)))
+                ratio = t.div_elem(num, safe_den)
+                pos_term = t.scalar_mul(t.masked_sum(expq, one_hot), qhi_n * qhi_tau)
+                core = (t.sub if sign == "subtract" else t.add)(ratio, pos_term)
+                q_raw = t.scalar_mul(core, 1.0 / (1.0 - qhi_tau))
+                q_eff = t.mul_elem(t.clamp_min(q_raw, eps_den),
+                                   t.constant(rows_with[:, None].astype(np.float64)))
+                denom = t.add(denom, q_eff)
+            t.mean(t.sub(t.log(denom), pos_logits))
+
+        rng = np.random.default_rng(16)
+        for trial in range(24):
+            b = int(rng.choice([2, 3, 8, 64]))
+            ya_val, yb_val = rng.normal(size=(2, b, 8))
+            pos = paired_positive_index(b)
+            member = rng.uniform(size=(2 * b, 2 * b)) < rng.uniform(0.0, 0.6)
+            member[np.arange(2 * b), np.arange(2 * b)] = False
+            member[np.arange(2 * b), pos] = False
+            sign = QHI_SIGNS[trial % 2]
+            qhi_n = b if trial % 4 < 2 else 2 * b
+            tau, qhi_tau = float(rng.choice([0.1, 0.5])), float(rng.choice([0.07, 0.1, 0.5]))
+            results = []
+            for build_new in (True, False):
+                t = Tape()
+                ya, yb = t.input(ya_val), t.input(yb_val)
+                if build_new:
+                    z = t.row_l2_normalize(t.vstack(ya, yb))
+                    build_hex_graph(t, z, HierarchyMask(member, "fixed", pos), tau,
+                                    qhi_tau=qhi_tau, qhi_sign=sign, qhi_n=qhi_n)
+                else:
+                    old_graph(t, ya, yb, member, pos, tau, qhi_tau, sign, qhi_n)
+                loss = forward(t)
+                backward(t)
+                results.append((loss, ya.grad, yb.grad))
+            (loss_new, ga_new, gb_new), (loss_old, ga_old, gb_old) = results
+            assert loss_new == loss_old
+            np.testing.assert_array_equal(ga_new, ga_old)
+            np.testing.assert_array_equal(gb_new, gb_old)
 
     def test_hex_graph_gradients_finite(self):
         rng = np.random.default_rng(14)

@@ -4,12 +4,14 @@ import os
 import numpy as np
 import pytest
 
+from hexreg import trainer
 from hexreg.autodiff import Tape, forward
-from hexreg.data import generate
+from hexreg.data import augment_batch, generate
 from hexreg.errors import IoError, VersionMismatch
 from hexreg.losses import build_info_nce_graph, paired_positive_index
+from hexreg.rng import Rng
 from hexreg.trainer import (ModelConfig, TrainConfig, build_model_graph,
-                            concat_rows, evaluate, init_params, init_state,
+                            evaluate, init_params, init_state,
                             load_checkpoint, mlp_forward, run_training,
                             save_checkpoint, train_epoch, unit_rows)
 
@@ -77,7 +79,7 @@ class TestForwardParity:
         t = Tape()
         w, b, outs = build_model_graph(t, params, [xa, xb])
         (gra, gya), (grb, gyb) = outs
-        zc = t.row_l2_normalize(concat_rows(t, gya, gyb, 5, 5))
+        zc = t.row_l2_normalize(t.vstack(gya, gyb))
         build_info_nce_graph(t, zc, paired_positive_index(5), 0.1)
         forward(t)
         assert np.array_equal(gra.value, ra)
@@ -95,6 +97,34 @@ class TestTrainEpoch:
         for w0, w1 in zip(before, state.params.weights):
             assert np.array_equal(w0, w1)
 
+    def test_views_take_even_and_odd_step_keys(self, monkeypatch):
+        # View a of batch row i is augmented with step key 2i, view b with
+        # key 2i + 1, whatever way the epoch batches its augmentation calls.
+        cfg = tiny_config()
+        ds = generate(cfg.data)
+        state = init_state(cfg, ds.dim)
+        seen = []
+        real_step = trainer._train_step
+
+        def spy(state, xa, xb, *rest):
+            seen.append((xa.copy(), xb.copy()))
+            return real_step(state, xa, xb, *rest)
+
+        monkeypatch.setattr(trainer, "_train_step", spy)
+        train_epoch(state, ds)
+        ep = Rng.from_seed(cfg.train.seed).child(1).child(0)
+        order = list(range(ds.n_samples))
+        ep.child(0).shuffle(order)
+        bsz = cfg.train.batch_size
+        assert len(seen) == ds.n_samples // bsz
+        for step, (xa, xb) in enumerate(seen):
+            x = ds.x[order[step * bsz:(step + 1) * bsz]]
+            keys = trainer._augment_keys(ep.child(1).child(step), 2 * bsz)
+            for view, k in ((xa, keys[0::2]), (xb, keys[1::2])):
+                want = augment_batch(x, cfg.augment.noise_sigma,
+                                     cfg.augment.mask_prob, k)
+                assert np.array_equal(view, want)
+
     def test_bitwise_deterministic_runs(self):
         cfg = tiny_config()
         rows1, _, _ = run_training(cfg)
@@ -107,8 +137,6 @@ class TestTrainEpoch:
         ds = generate(cfg.data)   # 32 samples -> two batches of 16
 
         # reproduce the first batch exactly as train_epoch builds it
-        from hexreg.data import augment_batch
-        from hexreg.rng import Rng
         from hexreg.trainer import _augment_keys
         state = init_state(cfg, ds.dim)
         p0 = state.params.copy()
@@ -126,7 +154,7 @@ class TestTrainEpoch:
             t = Tape()
             _, _, outs = build_model_graph(t, params, [xa, xb])
             (_, ya), (_, yb) = outs
-            z = t.row_l2_normalize(concat_rows(t, ya, yb, 16, 16))
+            z = t.row_l2_normalize(t.vstack(ya, yb))
             build_info_nce_graph(t, z, paired_positive_index(16), cfg.loss.tau)
             return forward(t)
 
