@@ -21,6 +21,11 @@ and every node built from constants alone get none. A gradient array is
 never written in place once made, so one array may be handed to several
 parents: the first contribution to a node is kept as it is and later ones
 are added out of place.
+
+An op is defined in two places: its ``Tape`` method, which records the node,
+and its entry in ``_OPS``, which gives the node's value from its parents'
+values and one vector-Jacobian product per parent. ``forward`` and
+``backward`` only look ops up in that table.
 """
 
 from __future__ import annotations
@@ -164,55 +169,70 @@ class Tape:
         return self._record("vstack", (a, b), name=name)
 
 
-def _compute(node: Node) -> np.ndarray:
-    op = node.op
-    p = node.parents
-    if op == "matmul":
-        return p[0].value @ p[1].value
-    if op == "add":
-        return p[0].value + p[1].value
-    if op == "sub":
-        return p[0].value - p[1].value
-    if op == "mul_elem":
-        return p[0].value * p[1].value
-    if op == "div_elem":
-        return p[0].value / p[1].value
-    if op == "scalar_mul":
-        return p[0].value * node.aux
-    if op == "exp":
-        return np.exp(p[0].value)
-    if op == "log":
-        return np.log(p[0].value)
-    if op == "sum":
-        return p[0].value.sum().reshape(1, 1)
-    if op == "mean":
-        return p[0].value.mean().reshape(1, 1)
-    if op == "row_l2_normalize":
-        x = p[0].value
-        norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
-        if (norms <= 1e-12).any():
-            raise NonFinite(f"node {node.idx} ({node.name or op}): zero row in normalize")
-        node._norms = norms
-        return x / norms
-    if op == "tanh":
-        return np.tanh(p[0].value)
-    if op == "relu":
-        return np.maximum(p[0].value, 0.0)
-    if op == "transpose":
-        return p[0].value.T
-    if op == "masked_sum":
-        return (p[0].value * node.aux).sum(axis=1, keepdims=True)
-    if op == "clamp_min":
-        return np.maximum(p[0].value, node.aux)
-    if op == "pick":
-        rows, cols = node.aux
-        if p[0].value.shape[0] != rows.shape[0]:
-            raise ValueError(f"node {node.idx} ({node.name or op}): {rows.shape[0]} "
-                             f"column indices for {p[0].value.shape[0]} rows")
-        return p[0].value[rows, cols][:, None]
-    if op == "vstack":
-        return np.vstack((p[0].value, p[1].value))
-    raise ValueError(f"unknown op {op!r}")
+def _x(node: Node, i: int = 0) -> np.ndarray:
+    """Value of the node's i-th parent."""
+    return node.parents[i].value
+
+
+def _normalize(node: Node, x):
+    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    if (norms <= 1e-12).any():
+        raise NonFinite(f"node {node.idx} ({node.name or node.op}): zero row in normalize")
+    node._norms = norms
+    return x / norms
+
+
+def _normalize_vjp(node: Node, g):
+    y = node.value
+    inner = (g * y).sum(axis=1, keepdims=True)
+    return (g - y * inner) / node._norms
+
+
+def _pick(node: Node, a):
+    rows, cols = node.aux
+    if a.shape[0] != rows.shape[0]:
+        raise ValueError(f"node {node.idx} ({node.name or node.op}): {rows.shape[0]} "
+                         f"column indices for {a.shape[0]} rows")
+    return a[rows, cols][:, None]
+
+
+def _pick_vjp(node: Node, g):
+    rows, cols = node.aux
+    scattered = np.zeros(_x(node).shape)
+    scattered[rows, cols] = g[:, 0]
+    return scattered
+
+
+# op -> (value(node, *parent_values), one vjp(node, g) per parent). Every op
+# a Tape method records has exactly one entry here.
+_OPS = {
+    "matmul": (lambda n, a, b: a @ b,
+               (lambda n, g: g @ _x(n, 1).T, lambda n, g: _x(n, 0).T @ g)),
+    "add": (lambda n, a, b: a + b, (lambda n, g: g, lambda n, g: g)),
+    "sub": (lambda n, a, b: a - b, (lambda n, g: g, lambda n, g: -g)),
+    "mul_elem": (lambda n, a, b: a * b,
+                 (lambda n, g: g * _x(n, 1), lambda n, g: g * _x(n, 0))),
+    "div_elem": (lambda n, a, b: a / b,
+                 (lambda n, g: g / _x(n, 1), lambda n, g: -g * n.value / _x(n, 1))),
+    "vstack": (lambda n, a, b: np.vstack((a, b)),
+               (lambda n, g: g[:_x(n, 0).shape[0]],
+                lambda n, g: g[_x(n, 0).shape[0]:])),
+    "scalar_mul": (lambda n, a: a * n.aux, (lambda n, g: g * n.aux,)),
+    "exp": (lambda n, a: np.exp(a), (lambda n, g: g * n.value,)),
+    "log": (lambda n, a: np.log(a), (lambda n, g: g / _x(n),)),
+    "sum": (lambda n, a: a.sum().reshape(1, 1),
+            (lambda n, g: np.full(_x(n).shape, g[0, 0]),)),
+    "mean": (lambda n, a: a.mean().reshape(1, 1),
+             (lambda n, g: np.full(_x(n).shape, g[0, 0] / _x(n).size),)),
+    "row_l2_normalize": (_normalize, (_normalize_vjp,)),
+    "tanh": (lambda n, a: np.tanh(a), (lambda n, g: g * (1.0 - n.value * n.value),)),
+    "relu": (lambda n, a: np.maximum(a, 0.0), (lambda n, g: g * (_x(n) > 0.0),)),
+    "transpose": (lambda n, a: a.T, (lambda n, g: g.T,)),
+    "masked_sum": (lambda n, a: (a * n.aux).sum(axis=1, keepdims=True),
+                   (lambda n, g: g * n.aux,)),
+    "clamp_min": (lambda n, a: np.maximum(a, n.aux), (lambda n, g: g * (_x(n) > n.aux),)),
+    "pick": (_pick, (_pick_vjp,)),
+}
 
 
 def forward(tape: Tape) -> float:
@@ -228,7 +248,7 @@ def forward(tape: Tape) -> float:
             if node.op in ("input", "constant"):
                 value = node.value
             else:
-                value = _compute(node)
+                value = _OPS[node.op][0](node, *[p.value for p in node.parents])
                 node.value = value
             if not np.isfinite(value).all():
                 raise NonFinite(f"non-finite value at node {node.idx} "
@@ -271,69 +291,6 @@ def backward(tape: Tape):
                             f"({node.name or node.op})")
         if node.op == "input" or not node.requires_grad:
             continue
-        # A unary node requires a gradient only through its one parent;
-        # binary ops check each parent.
-        op = node.op
-        p = node.parents
-        if op == "matmul":
-            if p[0].requires_grad:
-                _accumulate(p[0], g @ p[1].value.T)
-            if p[1].requires_grad:
-                _accumulate(p[1], p[0].value.T @ g)
-        elif op == "add":
-            if p[0].requires_grad:
-                _accumulate(p[0], g)
-            if p[1].requires_grad:
-                _accumulate(p[1], g)
-        elif op == "sub":
-            if p[0].requires_grad:
-                _accumulate(p[0], g)
-            if p[1].requires_grad:
-                _accumulate(p[1], -g)
-        elif op == "mul_elem":
-            if p[0].requires_grad:
-                _accumulate(p[0], g * p[1].value)
-            if p[1].requires_grad:
-                _accumulate(p[1], g * p[0].value)
-        elif op == "div_elem":
-            if p[0].requires_grad:
-                _accumulate(p[0], g / p[1].value)
-            if p[1].requires_grad:
-                _accumulate(p[1], -g * node.value / p[1].value)
-        elif op == "vstack":
-            n_top = p[0].value.shape[0]
-            if p[0].requires_grad:
-                _accumulate(p[0], g[:n_top])
-            if p[1].requires_grad:
-                _accumulate(p[1], g[n_top:])
-        elif op == "scalar_mul":
-            _accumulate(p[0], g * node.aux)
-        elif op == "exp":
-            _accumulate(p[0], g * node.value)
-        elif op == "log":
-            _accumulate(p[0], g / p[0].value)
-        elif op == "sum":
-            _accumulate(p[0], np.full(p[0].value.shape, g[0, 0]))
-        elif op == "mean":
-            _accumulate(p[0], np.full(p[0].value.shape, g[0, 0] / p[0].value.size))
-        elif op == "row_l2_normalize":
-            y = node.value
-            inner = (g * y).sum(axis=1, keepdims=True)
-            _accumulate(p[0], (g - y * inner) / node._norms)
-        elif op == "tanh":
-            _accumulate(p[0], g * (1.0 - node.value * node.value))
-        elif op == "relu":
-            _accumulate(p[0], g * (p[0].value > 0.0))
-        elif op == "transpose":
-            _accumulate(p[0], g.T)
-        elif op == "masked_sum":
-            _accumulate(p[0], g * node.aux)
-        elif op == "pick":
-            rows, cols = node.aux
-            scattered = np.zeros(p[0].value.shape)
-            scattered[rows, cols] = g[:, 0]
-            _accumulate(p[0], scattered)
-        elif op == "clamp_min":
-            _accumulate(p[0], g * (p[0].value > node.aux))
-        else:
-            raise ValueError(f"unknown op {op!r}")
+        for parent, vjp in zip(node.parents, _OPS[node.op][1]):
+            if parent.requires_grad:
+                _accumulate(parent, vjp(node, g))

@@ -19,9 +19,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import diagnostics as diag
-from .data import GenParams, generate, load_csv, save_csv
+from .data import GenParams, _write_atomic, generate, load_csv, save_csv
 from .errors import BadConfig, HexRegError, IoError
-from .linalg import cosine_sim_matrix
+from .linalg import _safe_unit_rows, cosine_sim_matrix
 from .rng import Rng
 from .schedule import threshold_for_epoch
 from .trainer import TrainConfig, run_training
@@ -134,9 +134,7 @@ def cmd_diagnose(args) -> int:
         subset_size = min(100, smallest)
     rank = diag.subset_rank_curve(x, supers, args.rankme_subsets, subset_size,
                                   seed=args.seed)
-    norms = np.sqrt((x * x).sum(axis=1))
-    z = x / np.where(norms > 1e-12, norms, 1.0)[:, None]
-    stats = diag.distribution_stats(cosine_sim_matrix(z), supers)
+    stats = diag.distribution_stats(cosine_sim_matrix(_safe_unit_rows(x)), supers)
 
     n = ds.n_samples
     perm = list(range(n))
@@ -165,13 +163,13 @@ def cmd_diagnose(args) -> int:
 
     lines = [",".join(DIAGNOSE_COLUMNS),
              ",".join(cell(row[c]) for c in DIAGNOSE_COLUMNS)]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise IoError(f"cannot write {args.out}: {e}") from e
+    return _emit("\n".join(lines) + "\n", args.out)
+
+
+def _emit(text: str, out) -> int:
+    """Write text atomically to ``out`` when given, then print it."""
+    if out:
+        _write_atomic(out, text.encode())
     print(text, end="")
     return 0
 
@@ -189,15 +187,7 @@ def cmd_schedule(args) -> int:
     lines = ["epoch,epsilon"]
     for e in range(epochs):
         lines.append(f"{e},{repr(float(threshold_for_epoch(sched, e)))}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise IoError(f"cannot write {args.out}: {e}") from e
-    print(text, end="")
-    return 0
+    return _emit("\n".join(lines) + "\n", args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,6 +15,7 @@ endings, no quoting, and floats written as shortest round-trip decimals.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -123,18 +124,30 @@ def augment(x_row, noise_sigma: float, mask_prob: float, seed: int) -> np.ndarra
                          [seed & _M64])[0]
 
 
-def save_csv(d: HierarchicalDataset, path: str):
-    header = [f"f{j}" for j in range(d.dim)] + ["class", "superclass"]
+def _write_atomic(path: str, data: bytes):
+    """Write data to a temp file beside path, then os.replace it into place.
+
+    A process crash mid-write leaves the previous file intact; without an
+    fsync this does not guard against power loss."""
+    tmp = path + ".tmp"
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for i in range(d.n_samples):
-                cells = [repr(float(v)) for v in d.x[i]]
-                cells.append(str(int(d.class_labels[i])))
-                cells.append(str(int(d.superclass_labels[i])))
-                fh.write(",".join(cells) + "\n")
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
     except OSError as e:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise IoError(f"cannot write {path}: {e}") from e
+
+
+def save_csv(d: HierarchicalDataset, path: str):
+    lines = [",".join([f"f{j}" for j in range(d.dim)] + ["class", "superclass"])]
+    for i in range(d.n_samples):
+        cells = [repr(float(v)) for v in d.x[i]]
+        cells.append(str(int(d.class_labels[i])))
+        cells.append(str(int(d.superclass_labels[i])))
+        lines.append(",".join(cells))
+    _write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def load_csv(path: str) -> HierarchicalDataset:

@@ -43,11 +43,6 @@ class ThresholdSchedule:
             raise BadConfig("sigma_multiplier must be > 0")
 
 
-def default_step_period(total_epochs: int) -> int:
-    """Step period convention: 25 for short (<= 100 epoch) runs, else 100."""
-    return 25 if total_epochs <= 100 else 100
-
-
 def step_threshold(s: ThresholdSchedule, epoch: int) -> float:
     if s.kind != "step":
         raise BadConfig(f"step_threshold called on a {s.kind!r} schedule")

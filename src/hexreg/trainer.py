@@ -11,7 +11,6 @@ order and label 1 is the augmentation domain, keyed per step and view.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
@@ -25,7 +24,8 @@ import numpy as np
 from . import diagnostics as diag
 from . import losses as losses_mod
 from .autodiff import Tape, backward, forward
-from .data import GenParams, HierarchicalDataset, augment_batch, generate, load_csv
+from .data import (GenParams, HierarchicalDataset, _write_atomic, augment_batch,
+                   generate, load_csv)
 from .errors import (BadConfig, BadDims, IoError, NonFinite, SchemaError,
                      VersionMismatch)
 from .hierarchy import (HierarchyMask, mask_quality, supervised_mask,
@@ -471,39 +471,28 @@ def _train_step(state: TrainState, xa, xb, batch_supers, lr, epoch) -> dict:
             z_node = tape.add(tape.mul_elem(z_node, keep_c), pad_c, name="nn_batch")
 
     qhi_n = b if loss_cfg.qhi_n == "anchors" else 2 * b
-    contra = None
-    dim = None
-    if loss_cfg.kind in ("simclr", "nnclr"):
-        contra = build_info_nce_graph(tape, z_node, pos, loss_cfg.tau)
-        total_node = contra.total
-    elif loss_cfg.kind in ("simclr_hex", "nnclr_hex"):
+    # The last node recorded is the loss. The HEX subgraph is recorded
+    # before the Barlow/VICReg one: backward adds their contributions to the
+    # shared model nodes in reverse recording order.
+    contra = dim = None
+    if loss_cfg.is_hex:
         mask = _build_loss_mask(cfg, sims, pos, row_supers, epoch, ada_eps)
         contra = build_hex_graph(tape, z_node, mask, loss_cfg.tau,
                                  qhi_tau=loss_cfg.qhi_tau,
                                  qhi_sign=loss_cfg.qhi_sign, qhi_n=qhi_n,
                                  eps_den=loss_cfg.eps_den)
-        total_node = contra.total
-    else:
-        d = cfg.model.proj_dim
-        if loss_cfg.kind.startswith("barlow"):
-            builder = lambda: build_barlow_graph(
-                tape, y_a, y_b, b, d, loss_cfg.barlow_lambda, loss_cfg.barlow_scale)
-        else:
-            builder = lambda: build_vicreg_graph(
-                tape, y_a, y_b, b, d, loss_cfg.vicreg_sim, loss_cfg.vicreg_var,
-                loss_cfg.vicreg_cov)
-        if loss_cfg.is_hex:
-            mask = _build_loss_mask(cfg, sims, pos, row_supers, epoch, ada_eps)
-            contra = build_hex_graph(tape, z_node, mask, loss_cfg.tau,
-                                     qhi_tau=loss_cfg.qhi_tau,
-                                     qhi_sign=loss_cfg.qhi_sign, qhi_n=qhi_n,
-                                     eps_den=loss_cfg.eps_den)
-            dim = builder()
-            total_node = build_combined_graph(tape, contra.total, dim.total,
-                                              loss_cfg.alpha, loss_cfg.hex_scale)
-        else:
-            dim = builder()
-            total_node = dim.total
+    elif not loss_cfg.is_dim:
+        contra = build_info_nce_graph(tape, z_node, pos, loss_cfg.tau)
+    if loss_cfg.kind.startswith("barlow"):
+        dim = build_barlow_graph(tape, y_a, y_b, b, cfg.model.proj_dim,
+                                 loss_cfg.barlow_lambda, loss_cfg.barlow_scale)
+    elif loss_cfg.is_dim:
+        dim = build_vicreg_graph(tape, y_a, y_b, b, cfg.model.proj_dim,
+                                 loss_cfg.vicreg_sim, loss_cfg.vicreg_var,
+                                 loss_cfg.vicreg_cov)
+    if contra is not None and dim is not None:
+        build_combined_graph(tape, contra.total, dim.total,
+                             loss_cfg.alpha, loss_cfg.hex_scale)
 
     loss_value = forward(tape)
     backward(tape)
@@ -600,22 +589,6 @@ def run_diagnostics(state: TrainState, dataset: HierarchicalDataset,
 # ---------------------------------------------------------------------------
 # output files
 # ---------------------------------------------------------------------------
-
-def _write_atomic(path: str, data: bytes):
-    """Write data to a temp file beside path, then os.replace it into place.
-
-    A process crash mid-write leaves the previous file intact; without an
-    fsync this does not guard against power loss."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except OSError as e:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise IoError(f"cannot write {path}: {e}") from e
-
 
 def _format_cell(v) -> str:
     if v is None:

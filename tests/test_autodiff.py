@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hexreg.autodiff import Tape, backward, forward
+from hexreg.autodiff import _OPS, Tape, backward, forward
 from hexreg.errors import NonFinite
 
 H = 1e-5
@@ -227,6 +227,10 @@ def test_gradient_check_every_op(op):
     for a, n in zip(analytic, numeric):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)
         assert (np.abs(a - n) / denom).max() < 1e-5, op
+
+
+def test_every_table_op_has_a_gradient_check():
+    assert set(ALL_OPS) == set(_OPS)
 
 
 def test_shared_parameter_accumulates():

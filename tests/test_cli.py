@@ -36,6 +36,10 @@ def write_config(tmp_path, name="config.json", **edits):
     return str(path)
 
 
+def fail_replace(src, dst):
+    raise OSError("disk full")
+
+
 class TestGenData:
     def test_writes_expected_rows(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -51,6 +55,17 @@ class TestGenData:
         main(["gen-data", "--config", cfg, "--out", a])
         main(["gen-data", "--config", cfg, "--out", b])
         assert open(a).read() == open(b).read()
+
+    def test_failed_replace_keeps_previous_out(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "ds.csv"
+        main(["gen-data", "--config", cfg, "--out", str(out)])
+        before = out.read_bytes()
+        monkeypatch.setattr(os, "replace", fail_replace)
+        assert main(["gen-data", "--config", cfg, "--out", str(out),
+                     "--seed", "9"]) == 2
+        assert out.read_bytes() == before
+        assert not os.path.exists(str(out) + ".tmp")
 
     def test_bad_sigma_ordering_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, data={"sigma_super": 0.1})
@@ -99,6 +114,27 @@ class TestTrain:
             for seed in (1, 2):
                 cell = os.path.join(out, f"{kind}_seed{seed}")
                 assert os.path.exists(os.path.join(cell, "metrics.csv"))
+
+    def test_run_matrix_in_two_workers_matches_serial(self, tmp_path, capsys,
+                                                       monkeypatch):
+        cfg = write_config(tmp_path, train={"epochs": 1, "eval_every": 1})
+        out = str(tmp_path / "matrix")
+        argv = ["train", "--config", cfg, "--out", out,
+                "--seeds", "1,2", "--loss-kinds", "simclr,simclr_hex"]
+        cells = [os.path.join(out, f"{kind}_seed{seed}", "metrics.csv")
+                 for kind in ("simclr", "simclr_hex") for seed in (1, 2)]
+
+        def run():
+            capsys.readouterr()
+            assert main(argv) == 0
+            summaries = json.loads(capsys.readouterr().out)
+            for s in summaries:
+                del s["wall_time_s"]
+            return summaries, [open(p, "rb").read() for p in cells]
+
+        serial = run()
+        monkeypatch.setenv("HEXREG_THREADS", "2")
+        assert run() == serial
 
     def test_resume_matches_uninterrupted(self, tmp_path):
         cfg = write_config(tmp_path, train={"epochs": 4})
@@ -187,6 +223,17 @@ class TestDiagnose:
         header, row = open(out).read().splitlines()
         vals = dict(zip(header.split(","), row.split(",")))
         assert float(vals["ratio"]) == pytest.approx(9.0, abs=1e-9)
+
+    def test_failed_replace_keeps_previous_out(self, tmp_path, monkeypatch):
+        path = self._block_csv(tmp_path)
+        out = tmp_path / "diag.csv"
+        out.write_bytes(b"previous\n")
+        monkeypatch.setattr(os, "replace", fail_replace)
+        assert main(["diagnose", "--embeddings", path, "--out", str(out),
+                     "--rankme-subsets", "4", "--subset-size", "12",
+                     "--knn-k", "1"]) == 2
+        assert out.read_bytes() == b"previous\n"
+        assert not os.path.exists(str(out) + ".tmp")
 
     def test_missing_column_exit_code(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -3,8 +3,8 @@ import pytest
 
 from hexreg.errors import BadConfig, EmptyBatch
 from hexreg.schedule import (ThresholdSchedule, adaptive_threshold,
-                             cosine_threshold, default_step_period,
-                             step_threshold, threshold_for_epoch)
+                             cosine_threshold, step_threshold,
+                             threshold_for_epoch)
 
 
 class TestStepThreshold:
@@ -91,10 +91,6 @@ class TestScheduleValidation:
     def test_nonpositive_sigma(self):
         with pytest.raises(BadConfig):
             ThresholdSchedule("adaptive", sigma_multiplier=0.0)
-
-    def test_default_period(self):
-        assert default_step_period(100) == 25
-        assert default_step_period(400) == 100
 
     def test_threshold_for_epoch_dispatch(self):
         assert threshold_for_epoch(ThresholdSchedule("fixed", start=0.75), 42) == 0.75

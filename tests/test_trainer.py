@@ -158,18 +158,7 @@ class TestTrainEpoch:
             build_info_nce_graph(t, z, paired_positive_index(16), cfg.loss.tau)
             return forward(t)
 
-        # drive one real optimizer step on a single-batch epoch
-        one_batch = type(ds)(ds.x[idx], ds.class_labels[idx],
-                             ds.superclass_labels[idx], ds.meta)
-        # re-seed so the step sees the same shuffle/augmentation
-        state2 = init_state(cfg, ds.dim)
-        sub_order = list(range(16))
-        ep2 = Rng.from_seed(cfg.train.seed).child(1).child(0)
-        ep2.child(0).shuffle(sub_order)
-        # instead of reconstructing the shuffle, compare against the actual
-        # first-step delta by running a full epoch on the full dataset with
-        # momentum 0 and lr so small the second batch barely shifts things:
-        # simpler and exact: FD-check the gradient of the first step itself.
+        # with momentum 0, one real step moves the weights by -lr * gradient
         h = 1e-5
         state3 = init_state(cfg, ds.dim)
         from hexreg.trainer import _train_step
