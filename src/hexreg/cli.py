@@ -22,7 +22,6 @@ from . import diagnostics as diag
 from .data import GenParams, _write_atomic, generate, load_csv, save_csv
 from .errors import BadConfig, HexRegError, IoError
 from .linalg import _safe_unit_rows, cosine_sim_matrix
-from .rng import Rng
 from .schedule import threshold_for_epoch
 from .trainer import TrainConfig, run_training
 
@@ -137,11 +136,7 @@ def cmd_diagnose(args) -> int:
     stats = diag.distribution_stats(cosine_sim_matrix(_safe_unit_rows(x)), supers)
 
     n = ds.n_samples
-    perm = list(range(n))
-    Rng.from_seed(args.seed).child(5).shuffle(perm)
-    n_query = max(1, int(round(args.holdout * n)))
-    q_idx = np.asarray(perm[:n_query])
-    t_idx = np.asarray(perm[n_query:])
+    q_idx, t_idx = diag.holdout_split(n, args.holdout, args.seed)
     knn_class = diag.knn_accuracy(x[t_idx], ds.class_labels[t_idx],
                                   x[q_idx], ds.class_labels[q_idx], args.knn_k)
     knn_super = diag.knn_accuracy(x[t_idx], supers[t_idx],

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import BadParams, IoError, SchemaError
-from .rng import Rng, _M64, _PHI, _mix64_array
+from .rng import Rng, _PHI, _mix64_array
 
 
 @dataclass
@@ -116,12 +116,6 @@ def augment_batch(x: np.ndarray, noise_sigma: float, mask_prob: float,
     zero = u[:, 2 * d:] < mask_prob
     out[zero] = 0.0
     return out
-
-
-def augment(x_row, noise_sigma: float, mask_prob: float, seed: int) -> np.ndarray:
-    """Single-row augmentation; identical bits to the batch path."""
-    return augment_batch(np.atleast_2d(x_row), noise_sigma, mask_prob,
-                         [seed & _M64])[0]
 
 
 def _write_atomic(path: str, data: bytes):

@@ -9,8 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (BadConfig, DegenerateDistribution, EmptyTrainSet,
-                     InsufficientSamples, MissingLabels, ZeroMatrix)
+from .errors import (BadConfig, EmptyTrainSet, InsufficientSamples,
+                     MissingLabels, ZeroMatrix)
 from .linalg import _safe_unit_rows, as_matrix, singular_values
 from .rng import Rng
 
@@ -53,9 +53,7 @@ def rankme(r, eps: float = RANKME_EPS) -> float:
     return float(np.exp(-(p * np.log(p)).sum()))
 
 
-def _draw(stream: Rng, pool: np.ndarray, size: int, replace: bool) -> np.ndarray:
-    if replace:
-        return pool[[stream.randbelow(pool.size) for _ in range(size)]]
+def _draw(stream: Rng, pool: np.ndarray, size: int) -> np.ndarray:
     items = list(pool)
     stream.shuffle(items)
     return np.asarray(items[:size], dtype=np.intp)
@@ -63,7 +61,6 @@ def _draw(stream: Rng, pool: np.ndarray, size: int, replace: bool) -> np.ndarray
 
 def subset_rank_curve(representations, superclass_labels, n_subsets: int,
                       subset_size: int, seed: int,
-                      allow_replacement: bool = False,
                       epoch: int = 0) -> RankCurvePoint:
     """Mean effective rank over subsets drawn (a) from one uniformly chosen
     superclass each and (b) uniformly from all samples."""
@@ -79,10 +76,9 @@ def subset_rank_curve(representations, superclass_labels, n_subsets: int,
     supers = np.unique(labels)
     groups = [np.nonzero(labels == s)[0] for s in supers]
     smallest = min(g.size for g in groups)
-    if smallest < subset_size and not allow_replacement:
+    if smallest < subset_size:
         raise InsufficientSamples(
-            f"smallest superclass has {smallest} < {subset_size} samples "
-            "(pass allow_replacement to draw with replacement)")
+            f"smallest superclass has {smallest} < {subset_size} samples")
     root = Rng.from_seed(seed)
     all_idx = np.arange(a.shape[0])
     super_vals = []
@@ -90,10 +86,10 @@ def subset_rank_curve(representations, superclass_labels, n_subsets: int,
     for j in range(n_subsets):
         st = root.child(0).child(j)
         group = groups[st.randbelow(len(groups))]
-        idx = _draw(st, group, subset_size, group.size < subset_size)
+        idx = _draw(st, group, subset_size)
         super_vals.append(rankme(a[idx]))
         rt = root.child(1).child(j)
-        idx = _draw(rt, all_idx, subset_size, False)
+        idx = _draw(rt, all_idx, subset_size)
         random_vals.append(rankme(a[idx]))
     return RankCurvePoint(epoch, float(np.mean(super_vals)),
                           float(np.mean(random_vals)), n_subsets, subset_size)
@@ -111,20 +107,10 @@ def _moments(v: np.ndarray) -> tuple:
     return float(mean), m2, float(dd.mean())
 
 
-def skewness(values) -> float:
-    """Fisher-Pearson g1 = m3 / m2^(3/2) with population central moments."""
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if v.size < 3:
-        raise DegenerateDistribution(f"need >= 3 values, got {v.size}")
-    _, m2, m3 = _moments(v)
-    if m2 <= 1e-15:
-        raise DegenerateDistribution("variance below 1e-15")
-    return m3 / m2 ** 1.5
-
-
 def _pool_summary(pool: np.ndarray) -> tuple:
-    """(mean, skew) of a pool: (None, None) when empty, skew None when
-    fewer than 3 values or variance at or below 1e-15."""
+    """(mean, skew) of a pool, the skew being Fisher-Pearson g1 =
+    m3 / m2^(3/2) with population central moments: (None, None) when empty,
+    skew None when fewer than 3 values or variance at or below 1e-15."""
     if not pool.size:
         return None, None
     mean, m2, m3 = _moments(pool)
@@ -180,6 +166,16 @@ def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
     cols = cols[np.lexsort((-sims[rows, cols], rows))]
     starts = np.searchsorted(rows, np.arange(sims.shape[0]))
     return cols[starts[:, None] + np.arange(k)]
+
+
+def holdout_split(n: int, fraction: float, seed: int) -> tuple:
+    """(query, train) row indices of a KNN probe: the first
+    max(1, round(fraction * n)) rows of a shuffle drawn from stream 5 of the
+    seed are the queries, the rest the training rows."""
+    perm = list(range(n))
+    Rng.from_seed(seed).child(5).shuffle(perm)
+    n_query = max(1, int(round(fraction * n)))
+    return np.asarray(perm[:n_query]), np.asarray(perm[n_query:])
 
 
 def knn_accuracy(train_repr, train_labels, query_repr, query_labels,

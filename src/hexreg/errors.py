@@ -75,10 +75,6 @@ class EmptyTrainSet(DataError):
 
 # -- numerical -----------------------------------------------------------
 
-class ZeroRow(NumericalError):
-    pass
-
-
 class NotNormalized(NumericalError):
     pass
 
@@ -91,25 +87,9 @@ class EmptyBatch(NumericalError):
     pass
 
 
-class DegenerateBatch(NumericalError):
-    pass
-
-
 class EmptyQueue(NumericalError):
     pass
 
 
-class ZeroVariance(NumericalError):
-    pass
-
-
 class ZeroMatrix(NumericalError):
-    pass
-
-
-class DegenerateDistribution(NumericalError):
-    pass
-
-
-class NonPositiveDenominator(NumericalError):
     pass

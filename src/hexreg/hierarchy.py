@@ -10,25 +10,16 @@ degenerate threshold equal to every similarity yields an empty mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import BadConfig, MissingLabels
 
-MASK_SOURCES = ("adaptive", "step", "cos", "fixed", "supervised", "all")
-
 
 @dataclass
 class HierarchyMask:
     membership: np.ndarray            # bool, n x n over batch rows
-    source: str
     positive_index: np.ndarray        # int, per anchor
-    threshold_used: Optional[float] = None
-
-    @property
-    def n(self) -> int:
-        return self.membership.shape[0]
 
     @property
     def mean_size(self) -> float:
@@ -57,18 +48,16 @@ def _clear_self_and_positive(member: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return member
 
 
-def threshold_mask(sims: np.ndarray, epsilon: float, positive_index,
-                   source: str = "adaptive") -> HierarchyMask:
+def threshold_mask(sims: np.ndarray, epsilon: float,
+                   positive_index) -> HierarchyMask:
     """Members are rows whose similarity with the anchor strictly exceeds
     epsilon, excluding the anchor and its positive. Empty masks are legal."""
     sims = np.asarray(sims, dtype=np.float64)
     n = sims.shape[0]
     pos = _check_positive_index(n, positive_index)
-    if source not in MASK_SOURCES:
-        raise BadConfig(f"unknown mask source {source!r}")
     member = sims > epsilon
     _clear_self_and_positive(member, pos)
-    return HierarchyMask(member, source, pos, float(epsilon))
+    return HierarchyMask(member, pos)
 
 
 def supervised_mask(superclass_labels, positive_index) -> HierarchyMask:
@@ -80,7 +69,7 @@ def supervised_mask(superclass_labels, positive_index) -> HierarchyMask:
     pos = _check_positive_index(n, positive_index)
     member = labels[:, None] == labels[None, :]
     _clear_self_and_positive(member, pos)
-    return HierarchyMask(member, "supervised", pos, None)
+    return HierarchyMask(member, pos)
 
 
 def whole_batch_mask(n: int, positive_index) -> HierarchyMask:
@@ -88,7 +77,7 @@ def whole_batch_mask(n: int, positive_index) -> HierarchyMask:
     pos = _check_positive_index(n, positive_index)
     member = np.ones((n, n), dtype=bool)
     _clear_self_and_positive(member, pos)
-    return HierarchyMask(member, "all", pos, None)
+    return HierarchyMask(member, pos)
 
 
 def mask_quality(mask: HierarchyMask, superclass_labels) -> MaskQuality:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFinite, NotNormalized, ZeroRow
+from .errors import NonFinite, NotNormalized
 
 # Rows per band in _mirror_upper. Bands keep the loop to n / 64 numpy calls
 # with no temporary larger than one 64x64 block; the diagonal block of a
@@ -38,13 +38,13 @@ def row_norms(m: np.ndarray) -> np.ndarray:
 def l2_normalize_rows(m) -> np.ndarray:
     """Scale every row to unit Euclidean norm.
 
-    Raises ZeroRow if any row norm is at or below 1e-12.
+    Raises NonFinite naming the first row whose norm is at or below 1e-12.
     """
     a = as_matrix(m)
     norms = row_norms(a)
     bad = np.nonzero(norms <= 1e-12)[0]
     if bad.size:
-        raise ZeroRow(f"row {int(bad[0])} has norm {norms[bad[0]]:.3e} <= 1e-12")
+        raise NonFinite(f"row {int(bad[0])} has norm {norms[bad[0]]:.3e} <= 1e-12")
     return a / norms[:, None]
 
 

@@ -1,11 +1,12 @@
-"""Contrastive and redundancy-reduction losses, as reference functions and
-as tape-graph builders for the trainer.
+"""Contrastive and redundancy-reduction losses as tape-graph builders.
 
-The reference functions are plain numpy and serve as the numerical ground
-truth; the ``build_*_graph`` functions express the same formulas over the
-autodiff op set. The hierarchical variant splits the softmax denominator:
-members of the anchor's estimated grouping H(i) are collapsed into a single
-reweighted term
+Each ``build_*_graph`` function is the one implementation of its formula,
+over the autodiff op set; the trainer differentiates it and reads its terms
+back from the evaluated nodes. The independent plain-loop numpy oracles
+that check the builders live in ``tests/test_losses.py``.
+
+The hierarchical variant splits the softmax denominator: members of the
+anchor's estimated grouping H(i) are collapsed into a single reweighted term
 
     q_i = ( sum_h e^{s_h/t} (s_h/t) / ((1/N) sum_h e^{s_h/t})
             -+ N t e^{s_pos/t} ) / (1 - t)
@@ -24,10 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import Node, Tape
-from .errors import (BadAlpha, BadConfig, BadTemperature, DegenerateBatch,
-                     EmptyQueue, NonPositiveDenominator, TauOne, ZeroVariance)
+from .errors import BadAlpha, BadConfig, BadTemperature, EmptyQueue, TauOne
 from .hierarchy import HierarchyMask
-from .linalg import cosine_sim_matrix
 
 QHI_SIGNS = ("subtract", "add")
 DEFAULT_QHI_TAU = 0.1
@@ -38,40 +37,8 @@ LOSS_KINDS = ("simclr", "simclr_hex", "nnclr", "nnclr_hex",
 
 
 # ---------------------------------------------------------------------------
-# batch container and breakdown record
+# pairing and breakdown record
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ContrastiveBatch:
-    """2N unit-norm embedding rows (N anchors then their N positives) with an
-    involutive positive pairing and a softmax temperature."""
-    z: np.ndarray
-    positive_index: np.ndarray
-    tau: float
-
-    def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=np.float64)
-        self.positive_index = np.asarray(self.positive_index, dtype=np.intp)
-        if self.tau <= 0.0:
-            raise BadTemperature(f"temperature must be > 0, got {self.tau}")
-        n = self.z.shape[0]
-        if n < 4 or n % 2 != 0:
-            raise DegenerateBatch(f"need an even batch of >= 4 rows, got {n}")
-        pos = self.positive_index
-        if pos.shape != (n,):
-            raise BadConfig("positive_index length must match batch rows")
-        idx = np.arange(n)
-        if (pos == idx).any() or (pos[pos] != idx).any():
-            raise BadConfig("positive pairing must be an involution without fixed points")
-
-    @property
-    def n_rows(self) -> int:
-        return self.z.shape[0]
-
-    @property
-    def n_anchors(self) -> int:
-        return self.z.shape[0] // 2
-
 
 def paired_positive_index(n_samples: int) -> np.ndarray:
     """Standard two-view pairing: row i <-> row i + N."""
@@ -87,95 +54,6 @@ class LossBreakdown:
     hex_term_mean: Optional[float] = None
     mean_H_size: Optional[float] = None
     clamp_events: int = 0
-
-
-# ---------------------------------------------------------------------------
-# reference implementations
-# ---------------------------------------------------------------------------
-
-def _nonself_mask(n: int) -> np.ndarray:
-    return 1.0 - np.eye(n)
-
-
-def info_nce(b: ContrastiveBatch) -> LossBreakdown:
-    """Mean over all rows (every row anchors once) of the softmax loss with
-    the paired row as positive; every other row, positive included, sits in
-    the denominator."""
-    sims = cosine_sim_matrix(b.z)
-    n = b.n_rows
-    logits = sims / b.tau
-    expl = np.exp(logits)
-    denom = (expl * _nonself_mask(n)).sum(axis=1)
-    pos_logit = logits[np.arange(n), b.positive_index]
-    loss_vec = np.log(denom) - pos_logit
-    return LossBreakdown(
-        total=float(loss_vec.mean()),
-        invariance_term=float((-pos_logit).mean()),
-        regularization_term=float(np.log(denom).mean()),
-    )
-
-
-def hex_loss(b: ContrastiveBatch, mask: HierarchyMask, *,
-             qhi_tau: float = DEFAULT_QHI_TAU, qhi_sign: str = "subtract",
-             qhi_n: Optional[int] = None,
-             eps_den: float = DEFAULT_EPS_DEN) -> LossBreakdown:
-    """InfoNCE with the denominator's hierarchical members collapsed into
-    their reweighted term, clamped below at eps_den before entering the sum.
-
-    Anchors with empty H(i) reproduce their InfoNCE loss bitwise.
-    """
-    if abs(qhi_tau - 1.0) <= 1e-12:
-        raise TauOne("the 1 - tau normalization vanishes at tau == 1")
-    if qhi_tau <= 0.0:
-        raise BadTemperature(f"qhi_tau must be > 0, got {qhi_tau}")
-    if qhi_sign not in QHI_SIGNS:
-        raise BadConfig(f"qhi_sign must be one of {QHI_SIGNS}, got {qhi_sign!r}")
-    n = b.n_rows
-    member = mask.membership
-    if member.shape != (n, n):
-        raise BadConfig(f"mask shape {member.shape} does not match batch ({n} rows)")
-    big_n = b.n_anchors if qhi_n is None else int(qhi_n)
-
-    sims = cosine_sim_matrix(b.z)
-    logits = sims / b.tau
-    expl = np.exp(logits)
-    idx = np.arange(n)
-    non_h = _nonself_mask(n)
-    non_h[member] = 0.0
-    base = (expl * non_h).sum(axis=1)
-    pos_logit = logits[idx, b.positive_index]
-
-    hex_term_mean = None
-    clamp_events = 0
-    denom = base
-    rows_with = member.any(axis=1)
-    if rows_with.any():
-        hf = member.astype(np.float64)
-        logits_q = sims / qhi_tau
-        expq = np.exp(logits_q)
-        num = (expq * logits_q * hf).sum(axis=1)
-        den = (expq * hf).sum(axis=1) / big_n
-        ratio = num / (den + (~rows_with))
-        pos_sim = sims[idx, b.positive_index]
-        pos_term = big_n * qhi_tau * np.exp(pos_sim / qhi_tau)
-        core = ratio - pos_term if qhi_sign == "subtract" else ratio + pos_term
-        q_raw = core / (1.0 - qhi_tau)
-        q_clamped = np.maximum(q_raw, eps_den)
-        clamp_events = int(np.count_nonzero(rows_with & (q_raw < eps_den)))
-        denom = base + np.where(rows_with, q_clamped, 0.0)
-        hex_term_mean = float(q_clamped[rows_with].mean())
-    if (denom <= 0.0).any():
-        raise NonPositiveDenominator("softmax denominator not positive")
-
-    loss_vec = np.log(denom) - pos_logit
-    return LossBreakdown(
-        total=float(loss_vec.mean()),
-        invariance_term=float((-pos_logit).mean()),
-        regularization_term=float(np.log(denom).mean()),
-        hex_term_mean=hex_term_mean,
-        mean_H_size=float(member.sum(axis=1).mean()),
-        clamp_events=clamp_events,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -216,69 +94,6 @@ def nnclr_positive_rows(q: NNQueue, z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# dimension-contrastive losses
-# ---------------------------------------------------------------------------
-
-def barlow_loss(zA, zB, lam: float, scale: float) -> float:
-    """Redundancy-reduction penalty on the cross-correlation of the two
-    views' per-dimension standardized (population std) embeddings."""
-    a = np.asarray(zA, dtype=np.float64)
-    bm = np.asarray(zB, dtype=np.float64)
-    if a.shape != bm.shape:
-        raise BadConfig(f"view shapes differ: {a.shape} vs {bm.shape}")
-    n = a.shape[0]
-    if n < 2:
-        raise DegenerateBatch("batch size must be >= 2")
-    stds = []
-    for v in (a, bm):
-        std = np.sqrt(((v - v.mean(axis=0)) ** 2).mean(axis=0))
-        if (std <= 1e-12).any():
-            k = int(np.argmax(std <= 1e-12))
-            raise ZeroVariance(f"feature column {k} is constant")
-        stds.append(std)
-    an = (a - a.mean(axis=0)) / stds[0]
-    bn = (bm - bm.mean(axis=0)) / stds[1]
-    c = an.T @ bn / n
-    on_diag = float(((1.0 - np.diag(c)) ** 2).sum())
-    off_diag = float((c * c).sum() - (np.diag(c) ** 2).sum())
-    return scale * (on_diag + lam * off_diag)
-
-
-def vicreg_loss(zA, zB, sim_w: float, var_w: float, cov_w: float) -> float:
-    """Invariance MSE + variance hinge (std floor 1, averaged over views) +
-    off-diagonal covariance penalty (summed over views, scaled by 1/d)."""
-    a = np.asarray(zA, dtype=np.float64)
-    bm = np.asarray(zB, dtype=np.float64)
-    if a.shape != bm.shape:
-        raise BadConfig(f"view shapes differ: {a.shape} vs {bm.shape}")
-    n, d = a.shape
-    if n < 2:
-        raise DegenerateBatch("batch size must be >= 2")
-    mse = float(((a - bm) ** 2).mean())
-    hinges = []
-    covs = []
-    for v in (a, bm):
-        centered = v - v.mean(axis=0)
-        var = (centered ** 2).sum(axis=0) / (n - 1)
-        std = np.sqrt(var)
-        hinges.append(float(np.maximum(0.0, 1.0 - std).mean()))
-        cov = centered.T @ centered / (n - 1)
-        covs.append(float(((cov * cov).sum() - (np.diag(cov) ** 2).sum()) / d))
-    var_term = (hinges[0] + hinges[1]) / 2.0
-    cov_term = covs[0] + covs[1]
-    return sim_w * mse + var_w * var_term + cov_w * cov_term
-
-
-def combined_loss(hex_value: float, dim_value: float, alpha: float,
-                  hex_scale: float) -> float:
-    if not 0.0 <= alpha <= 1.0:
-        raise BadAlpha(f"alpha must lie in [0, 1], got {alpha}")
-    if hex_scale <= 0.0:
-        raise BadConfig(f"hex_scale must be > 0, got {hex_scale}")
-    return alpha * hex_scale * hex_value + (1.0 - alpha) * dim_value
-
-
-# ---------------------------------------------------------------------------
 # graph builders
 # ---------------------------------------------------------------------------
 
@@ -314,6 +129,10 @@ class ContrastiveGraphInfo:
         )
 
 
+def _nonself_mask(n: int) -> np.ndarray:
+    return 1.0 - np.eye(n)
+
+
 def build_info_nce_graph(tape: Tape, z_node: Node, positive_index,
                          tau: float) -> ContrastiveGraphInfo:
     if tau <= 0.0:
@@ -346,6 +165,8 @@ def build_hex_graph(tape: Tape, z_node: Node, mask: HierarchyMask, tau: float,
         raise BadTemperature(f"temperature must be > 0, got {tau}")
     if abs(qhi_tau - 1.0) <= 1e-12:
         raise TauOne("the 1 - tau normalization vanishes at tau == 1")
+    if qhi_tau <= 0.0:
+        raise BadTemperature(f"qhi_tau must be > 0, got {qhi_tau}")
     if qhi_sign not in QHI_SIGNS:
         raise BadConfig(f"qhi_sign must be one of {QHI_SIGNS}, got {qhi_sign!r}")
     member = mask.membership

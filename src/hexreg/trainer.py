@@ -30,7 +30,7 @@ from .errors import (BadConfig, BadDims, IoError, NonFinite, SchemaError,
                      VersionMismatch)
 from .hierarchy import (HierarchyMask, mask_quality, supervised_mask,
                         threshold_mask, whole_batch_mask)
-from .linalg import _safe_unit_rows, cosine_sim_matrix, row_norms
+from .linalg import _safe_unit_rows, cosine_sim_matrix, l2_normalize_rows
 from .losses import (NNQueue, build_barlow_graph, build_combined_graph,
                      build_hex_graph, build_info_nce_graph,
                      build_vicreg_graph, nnclr_positive_rows,
@@ -286,13 +286,6 @@ def mlp_forward(params: ModelParams, x: np.ndarray):
     return r, y
 
 
-def unit_rows(y: np.ndarray) -> np.ndarray:
-    norms = row_norms(y)
-    if (norms <= 1e-12).any():
-        raise NonFinite("projector produced a zero embedding row")
-    return y / norms[:, None]
-
-
 def build_model_graph(tape: Tape, params: ModelParams, views: list):
     """Shared-parameter forward subgraphs for each augmented view.
 
@@ -356,7 +349,7 @@ def _build_loss_mask(config: TrainConfig, sims, pos, supers, epoch,
         return whole_batch_mask(sims.shape[0], pos)
     kind = config.schedule.kind
     eps = ada_eps if kind == "adaptive" else threshold_for_epoch(config.schedule, epoch)
-    return threshold_mask(sims, eps, pos, source=kind)
+    return threshold_mask(sims, eps, pos)
 
 
 def train_epoch(state: TrainState, dataset: HierarchicalDataset) -> dict:
@@ -436,7 +429,7 @@ def _train_step(state: TrainState, xa, xb, batch_supers, lr, epoch) -> dict:
     # Plain forward to derive the frozen constants (threshold, mask, NN rows).
     ra, ya = mlp_forward(state.params, xa)
     rb, yb = mlp_forward(state.params, xb)
-    z_full = unit_rows(np.vstack([ya, yb]))
+    z_full = l2_normalize_rows(np.vstack([ya, yb]))
 
     nn_rows = None
     z_used = z_full
@@ -455,7 +448,7 @@ def _train_step(state: TrainState, xa, xb, batch_supers, lr, epoch) -> dict:
     sched_eps = threshold_for_epoch(cfg.schedule, epoch)
     thr_used = ada_eps if sched_eps is None else sched_eps
 
-    diag_mask = threshold_mask(sims, ada_eps, pos, source="adaptive")
+    diag_mask = threshold_mask(sims, ada_eps, pos)
     dq = mask_quality(diag_mask, row_supers)
 
     # Differentiable graph with the mask and NN rows frozen as constants.
@@ -546,12 +539,7 @@ def evaluate(state: TrainState, dataset: HierarchicalDataset,
     r, _ = mlp_forward(state.params, dataset.x)
     labels = (dataset.class_labels if probe == "knn_class"
               else dataset.superclass_labels)
-    n = dataset.n_samples
-    perm = list(range(n))
-    Rng.from_seed(seed).child(5).shuffle(perm)
-    n_query = max(1, int(round(frac * n)))
-    query_idx = np.asarray(perm[:n_query])
-    train_idx = np.asarray(perm[n_query:])
+    query_idx, train_idx = diag.holdout_split(dataset.n_samples, frac, seed)
     return diag.knn_accuracy(r[train_idx], labels[train_idx],
                              r[query_idx], labels[query_idx], k)
 

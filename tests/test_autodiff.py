@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -212,7 +214,7 @@ ALL_OPS = ["matmul", "add", "sub", "mul_elem", "div_elem", "scalar_mul",
 
 @pytest.mark.parametrize("op", ALL_OPS)
 def test_gradient_check_every_op(op):
-    rng = np.random.default_rng(hash(op) % 2 ** 31)
+    rng = np.random.default_rng(zlib.crc32(op.encode()))
     t, inputs = _graph_for_op(op, rng)
     # keep relu/clamp inputs away from their kinks so the FD stencil is valid
     if op in ("relu", "clamp_min"):

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from hexreg.data import (GenParams, augment, augment_batch, generate,
-                         load_csv, save_csv)
+from hexreg.data import GenParams, augment_batch, generate, load_csv, save_csv
 from hexreg.errors import BadParams, SchemaError
 from hexreg.linalg import cosine_sim_matrix, l2_normalize_rows
 from hexreg.rng import Rng
@@ -70,6 +69,11 @@ class TestGenerate:
             a = small.x[small.class_labels == c]
             b = large.x[large.class_labels == c][:3]
             assert np.array_equal(a, b)
+
+
+def augment(x_row, noise_sigma, mask_prob, seed):
+    """One row through augment_batch, the one augmentation path."""
+    return augment_batch(np.atleast_2d(x_row), noise_sigma, mask_prob, [seed])[0]
 
 
 class TestAugment:

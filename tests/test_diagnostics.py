@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from hexreg.diagnostics import (RankCurvePoint, distribution_stats,
-                                knn_accuracy, rankme, skewness,
+from hexreg.diagnostics import (_pool_summary, distribution_stats,
+                                holdout_split, knn_accuracy, rankme,
                                 subset_rank_curve)
-from hexreg.errors import (BadConfig, DegenerateDistribution, EmptyTrainSet,
-                           InsufficientSamples, ZeroMatrix)
+from hexreg.errors import (BadConfig, EmptyTrainSet, InsufficientSamples,
+                           ZeroMatrix)
 from hexreg.linalg import l2_normalize_rows
+from hexreg.rng import Rng
 
 
 def skew_oracle(values):
@@ -112,14 +113,14 @@ class TestSubsetRankCurve:
     def test_insufficient_samples(self):
         x = np.random.default_rng(0).normal(size=(20, 3))
         labels = np.repeat([0, 1], 10)
-        with pytest.raises(InsufficientSamples):
+        with pytest.raises(InsufficientSamples,
+                           match="smallest superclass has 10 < 15 samples$"):
             subset_rank_curve(x, labels, 3, 15, seed=0)
 
-    def test_replacement_opt_in(self):
-        x = np.random.default_rng(1).normal(size=(20, 3))
-        labels = np.repeat([0, 1], 10)
-        pt = subset_rank_curve(x, labels, 3, 15, seed=0, allow_replacement=True)
-        assert isinstance(pt, RankCurvePoint)
+
+def skewness(values):
+    """The skew _pool_summary reports for a pool of values."""
+    return _pool_summary(np.asarray(values, dtype=np.float64))[1]
 
 
 class TestSkewness:
@@ -130,12 +131,10 @@ class TestSkewness:
         assert skewness([0.0, 0.0, 3.0]) == pytest.approx(2.0 / 2.0 ** 1.5, abs=1e-12)
 
     def test_constant(self):
-        with pytest.raises(DegenerateDistribution):
-            skewness([1.0, 1.0, 1.0])
+        assert _pool_summary(np.ones(3)) == (1.0, None)
 
     def test_too_few(self):
-        with pytest.raises(DegenerateDistribution):
-            skewness([1.0, 2.0])
+        assert _pool_summary(np.array([1.0, 2.0])) == (1.5, None)
 
     def test_translation_and_scale_invariance(self):
         rng = np.random.default_rng(54)
@@ -290,3 +289,18 @@ class TestKnnAccuracy:
         b = knn_accuracy(train, labels, query, ql, k=5)
         assert a == b
         assert 0.0 <= a <= 1.0
+
+
+class TestHoldoutSplit:
+    @pytest.mark.parametrize("n,frac,n_query", [(10, 0.25, 2), (10, 0.35, 4),
+                                                (7, 0.0, 1), (40, 0.2, 8)])
+    def test_sizes_and_partition(self, n, frac, n_query):
+        query, train = holdout_split(n, frac, seed=3)
+        assert query.size == n_query and train.size == n - n_query
+        assert sorted(np.concatenate([query, train]).tolist()) == list(range(n))
+
+    def test_first_rows_of_the_stream_5_shuffle(self):
+        perm = list(range(30))
+        Rng.from_seed(9).child(5).shuffle(perm)
+        query, train = holdout_split(30, 0.2, seed=9)
+        assert query.tolist() == perm[:6] and train.tolist() == perm[6:]

@@ -94,7 +94,6 @@ class TestWholeBatchMask:
     def test_sizes(self, n, expected):
         m = whole_batch_mask(n, _pairing(n))
         assert (m.membership.sum(axis=1) == expected).all()
-        assert m.source == "all"
 
 
 class TestNoSelfNoPositive:
@@ -138,7 +137,7 @@ class TestMaskQuality:
         est[0, 2] = True                  # TP
         est[2, 0] = True                  # TP
         est[0, 3] = True                  # FP (different superclass)
-        mask = HierarchyMask(est, "adaptive", pos, 0.5)
+        mask = HierarchyMask(est, pos)
         q = mask_quality(mask, labels)
         assert q.precision == pytest.approx(2 / 3)
         assert q.recall == pytest.approx(2 / 4)

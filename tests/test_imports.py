@@ -1,9 +1,13 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every function
+and class the package defines is used by the package.
 
 Parses the package's modules and the test modules with ``ast``; a name
 bound by ``import`` or ``from ... import`` must appear as a name somewhere
 else in the same file. ``__future__`` imports and the package
-``__init__.py`` (whose imports are re-exports) are exempt.
+``__init__.py`` (whose imports are re-exports) are exempt. A top-level
+function or class of a package module must be referenced, as a name or an
+attribute, somewhere in the package, so no code ships that only the tests
+reach.
 """
 
 import ast
@@ -12,9 +16,10 @@ import os
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "hexreg")
 SOURCES = sorted(
     os.path.join(d, f)
-    for d in (os.path.join(ROOT, "src", "hexreg"), os.path.join(ROOT, "tests"))
+    for d in (PACKAGE, os.path.join(ROOT, "tests"))
     for f in os.listdir(d)
     if f.endswith(".py") and f != "__init__.py")
 
@@ -48,3 +53,39 @@ def test_no_unused_imports(path):
     with open(path, encoding="utf-8") as fh:
         unused = unused_imports(fh.read())
     assert not unused, f"{os.path.relpath(path, ROOT)} imports unused names: {unused}"
+
+
+def unreferenced_definitions(sources: dict) -> list[str]:
+    """``file:name`` of each top-level function or class, outside
+    ``__init__.py``, that no module in ``sources`` (file name -> text)
+    references."""
+    trees = {f: ast.parse(text) for f, text in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [f"{f}:{node.name}"
+            for f, tree in sorted(trees.items()) if f != "__init__.py"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in used]
+
+
+def test_finds_an_unreferenced_definition():
+    sources = {"a.py": "def f():\n    return g()\ndef g(): pass\nclass C: pass\n",
+               "b.py": "import a\na.C\ndef h(): pass\n",
+               "__init__.py": "def i(): pass\n"}
+    assert unreferenced_definitions(sources) == ["a.py:f", "b.py:h"]
+
+
+def test_package_defines_nothing_only_tests_reach():
+    sources = {}
+    for f in os.listdir(PACKAGE):
+        if f.endswith(".py"):
+            with open(os.path.join(PACKAGE, f), encoding="utf-8") as fh:
+                sources[f] = fh.read()
+    unused = unreferenced_definitions(sources)
+    assert not unused, f"defined in src/hexreg but used nowhere there: {unused}"

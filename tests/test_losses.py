@@ -6,22 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexreg.autodiff import Tape, backward, forward
-from hexreg.errors import (BadAlpha, BadTemperature, DegenerateBatch,
-                           EmptyQueue, TauOne, ZeroVariance)
+from hexreg.errors import BadAlpha, BadTemperature, EmptyQueue, TauOne
 from hexreg.hierarchy import (HierarchyMask, supervised_mask, threshold_mask,
                               whole_batch_mask)
 from hexreg.linalg import cosine_sim_matrix, l2_normalize_rows
-from hexreg.losses import (QHI_SIGNS, ContrastiveBatch, NNQueue, barlow_loss,
-                           build_barlow_graph, build_combined_graph,
-                           build_hex_graph, build_info_nce_graph,
-                           build_vicreg_graph, combined_loss, hex_loss,
-                           info_nce, nnclr_positive_rows,
-                           paired_positive_index, vicreg_loss)
+from hexreg.losses import (QHI_SIGNS, NNQueue, build_barlow_graph,
+                           build_combined_graph, build_hex_graph,
+                           build_info_nce_graph, build_vicreg_graph,
+                           nnclr_positive_rows, paired_positive_index)
 
 
-def random_batch(rng, n_samples, dim=6, tau=0.1):
-    z = l2_normalize_rows(rng.normal(size=(2 * n_samples, dim)))
-    return ContrastiveBatch(z, paired_positive_index(n_samples), tau)
+def random_rows(rng, n_samples, dim=6):
+    """2n random unit rows and their two-view pairing i <-> i + n."""
+    return (l2_normalize_rows(rng.normal(size=(2 * n_samples, dim))),
+            paired_positive_index(n_samples))
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +59,14 @@ def oracle_hex_loss(z, pos, tau, member, qhi_tau, big_n, sign="subtract",
     return total / n
 
 
+def loss_scale(z, pos, tau, total):
+    """|mean positive logit| + |mean log-denominator| of a contrastive loss
+    with mean total: the yardstick for its rounding, since the total is
+    their difference and can cancel to ~1e-7."""
+    pos_logit = sum(float(np.dot(z[i], z[pos[i]])) for i in range(len(z))) / len(z) / tau
+    return abs(pos_logit) + abs(total + pos_logit)
+
+
 def oracle_barlow(za, zb, lam, scale):
     n, d = za.shape
     an = (za - za.mean(0)) / za.std(0)
@@ -93,57 +99,61 @@ def oracle_vicreg(za, zb, sim_w, var_w, cov_w):
 # InfoNCE
 # ---------------------------------------------------------------------------
 
+def info_nce_graph(z, pos, tau):
+    """Evaluated build_info_nce_graph over rows z."""
+    t = Tape()
+    info = build_info_nce_graph(t, t.input(z), pos, tau)
+    forward(t)
+    return info
+
+
 class TestInfoNce:
     def test_orthogonal_rows_give_log3(self):
-        b = ContrastiveBatch(np.eye(4), paired_positive_index(2), 0.1)
-        assert info_nce(b).total == pytest.approx(math.log(3.0), abs=1e-12)
+        bd = info_nce_graph(np.eye(4), paired_positive_index(2), 0.1).breakdown()
+        assert bd.total == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_perfect_positive_closed_form(self):
         z = np.zeros((4, 4))
         z[0, 0] = z[2, 0] = 1.0    # anchor 0 == its positive
         z[1, 1] = z[3, 1] = 1.0    # anchor 1 == its positive
-        b = ContrastiveBatch(z, paired_positive_index(2), 0.1)
+        bd = info_nce_graph(z, paired_positive_index(2), 0.1).breakdown()
         expected = math.log1p(2.0 * math.exp(-10.0))
-        assert info_nce(b).total == pytest.approx(expected, rel=1e-12)
+        assert bd.total == pytest.approx(expected, rel=1e-12)
 
     def test_zero_temperature_rejected(self):
+        t = Tape()
         with pytest.raises(BadTemperature):
-            ContrastiveBatch(np.eye(4), paired_positive_index(2), 0.0)
-
-    def test_degenerate_batch(self):
-        with pytest.raises(DegenerateBatch):
-            ContrastiveBatch(np.eye(2), np.array([1, 0]), 0.1)
+            build_info_nce_graph(t, t.input(np.eye(4)), paired_positive_index(2), 0.0)
 
     def test_decomposition_identity(self):
         rng = np.random.default_rng(0)
         for n in (2, 4, 8):
-            b = random_batch(rng, n)
-            bd = info_nce(b)
+            z, pos = random_rows(rng, n)
+            bd = info_nce_graph(z, pos, 0.1).breakdown()
             assert abs(bd.total - (bd.invariance_term + bd.regularization_term)) <= 1e-10
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
-        b = random_batch(rng, 6)
+        z, pos = random_rows(rng, 6)
         perm = rng.permutation(12)
         inv = np.empty(12, dtype=int)
         inv[perm] = np.arange(12)
-        z2 = b.z[perm]
-        pos2 = inv[b.positive_index[perm]]
-        b2 = ContrastiveBatch(z2, pos2, b.tau)
-        assert info_nce(b2).total == pytest.approx(info_nce(b).total, abs=1e-12)
+        permuted = info_nce_graph(z[perm], inv[pos[perm]], 0.1).breakdown().total
+        assert permuted == pytest.approx(info_nce_graph(z, pos, 0.1).breakdown().total,
+                                         abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # hierarchical reweighting
 # ---------------------------------------------------------------------------
 
-def hex_graph(z, member, *, qhi_tau, qhi_n, sign="subtract"):
+def hex_graph(z, member, *, qhi_tau=0.1, qhi_n=None, sign="subtract", tau=0.1):
     """Evaluated build_hex_graph over rows z (pairing i <-> i + n/2) with an
     explicit membership matrix."""
     pos = paired_positive_index(len(z) // 2)
-    mask = HierarchyMask(np.asarray(member, dtype=bool), "fixed", pos)
+    mask = HierarchyMask(np.asarray(member, dtype=bool), pos)
     t = Tape()
-    info = build_hex_graph(t, t.input(z), mask, 0.1, qhi_tau=qhi_tau,
+    info = build_hex_graph(t, t.input(z), mask, tau, qhi_tau=qhi_tau,
                            qhi_sign=sign, qhi_n=qhi_n)
     forward(t)
     return info
@@ -217,20 +227,19 @@ class TestHexReweight:
         checked = 0
         for trial in range(40):
             n = int(rng.choice([2, 4, 8]))
-            b = random_batch(rng, n)
-            sims = cosine_sim_matrix(b.z)
-            mask = threshold_mask(sims, float(rng.uniform(-0.5, 0.6)), b.positive_index)
+            z, pos = random_rows(rng, n)
+            mask = threshold_mask(cosine_sim_matrix(z), float(rng.uniform(-0.5, 0.6)), pos)
             if not mask.membership.any():
                 continue
             tau = float(rng.choice([0.1, 0.2, 0.5, 0.9]))
             sign = "subtract" if trial % 2 else "add"
-            for big_n in (b.n_anchors, b.n_rows):
-                q = hex_graph(b.z, mask.membership, qhi_tau=tau, qhi_n=big_n,
+            for big_n in (n, 2 * n):
+                q = hex_graph(z, mask.membership, qhi_tau=tau, qhi_n=big_n,
                               sign=sign).q_raw.value[:, 0]
                 for i in np.nonzero(mask.membership.any(axis=1))[0]:
-                    hs = [float(np.dot(b.z[i], b.z[a]))
+                    hs = [float(np.dot(z[i], z[a]))
                           for a in np.nonzero(mask.membership[i])[0]]
-                    p = float(np.dot(b.z[i], b.z[b.positive_index[i]]))
+                    p = float(np.dot(z[i], z[pos[i]]))
                     want = oracle_qhi(hs, p, tau, big_n, sign)
                     assert abs(q[i] - want) <= 1e-12 * qhi_scale(hs, p, tau, big_n)
                     checked += 1
@@ -242,54 +251,62 @@ class TestHexLoss:
         rng = np.random.default_rng(4)
         for n in (2, 4, 8, 16):
             for tau in (0.1, 0.2, 0.5):
-                b = random_batch(rng, n, tau=tau)
-                sims = cosine_sim_matrix(b.z)
-                mask = threshold_mask(sims, 1.0, b.positive_index)
-                assert hex_loss(b, mask).total == info_nce(b).total
+                z, pos = random_rows(rng, n)
+                mask = threshold_mask(cosine_sim_matrix(z), 1.0, pos)
+                got = hex_graph(z, mask.membership, tau=tau).breakdown().total
+                assert got == info_nce_graph(z, pos, tau).breakdown().total
 
     def test_whole_batch_vs_oracle(self):
-        b = ContrastiveBatch(np.eye(4), paired_positive_index(2), 0.1)
-        mask = whole_batch_mask(4, b.positive_index)
-        got = hex_loss(b, mask)
-        want = oracle_hex_loss(b.z, b.positive_index, 0.1, mask.membership, 0.1, 2)
-        assert got.total == pytest.approx(want, rel=1e-12)
+        z, pos = np.eye(4), paired_positive_index(2)
+        mask = whole_batch_mask(4, pos)
+        got = hex_graph(z, mask.membership, qhi_n=2).breakdown().total
+        want = oracle_hex_loss(z, pos, 0.1, mask.membership, 0.1, 2)
+        assert abs(got - want) <= 1e-12 * loss_scale(z, pos, 0.1, want)
 
     def test_random_masks_vs_oracle_both_signs(self):
         rng = np.random.default_rng(5)
         for trial in range(20):
             n = int(rng.choice([2, 4, 8]))
-            b = random_batch(rng, n, tau=float(rng.choice([0.1, 0.2, 0.5])))
-            sims = cosine_sim_matrix(b.z)
-            eps = float(rng.uniform(-0.2, 0.6))
-            mask = threshold_mask(sims, eps, b.positive_index)
+            tau = float(rng.choice([0.1, 0.2, 0.5]))
+            z, pos = random_rows(rng, n)
+            mask = threshold_mask(cosine_sim_matrix(z), float(rng.uniform(-0.2, 0.6)), pos)
             sign = "subtract" if trial % 2 else "add"
-            got = hex_loss(b, mask, qhi_sign=sign)
-            want = oracle_hex_loss(b.z, b.positive_index, b.tau, mask.membership,
-                                   0.1, n, sign)
-            assert got.total == pytest.approx(want, rel=1e-11)
+            for qhi_n in (n, 2 * n):
+                got = hex_graph(z, mask.membership, qhi_n=qhi_n, sign=sign,
+                                tau=tau).breakdown().total
+                want = oracle_hex_loss(z, pos, tau, mask.membership, 0.1, qhi_n, sign)
+                assert abs(got - want) <= 1e-12 * loss_scale(z, pos, tau, want)
 
     def test_tau_one_rejected(self):
-        b = ContrastiveBatch(np.eye(4), paired_positive_index(2), 0.1)
-        with pytest.raises(TauOne):
-            hex_loss(b, whole_batch_mask(4, b.positive_index), qhi_tau=1.0)
+        # 1 - qhi_tau must stay clear of zero by more than 1e-12.
+        z, pos = np.eye(4), paired_positive_index(2)
+        for qhi_tau in (1.0, 1.0 + 5e-13, 1.0 - 5e-13):
+            with pytest.raises(TauOne):
+                hex_graph(z, whole_batch_mask(4, pos).membership, qhi_tau=qhi_tau)
+
+    def test_nonpositive_qhi_tau_rejected(self):
+        z, pos = np.eye(4), paired_positive_index(2)
+        for qhi_tau in (0.0, -0.1):
+            with pytest.raises(BadTemperature):
+                hex_graph(z, whole_batch_mask(4, pos).membership, qhi_tau=qhi_tau)
 
     def test_supervised_mask_and_breakdown_fields(self):
         rng = np.random.default_rng(6)
-        b = random_batch(rng, 8)
+        z, pos = random_rows(rng, 8)
         labels = np.tile(rng.integers(0, 2, size=8), 2)
-        mask = supervised_mask(labels, b.positive_index)
-        bd = hex_loss(b, mask)
+        mask = supervised_mask(labels, pos)
+        bd = hex_graph(z, mask.membership).breakdown()
         assert bd.mean_H_size == pytest.approx(mask.membership.sum(1).mean())
         assert bd.hex_term_mean is not None
         assert np.isfinite(bd.total)
 
     def test_qhi_n_override(self):
         rng = np.random.default_rng(7)
-        b = random_batch(rng, 4)
-        mask = whole_batch_mask(8, b.positive_index)
-        with_anchor_n = hex_loss(b, mask, qhi_n=4)
-        with_view_n = hex_loss(b, mask, qhi_n=8)
-        assert with_anchor_n.total != with_view_n.total
+        z, pos = random_rows(rng, 4)
+        member = whole_batch_mask(8, pos).membership
+        with_anchor_n = hex_graph(z, member, qhi_n=4).breakdown().total
+        with_view_n = hex_graph(z, member, qhi_n=8).breakdown().total
+        assert with_anchor_n != with_view_n
 
 
 @st.composite
@@ -314,7 +331,7 @@ def hex_cases(draw):
 
 def _graph_value(c, member):
     t = Tape()
-    build_hex_graph(t, t.input(c["z"]), HierarchyMask(member, "fixed", c["pos"]),
+    build_hex_graph(t, t.input(c["z"]), HierarchyMask(member, c["pos"]),
                     c["tau"], qhi_tau=c["qhi_tau"], qhi_sign=c["sign"],
                     qhi_n=c["qhi_n"])
     return forward(t)
@@ -324,14 +341,10 @@ class TestHexProperties:
     @settings(max_examples=60, deadline=None)
     @given(hex_cases())
     def test_graph_matches_oracle(self, c):
-        # The total is mean log-denominator minus mean positive logit, and
-        # the two can cancel to ~1e-7, so the yardstick is their size.
-        b = ContrastiveBatch(c["z"], c["pos"], c["tau"])
-        mask = HierarchyMask(c["member"], "fixed", c["pos"])
-        want = hex_loss(b, mask, qhi_tau=c["qhi_tau"], qhi_sign=c["sign"],
-                        qhi_n=c["qhi_n"])
-        scale = abs(want.invariance_term) + abs(want.regularization_term)
-        assert abs(_graph_value(c, c["member"]) - want.total) <= 1e-12 * scale
+        want = oracle_hex_loss(c["z"], c["pos"], c["tau"], c["member"],
+                               c["qhi_tau"], c["qhi_n"], c["sign"])
+        scale = loss_scale(c["z"], c["pos"], c["tau"], want)
+        assert abs(_graph_value(c, c["member"]) - want) <= 1e-12 * scale
 
     @settings(max_examples=30, deadline=None)
     @given(hex_cases())
@@ -381,22 +394,46 @@ class TestNNQueue:
 # dimension-contrastive losses
 # ---------------------------------------------------------------------------
 
+def dim_graph(build, za, zb, *weights, **kw):
+    """(loss, tape, view nodes) of build_barlow_graph or build_vicreg_graph
+    evaluated on views za and zb."""
+    t = Tape()
+    a, b = t.input(za), t.input(zb)
+    build(t, a, b, *za.shape, *weights, **kw)
+    return forward(t), t, (a, b)
+
+
+def barlow(za, zb, lam, scale, **kw):
+    return dim_graph(build_barlow_graph, za, zb, lam, scale, **kw)[0]
+
+
+def vicreg(za, zb, sim_w, var_w, cov_w, **kw):
+    return dim_graph(build_vicreg_graph, za, zb, sim_w, var_w, cov_w, **kw)[0]
+
+
 class TestBarlow:
     def test_identical_decorrelated_views(self):
         za = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
-        assert barlow_loss(za, za.copy(), 0.005, 0.1) == pytest.approx(0.0, abs=1e-12)
+        assert barlow(za, za.copy(), 0.005, 0.1, var_eps=0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_column(self):
+        # The formulas divide by a zero std here; the default var_eps keeps
+        # both graphs and their gradients finite.
         za = np.ones((4, 3))
         za[:, 0] = [1.0, 2.0, 3.0, 4.0]
-        with pytest.raises(ZeroVariance):
-            barlow_loss(za, za.copy(), 0.005, 0.1)
+        for build, weights, want in ((build_barlow_graph, (0.005, 0.1), 0.2),
+                                     (build_vicreg_graph, (25.0, 25.0, 1.0), 16.5)):
+            loss, t, views = dim_graph(build, za, za.copy(), *weights)
+            assert loss == pytest.approx(want, rel=1e-9)
+            backward(t)
+            for node in views:
+                assert np.isfinite(node.grad).all()
 
     def test_seeded_vs_oracle(self):
         rng = np.random.default_rng(9)
         za = rng.normal(size=(8, 4))
         zb = rng.normal(size=(8, 4))
-        got = barlow_loss(za, zb, 0.3, 0.1)
+        got = barlow(za, zb, 0.3, 0.1, var_eps=0.0)
         assert got == pytest.approx(oracle_barlow(za, zb, 0.3, 0.1), rel=1e-12)
 
     def test_column_permutation_invariance(self):
@@ -404,77 +441,69 @@ class TestBarlow:
         za = rng.normal(size=(10, 5))
         zb = rng.normal(size=(10, 5))
         perm = rng.permutation(5)
-        a = barlow_loss(za, zb, 0.2, 0.5)
-        b = barlow_loss(za[:, perm], zb[:, perm], 0.2, 0.5)
+        a = barlow(za, zb, 0.2, 0.5)
+        b = barlow(za[:, perm], zb[:, perm], 0.2, 0.5)
         assert b == pytest.approx(a, abs=1e-12)
 
 
 class TestVicreg:
     def test_spread_identical_views_zero(self):
         za = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]]) * 1.5
-        assert vicreg_loss(za, za.copy(), 25.0, 25.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+        got = vicreg(za, za.copy(), 25.0, 25.0, 1.0, var_eps=0.0)
+        assert got == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_matrix_hinge_saturates(self):
+        # Every std is sqrt(var_eps), so each hinge reads 1 - sqrt(1e-4).
         za = np.full((6, 4), 0.7)
-        got = vicreg_loss(za, za.copy(), 25.0, 25.0, 1.0)
-        assert got == pytest.approx(25.0, abs=1e-12)
+        got = vicreg(za, za.copy(), 25.0, 25.0, 1.0)
+        assert got == pytest.approx(25.0 * (1.0 - math.sqrt(1e-4)), abs=1e-12)
 
     def test_seeded_vs_oracle(self):
-        rng = np.random.default_rng(11)
-        za = rng.normal(size=(8, 4))
-        zb = rng.normal(size=(8, 4))
-        got = vicreg_loss(za, zb, 25.0, 25.0, 1.0)
-        assert got == pytest.approx(oracle_vicreg(za, zb, 25.0, 25.0, 1.0), rel=1e-12)
+        for seed in (11, 16):
+            rng = np.random.default_rng(seed)
+            za = rng.normal(size=(8, 4))
+            zb = rng.normal(size=(8, 4))
+            got = vicreg(za, zb, 25.0, 25.0, 1.0, var_eps=0.0)
+            assert got == pytest.approx(oracle_vicreg(za, zb, 25.0, 25.0, 1.0), rel=1e-12)
+
+
+def combined(hex_value, dim_value, alpha, hex_scale):
+    t = Tape()
+    build_combined_graph(t, t.input([[hex_value]]), t.input([[dim_value]]),
+                         alpha, hex_scale)
+    return forward(t)
 
 
 class TestCombined:
     def test_alpha_zero(self):
-        assert combined_loss(3.0, 4.0, 0.0, 1.0) == 4.0
+        assert combined(3.0, 4.0, 0.0, 1.0) == 4.0
 
     def test_alpha_one(self):
-        assert combined_loss(3.0, 4.0, 1.0, 1.0) == 3.0
+        assert combined(3.0, 4.0, 1.0, 1.0) == 3.0
 
     def test_scaled_mix(self):
-        assert combined_loss(2.0, 4.0, 0.5, 5.0) == pytest.approx(7.0)
+        assert combined(2.0, 4.0, 0.5, 5.0) == pytest.approx(7.0, abs=1e-12)
 
     def test_bad_alpha(self):
         with pytest.raises(BadAlpha):
-            combined_loss(1.0, 1.0, 1.5, 1.0)
+            combined(1.0, 1.0, 1.5, 1.0)
 
 
 # ---------------------------------------------------------------------------
-# graph versus reference parity
+# graph builders against the oracles and the pre-pick graph
 # ---------------------------------------------------------------------------
 
 class TestGraphParity:
     def test_info_nce_graph(self):
         rng = np.random.default_rng(12)
-        b = random_batch(rng, 4)
-        t = Tape()
-        z = t.input(b.z)
-        g = build_info_nce_graph(t, z, b.positive_index, b.tau)
-        val = forward(t)
-        assert val == pytest.approx(info_nce(b).total, abs=1e-12)
-        bd = g.breakdown()
-        ref = info_nce(b)
-        assert bd.invariance_term == pytest.approx(ref.invariance_term, abs=1e-12)
-        assert bd.regularization_term == pytest.approx(ref.regularization_term, abs=1e-12)
-
-    def test_hex_graph_matches_reference(self):
-        rng = np.random.default_rng(13)
-        for trial in range(10):
-            b = random_batch(rng, 4)
-            sims = cosine_sim_matrix(b.z)
-            eps = float(rng.uniform(-0.2, 0.5))
-            mask = threshold_mask(sims, eps, b.positive_index)
-            sign = "subtract" if trial % 2 else "add"
-            for qhi_n in (b.n_anchors, b.n_rows):
-                t = Tape()
-                z = t.input(b.z)
-                build_hex_graph(t, z, mask, b.tau, qhi_sign=sign, qhi_n=qhi_n)
-                val = forward(t)
-                ref = hex_loss(b, mask, qhi_sign=sign, qhi_n=qhi_n)
-                assert val == pytest.approx(ref.total, abs=1e-12)
+        z, pos = random_rows(rng, 4)
+        bd = info_nce_graph(z, pos, 0.1).breakdown()
+        want = oracle_hex_loss(z, pos, 0.1, np.zeros((8, 8), dtype=bool), 0.1, 4)
+        scale = loss_scale(z, pos, 0.1, want)
+        assert abs(bd.total - want) <= 1e-12 * scale
+        inv = -sum(float(np.dot(z[i], z[pos[i]])) for i in range(8)) / 8 / 0.1
+        assert abs(bd.invariance_term - inv) <= 1e-12 * scale
+        assert abs(bd.regularization_term - (want - inv)) <= 1e-12 * scale
 
     def test_hex_graph_matches_one_hot_selector_graph_bitwise(self):
         # The graph as it was built before pick and vstack existed: the two
@@ -532,7 +561,7 @@ class TestGraphParity:
                 ya, yb = t.input(ya_val), t.input(yb_val)
                 if build_new:
                     z = t.row_l2_normalize(t.vstack(ya, yb))
-                    build_hex_graph(t, z, HierarchyMask(member, "fixed", pos), tau,
+                    build_hex_graph(t, z, HierarchyMask(member, pos), tau,
                                     qhi_tau=qhi_tau, qhi_sign=sign, qhi_n=qhi_n)
                 else:
                     old_graph(t, ya, yb, member, pos, tau, qhi_tau, sign, qhi_n)
@@ -546,41 +575,18 @@ class TestGraphParity:
 
     def test_hex_graph_gradients_finite(self):
         rng = np.random.default_rng(14)
-        b = random_batch(rng, 4)
-        mask = whole_batch_mask(8, b.positive_index)
+        zv, pos = random_rows(rng, 4)
         t = Tape()
-        z = t.input(b.z)
-        build_hex_graph(t, z, mask, b.tau)
+        z = t.input(zv)
+        build_hex_graph(t, z, whole_batch_mask(8, pos), 0.1)
         forward(t)
         backward(t)
         assert np.isfinite(z.grad).all()
 
     def test_barlow_graph(self):
+        # The trainer's default var_eps moves the value by under 1e-9.
         rng = np.random.default_rng(15)
         za = rng.normal(size=(8, 4))
         zb = rng.normal(size=(8, 4))
-        t = Tape()
-        a = t.input(za)
-        bnode = t.input(zb)
-        build_barlow_graph(t, a, bnode, 8, 4, 0.3, 0.1)
-        assert forward(t) == pytest.approx(barlow_loss(za, zb, 0.3, 0.1), rel=1e-9)
-
-    def test_vicreg_graph(self):
-        rng = np.random.default_rng(16)
-        za = rng.normal(size=(8, 4))
-        zb = rng.normal(size=(8, 4))
-        t = Tape()
-        a = t.input(za)
-        bnode = t.input(zb)
-        # var_eps=0 isolates the formula; the trainer default keeps the
-        # method's 1e-4 variance cushion for stability
-        build_vicreg_graph(t, a, bnode, 8, 4, 25.0, 25.0, 1.0, var_eps=0.0)
-        assert forward(t) == pytest.approx(vicreg_loss(za, zb, 25.0, 25.0, 1.0),
-                                           rel=1e-9)
-
-    def test_combined_graph(self):
-        t = Tape()
-        hex_node = t.input([[2.0]])
-        dim_node = t.input([[4.0]])
-        build_combined_graph(t, hex_node, dim_node, 0.5, 5.0)
-        assert forward(t) == pytest.approx(7.0, abs=1e-12)
+        assert barlow(za, zb, 0.3, 0.1) == pytest.approx(oracle_barlow(za, zb, 0.3, 0.1),
+                                                        rel=1e-9)

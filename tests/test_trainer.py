@@ -7,13 +7,14 @@ import pytest
 from hexreg import trainer
 from hexreg.autodiff import Tape, forward
 from hexreg.data import augment_batch, generate
-from hexreg.errors import IoError, VersionMismatch
+from hexreg.errors import IoError, NonFinite, VersionMismatch
+from hexreg.linalg import l2_normalize_rows
 from hexreg.losses import build_info_nce_graph, paired_positive_index
 from hexreg.rng import Rng
 from hexreg.trainer import (ModelConfig, TrainConfig, build_model_graph,
                             evaluate, init_params, init_state,
                             load_checkpoint, mlp_forward, run_training,
-                            save_checkpoint, train_epoch, unit_rows)
+                            save_checkpoint, train_epoch)
 
 
 def tiny_config(**over):
@@ -74,7 +75,7 @@ class TestForwardParity:
         xa, xb = ds.x[:5], ds.x[5:10]
         ra, ya = mlp_forward(params, xa)
         rb, yb = mlp_forward(params, xb)
-        z_plain = unit_rows(np.vstack([ya, yb]))
+        z_plain = l2_normalize_rows(np.vstack([ya, yb]))
 
         t = Tape()
         w, b, outs = build_model_graph(t, params, [xa, xb])
@@ -96,6 +97,15 @@ class TestTrainEpoch:
         train_epoch(state, ds)
         for w0, w1 in zip(before, state.params.weights):
             assert np.array_equal(w0, w1)
+
+    def test_zero_projector_row_names_epoch_batch_and_row(self):
+        cfg = tiny_config()
+        ds = generate(cfg.data)
+        state = init_state(cfg, ds.dim)
+        state.params.weights[-1][:] = 0.0
+        state.params.biases[-1][:] = 0.0
+        with pytest.raises(NonFinite, match=r"^epoch 1, batch 0: row 0 has norm"):
+            train_epoch(state, ds)
 
     def test_views_take_even_and_odd_step_keys(self, monkeypatch):
         # View a of batch row i is augmented with step key 2i, view b with
