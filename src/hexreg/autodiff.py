@@ -22,6 +22,13 @@ never written in place once made, so one array may be handed to several
 parents: the first contribution to a node is kept as it is and later ones
 are added out of place.
 
+Finiteness is checked once per pass, on what a caller consumes: ``forward``
+checks the terminal value and ``backward`` the gradient of each input node.
+Only after a failed check are the nodes rescanned, so that NonFinite names
+the first bad node, the one a check after every node would have named. A
+NaN or Inf that reaches neither the loss nor a parameter gradient, such as
+``exp(-inf) = 0``, does not raise.
+
 An op is defined in two places: its ``Tape`` method, which records the node,
 and its entry in ``_OPS``, which gives the node's value from its parents'
 values and one vector-Jacobian product per parent. ``forward`` and
@@ -235,25 +242,58 @@ _OPS = {
 }
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """The one finiteness test of a tape pass; every check goes through it."""
+    return bool(np.isfinite(a).all())
+
+
+def _first_non_finite(nodes, attr: str):
+    """First node of ``nodes`` whose ``attr`` array holds a NaN or Inf."""
+    for node in nodes:
+        a = getattr(node, attr)
+        if a is not None and not _all_finite(a):
+            return node
+    return None
+
+
+def _non_finite(node: Node, what: str) -> NonFinite:
+    return NonFinite(f"non-finite {what} at node {node.idx} ({node.name or node.op})")
+
+
 def forward(tape: Tape) -> float:
     """Evaluate all nodes in order; return the terminal scalar value.
 
     The last node recorded on the tape is the terminal and must be 1x1.
-    Raises NonFinite naming the first node whose value is NaN/Inf.
+    Only the terminal's value is checked. When it is NaN/Inf, the nodes are
+    rescanned in recording order and NonFinite names the first bad one.
+    When an op raises NonFinite itself (``row_l2_normalize``'s zero-row
+    guard), a non-finite node recorded before it is named instead, as it
+    came first.
+
+    A non-finite value that never reaches the terminal does not raise:
+    ``relu(log(0))`` is 0 and ``exp(-inf)`` is 0. Values read back from an
+    evaluated loss graph are still checked, because each reaches the
+    terminal only through add, sub, mean, log, scalar_mul and mul_elem, and
+    each of those turns a NaN or Inf operand into a NaN or Inf result: a
+    finite terminal implies a finite ``pos_logits``, ``log_denominator`` and
+    ``q_clamped`` and finite Barlow/VICReg terms.
     """
     if not tape.nodes:
         raise ValueError("empty tape")
     with np.errstate(all="ignore"):
         for node in tape.nodes:
             if node.op in ("input", "constant"):
-                value = node.value
-            else:
-                value = _OPS[node.op][0](node, *[p.value for p in node.parents])
-                node.value = value
-            if not np.isfinite(value).all():
-                raise NonFinite(f"non-finite value at node {node.idx} "
-                                f"({node.name or node.op})")
+                continue
+            try:
+                node.value = _OPS[node.op][0](node, *[p.value for p in node.parents])
+            except NonFinite:
+                bad = _first_non_finite(tape.nodes[:node.idx], "value")
+                if bad is not None:
+                    raise _non_finite(bad, "value") from None
+                raise
     out = tape.nodes[-1].value
+    if not _all_finite(out):
+        raise _non_finite(_first_non_finite(tape.nodes, "value"), "value")
     if out.shape != (1, 1):
         raise ValueError(f"terminal node must be scalar (1x1), got {out.shape}")
     return float(out[0, 0])
@@ -275,6 +315,13 @@ def backward(tape: Tape):
 
     Must be called after forward. Constants, masks and nodes computed from
     constants alone receive no gradient, and none is computed for them.
+
+    Only the gradients of input nodes, which an optimizer reads, are
+    checked. A node's gradient is final when the reverse loop reaches it,
+    since every node that consumes it was recorded after it. When an input's
+    gradient is NaN/Inf, the gradients are rescanned in reverse recording
+    order, the order the loop visits them, and NonFinite names the first bad
+    one. A NaN or Inf gradient that reaches no input does not raise.
     """
     terminal = tape.nodes[-1]
     if terminal.value is None:
@@ -282,15 +329,18 @@ def backward(tape: Tape):
     for node in tape.nodes:
         node.grad = None
     terminal.grad = np.ones((1, 1))
-    for node in reversed(tape.nodes):
-        g = node.grad
-        if g is None:
-            continue
-        if not np.isfinite(g).all():
-            raise NonFinite(f"non-finite gradient at node {node.idx} "
-                            f"({node.name or node.op})")
-        if node.op == "input" or not node.requires_grad:
-            continue
-        for parent, vjp in zip(node.parents, _OPS[node.op][1]):
-            if parent.requires_grad:
-                _accumulate(parent, vjp(node, g))
+    with np.errstate(all="ignore"):
+        for node in reversed(tape.nodes):
+            g = node.grad
+            if g is None:
+                continue
+            if node.op == "input":
+                if not _all_finite(g):
+                    bad = _first_non_finite(reversed(tape.nodes), "grad")
+                    raise _non_finite(bad, "gradient")
+                continue
+            if not node.requires_grad:
+                continue
+            for parent, vjp in zip(node.parents, _OPS[node.op][1]):
+                if parent.requires_grad:
+                    _accumulate(parent, vjp(node, g))

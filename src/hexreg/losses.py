@@ -169,6 +169,8 @@ def build_hex_graph(tape: Tape, z_node: Node, mask: HierarchyMask, tau: float,
         raise BadTemperature(f"qhi_tau must be > 0, got {qhi_tau}")
     if qhi_sign not in QHI_SIGNS:
         raise BadConfig(f"qhi_sign must be one of {QHI_SIGNS}, got {qhi_sign!r}")
+    if not eps_den > 0.0:
+        raise BadConfig(f"eps_den must be > 0, got {eps_den}")
     member = mask.membership
     pos = mask.positive_index
     n = member.shape[0]

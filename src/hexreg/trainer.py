@@ -98,6 +98,8 @@ class LossConfig:
             raise BadConfig("qhi_n must be 'anchors' or 'views'")
         if not 0.0 <= self.alpha <= 1.0:
             raise BadConfig(f"alpha must lie in [0, 1], got {self.alpha}")
+        if not self.eps_den > 0.0:
+            raise BadConfig(f"eps_den must be > 0, got {self.eps_den}")
 
     @property
     def is_hex(self) -> bool:
@@ -709,6 +711,30 @@ def load_checkpoint(path: str) -> TrainState:
 # full runs
 # ---------------------------------------------------------------------------
 
+def _resume_conflicts(saved: TrainConfig, given: TrainConfig) -> list:
+    """'key saved != given' for each config field on which a resumed run
+    would differ from the run that wrote the checkpoint.
+
+    train.epochs may change, which lengthens or shortens the run, and so may
+    schedule.total_epochs where it equals train.epochs on both sides, as it
+    does when left to its default."""
+    def flat(config):
+        out = {}
+        for name, section in config.to_dict().items():
+            if isinstance(section, dict):
+                out.update({f"{name}.{k}": v for k, v in section.items()})
+            else:
+                out[name] = section
+        return out
+
+    a, b = flat(saved), flat(given)
+    ignored = {"train.epochs"}
+    if all(f["schedule.total_epochs"] == f["train.epochs"] for f in (a, b)):
+        ignored.add("schedule.total_epochs")
+    return [f"{k} {a.get(k)!r} != {b.get(k)!r}" for k in sorted(a.keys() | b.keys())
+            if k not in ignored and a.get(k) != b.get(k)]
+
+
 def run_training(config: TrainConfig, out_dir: Optional[str] = None,
                  checkpoint_every: Optional[int] = None,
                  resume_from: Optional[str] = None):
@@ -724,6 +750,11 @@ def run_training(config: TrainConfig, out_dir: Optional[str] = None,
     prior_rows: list = []
     if resume_from is not None:
         state = load_checkpoint(resume_from)
+        conflicts = _resume_conflicts(state.config, config)
+        if conflicts:
+            raise BadConfig(f"{resume_from}: the checkpoint's config differs on "
+                            f"{'; '.join(conflicts)}; only train.epochs may change "
+                            f"on resume")
         state.config = config
         if out_dir is not None:
             existing = os.path.join(out_dir, "metrics.csv")

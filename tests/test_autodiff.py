@@ -3,6 +3,7 @@ import zlib
 import numpy as np
 import pytest
 
+from hexreg import autodiff, trainer
 from hexreg.autodiff import _OPS, Tape, backward, forward
 from hexreg.errors import NonFinite
 
@@ -319,3 +320,92 @@ def test_gradient_shared_by_two_parents_is_not_mutated():
     np.testing.assert_array_equal(x.grad, np.full((2, 2), 4.0))
     np.testing.assert_array_equal(y.grad, np.full((2, 2), 6.0))
     np.testing.assert_array_equal(s.grad, np.ones((2, 2)))
+
+
+class TestNonFinite:
+    """A pass raises exactly when what its caller reads is non-finite (the
+    loss, or an input's gradient), naming the first bad node."""
+
+    def test_nan_reaching_the_loss_names_the_first_bad_node(self):
+        t = Tape()
+        x = t.input([[-1.0, 2.0]])
+        bad = t.log(x, name="bad_log")
+        t.mean(t.sub(bad, t.constant([[1.0, 1.0]])))
+        with pytest.raises(NonFinite, match=r"^non-finite value at node 1 \(bad_log\)$"):
+            forward(t)
+
+    def test_gradient_that_becomes_inf_is_named(self):
+        # log(1e-320) is finite, its gradient 1 / 1e-320 overflows
+        t = Tape()
+        x = t.input([[1e-320, 1.0]], name="w")
+        scaled = t.scalar_mul(x, 1.0, name="scaled")
+        t.sum(t.log(scaled, name="tiny_log"))
+        assert np.isfinite(forward(t))
+        with pytest.raises(NonFinite, match=r"^non-finite gradient at node 1 \(scaled\)$"):
+            backward(t)
+
+    def test_non_finite_value_that_misses_the_loss_does_not_raise(self):
+        t = Tape()
+        x = t.input([[0.0]], name="w")
+        t.sum(t.relu(t.log(x)))
+        assert forward(t) == 0.0
+        # the loss is finite; w's gradient, 0 / 0, is not
+        with pytest.raises(NonFinite, match=r"^non-finite gradient at node 0 \(w\)$"):
+            backward(t)
+
+    def test_non_finite_gradient_that_misses_every_input_does_not_raise(self):
+        t = Tape()
+        w = t.input([[2.0]], name="w")
+        c = t.constant([[0.0]])
+        t.sum(t.add(w, t.relu(t.log(c))))
+        assert forward(t) == 2.0
+        backward(t)
+        np.testing.assert_array_equal(w.grad, [[1.0]])
+
+    def test_earlier_non_finite_node_beats_a_zero_row(self):
+        t = Tape()
+        bad = t.log(t.input([[-1.0]]), name="bad_log")
+        zero = t.row_l2_normalize(t.constant([[0.0, 0.0]]), name="zero_row")
+        t.sum(t.add(zero, bad))
+        with pytest.raises(NonFinite, match=r"^non-finite value at node 1 \(bad_log\)$"):
+            forward(t)
+
+    def test_zero_row_alone_keeps_its_message(self):
+        t = Tape()
+        t.sum(t.row_l2_normalize(t.input([[1.0, 0.0], [0.0, 0.0]]), name="z"))
+        with pytest.raises(NonFinite, match=r"^node 1 \(z\): zero row in normalize$"):
+            forward(t)
+
+
+def test_a_passing_train_step_checks_the_loss_and_each_parameter_gradient(monkeypatch):
+    # Desk config: 4 x 4 x 100 rows x 32 dims, batch 64, MLP 32-64-16-32-8.
+    cfg = trainer.TrainConfig.from_dict({"loss": {"kind": "simclr_hex"},
+                                         "schedule": {"kind": "adaptive"},
+                                         "data": {"seed": 1}})
+    dataset = cfg.load_dataset()
+    state = trainer.init_state(cfg, dataset.dim)
+    checks = []
+    real_check = autodiff._all_finite
+    monkeypatch.setattr(autodiff, "_all_finite",
+                        lambda a: checks.append(a.shape) or real_check(a))
+    passes = []
+
+    def counted(fn):
+        def run(tape):
+            before = len(checks)
+            out = fn(tape)
+            passes.append((fn.__name__, tape, len(checks) - before))
+            return out
+        return run
+
+    monkeypatch.setattr(trainer, "forward", counted(autodiff.forward))
+    monkeypatch.setattr(trainer, "backward", counted(autodiff.backward))
+    trainer.train_epoch(state, dataset)
+    assert len(passes) == 2 * 25
+    for name, tape, n_checks in passes:
+        n_inputs = sum(node.op == "input" for node in tape.nodes)
+        assert n_inputs == 8
+        if name == "forward":
+            assert n_checks == 1
+        else:
+            assert 1 <= n_checks <= n_inputs

@@ -156,6 +156,25 @@ class TestTrain:
         assert main(["train", "--config", cfg, "--out", part, "--resume", ckpt]) == 2
         assert "metrics.csv" in capsys.readouterr().err
 
+    def test_resume_with_a_changed_tau_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, train={"epochs": 4})
+        part = str(tmp_path / "part")
+        main(["train", "--config", cfg, "--out", part, "--checkpoint-every", "2"])
+        before = open(os.path.join(part, "metrics.csv")).read()
+        changed = write_config(tmp_path, "changed.json", train={"epochs": 4},
+                               loss={"tau": 0.2})
+        ckpt = os.path.join(part, "ckpt_000002.bin")
+        capsys.readouterr()
+        assert main(["train", "--config", changed, "--out", part, "--resume", ckpt]) == 1
+        assert "loss.tau 0.1 != 0.2" in capsys.readouterr().err
+        assert open(os.path.join(part, "metrics.csv")).read() == before
+
+    def test_nonpositive_eps_den_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, loss={"kind": "simclr_hex", "eps_den": 0})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        assert "eps_den must be > 0" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "run")
+
 
 class TestEval:
     def test_eval_checkpoint(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexreg.autodiff import Tape, backward, forward
-from hexreg.errors import BadAlpha, BadTemperature, EmptyQueue, TauOne
+from hexreg.errors import BadAlpha, BadConfig, BadTemperature, EmptyQueue, TauOne
 from hexreg.hierarchy import (HierarchyMask, supervised_mask, threshold_mask,
                               whole_batch_mask)
 from hexreg.linalg import cosine_sim_matrix, l2_normalize_rows
@@ -289,6 +289,14 @@ class TestHexLoss:
         for qhi_tau in (0.0, -0.1):
             with pytest.raises(BadTemperature):
                 hex_graph(z, whole_batch_mask(4, pos).membership, qhi_tau=qhi_tau)
+
+    def test_nonpositive_eps_den_rejected(self):
+        z, pos = np.eye(4), paired_positive_index(2)
+        mask = whole_batch_mask(4, pos)
+        for eps_den in (0.0, -1.0, float("nan")):
+            t = Tape()
+            with pytest.raises(BadConfig, match="eps_den must be > 0"):
+                build_hex_graph(t, t.input(z), mask, 0.1, eps_den=eps_den)
 
     def test_supervised_mask_and_breakdown_fields(self):
         rng = np.random.default_rng(6)

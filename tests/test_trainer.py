@@ -7,7 +7,7 @@ import pytest
 from hexreg import trainer
 from hexreg.autodiff import Tape, forward
 from hexreg.data import augment_batch, generate
-from hexreg.errors import IoError, NonFinite, VersionMismatch
+from hexreg.errors import BadConfig, IoError, NonFinite, VersionMismatch
 from hexreg.linalg import l2_normalize_rows
 from hexreg.losses import build_info_nce_graph, paired_positive_index
 from hexreg.rng import Rng
@@ -238,6 +238,25 @@ class TestCheckpointing:
         for wa, wb in zip(full_state.params.weights, state_b.params.weights):
             assert np.array_equal(wa, wb)
 
+    def test_resume_refuses_a_changed_loss_tau(self, tmp_path):
+        cfg = tiny_config(train={"epochs": 4})
+        out = str(tmp_path / "run")
+        run_training(cfg, out_dir=out, checkpoint_every=2)
+        ckpt = os.path.join(out, "ckpt_000002.bin")
+        changed = tiny_config(train={"epochs": 4}, loss={"tau": 0.2})
+        with pytest.raises(BadConfig, match=r"differs on loss\.tau 0\.1 != 0\.2; only"):
+            run_training(changed, out_dir=out, resume_from=ckpt)
+
+    def test_resume_accepts_a_changed_epoch_count(self, tmp_path):
+        out = str(tmp_path / "run")
+        run_training(tiny_config(train={"epochs": 2}), out_dir=out,
+                     checkpoint_every=1)
+        longer = tiny_config(train={"epochs": 4})
+        rows, _, state = run_training(longer, out_dir=out,
+                                      resume_from=os.path.join(out, "ckpt_000001.bin"))
+        assert [r["epoch"] for r in rows] == [1, 2, 3, 4]
+        assert state.config.train.epochs == 4
+
     def test_state_round_trip(self, tmp_path):
         cfg = tiny_config(loss={"kind": "nnclr"})
         ds = generate(cfg.data)
@@ -335,6 +354,11 @@ class TestConfig:
         d = cfg.to_dict()
         scrambled = json.loads(json.dumps(d))
         assert TrainConfig.from_dict(scrambled).config_hash() == cfg.config_hash()
+
+    def test_nonpositive_eps_den_rejected(self):
+        for eps_den in (0.0, -1.0, float("nan")):
+            with pytest.raises(BadConfig, match="eps_den must be > 0"):
+                tiny_config(loss={"kind": "simclr_hex", "eps_den": eps_den})
 
     def test_method_defaults(self):
         assert tiny_config(loss={"kind": "nnclr"}).loss.tau == 0.2
