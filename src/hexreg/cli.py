@@ -44,9 +44,12 @@ def cmd_gen_data(args) -> int:
     raw = _load_config(args.config).get("data", {})
     if not isinstance(raw, dict) or "path" in raw:
         raise BadConfig("gen-data needs generator parameters in the 'data' section")
-    params = GenParams(**raw)
     if args.seed is not None:
-        params = GenParams(**{**raw, "seed": args.seed})
+        raw = {**raw, "seed": args.seed}
+    try:
+        params = GenParams(**raw)
+    except TypeError as e:
+        raise BadConfig(f"bad 'data' section: {e}") from e
     ds = generate(params)
     save_csv(ds, args.out)
     print(f"wrote {ds.n_samples} rows ({params.n_super} superclasses x "

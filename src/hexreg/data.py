@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class HierarchicalDataset:
     x: np.ndarray
     class_labels: np.ndarray
     superclass_labels: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_samples(self) -> int:
@@ -90,7 +89,7 @@ def generate(p: GenParams) -> HierarchicalDataset:
                 class_labels[row] = c
                 row += 1
     supers = class_labels // p.classes_per_super
-    return HierarchicalDataset(x, class_labels, supers, meta=asdict(p))
+    return HierarchicalDataset(x, class_labels, supers)
 
 
 def augment_batch(x: np.ndarray, noise_sigma: float, mask_prob: float,
@@ -176,4 +175,4 @@ def load_csv(path: str) -> HierarchicalDataset:
             sup[i] = int(cells[d + 1])
         except ValueError as e:
             raise SchemaError(f"{path}: row {i + 1}: {e}") from e
-    return HierarchicalDataset(x, cls, sup, meta={"source": os.path.abspath(path)})
+    return HierarchicalDataset(x, cls, sup)

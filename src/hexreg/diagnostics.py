@@ -19,17 +19,12 @@ RANKME_EPS = 1e-7
 
 @dataclass
 class RankCurvePoint:
-    epoch: int
     mean_rankme_superclass: float
     mean_rankme_random: float
-    n_subsets: int
-    subset_size: int
 
 
 @dataclass
 class DistributionStats:
-    epoch: int
-    space: str
     mean_super: Optional[float]
     mean_regular: Optional[float]
     skew_super: Optional[float]
@@ -60,8 +55,7 @@ def _draw(stream: Rng, pool: np.ndarray, size: int) -> np.ndarray:
 
 
 def subset_rank_curve(representations, superclass_labels, n_subsets: int,
-                      subset_size: int, seed: int,
-                      epoch: int = 0) -> RankCurvePoint:
+                      subset_size: int, seed: int) -> RankCurvePoint:
     """Mean effective rank over subsets drawn (a) from one uniformly chosen
     superclass each and (b) uniformly from all samples."""
     a = as_matrix(representations)
@@ -91,8 +85,7 @@ def subset_rank_curve(representations, superclass_labels, n_subsets: int,
         rt = root.child(1).child(j)
         idx = _draw(rt, all_idx, subset_size)
         random_vals.append(rankme(a[idx]))
-    return RankCurvePoint(epoch, float(np.mean(super_vals)),
-                          float(np.mean(random_vals)), n_subsets, subset_size)
+    return RankCurvePoint(float(np.mean(super_vals)), float(np.mean(random_vals)))
 
 
 def _moments(v: np.ndarray) -> tuple:
@@ -119,17 +112,14 @@ def _pool_summary(pool: np.ndarray) -> tuple:
     return mean, m3 / m2 ** 1.5
 
 
-def distribution_stats(sims, superclass_labels, positive_index=None,
-                       space_tag: str = "projection",
-                       epoch: int = 0) -> DistributionStats:
+def distribution_stats(sims, superclass_labels,
+                       positive_index=None) -> DistributionStats:
     """Pool anchor-other similarities split by shared superclass (self and,
     when given, the paired positive excluded) and summarize each pool.
 
     Empty pools yield None statistics; constant pools yield means but None
     skews.
     """
-    if space_tag not in ("projection", "representation"):
-        raise BadConfig(f"unknown space tag {space_tag!r}")
     s = np.asarray(sims, dtype=np.float64)
     if superclass_labels is None:
         raise MissingLabels("superclass labels are required")
@@ -148,7 +138,6 @@ def distribution_stats(sims, superclass_labels, positive_index=None,
     if mean_super is not None and mean_regular is not None and mean_regular != 0.0:
         ratio = mean_super / mean_regular
     return DistributionStats(
-        epoch=epoch, space=space_tag,
         mean_super=mean_super, mean_regular=mean_regular,
         skew_super=skew_super, skew_regular=skew_regular,
         ratio=ratio)

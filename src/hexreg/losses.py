@@ -13,8 +13,8 @@ anchor's estimated grouping H(i) are collapsed into a single reweighted term
 
 where -+ is ``qhi_sign``: "subtract" (the default) or "add". Every
 non-member (the positive included) keeps its ordinary exponential term.
-With an empty H(i) the denominator degenerates to the plain InfoNCE
-denominator, bitwise.
+With every H(i) empty the graph records no q node and is InfoNCE, so
+``build_info_nce_graph`` is ``build_hex_graph`` over an all-False mask.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class LossBreakdown:
     invariance_term: float
     regularization_term: float
     hex_term_mean: Optional[float] = None
-    mean_H_size: Optional[float] = None
+    mean_H_size: float = 0.0
     clamp_events: int = 0
 
 
@@ -102,11 +102,11 @@ class ContrastiveGraphInfo:
     total: Node
     pos_logits: Node           # n x 1, s_pos / tau
     log_denominator: Node      # n x 1
-    q_raw: Optional[Node] = None
-    q_clamped: Optional[Node] = None
-    rows_with_h: Optional[np.ndarray] = None
-    mask_mean_size: Optional[float] = None
-    eps_den: float = DEFAULT_EPS_DEN
+    q_raw: Optional[Node]      # n x 1; None when no row has members
+    q_clamped: Optional[Node]
+    rows_with_h: np.ndarray    # bool, n
+    mask_mean_size: float
+    eps_den: float
 
     def breakdown(self) -> LossBreakdown:
         """Read the decomposition out of an evaluated graph."""
@@ -114,7 +114,7 @@ class ContrastiveGraphInfo:
         logd = self.log_denominator.value
         hex_mean = None
         clamps = 0
-        if self.q_raw is not None and self.rows_with_h is not None:
+        if self.q_raw is not None:
             rows = self.rows_with_h
             q = self.q_raw.value[:, 0]
             clamps = int(np.count_nonzero(rows & (q < self.eps_den)))
@@ -129,26 +129,13 @@ class ContrastiveGraphInfo:
         )
 
 
-def _nonself_mask(n: int) -> np.ndarray:
-    return 1.0 - np.eye(n)
-
-
 def build_info_nce_graph(tape: Tape, z_node: Node, positive_index,
                          tau: float) -> ContrastiveGraphInfo:
-    if tau <= 0.0:
-        raise BadTemperature(f"temperature must be > 0, got {tau}")
+    """InfoNCE: the HEX graph with no anchor holding members."""
     pos = np.asarray(positive_index, dtype=np.intp)
     n = pos.shape[0]
-    sims = tape.matmul(z_node, tape.transpose(z_node), name="sims")
-    logits = tape.scalar_mul(sims, 1.0 / tau, name="logits")
-    expl = tape.exp(logits, name="exp_logits")
-    pos_logits = tape.pick(logits, pos, name="pos_logits")
-    denom = tape.masked_sum(expl, _nonself_mask(n), name="denominator")
-    log_denom = tape.log(denom, name="log_denominator")
-    loss_vec = tape.sub(log_denom, pos_logits, name="per_anchor_loss")
-    total = tape.mean(loss_vec, name="info_nce")
-    return ContrastiveGraphInfo(total=total, pos_logits=pos_logits,
-                                log_denominator=log_denom, mask_mean_size=None)
+    return build_hex_graph(tape, z_node,
+                           HierarchyMask(np.zeros((n, n), dtype=bool), pos), tau)
 
 
 def build_hex_graph(tape: Tape, z_node: Node, mask: HierarchyMask, tau: float,
@@ -182,7 +169,7 @@ def build_hex_graph(tape: Tape, z_node: Node, mask: HierarchyMask, tau: float,
     logits = tape.scalar_mul(sims, 1.0 / tau, name="logits")
     expl = tape.exp(logits, name="exp_logits")
     pos_logits = tape.pick(logits, pos, name="pos_logits")
-    non_h = _nonself_mask(n)
+    non_h = 1.0 - np.eye(n)
     non_h[member] = 0.0
     base = tape.masked_sum(expl, non_h, name="non_member_sum")
 
@@ -215,7 +202,7 @@ def build_hex_graph(tape: Tape, z_node: Node, mask: HierarchyMask, tau: float,
     return ContrastiveGraphInfo(
         total=total, pos_logits=pos_logits, log_denominator=log_denom,
         q_raw=q_raw, q_clamped=q_clamped, rows_with_h=rows_with,
-        mask_mean_size=float(member.sum(axis=1).mean()), eps_den=eps_den)
+        mask_mean_size=mask.mean_size, eps_den=eps_den)
 
 
 @dataclass
@@ -224,8 +211,13 @@ class DimGraphInfo:
     invariance: Node       # alignment-flavored part (on-diagonal / MSE)
     regularization: Node   # decorrelation-flavored part
 
-    def terms(self) -> tuple[float, float]:
-        return float(self.invariance.value[0, 0]), float(self.regularization.value[0, 0])
+    def breakdown(self) -> LossBreakdown:
+        """Read the two terms out of an evaluated graph."""
+        return LossBreakdown(
+            total=float(self.total.value[0, 0]),
+            invariance_term=float(self.invariance.value[0, 0]),
+            regularization_term=float(self.regularization.value[0, 0]),
+        )
 
 
 def _column_stats(tape: Tape, z: Node, n: int, denom: float, d: int,

@@ -26,10 +26,10 @@ from . import losses as losses_mod
 from .autodiff import Tape, backward, forward
 from .data import (GenParams, HierarchicalDataset, _write_atomic, augment_batch,
                    generate, load_csv)
-from .errors import (BadConfig, BadDims, IoError, NonFinite, SchemaError,
-                     VersionMismatch)
-from .hierarchy import (HierarchyMask, mask_quality, supervised_mask,
-                        threshold_mask, whole_batch_mask)
+from .errors import (BadConfig, BadDims, InsufficientSamples, IoError,
+                     NumericalError, SchemaError, VersionMismatch)
+from .hierarchy import (mask_quality, supervised_mask, threshold_mask,
+                        whole_batch_mask)
 from .linalg import _safe_unit_rows, cosine_sim_matrix, l2_normalize_rows
 from .losses import (NNQueue, build_barlow_graph, build_combined_graph,
                      build_hex_graph, build_info_nce_graph,
@@ -237,12 +237,11 @@ class ModelParams:
     weights: list
     biases: list
     n_encoder_layers: int
-    dims: list
 
     def copy(self) -> "ModelParams":
         return ModelParams([w.copy() for w in self.weights],
                            [b.copy() for b in self.biases],
-                           self.n_encoder_layers, list(self.dims))
+                           self.n_encoder_layers)
 
 
 def layer_dims(model: ModelConfig, input_dim: int) -> list:
@@ -265,8 +264,7 @@ def init_params(model: ModelConfig, input_dim: int, seed: int) -> ModelParams:
         u = root.child(i).uniform_array(fan_in * fan_out)
         weights.append((a * (2.0 * u - 1.0)).reshape(fan_in, fan_out))
         biases.append(np.zeros((1, fan_out)))
-    n_enc = len(model.encoder_hidden) + 1
-    return ModelParams(weights, biases, n_enc, dims)
+    return ModelParams(weights, biases, len(model.encoder_hidden) + 1)
 
 
 def mlp_forward(params: ModelParams, x: np.ndarray):
@@ -342,24 +340,18 @@ def _augment_keys(step_stream: Rng, count: int) -> np.ndarray:
     return _mix64_array(np.uint64(step_stream.key ^ _SPLIT) + labels * np.uint64(_PHI))
 
 
-def _build_loss_mask(config: TrainConfig, sims, pos, supers, epoch,
-                     ada_eps) -> HierarchyMask:
-    source = config.mask_source
-    if source == "supervised":
-        return supervised_mask(supers, pos)
-    if source == "all":
-        return whole_batch_mask(sims.shape[0], pos)
-    kind = config.schedule.kind
-    eps = ada_eps if kind == "adaptive" else threshold_for_epoch(config.schedule, epoch)
-    return threshold_mask(sims, eps, pos)
-
-
 def train_epoch(state: TrainState, dataset: HierarchicalDataset) -> dict:
     """Run one epoch of shuffled two-view batches; returns the metrics row
-    (loss terms, thresholds, mask statistics) and advances state.epoch."""
+    (loss terms, thresholds, mask statistics) and advances state.epoch.
+
+    Each value is the mean over the batches that report it, except
+    clamp_events, which is their total."""
     cfg = state.config
     e = state.epoch
     n = dataset.n_samples
+    if n < 2:
+        raise InsufficientSamples(f"training needs at least 2 rows, the dataset "
+                                  f"has {n}")
     bsz = cfg.train.batch_size
     lr = _epoch_lr(cfg.optimizer, e, cfg.train.epochs)
     ep_stream = Rng.from_seed(cfg.train.seed).child(1).child(e)
@@ -367,12 +359,8 @@ def train_epoch(state: TrainState, dataset: HierarchicalDataset) -> dict:
     ep_stream.child(0).shuffle(order)
     aug_dom = ep_stream.child(1)
 
-    sums = {k: 0.0 for k in ("loss", "inv", "reg", "thr", "ada", "h_size",
-                             "prec", "rec", "diag_size")}
-    hex_sum, hex_batches = 0.0, 0
-    clamp_total = 0
-    n_batches = 0
-
+    totals: dict = {}
+    counts: dict = {}
     for step, lo in enumerate(range(0, n, bsz)):
         idx = order[lo:lo + bsz]
         b = len(idx)
@@ -385,67 +373,50 @@ def train_epoch(state: TrainState, dataset: HierarchicalDataset) -> dict:
         views = augment_batch(np.vstack((x, x)), cfg.augment.noise_sigma,
                               cfg.augment.mask_prob,
                               np.concatenate((keys[0::2], keys[1::2])))
-        xa, xb = views[:b], views[b:]
 
         try:
-            row = _train_step(state, xa, xb,
-                              dataset.superclass_labels[idx], lr, e)
-        except NonFinite as err:
-            raise NonFinite(f"epoch {e + 1}, batch {step}: {err}") from err
+            step_row = _train_step(state, views[:b], views[b:],
+                                   dataset.superclass_labels[idx], lr, e)
+        except NumericalError as err:
+            raise type(err)(f"epoch {e + 1}, batch {step}: {err}") from err
 
-        for k, v in row.items():
-            if k == "hex":
-                if v is not None:
-                    hex_sum += v
-                    hex_batches += 1
-            elif k == "clamps":
-                clamp_total += v
-            else:
-                sums[k] += v
-        n_batches += 1
+        for k, v in step_row.items():
+            if v is not None:
+                totals[k] = totals.get(k, 0) + v
+                counts[k] = counts.get(k, 0) + 1
 
     state.epoch = e + 1
-    m = {k: v / n_batches for k, v in sums.items()}
-    return {
-        "epoch": e + 1,
-        "loss_total": m["loss"],
-        "loss_invariance": m["inv"],
-        "loss_regularization": m["reg"],
-        "hex_term_mean": hex_sum / hex_batches if hex_batches else None,
-        "threshold": m["thr"],
-        "adaptive_threshold": m["ada"],
-        "mean_H_size": m["h_size"],
-        "clamp_events": clamp_total,
-        "mask_precision": m["prec"],
-        "mask_recall": m["rec"],
-        "mask_size": m["diag_size"],
-    }
+    row = {"epoch": e + 1}
+    for k in step_row:
+        if k == "clamp_events":
+            row[k] = totals[k]
+        else:
+            row[k] = totals[k] / counts[k] if k in counts else None
+    return row
 
 
 def _train_step(state: TrainState, xa, xb, batch_supers, lr, epoch) -> dict:
     cfg = state.config
+    loss_cfg = cfg.loss
     b = xa.shape[0]
     pos = paired_positive_index(b)
     row_supers = np.concatenate([batch_supers, batch_supers])
 
     # Plain forward to derive the frozen constants (threshold, mask, NN rows).
-    ra, ya = mlp_forward(state.params, xa)
-    rb, yb = mlp_forward(state.params, xb)
+    _, ya = mlp_forward(state.params, xa)
+    _, yb = mlp_forward(state.params, xb)
     z_full = l2_normalize_rows(np.vstack([ya, yb]))
 
+    # NNCLR contrasts the queue's nearest neighbours of view a with view b
+    # (Dwibedi et al., arXiv 2104.14548, eq. 2).
     nn_rows = None
     z_used = z_full
-    if cfg.loss.uses_queue and state.queue is not None and len(state.queue) > 0:
+    if state.queue is not None and len(state.queue) > 0:
         nn_rows = nnclr_positive_rows(state.queue, z_full[:b])
-        keep = np.ones_like(z_full)
-        keep[b:] = 0.0
-        pad = np.zeros_like(z_full)
-        pad[b:] = nn_rows
-        z_used = z_full * keep + pad
+        z_used = np.vstack([nn_rows, z_full[b:]])
 
     sims = cosine_sim_matrix(z_used)
-    elig = ~np.eye(2 * b, dtype=bool)
-    elig[np.arange(2 * b), pos] = False
+    elig = whole_batch_mask(2 * b, pos).membership
     ada_eps = adaptive_threshold(sims[elig], cfg.schedule.sigma_multiplier)
     sched_eps = threshold_for_epoch(cfg.schedule, epoch)
     thr_used = ada_eps if sched_eps is None else sched_eps
@@ -456,25 +427,29 @@ def _train_step(state: TrainState, xa, xb, batch_supers, lr, epoch) -> dict:
     # Differentiable graph with the mask and NN rows frozen as constants.
     tape = Tape()
     w_nodes, b_nodes, outs = build_model_graph(tape, state.params, [xa, xb])
-    (r_a, y_a), (r_b, y_b) = outs
-    loss_cfg = cfg.loss
+    (_, y_a), (_, y_b) = outs
     if loss_cfg.is_hex or not loss_cfg.is_dim:
-        z_node = tape.row_l2_normalize(tape.vstack(y_a, y_b), name="embeddings")
-        if nn_rows is not None:
-            keep_c = tape.constant(keep, name="nn_keep")
-            pad_c = tape.constant(pad, name="nn_rows")
-            z_node = tape.add(tape.mul_elem(z_node, keep_c), pad_c, name="nn_batch")
+        if nn_rows is None:
+            z_node = tape.row_l2_normalize(tape.vstack(y_a, y_b), name="embeddings")
+        else:
+            z_node = tape.vstack(tape.constant(nn_rows, name="nn_rows"),
+                                 tape.row_l2_normalize(y_b), name="nn_batch")
 
-    qhi_n = b if loss_cfg.qhi_n == "anchors" else 2 * b
     # The last node recorded is the loss. The HEX subgraph is recorded
     # before the Barlow/VICReg one: backward adds their contributions to the
     # shared model nodes in reverse recording order.
     contra = dim = None
     if loss_cfg.is_hex:
-        mask = _build_loss_mask(cfg, sims, pos, row_supers, epoch, ada_eps)
+        if cfg.mask_source == "supervised":
+            mask = supervised_mask(row_supers, pos)
+        elif cfg.mask_source == "all":
+            mask = whole_batch_mask(2 * b, pos)
+        else:
+            mask = threshold_mask(sims, thr_used, pos)
         contra = build_hex_graph(tape, z_node, mask, loss_cfg.tau,
                                  qhi_tau=loss_cfg.qhi_tau,
-                                 qhi_sign=loss_cfg.qhi_sign, qhi_n=qhi_n,
+                                 qhi_sign=loss_cfg.qhi_sign,
+                                 qhi_n=b if loss_cfg.qhi_n == "anchors" else 2 * b,
                                  eps_den=loss_cfg.eps_den)
     elif not loss_cfg.is_dim:
         contra = build_info_nce_graph(tape, z_node, pos, loss_cfg.tau)
@@ -494,31 +469,23 @@ def _train_step(state: TrainState, xa, xb, batch_supers, lr, epoch) -> dict:
 
     # SGD with momentum on every parameter node's accumulated gradient.
     mom = cfg.optimizer.momentum
-    for p_arr, v, node in zip(state.params.weights, state.mom_w, w_nodes):
-        v *= mom
-        v += node.grad
-        p_arr -= lr * v
-    for p_arr, v, node in zip(state.params.biases, state.mom_b, b_nodes):
+    for p_arr, v, node in zip(state.params.weights + state.params.biases,
+                              state.mom_w + state.mom_b, w_nodes + b_nodes):
         v *= mom
         v += node.grad
         p_arr -= lr * v
 
     # NNCLR queue learns the fresh positive-view embeddings after the step.
-    if cfg.loss.uses_queue and state.queue is not None:
+    if state.queue is not None:
         state.queue.push(z_full[b:])
 
-    if contra is not None:
-        bd = contra.breakdown()
-        inv, reg = bd.invariance_term, bd.regularization_term
-        hex_mean, h_size, clamps = bd.hex_term_mean, bd.mean_H_size or 0.0, bd.clamp_events
-    else:
-        inv, reg = dim.terms()
-        hex_mean, h_size, clamps = None, 0.0, 0
-
-    return {"loss": loss_value, "inv": inv, "reg": reg, "hex": hex_mean,
-            "thr": thr_used, "ada": ada_eps, "h_size": h_size,
-            "clamps": clamps, "prec": dq.precision, "rec": dq.recall,
-            "diag_size": dq.mean_mask_size}
+    bd = (contra or dim).breakdown()
+    return {"loss_total": loss_value, "loss_invariance": bd.invariance_term,
+            "loss_regularization": bd.regularization_term,
+            "hex_term_mean": bd.hex_term_mean, "threshold": thr_used,
+            "adaptive_threshold": ada_eps, "mean_H_size": bd.mean_H_size,
+            "clamp_events": bd.clamp_events, "mask_precision": dq.precision,
+            "mask_recall": dq.recall, "mask_size": dq.mean_mask_size}
 
 
 # ---------------------------------------------------------------------------
@@ -554,14 +521,11 @@ def run_diagnostics(state: TrainState, dataset: HierarchicalDataset,
     diag_seed = Rng.from_seed(cfg.train.seed).child(4).child(epoch).key
     rank = diag.subset_rank_curve(r, dataset.superclass_labels,
                                   cfg.train.rank_subsets,
-                                  cfg.train.rank_subset_size,
-                                  seed=diag_seed, epoch=epoch)
+                                  cfg.train.rank_subset_size, seed=diag_seed)
     proj = diag.distribution_stats(cosine_sim_matrix(z),
-                                   dataset.superclass_labels,
-                                   space_tag="projection", epoch=epoch)
+                                   dataset.superclass_labels)
     rep = diag.distribution_stats(cosine_sim_matrix(_safe_unit_rows(r)),
-                                  dataset.superclass_labels,
-                                  space_tag="representation", epoch=epoch)
+                                  dataset.superclass_labels)
     return {
         "rankme_super": rank.mean_rankme_superclass,
         "rankme_random": rank.mean_rankme_random,
@@ -605,18 +569,20 @@ def read_metrics_csv(path: str) -> list:
         raise SchemaError(f"{path}: empty metrics file, expected a header row")
     header = lines[0].split(",")
     rows = []
-    for ln in lines[1:]:
+    for line_no, ln in enumerate(lines[1:], start=2):
         if not ln:
             continue
-        cells = ln.split(",")
         row = {}
-        for name, cell in zip(header, cells):
-            if cell == "":
-                row[name] = None
-            elif name in ("epoch", "clamp_events"):
-                row[name] = int(cell)
-            else:
-                row[name] = float(cell)
+        try:
+            for name, cell in zip(header, ln.split(",")):
+                if cell == "":
+                    row[name] = None
+                elif name in ("epoch", "clamp_events"):
+                    row[name] = int(cell)
+                else:
+                    row[name] = float(cell)
+        except ValueError as e:
+            raise SchemaError(f"{path}: line {line_no}, column {name}: {e}") from e
         rows.append(row)
     return rows
 
@@ -689,19 +655,23 @@ def load_checkpoint(path: str) -> TrainState:
     if offset != len(raw):
         raise IoError(f"{path}: {len(raw) - offset} trailing bytes")
 
-    input_dim = (config.data.input_dim if isinstance(config.data, GenParams)
-                 else arrays["w0"].shape[0])
-    n_layers = len(layer_dims(config.model, input_dim)) - 1
-    params = ModelParams([arrays[f"w{i}"] for i in range(n_layers)],
-                         [arrays[f"b{i}"] for i in range(n_layers)],
-                         len(config.model.encoder_hidden) + 1,
-                         layer_dims(config.model, input_dim))
-    mom_w = [arrays[f"mw{i}"] for i in range(n_layers)]
-    mom_b = [arrays[f"mb{i}"] for i in range(n_layers)]
+    n_enc = len(config.model.encoder_hidden) + 1
+    layers = range(n_enc + 2)
+    needed = [f"{kind}{i}" for kind in ("w", "b", "mw", "mb") for i in layers]
+    has_queue = config.loss.uses_queue and header.get("queue_len")
+    if has_queue:
+        needed.append("queue")
+    missing = [name for name in needed if name not in arrays]
+    if missing:
+        raise IoError(f"{path}: the header lists no array {', '.join(missing)}")
+    params = ModelParams([arrays[f"w{i}"] for i in layers],
+                         [arrays[f"b{i}"] for i in layers], n_enc)
+    mom_w = [arrays[f"mw{i}"] for i in layers]
+    mom_b = [arrays[f"mb{i}"] for i in layers]
     queue = None
     if config.loss.uses_queue:
         queue = NNQueue(config.train.queue_capacity)
-        if header.get("queue_len"):
+        if has_queue:
             queue.push(arrays["queue"])
     return TrainState(config, params, mom_w, mom_b, queue,
                       header["epoch_completed"])

@@ -67,6 +67,12 @@ class TestGenData:
         assert out.read_bytes() == before
         assert not os.path.exists(str(out) + ".tmp")
 
+    def test_unknown_data_key_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, data={"n_supers": 3})
+        code = main(["gen-data", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "bad 'data' section" in capsys.readouterr().err
+
     def test_bad_sigma_ordering_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, data={"sigma_super": 0.1})
         code = main(["gen-data", "--config", cfg, "--out", str(tmp_path / "x.csv")])
@@ -168,6 +174,12 @@ class TestTrain:
         assert main(["train", "--config", changed, "--out", part, "--resume", ckpt]) == 1
         assert "loss.tau 0.1 != 0.2" in capsys.readouterr().err
         assert open(os.path.join(part, "metrics.csv")).read() == before
+
+    def test_one_row_dataset_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, data={"n_super": 1, "classes_per_super": 1,
+                                           "samples_per_class": 1})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        assert "at least 2 rows" in capsys.readouterr().err
 
     def test_nonpositive_eps_den_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, loss={"kind": "simclr_hex", "eps_den": 0})

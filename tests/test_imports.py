@@ -7,7 +7,9 @@ else in the same file. ``__future__`` imports and the package
 ``__init__.py`` (whose imports are re-exports) are exempt. A top-level
 function or class of a package module must be referenced, as a name or an
 attribute, somewhere in the package, so no code ships that only the tests
-reach.
+reach. Likewise every field of a package dataclass must be read as an
+attribute somewhere in the package; a field that shares its name with an
+attribute read elsewhere passes unseen.
 """
 
 import ast
@@ -81,11 +83,50 @@ def test_finds_an_unreferenced_definition():
     assert unreferenced_definitions(sources) == ["a.py:f", "b.py:h"]
 
 
-def test_package_defines_nothing_only_tests_reach():
+def package_sources() -> dict:
     sources = {}
     for f in os.listdir(PACKAGE):
         if f.endswith(".py"):
             with open(os.path.join(PACKAGE, f), encoding="utf-8") as fh:
                 sources[f] = fh.read()
-    unused = unreferenced_definitions(sources)
+    return sources
+
+
+def test_package_defines_nothing_only_tests_reach():
+    unused = unreferenced_definitions(package_sources())
     assert not unused, f"defined in src/hexreg but used nowhere there: {unused}"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass"
+               for d in node.decorator_list)
+
+
+def unread_fields(sources: dict) -> list[str]:
+    """``Class.field`` of each dataclass field in ``sources`` (file name ->
+    text) that no module reads as an attribute."""
+    trees = [ast.parse(text) for text in sources.values()]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{cls.name}.{stmt.target.id}"
+                  for tree in trees for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+                  for stmt in cls.body
+                  if isinstance(stmt, ast.AnnAssign)
+                  and isinstance(stmt.target, ast.Name)
+                  and stmt.target.id not in read)
+
+
+def test_finds_an_unread_field():
+    sources = {"a.py": "@dataclass\nclass P:\n    x: int\n    y: int = 0\n"
+                       "class Q:\n    z: int\n",
+               "b.py": "@dataclass(frozen=True)\nclass R:\n    w: int\n"
+                       "def f(p, r):\n    p.y = 1\n    return p.x + r.w\n"}
+    assert unread_fields(sources) == ["P.y"]
+
+
+def test_every_dataclass_field_is_read():
+    unread = unread_fields(package_sources())
+    assert not unread, f"dataclass fields in src/hexreg that nothing reads: {unread}"

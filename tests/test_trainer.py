@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ import pytest
 from hexreg import trainer
 from hexreg.autodiff import Tape, forward
 from hexreg.data import augment_batch, generate
-from hexreg.errors import BadConfig, IoError, NonFinite, VersionMismatch
+from hexreg.errors import (BadConfig, IoError, NonFinite, NotNormalized,
+                           SchemaError, VersionMismatch)
 from hexreg.linalg import l2_normalize_rows
 from hexreg.losses import build_info_nce_graph, paired_positive_index
 from hexreg.rng import Rng
@@ -106,6 +109,30 @@ class TestTrainEpoch:
         state.params.biases[-1][:] = 0.0
         with pytest.raises(NonFinite, match=r"^epoch 1, batch 0: row 0 has norm"):
             train_epoch(state, ds)
+
+    def test_every_numerical_error_names_epoch_and_batch(self):
+        # The plain forward's embeddings overflow to a zero row, which the
+        # similarity matrix rejects before the tape runs.
+        cfg = tiny_config()
+        ds = generate(cfg.data)
+        state = init_state(cfg, ds.dim)
+        state.params.weights[-1][:] = 1e200
+        with np.errstate(over="ignore"), pytest.raises(
+                NotNormalized, match=r"^epoch 1, batch 0: row 0 has norm"):
+            train_epoch(state, ds)
+
+    def test_nnclr_step_reads_the_second_view(self):
+        cfg = tiny_config(loss={"kind": "nnclr"}, optimizer={"lr": 0.0})
+        ds = generate(cfg.data)
+        state = init_state(cfg, ds.dim)
+        train_epoch(state, ds)
+        assert len(state.queue) > 0
+        xa, xb, other_xb = (augment_batch(ds.x[:8], 0.2, 0.1, np.arange(8) + 8 * k)
+                            for k in range(3))
+        supers = ds.superclass_labels[:8]
+        losses = [trainer._train_step(copy.deepcopy(state), xa, b, supers, 0.0, 1)
+                  ["loss_total"] for b in (xb, other_xb)]
+        assert losses[0] != losses[1]
 
     def test_views_take_even_and_odd_step_keys(self, monkeypatch):
         # View a of batch row i is augmented with step key 2i, view b with
@@ -289,6 +316,38 @@ class TestCheckpointing:
             fh.write(blob[:-16])
         with pytest.raises(IoError):
             load_checkpoint(path)
+
+    def test_header_without_an_array_names_it(self, tmp_path):
+        cfg = tiny_config()
+        state = init_state(cfg, generate(cfg.data).dim)
+        path = str(tmp_path / "s.bin")
+        save_checkpoint(state, path)
+        blob = open(path, "rb").read()
+        (blob_len,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12:12 + blob_len])
+        last = header["arrays"].pop()
+        assert last["name"] == "mb3"
+        new_blob = json.dumps(header).encode()
+        payload = blob[12 + blob_len:-8 * last["rows"] * last["cols"]]
+        with open(path, "wb") as fh:
+            fh.write(blob[:8] + struct.pack("<I", len(new_blob)) + new_blob + payload)
+        with pytest.raises(IoError, match=r"s\.bin: the header lists no array mb3$"):
+            load_checkpoint(path)
+
+    def test_resume_rejects_a_non_numeric_metrics_cell(self, tmp_path):
+        cfg = tiny_config(train={"epochs": 4})
+        out = str(tmp_path / "run")
+        run_training(cfg, out_dir=out, checkpoint_every=2)
+        metrics = os.path.join(out, "metrics.csv")
+        lines = open(metrics).read().splitlines()
+        cells = lines[2].split(",")
+        cells[1] = "oops"                  # loss_total of epoch 2
+        lines[2] = ",".join(cells)
+        with open(metrics, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=r"metrics\.csv: line 3, column loss_total"):
+            run_training(cfg, out_dir=out,
+                         resume_from=os.path.join(out, "ckpt_000002.bin"))
 
     def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch):
         cfg = tiny_config()
