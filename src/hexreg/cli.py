@@ -21,7 +21,7 @@ import numpy as np
 from . import diagnostics as diag
 from .data import GenParams, _write_atomic, generate, load_csv, save_csv
 from .errors import BadConfig, HexRegError, IoError
-from .linalg import _safe_unit_rows, cosine_sim_matrix
+from .linalg import _safe_unit_rows
 from .schedule import threshold_for_epoch
 from .trainer import TrainConfig, run_training
 
@@ -136,7 +136,7 @@ def cmd_diagnose(args) -> int:
         subset_size = min(100, smallest)
     rank = diag.subset_rank_curve(x, supers, args.rankme_subsets, subset_size,
                                   seed=args.seed)
-    stats = diag.distribution_stats(cosine_sim_matrix(_safe_unit_rows(x)), supers)
+    stats = diag.distribution_stats(_safe_unit_rows(x), supers)
 
     n = ds.n_samples
     q_idx, t_idx = diag.holdout_split(n, args.holdout, args.seed)

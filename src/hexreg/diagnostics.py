@@ -1,6 +1,15 @@
 """Collapse and hierarchy diagnostics: entropy-based effective rank on
 sample subsets, cosine-similarity distribution statistics split by
-superclass, skewness tracking, and a cosine KNN probe."""
+superclass, skewness tracking, and a cosine KNN probe.
+
+No N x N similarity matrix is built. The distribution statistics and the
+KNN probe work on row blocks of at most _BLOCK rows, so their memory is
+O(N * _BLOCK) for N rows. For the statistics the rows are first sorted by
+superclass and no block crosses a superclass boundary. A block's
+similarities are laid out as an N x block array, so its same-superclass
+pool is one contiguous slice of rows and the other pool the two slices
+around it: no mask is built.
+"""
 
 from __future__ import annotations
 
@@ -11,10 +20,14 @@ import numpy as np
 
 from .errors import (BadConfig, EmptyTrainSet, InsufficientSamples,
                      MissingLabels, ZeroMatrix)
-from .linalg import _safe_unit_rows, as_matrix, singular_values
+from .linalg import _safe_unit_rows, as_matrix, singular_values, unit_rows
 from .rng import Rng
 
 RANKME_EPS = 1e-7
+
+# Rows per similarity block. A block's similarities take _BLOCK * N * 8
+# bytes; the statistics hold two such arrays at a time.
+_BLOCK = 128
 
 
 @dataclass
@@ -88,52 +101,99 @@ def subset_rank_curve(representations, superclass_labels, n_subsets: int,
     return RankCurvePoint(float(np.mean(super_vals)), float(np.mean(random_vals)))
 
 
-def _moments(v: np.ndarray) -> tuple:
-    """Mean and the population central moments m2, m3 of v, from one
-    centring pass. The cube is formed by multiplying, since ``d ** 3``
-    calls pow once per element."""
-    mean = v.mean()
-    d = v - mean
-    dd = d * d
-    m2 = float(dd.mean())
-    dd *= d
-    return float(mean), m2, float(dd.mean())
-
-
-def _pool_summary(pool: np.ndarray) -> tuple:
-    """(mean, skew) of a pool, the skew being Fisher-Pearson g1 =
-    m3 / m2^(3/2) with population central moments: (None, None) when empty,
-    skew None when fewer than 3 values or variance at or below 1e-15."""
-    if not pool.size:
+def _pool_summary(count: int, total: float, s2: float, s3: float) -> tuple:
+    """(mean, skew) of a pool of count values with sum total and central
+    sums s2 = sum(d^2), s3 = sum(d^3) about the mean. The skew is Fisher-
+    Pearson g1 = m3 / m2^(3/2) with population central moments: (None,
+    None) when empty, skew None when fewer than 3 values or variance at or
+    below 1e-15."""
+    if not count:
         return None, None
-    mean, m2, m3 = _moments(pool)
-    if pool.size < 3 or m2 <= 1e-15:
+    mean = float(total / count)
+    m2 = s2 / count
+    if count < 3 or m2 <= 1e-15:
         return mean, None
-    return mean, m3 / m2 ** 1.5
+    return mean, float((s3 / count) / m2 ** 1.5)
 
 
-def distribution_stats(sims, superclass_labels,
-                       positive_index=None) -> DistributionStats:
-    """Pool anchor-other similarities split by shared superclass (self and,
-    when given, the paired positive excluded) and summarize each pool.
+def _superclass_blocks(labels: np.ndarray) -> list:
+    """(r0, r1, lo, hi) per row block of superclass-sorted labels: rows
+    r0:r1, at most _BLOCK of them, all of the superclass whose rows are
+    lo:hi."""
+    edges = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(),
+             labels.shape[0]]
+    return [(r0, min(r0 + _BLOCK, hi), lo, hi)
+            for lo, hi in zip(edges[:-1], edges[1:])
+            for r0 in range(lo, hi, _BLOCK)]
+
+
+def _block_sims(z: np.ndarray, r0: int, r1: int, lo: int, hi: int,
+                buf: np.ndarray, means=None) -> np.ndarray:
+    """Similarities of every row of unit rows z (axis 0) with rows r0:r1
+    (axis 1), written into the front of the flat buffer buf and clipped
+    into [-1, 1] as cosine_sim_matrix clips them. With means, means[0] is
+    subtracted from the same-superclass rows lo:hi and means[1] from the
+    others. Self-pairs are then set to exactly 0."""
+    s = buf[:z.shape[0] * (r1 - r0)].reshape(z.shape[0], r1 - r0)
+    np.matmul(z, z[r0:r1].T, out=s)
+    np.clip(s, -1.0, 1.0, out=s)
+    if means is not None:
+        s[lo:hi] -= means[0]
+        s[:lo] -= means[1]
+        s[hi:] -= means[1]
+    s[np.arange(r0, r1), np.arange(r1 - r0)] = 0.0
+    return s
+
+
+def _pool_sums(s: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """[sum of the same-superclass rows lo:hi, sum of the others]."""
+    return np.array([s[lo:hi].sum(), s[:lo].sum() + s[hi:].sum()])
+
+
+def distribution_stats(z, superclass_labels) -> DistributionStats:
+    """Pool the cosine similarities of each unit row of z with every other
+    row, split by shared superclass, and summarize each pool.
+
+    Two passes over superclass-sorted row blocks: the first sums each pool,
+    the second sums d^2 and d^3 about each pool's mean. Self-pairs are set
+    to exactly 0 (to d = 0 in the second pass), so they add nothing.
 
     Empty pools yield None statistics; constant pools yield means but None
-    skews.
+    skews. Raises NotNormalized if a row norm deviates from 1 by more than
+    1e-9.
     """
-    s = np.asarray(sims, dtype=np.float64)
+    a = unit_rows(z)
     if superclass_labels is None:
         raise MissingLabels("superclass labels are required")
     labels = np.asarray(superclass_labels)
-    n = s.shape[0]
+    n = a.shape[0]
     if labels.shape[0] != n:
         raise MissingLabels("one superclass label per row is required")
-    eligible = ~np.eye(n, dtype=bool)
-    if positive_index is not None:
-        pos = np.asarray(positive_index, dtype=np.intp)
-        eligible[np.arange(n), pos] = False
-    same = labels[:, None] == labels[None, :]
-    mean_super, skew_super = _pool_summary(s[eligible & same])
-    mean_regular, skew_regular = _pool_summary(s[eligible & ~same])
+    order = np.argsort(labels, kind="stable")
+    a = a[order]
+    blocks = _superclass_blocks(labels[order])
+    # Every block reuses these two buffers: fresh block-sized arrays would
+    # each be faulted in from the OS again, which costs more than the work.
+    sims_buf, sq_buf = np.empty((2, n * min(n, _BLOCK)))
+
+    counts = np.zeros(2, dtype=np.int64)
+    totals = np.zeros(2)
+    for r0, r1, lo, hi in blocks:
+        counts += (r1 - r0) * np.array([hi - lo - 1, n - (hi - lo)])
+        totals += _pool_sums(_block_sims(a, r0, r1, lo, hi, sims_buf), lo, hi)
+    means = [t / c if c else 0.0 for t, c in zip(totals, counts)]
+    s2 = np.zeros(2)
+    s3 = np.zeros(2)
+    for r0, r1, lo, hi in blocks:
+        d = _block_sims(a, r0, r1, lo, hi, sims_buf, means)
+        # The cube is formed by multiplying: d ** 3 calls pow per element.
+        dd = np.multiply(d, d, out=sq_buf[:d.size].reshape(d.shape))
+        s2 += _pool_sums(dd, lo, hi)
+        dd *= d
+        s3 += _pool_sums(dd, lo, hi)
+
+    mean_super, skew_super = _pool_summary(counts[0], totals[0], s2[0], s3[0])
+    mean_regular, skew_regular = _pool_summary(counts[1], totals[1], s2[1], s3[1])
     ratio = None
     if mean_super is not None and mean_regular is not None and mean_regular != 0.0:
         ratio = mean_super / mean_regular
@@ -171,7 +231,8 @@ def knn_accuracy(train_repr, train_labels, query_repr, query_labels,
                  k: int) -> float:
     """Fraction of queries whose majority label among the k most cosine-
     similar training rows matches. Vote ties break by summed similarity,
-    then by smallest label id; neighbor ties break by lowest train index."""
+    then by smallest label id; neighbor ties break by lowest train index.
+    Queries are scored _BLOCK at a time."""
     if np.asarray(train_repr).shape[0] == 0:
         raise EmptyTrainSet("no training rows")
     train = as_matrix(train_repr)
@@ -182,17 +243,18 @@ def knn_accuracy(train_repr, train_labels, query_repr, query_labels,
         raise MissingLabels("labels must match the row counts")
     if k < 1 or k > train.shape[0]:
         raise BadConfig(f"k must lie in [1, {train.shape[0]}], got {k}")
-    sims = _safe_unit_rows(query) @ _safe_unit_rows(train).T
-    order = _top_k(sims, k)
+    train = _safe_unit_rows(train)
+    query = _safe_unit_rows(query)
     correct = 0
-    for qi in range(query.shape[0]):
-        neigh = order[qi]
-        votes: dict = {}
-        for t in neigh:
-            lbl = tl[t]
-            cnt, tot = votes.get(lbl, (0, 0.0))
-            votes[lbl] = (cnt + 1, tot + sims[qi, t])
-        winner = min(votes.items(), key=lambda kv: (-kv[1][0], -kv[1][1], kv[0]))[0]
-        if winner == ql[qi]:
-            correct += 1
+    for q0 in range(0, query.shape[0], _BLOCK):
+        sims = query[q0:q0 + _BLOCK] @ train.T
+        for qi, neigh in enumerate(_top_k(sims, k)):
+            votes: dict = {}
+            for t in neigh:
+                lbl = tl[t]
+                cnt, tot = votes.get(lbl, (0, 0.0))
+                votes[lbl] = (cnt + 1, tot + sims[qi, t])
+            winner = min(votes.items(), key=lambda kv: (-kv[1][0], -kv[1][1], kv[0]))[0]
+            if winner == ql[q0 + qi]:
+                correct += 1
     return correct / query.shape[0]

@@ -68,6 +68,20 @@ def _mirror_upper(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def unit_rows(z) -> np.ndarray:
+    """as_matrix(z), checked to have unit-norm rows.
+
+    Raises NotNormalized if any row norm deviates from 1 by more than 1e-9.
+    """
+    a = as_matrix(z)
+    norms = row_norms(a)
+    off = np.abs(norms - 1.0)
+    if off.max(initial=0.0) > 1e-9:
+        i = int(np.argmax(off))
+        raise NotNormalized(f"row {i} has norm {norms[i]:.12f}, expected 1 +- 1e-9")
+    return a
+
+
 def cosine_sim_matrix(z) -> np.ndarray:
     """Pairwise cosine similarities of unit-norm rows.
 
@@ -78,12 +92,7 @@ def cosine_sim_matrix(z) -> np.ndarray:
 
     Raises NotNormalized if any row norm deviates from 1 by more than 1e-9.
     """
-    a = as_matrix(z)
-    norms = row_norms(a)
-    off = np.abs(norms - 1.0)
-    if off.max(initial=0.0) > 1e-9:
-        i = int(np.argmax(off))
-        raise NotNormalized(f"row {i} has norm {norms[i]:.12f}, expected 1 +- 1e-9")
+    a = unit_rows(z)
     sims = _mirror_upper(a @ a.T)
     np.fill_diagonal(sims, 1.0)
     np.clip(sims, -1.0, 1.0, out=sims)

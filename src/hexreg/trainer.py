@@ -515,29 +515,31 @@ def evaluate(state: TrainState, dataset: HierarchicalDataset,
 
 def run_diagnostics(state: TrainState, dataset: HierarchicalDataset,
                     epoch: int) -> dict:
+    """The diagnostic columns of epoch's metrics row. A NumericalError keeps
+    its class; its message is prefixed by the epoch."""
     cfg = state.config
-    r, y = mlp_forward(state.params, dataset.x)
-    z = _safe_unit_rows(y)
-    diag_seed = Rng.from_seed(cfg.train.seed).child(4).child(epoch).key
-    rank = diag.subset_rank_curve(r, dataset.superclass_labels,
-                                  cfg.train.rank_subsets,
-                                  cfg.train.rank_subset_size, seed=diag_seed)
-    proj = diag.distribution_stats(cosine_sim_matrix(z),
-                                   dataset.superclass_labels)
-    rep = diag.distribution_stats(cosine_sim_matrix(_safe_unit_rows(r)),
-                                  dataset.superclass_labels)
-    return {
-        "rankme_super": rank.mean_rankme_superclass,
-        "rankme_random": rank.mean_rankme_random,
-        "mean_super": proj.mean_super,
-        "mean_regular": proj.mean_regular,
-        "ratio_projection": proj.ratio,
-        "ratio_representation": rep.ratio,
-        "skew_super": proj.skew_super,
-        "skew_regular": proj.skew_regular,
-        "knn_class": evaluate(state, dataset, "knn_class", cfg.train.knn_k),
-        "knn_super": evaluate(state, dataset, "knn_super", cfg.train.knn_k),
-    }
+    labels = dataset.superclass_labels
+    try:
+        r, y = mlp_forward(state.params, dataset.x)
+        diag_seed = Rng.from_seed(cfg.train.seed).child(4).child(epoch).key
+        rank = diag.subset_rank_curve(r, labels, cfg.train.rank_subsets,
+                                      cfg.train.rank_subset_size, seed=diag_seed)
+        proj = diag.distribution_stats(_safe_unit_rows(y), labels)
+        rep = diag.distribution_stats(_safe_unit_rows(r), labels)
+        return {
+            "rankme_super": rank.mean_rankme_superclass,
+            "rankme_random": rank.mean_rankme_random,
+            "mean_super": proj.mean_super,
+            "mean_regular": proj.mean_regular,
+            "ratio_projection": proj.ratio,
+            "ratio_representation": rep.ratio,
+            "skew_super": proj.skew_super,
+            "skew_regular": proj.skew_regular,
+            "knn_class": evaluate(state, dataset, "knn_class", cfg.train.knn_k),
+            "knn_super": evaluate(state, dataset, "knn_super", cfg.train.knn_k),
+        }
+    except NumericalError as err:
+        raise type(err)(f"epoch {epoch}, diagnostics: {err}") from err
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hexreg.diagnostics import (_pool_summary, distribution_stats,
+from hexreg.diagnostics import (_BLOCK, _pool_summary, distribution_stats,
                                 holdout_split, knn_accuracy, rankme,
                                 subset_rank_curve)
 from hexreg.errors import (BadConfig, EmptyTrainSet, InsufficientSamples,
@@ -37,6 +39,28 @@ def knn_oracle(train, train_labels, query, query_labels, k):
         winner = min(votes.items(), key=lambda kv: (-kv[1][0], -kv[1][1], kv[0]))[0]
         hits += winner == query_labels[qi]
     return hits / len(query_labels)
+
+
+def pools_oracle(z, labels):
+    """(mean, skew) of the same-superclass and the other off-diagonal
+    entries of z @ z.T, from boolean-indexed pools."""
+    sims = np.clip(z @ z.T, -1.0, 1.0)
+    eligible = ~np.eye(len(labels), dtype=bool)
+    same = labels[:, None] == labels[None, :]
+    out = []
+    for pool in (sims[eligible & same], sims[eligible & ~same]):
+        if not pool.size:
+            out.append((None, None))
+        elif pool.size < 3 or pool.var() <= 1e-15:
+            out.append((pool.mean(), None))
+        else:
+            out.append((pool.mean(), skew_oracle(pool)))
+    return out
+
+
+def rows_with_gram(gram):
+    """Rows whose pairwise dot products are gram's entries."""
+    return np.linalg.cholesky(np.asarray(gram, dtype=np.float64))
 
 
 def rankme_oracle(m, eps=1e-7):
@@ -118,9 +142,17 @@ class TestSubsetRankCurve:
             subset_rank_curve(x, labels, 3, 15, seed=0)
 
 
+def summary(values):
+    """_pool_summary of a pool of values, given its count, sum and central
+    sums of d^2 and d^3."""
+    v = np.asarray(values, dtype=np.float64)
+    total = v.sum()
+    d = v - total / v.size
+    return _pool_summary(v.size, total, (d * d).sum(), (d * d * d).sum())
+
+
 def skewness(values):
-    """The skew _pool_summary reports for a pool of values."""
-    return _pool_summary(np.asarray(values, dtype=np.float64))[1]
+    return summary(values)[1]
 
 
 class TestSkewness:
@@ -131,10 +163,13 @@ class TestSkewness:
         assert skewness([0.0, 0.0, 3.0]) == pytest.approx(2.0 / 2.0 ** 1.5, abs=1e-12)
 
     def test_constant(self):
-        assert _pool_summary(np.ones(3)) == (1.0, None)
+        assert summary(np.ones(3)) == (1.0, None)
 
     def test_too_few(self):
-        assert _pool_summary(np.array([1.0, 2.0])) == (1.5, None)
+        assert summary([1.0, 2.0]) == (1.5, None)
+
+    def test_empty(self):
+        assert _pool_summary(0, 0.0, 0.0, 0.0) == (None, None)
 
     def test_translation_and_scale_invariance(self):
         rng = np.random.default_rng(54)
@@ -152,43 +187,35 @@ class TestSkewness:
 
 class TestDistributionStats:
     def test_all_same_superclass(self):
-        sims = np.full((4, 4), 0.5)
-        np.fill_diagonal(sims, 1.0)
-        st = distribution_stats(sims, [0, 0, 0, 0])
+        gram = np.full((4, 4), 0.5)
+        np.fill_diagonal(gram, 1.0)
+        st = distribution_stats(rows_with_gram(gram), [0, 0, 0, 0])
         assert st.mean_regular is None
         assert st.ratio is None
         assert st.mean_super == pytest.approx(0.5)
 
     def test_block_structured_ratio(self):
-        n = 6
         labels = np.repeat([0, 1], 3)
         same = labels[:, None] == labels[None, :]
-        sims = np.where(same, 0.9, 0.1)
-        np.fill_diagonal(sims, 1.0)
-        st = distribution_stats(sims, labels)
+        gram = np.where(same, 0.9, 0.1)
+        np.fill_diagonal(gram, 1.0)
+        st = distribution_stats(rows_with_gram(gram), labels)
         assert st.mean_super == pytest.approx(0.9)
         assert st.mean_regular == pytest.approx(0.1)
         assert st.ratio == pytest.approx(9.0)
         assert st.skew_super is None       # constant pools have no skew
+        assert st.skew_regular is None
 
     def test_symmetric_pools_zero_skew(self):
         labels = np.repeat([0, 1], 4)
-        rng = np.random.default_rng(55)
-        sims = np.zeros((8, 8))
-        same = labels[:, None] == labels[None, :]
-        vals = np.array([-0.2, -0.1, 0.1, 0.2] * 10)
-        sims[same] = vals[:same.sum()]
-        st = distribution_stats(sims, labels)
+        gram = np.eye(8)
+        upper = np.triu_indices(4, k=1)
+        for lo in (0, 4):
+            block = gram[lo:lo + 4, lo:lo + 4]
+            block[upper] = [-0.2, -0.15, -0.1, 0.1, 0.15, 0.2]
+            block.T[upper] = block[upper]
+        st = distribution_stats(rows_with_gram(gram), labels)
         assert st.skew_super == pytest.approx(0.0, abs=1e-12)
-
-    def test_positive_excluded(self):
-        labels = np.array([0, 0, 0, 0])
-        pos = np.array([1, 0, 3, 2])
-        sims = np.full((4, 4), 0.2)
-        sims[0, 1] = sims[1, 0] = 0.99   # anchor-positive pair
-        np.fill_diagonal(sims, 1.0)
-        st = distribution_stats(sims, labels, positive_index=pos)
-        assert st.mean_super == pytest.approx(0.2)
 
     def test_skews_match_pow_oracle(self):
         rng = np.random.default_rng(59)
@@ -196,16 +223,56 @@ class TestDistributionStats:
         centers = rng.normal(size=(3, 6))
         z = l2_normalize_rows(2.0 * centers[labels] + rng.normal(size=(120, 6)))
         sims = z @ z.T
-        pos = rng.permutation(120)
-        st = distribution_stats(sims, labels, positive_index=pos)
+        st = distribution_stats(z, labels)
         eligible = ~np.eye(120, dtype=bool)
-        eligible[np.arange(120), pos] = False
         same = labels[:, None] == labels[None, :]
-        assert st.mean_super == sims[eligible & same].mean()
+        assert st.mean_super == pytest.approx(sims[eligible & same].mean(),
+                                              rel=1e-12)
         assert st.skew_super == pytest.approx(skew_oracle(sims[eligible & same]),
                                               rel=1e-12)
         assert st.skew_regular == pytest.approx(skew_oracle(sims[eligible & ~same]),
                                                 rel=1e-12)
+
+    @pytest.mark.parametrize("sizes", [
+        (2 * _BLOCK + 37, 3 * _BLOCK - 5),   # N not a multiple of the block
+        (9, 13, 20),                         # N below one block
+        (5, 2 * _BLOCK, 88),                 # a superclass below one block
+        (2 * _BLOCK + 1,),                   # one superclass: no regular pool
+    ])
+    def test_blockwise_pools_match_plain_pools(self, sizes):
+        rng = np.random.default_rng(sum(sizes))
+        labels = rng.permutation(np.repeat(np.arange(len(sizes)) * 7 + 3, sizes))
+        centers = rng.normal(size=(labels.max() + 1, 8))
+        z = l2_normalize_rows(1.5 * centers[labels] + rng.normal(size=(labels.size, 8)))
+        st = distribution_stats(z, labels)
+        assert st == distribution_stats(z, labels)
+        got = [(st.mean_super, st.skew_super), (st.mean_regular, st.skew_regular)]
+        for (mean, skew), (mean_o, skew_o) in zip(got, pools_oracle(z, labels)):
+            for v, o in ((mean, mean_o), (skew, skew_o)):
+                if o is None:
+                    assert v is None
+                else:
+                    assert v == pytest.approx(o, rel=1e-12)
+        if len(sizes) == 1:
+            assert st.mean_regular is None and st.ratio is None
+        else:
+            assert st.ratio == st.mean_super / st.mean_regular
+
+    def test_memory_stays_far_below_one_similarity_matrix(self):
+        rng = np.random.default_rng(61)
+        n = 4000
+        z = l2_normalize_rows(rng.normal(size=(n, 8)))
+        labels = rng.integers(0, 4, size=n)
+        one_matrix = n * n * 8
+        for run in (lambda: distribution_stats(z, labels),
+                    lambda: knn_accuracy(z, labels, z[:800], labels[:800], 5)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < one_matrix / 8
 
 
 class TestKnnAccuracy:
@@ -278,6 +345,16 @@ class TestKnnAccuracy:
         query, ql = np.array([[1.0, 0.0]]), np.array([1])
         assert knn_accuracy(train, labels, query, ql, k=4) == expect
         assert knn_oracle(train, labels, query, ql, k=4) == expect
+
+    def test_queries_spanning_several_blocks_match_full_sort(self):
+        rng = np.random.default_rng(62)
+        train = np.round(rng.normal(size=(300, 3)), 1)
+        query = np.round(rng.normal(size=(2 * _BLOCK + 17, 3)), 1)
+        tl = rng.integers(0, 3, size=300)
+        ql = rng.integers(0, 3, size=query.shape[0])
+        for k in (1, 5):
+            assert knn_accuracy(train, tl, query, ql, k) == \
+                knn_oracle(train, tl, query, ql, k)
 
     def test_deterministic(self):
         rng = np.random.default_rng(57)

@@ -10,7 +10,7 @@ from hexreg import trainer
 from hexreg.autodiff import Tape, forward
 from hexreg.data import augment_batch, generate
 from hexreg.errors import (BadConfig, IoError, NonFinite, NotNormalized,
-                           SchemaError, VersionMismatch)
+                           SchemaError, VersionMismatch, ZeroMatrix)
 from hexreg.linalg import l2_normalize_rows
 from hexreg.losses import build_info_nce_graph, paired_positive_index
 from hexreg.rng import Rng
@@ -120,6 +120,16 @@ class TestTrainEpoch:
         with np.errstate(over="ignore"), pytest.raises(
                 NotNormalized, match=r"^epoch 1, batch 0: row 0 has norm"):
             train_epoch(state, ds)
+
+    def test_diagnostics_error_names_the_epoch(self):
+        cfg = tiny_config()
+        ds = generate(cfg.data)
+        state = init_state(cfg, ds.dim)
+        for a in state.params.weights + state.params.biases:
+            a[:] = 0.0
+        with pytest.raises(ZeroMatrix, match=r"^epoch 4, diagnostics: effective "
+                                             r"rank of the zero matrix"):
+            trainer.run_diagnostics(state, ds, 4)
 
     def test_nnclr_step_reads_the_second_view(self):
         cfg = tiny_config(loss={"kind": "nnclr"}, optimizer={"lr": 0.0})
