@@ -2,13 +2,24 @@
 sample subsets, cosine-similarity distribution statistics split by
 superclass, skewness tracking, and a cosine KNN probe.
 
-No N x N similarity matrix is built. The distribution statistics and the
-KNN probe work on row blocks of at most _BLOCK rows, so their memory is
-O(N * _BLOCK) for N rows. For the statistics the rows are first sorted by
-superclass and no block crosses a superclass boundary. A block's
-similarities are laid out as an N x block array, so its same-superclass
-pool is one contiguous slice of rows and the other pool the two slices
-around it: no mask is built.
+No N x N similarity matrix is built. The mean of each similarity pool
+comes from superclass row sums: within a superclass the pairs sum to
+|sum_i z_i|^2 - sum_i |z_i|^2, in O(N * d) for N rows of d dims. The
+skews then take one shifted sweep over row blocks of at most _BLOCK rows,
+which sums powers of each similarity's deviation from its pool mean: one
+O(N^2 * d) sweep in O(N * _BLOCK) memory. Raw power sums of the
+similarities would need no sweep around a mean, but they cancel
+catastrophically where a superclass collapses locally, which is the regime
+these statistics exist to measure. On 4 superclasses of 400 rows of 16
+dims with in-superclass noise of std 1e-3, they gave skew_super -2.2
+where the exact value is -0.71, and -2.1e6 for -0.78 at std 1e-4.
+
+For the statistics the rows are first sorted by superclass and no block
+crosses a superclass boundary. A block holds the similarities of its
+rows with themselves and with every later row, one array row per later
+row, so its same-superclass pool is one contiguous slice of rows and the
+other pool the slice after it: no mask is built. The KNN probe scores
+_BLOCK queries at a time.
 """
 
 from __future__ import annotations
@@ -116,91 +127,135 @@ def _pool_summary(count: int, total: float, s2: float, s3: float) -> tuple:
     return mean, float((s3 / count) / m2 ** 1.5)
 
 
-def _superclass_blocks(labels: np.ndarray) -> list:
-    """(r0, r1, lo, hi) per row block of superclass-sorted labels: rows
-    r0:r1, at most _BLOCK of them, all of the superclass whose rows are
-    lo:hi."""
+def _by_superclass(z, superclass_labels) -> tuple:
+    """Unit rows of z stably sorted by superclass label, and the (lo, hi)
+    row range of each superclass in that order. Raises NotNormalized if a
+    row norm deviates from 1 by more than 1e-9, and MissingLabels without
+    one label per row."""
+    a = unit_rows(z)
+    if superclass_labels is None:
+        raise MissingLabels("superclass labels are required")
+    labels = np.asarray(superclass_labels)
+    if labels.shape[0] != a.shape[0]:
+        raise MissingLabels("one superclass label per row is required")
+    order = np.argsort(labels, kind="stable")
+    labels = labels[order]
     edges = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(),
              labels.shape[0]]
-    return [(r0, min(r0 + _BLOCK, hi), lo, hi)
-            for lo, hi in zip(edges[:-1], edges[1:])
-            for r0 in range(lo, hi, _BLOCK)]
+    return a[order], list(zip(edges[:-1], edges[1:]))
 
 
-def _block_sims(z: np.ndarray, r0: int, r1: int, lo: int, hi: int,
-                buf: np.ndarray, means=None) -> np.ndarray:
-    """Similarities of every row of unit rows z (axis 0) with rows r0:r1
-    (axis 1), written into the front of the flat buffer buf and clipped
-    into [-1, 1] as cosine_sim_matrix clips them. With means, means[0] is
-    subtracted from the same-superclass rows lo:hi and means[1] from the
-    others. Self-pairs are then set to exactly 0."""
-    s = buf[:z.shape[0] * (r1 - r0)].reshape(z.shape[0], r1 - r0)
-    np.matmul(z, z[r0:r1].T, out=s)
+def _pair_sums(a: np.ndarray, groups: list) -> tuple:
+    """(counts, sums): the number of pairs and their summed similarity in
+    the same-superclass pool and in the other pool of the rows a, whose
+    superclasses are the row ranges groups. Self-pairs are excluded.
+
+    Within a group the pairs sum to |sum_i z_i|^2 - sum_i |z_i|^2; over
+    every row the same formula gives all pairs, and the other pool is all
+    pairs minus the same-superclass ones. O(N * d)."""
+    n = a.shape[0]
+    sq = np.einsum("ij,ij->i", a, a)
+    same, n_same = 0.0, 0
+    for lo, hi in groups:
+        s = a[lo:hi].sum(axis=0)
+        same += s @ s - sq[lo:hi].sum()
+        n_same += (hi - lo) * (hi - lo - 1)
+    t = a.sum(axis=0)
+    return (np.array([n_same, n * (n - 1) - n_same]),
+            np.array([same, t @ t - sq.sum() - same]))
+
+
+def pool_means(z, superclass_labels) -> tuple:
+    """(mean_super, mean_regular): the mean cosine similarity of each unit
+    row of z with the other rows of its superclass, and with the rows of
+    other superclasses, from row sums alone (see _pair_sums). None for an
+    empty pool. Raises as distribution_stats does."""
+    counts, sums = _pair_sums(*_by_superclass(z, superclass_labels))
+    return tuple(float(s / c) if c else None for c, s in zip(counts, sums))
+
+
+def pool_ratio(mean_super, mean_regular) -> Optional[float]:
+    """mean_super / mean_regular; None when a pool is empty or the regular
+    mean is 0."""
+    if mean_super is None or mean_regular is None or mean_regular == 0.0:
+        return None
+    return mean_super / mean_regular
+
+
+def _block_deviations(z: np.ndarray, r0: int, r1: int, hi: int,
+                      buf: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Similarities of rows r0: of unit rows z (axis 0) with rows r0:r1
+    (axis 1), written into the front of the flat buffer buf, clipped into
+    [-1, 1] as cosine_sim_matrix clips them, less means[0] on rows r0:hi
+    (the superclass of r0:r1) and means[1] on the rows after. Self-pairs
+    are then set to exactly 0."""
+    s = buf[:(z.shape[0] - r0) * (r1 - r0)].reshape(z.shape[0] - r0, r1 - r0)
+    np.matmul(z[r0:], z[r0:r1].T, out=s)
     np.clip(s, -1.0, 1.0, out=s)
-    if means is not None:
-        s[lo:hi] -= means[0]
-        s[:lo] -= means[1]
-        s[hi:] -= means[1]
-    s[np.arange(r0, r1), np.arange(r1 - r0)] = 0.0
+    s[:hi - r0] -= means[0]
+    s[hi - r0:] -= means[1]
+    s[np.arange(r1 - r0), np.arange(r1 - r0)] = 0.0
     return s
-
-
-def _pool_sums(s: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """[sum of the same-superclass rows lo:hi, sum of the others]."""
-    return np.array([s[lo:hi].sum(), s[:lo].sum() + s[hi:].sum()])
 
 
 def distribution_stats(z, superclass_labels) -> DistributionStats:
     """Pool the cosine similarities of each unit row of z with every other
     row, split by shared superclass, and summarize each pool.
 
-    Two passes over superclass-sorted row blocks: the first sums each pool,
-    the second sums d^2 and d^3 about each pool's mean. Self-pairs are set
-    to exactly 0 (to d = 0 in the second pass), so they add nothing.
+    The pool means mu come from row sums (_pair_sums), in O(N * d). One
+    sweep over superclass-sorted row blocks then sums d, d^2 and d^3 of
+    d = s - mu per pool, with self-pairs at d = 0; each block pairs its
+    rows with its own and the later rows only, and counts a pair outside
+    the block twice, for its mirror. The shifted-data correction of Chan,
+    Golub & LeVeque (1983), with delta = sum(d) / count, then gives the
+    central sums about the exact mean m = mu + delta:
+    sum (s - m)^2 = sum d^2 - count delta^2 and
+    sum (s - m)^3 = sum d^3 - 3 delta sum d^2 + 2 count delta^3.
+    delta is rounding-sized, so this is as stable as two passes. The sweep
+    costs O(N^2 * d) time, half the pairs of a full sweep, and
+    O(N * _BLOCK) memory.
+
+    Raw power sums of s are not used: on a locally collapsed superclass
+    (similarities within about 1e-6 of each other) they cancel
+    catastrophically and give skews wrong by orders of magnitude.
 
     Empty pools yield None statistics; constant pools yield means but None
     skews. Raises NotNormalized if a row norm deviates from 1 by more than
     1e-9.
     """
-    a = unit_rows(z)
-    if superclass_labels is None:
-        raise MissingLabels("superclass labels are required")
-    labels = np.asarray(superclass_labels)
+    a, groups = _by_superclass(z, superclass_labels)
+    counts, sums = _pair_sums(a, groups)
+    means = sums / np.maximum(counts, 1)
     n = a.shape[0]
-    if labels.shape[0] != n:
-        raise MissingLabels("one superclass label per row is required")
-    order = np.argsort(labels, kind="stable")
-    a = a[order]
-    blocks = _superclass_blocks(labels[order])
     # Every block reuses these two buffers: fresh block-sized arrays would
     # each be faulted in from the OS again, which costs more than the work.
     sims_buf, sq_buf = np.empty((2, n * min(n, _BLOCK)))
-
-    counts = np.zeros(2, dtype=np.int64)
-    totals = np.zeros(2)
-    for r0, r1, lo, hi in blocks:
-        counts += (r1 - r0) * np.array([hi - lo - 1, n - (hi - lo)])
-        totals += _pool_sums(_block_sims(a, r0, r1, lo, hi, sims_buf), lo, hi)
-    means = [t / c if c else 0.0 for t, c in zip(totals, counts)]
-    s2 = np.zeros(2)
-    s3 = np.zeros(2)
-    for r0, r1, lo, hi in blocks:
-        d = _block_sims(a, r0, r1, lo, hi, sims_buf, means)
-        # The cube is formed by multiplying: d ** 3 calls pow per element.
-        dd = np.multiply(d, d, out=sq_buf[:d.size].reshape(d.shape))
-        s2 += _pool_sums(dd, lo, hi)
-        dd *= d
-        s3 += _pool_sums(dd, lo, hi)
+    # Rows: sum of d, d^2, d^3; columns: the same-superclass pool, the other.
+    power = np.zeros((3, 2))
+    for lo, hi in groups:
+        for r0 in range(lo, hi, _BLOCK):
+            r1 = min(r0 + _BLOCK, hi)
+            d = _block_deviations(a, r0, r1, hi, sims_buf, means)
+            # The square r0:r1 holds both orders of its pairs; each pair
+            # below it stands for itself and its mirror above the block.
+            for pool, weight, rows in ((0, 1.0, d[:r1 - r0]),
+                                       (0, 2.0, d[r1 - r0:hi - r0]),
+                                       (1, 2.0, d[hi - r0:])):
+                f = rows.ravel()
+                ff = np.multiply(f, f, out=sq_buf[:f.size])
+                power[:, pool] += weight * np.array([f.sum(), f @ f, ff @ f])
+    s1, s2, s3 = power
+    delta = s1 / np.maximum(counts, 1)
+    s3 = s3 - 3.0 * delta * s2 + 2.0 * counts * delta ** 3
+    s2 = s2 - counts * delta ** 2
+    totals = counts * means + s1
 
     mean_super, skew_super = _pool_summary(counts[0], totals[0], s2[0], s3[0])
     mean_regular, skew_regular = _pool_summary(counts[1], totals[1], s2[1], s3[1])
-    ratio = None
-    if mean_super is not None and mean_regular is not None and mean_regular != 0.0:
-        ratio = mean_super / mean_regular
     return DistributionStats(
         mean_super=mean_super, mean_regular=mean_regular,
         skew_super=skew_super, skew_regular=skew_regular,
-        ratio=ratio)
+        ratio=pool_ratio(mean_super, mean_regular))
 
 
 def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
@@ -232,7 +287,8 @@ def knn_accuracy(train_repr, train_labels, query_repr, query_labels,
     """Fraction of queries whose majority label among the k most cosine-
     similar training rows matches. Vote ties break by summed similarity,
     then by smallest label id; neighbor ties break by lowest train index.
-    Queries are scored _BLOCK at a time."""
+    Queries are scored _BLOCK at a time, each block's vote in numpy in
+    O(_BLOCK * k^2) time and O(_BLOCK * k) memory."""
     if np.asarray(train_repr).shape[0] == 0:
         raise EmptyTrainSet("no training rows")
     train = as_matrix(train_repr)
@@ -248,13 +304,19 @@ def knn_accuracy(train_repr, train_labels, query_repr, query_labels,
     correct = 0
     for q0 in range(0, query.shape[0], _BLOCK):
         sims = query[q0:q0 + _BLOCK] @ train.T
-        for qi, neigh in enumerate(_top_k(sims, k)):
-            votes: dict = {}
-            for t in neigh:
-                lbl = tl[t]
-                cnt, tot = votes.get(lbl, (0, 0.0))
-                votes[lbl] = (cnt + 1, tot + sims[qi, t])
-            winner = min(votes.items(), key=lambda kv: (-kv[1][0], -kv[1][1], kv[0]))[0]
-            if winner == ql[q0 + qi]:
-                correct += 1
+        neigh = _top_k(sims, k)
+        lab = tl[neigh]
+        near = np.take_along_axis(sims, neigh, axis=1)
+        # Column j gets the vote count and the summed similarity of its
+        # neighbour's label, the latter added in neighbour order as a dict
+        # of running sums would add it (adding 0.0 is exact).
+        votes = np.zeros(lab.shape, dtype=np.intp)
+        summed = np.zeros(near.shape)
+        for m in range(k):
+            same = lab == lab[:, m:m + 1]
+            votes += same
+            summed += np.where(same, near[:, m:m + 1], 0.0)
+        first = np.lexsort((lab, -summed, -votes), axis=-1)[:, 0]
+        winner = lab[np.arange(lab.shape[0]), first]
+        correct += int(np.count_nonzero(winner == ql[q0:q0 + _BLOCK]))
     return correct / query.shape[0]

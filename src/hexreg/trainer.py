@@ -525,14 +525,14 @@ def run_diagnostics(state: TrainState, dataset: HierarchicalDataset,
         rank = diag.subset_rank_curve(r, labels, cfg.train.rank_subsets,
                                       cfg.train.rank_subset_size, seed=diag_seed)
         proj = diag.distribution_stats(_safe_unit_rows(y), labels)
-        rep = diag.distribution_stats(_safe_unit_rows(r), labels)
+        rep_means = diag.pool_means(_safe_unit_rows(r), labels)
         return {
             "rankme_super": rank.mean_rankme_superclass,
             "rankme_random": rank.mean_rankme_random,
             "mean_super": proj.mean_super,
             "mean_regular": proj.mean_regular,
             "ratio_projection": proj.ratio,
-            "ratio_representation": rep.ratio,
+            "ratio_representation": diag.pool_ratio(*rep_means),
             "skew_super": proj.skew_super,
             "skew_regular": proj.skew_regular,
             "knn_class": evaluate(state, dataset, "knn_class", cfg.train.knn_k),
@@ -712,10 +712,10 @@ def run_training(config: TrainConfig, out_dir: Optional[str] = None,
                  resume_from: Optional[str] = None):
     """Train to config.train.epochs; returns (metrics rows, summary, state).
 
-    With out_dir set, writes metrics.csv, summary.json and (optionally)
-    periodic checkpoints there. Resuming reproduces the uninterrupted run's
-    remaining rows bitwise; rows already covered by the checkpoint are
-    reread from the existing metrics.csv when present.
+    With out_dir set, writes metrics.csv (after every epoch), summary.json
+    and (optionally) periodic checkpoints there. Resuming reproduces the
+    uninterrupted run's remaining rows bitwise; rows already covered by the
+    checkpoint are reread from the existing metrics.csv when present.
     """
     t0 = time.time()
     dataset = config.load_dataset()
@@ -735,10 +735,16 @@ def run_training(config: TrainConfig, out_dir: Optional[str] = None,
                               if r["epoch"] <= state.epoch]
     else:
         state = init_state(config, dataset.dim)
+    metrics_path = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        metrics_path = os.path.join(out_dir, "metrics.csv")
 
     rows = list(prior_rows)
+    # metrics.csv is rewritten after every epoch, before that epoch's
+    # checkpoint, so a crash loses no finished row.
+    if metrics_path is not None:
+        write_metrics_csv(rows, metrics_path)
     total = config.train.epochs
     while state.epoch < total:
         row = {c: None for c in METRICS_COLUMNS}
@@ -747,6 +753,8 @@ def run_training(config: TrainConfig, out_dir: Optional[str] = None,
         if e_done % config.train.eval_every == 0 or e_done == total:
             row.update(run_diagnostics(state, dataset, e_done))
         rows.append(row)
+        if metrics_path is not None:
+            write_metrics_csv(rows, metrics_path)
         if (out_dir is not None and checkpoint_every
                 and e_done % checkpoint_every == 0 and e_done < total):
             save_checkpoint(state, os.path.join(out_dir, f"ckpt_{e_done:06d}.bin"))
@@ -765,10 +773,9 @@ def run_training(config: TrainConfig, out_dir: Optional[str] = None,
         "final_rankme_super": final.get("rankme_super"),
         "final_rankme_random": final.get("rankme_random"),
         "wall_time_s": time.time() - t0,
-        "metrics_csv": None if out_dir is None else os.path.join(out_dir, "metrics.csv"),
+        "metrics_csv": metrics_path,
     }
     if out_dir is not None:
-        write_metrics_csv(rows, os.path.join(out_dir, "metrics.csv"))
         _write_atomic(os.path.join(out_dir, "summary.json"),
                       (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode())
     return rows, summary, state

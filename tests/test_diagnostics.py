@@ -3,12 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hexreg import trainer
 from hexreg.diagnostics import (_BLOCK, _pool_summary, distribution_stats,
                                 holdout_split, knn_accuracy, rankme,
                                 subset_rank_curve)
 from hexreg.errors import (BadConfig, EmptyTrainSet, InsufficientSamples,
                            ZeroMatrix)
-from hexreg.linalg import l2_normalize_rows
+from hexreg.linalg import _safe_unit_rows, l2_normalize_rows
 from hexreg.rng import Rng
 
 
@@ -258,6 +259,22 @@ class TestDistributionStats:
         else:
             assert st.ratio == st.mean_super / st.mean_regular
 
+    @pytest.mark.parametrize("dim", [8, 16])
+    @pytest.mark.parametrize("std", [1e-1, 1e-2, 1e-3])
+    def test_local_collapse_matches_plain_pools(self, dim, std):
+        # Each superclass sits within about std of its own center, so its
+        # similarities lie within about std^2 of each other: power sums of
+        # the raw similarities cancel catastrophically here.
+        rng = np.random.default_rng(dim + int(1 / std))
+        labels = np.repeat(np.arange(4), 400)
+        centers = l2_normalize_rows(rng.normal(size=(4, dim)))
+        z = l2_normalize_rows(centers[labels] + std * rng.normal(size=(1600, dim)))
+        st = distribution_stats(z, labels)
+        got = [(st.mean_super, st.skew_super), (st.mean_regular, st.skew_regular)]
+        for pair, want in zip(got, pools_oracle(z, labels)):
+            assert None not in want
+            assert pair == pytest.approx(want, rel=1e-8)
+
     def test_memory_stays_far_below_one_similarity_matrix(self):
         rng = np.random.default_rng(61)
         n = 4000
@@ -316,7 +333,7 @@ class TestKnnAccuracy:
         # one-decimal vectors and duplicated train rows make exact ties at
         # the k-th neighbour common; count them so the case cannot vanish
         rng = np.random.default_rng(60)
-        boundary_ties = 0
+        boundary_ties = vote_ties = 0
         for _ in range(60):
             n, q, d = rng.integers(6, 80), rng.integers(1, 30), rng.integers(2, 5)
             train = np.round(rng.normal(size=(n, d)), 1)
@@ -327,9 +344,18 @@ class TestKnnAccuracy:
             for k in (1, 2, 5, n):
                 assert knn_accuracy(train, tl, query, ql, k) == \
                     knn_oracle(train, tl, query, ql, k)
-            top = -np.sort(-cosine_oracle(query, train), axis=1)
+            sims = cosine_oracle(query, train)
+            top = -np.sort(-sims, axis=1)
             boundary_ties += int((top[:, 4] == top[:, 5]).sum())
+            # Queries whose two leading labels tie on votes, so the vote
+            # falls to the summed similarity or the label id.
+            order = np.argsort(-sims, axis=1, kind="stable")
+            for k in (2, 5, n):
+                for neigh in order[:, :k]:
+                    votes = np.sort(np.bincount(tl[neigh]))
+                    vote_ties += int(votes.size > 1 and votes[-1] == votes[-2])
         assert boundary_ties > 0
+        assert vote_ties > 0
 
     @pytest.mark.parametrize("b_label, c_label, expect", [(1, 2, 1.0), (2, 1, 0.0)])
     def test_kept_tied_neighbour_decides_similarity_tiebreak(self, b_label,
@@ -381,3 +407,33 @@ class TestHoldoutSplit:
         Rng.from_seed(9).child(5).shuffle(perm)
         query, train = holdout_split(30, 0.2, seed=9)
         assert query.tolist() == perm[:6] and train.tolist() == perm[6:]
+
+
+class TestRunDiagnostics:
+    @pytest.mark.parametrize("seed", [1, 6])
+    def test_desk_row_matches_plain_pools(self, seed):
+        # The desk config: 1600 rows x 32 dims, batch 64, MLP 32-64-16-32-8.
+        cfg = trainer.TrainConfig.from_dict({
+            "data": {"n_super": 4, "classes_per_super": 4,
+                     "samples_per_class": 100, "input_dim": 32, "seed": seed},
+            "model": {"encoder_hidden": [64], "repr_dim": 16,
+                      "proj_hidden": 32, "proj_dim": 8},
+            "loss": {"kind": "simclr_hex"},
+            "train": {"batch_size": 64, "seed": seed},
+            "schedule": {"kind": "adaptive"},
+        })
+        ds = cfg.load_dataset()
+        state = trainer.init_state(cfg, ds.dim)
+        for _ in range(3):
+            trainer.train_epoch(state, ds)
+        row = trainer.run_diagnostics(state, ds, state.epoch)
+        r, y = trainer.mlp_forward(state.params, ds.x)
+        labels = ds.superclass_labels
+        (mean_s, skew_s), (mean_r, skew_r) = pools_oracle(_safe_unit_rows(y), labels)
+        assert row["mean_super"] == pytest.approx(mean_s, rel=1e-12)
+        assert row["mean_regular"] == pytest.approx(mean_r, rel=1e-12)
+        assert row["skew_super"] == pytest.approx(skew_s, rel=1e-12)
+        assert row["skew_regular"] == pytest.approx(skew_r, rel=1e-12)
+        assert row["ratio_projection"] == pytest.approx(mean_s / mean_r, rel=1e-12)
+        rep = distribution_stats(_safe_unit_rows(r), labels)
+        assert row["ratio_representation"] == pytest.approx(rep.ratio, rel=1e-12)

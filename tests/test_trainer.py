@@ -131,6 +131,20 @@ class TestTrainEpoch:
                                              r"rank of the zero matrix"):
             trainer.run_diagnostics(state, ds, 4)
 
+    def test_zero_representation_row_names_the_epoch(self):
+        # A zero input row with zero encoder biases has a zero representation
+        # row; the projector's hidden bias keeps its projection row nonzero.
+        cfg = tiny_config()
+        ds = generate(cfg.data)
+        state = init_state(cfg, ds.dim)
+        ds.x[0] = 0.0
+        state.params.biases[state.params.n_encoder_layers][:] = 1.0
+        r, y = mlp_forward(state.params, ds.x)
+        assert not r[0].any() and np.all(np.linalg.norm(y, axis=1) > 0)
+        with pytest.raises(NotNormalized, match=r"^epoch 4, diagnostics: row 0 "
+                                                r"has norm 0\.0+, expected"):
+            trainer.run_diagnostics(state, ds, 4)
+
     def test_nnclr_step_reads_the_second_view(self):
         cfg = tiny_config(loss={"kind": "nnclr"}, optimizer={"lr": 0.0})
         ds = generate(cfg.data)
@@ -274,6 +288,34 @@ class TestCheckpointing:
         assert metrics_text(rows_b) == metrics_text(full_rows)
         for wa, wb in zip(full_state.params.weights, state_b.params.weights):
             assert np.array_equal(wa, wb)
+
+    def test_rows_of_finished_epochs_survive_a_failing_epoch(self, tmp_path,
+                                                             monkeypatch):
+        cfg = tiny_config(train={"epochs": 4, "eval_every": 1})
+        full_rows, _, _ = run_training(cfg)
+        out = str(tmp_path / "run")
+        path = os.path.join(out, "metrics.csv")
+        real_epoch = trainer.train_epoch
+
+        def third_epoch_fails(state, dataset):
+            if state.epoch == 2:
+                raise NonFinite("epoch 3, batch 0: injected")
+            return real_epoch(state, dataset)
+
+        monkeypatch.setattr(trainer, "train_epoch", third_epoch_fails)
+        with pytest.raises(NonFinite, match="injected"):
+            run_training(cfg, out_dir=out, checkpoint_every=1)
+        on_disk = trainer.read_metrics_csv(path)
+        assert metrics_text(on_disk) == metrics_text(full_rows[:2])
+
+        # The resumed run starts after epoch 2, so its first two rows can
+        # only come from the file.
+        monkeypatch.setattr(trainer, "train_epoch", real_epoch)
+        rows, _, _ = run_training(cfg, out_dir=out,
+                                  resume_from=os.path.join(out, "ckpt_000002.bin"))
+        assert rows[:2] == on_disk
+        assert metrics_text(rows) == metrics_text(full_rows)
+        assert metrics_text(trainer.read_metrics_csv(path)) == metrics_text(full_rows)
 
     def test_resume_refuses_a_changed_loss_tau(self, tmp_path):
         cfg = tiny_config(train={"epochs": 4})
