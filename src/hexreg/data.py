@@ -6,7 +6,12 @@ offset per class, and per-sample noise, with sigma_super >= sigma_class >=
 sigma_sample so same-superclass samples are systematically closer. Every
 random draw comes from the splittable counter-based generator in
 :mod:`hexreg.rng`, with one stream per superclass, per class and per sample,
-so enlarging the dataset never perturbs earlier draws.
+so enlarging the dataset never perturbs earlier draws. Generation and
+augmentation draw many streams at once through that module's row-wise
+functions (``child_keys``, ``uniform_rows``, ``box_muller``), the single
+implementation of the recipe; each row is the stream a per-sample
+``Rng`` would give, so the stream layout, and every output bit, is the
+same as drawing one sample at a time.
 
 CSV schema (also the public ingestion format):
 ``f0,f1,...,f{d-1},class,superclass`` with comma separators, LF line
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, IoError, SchemaError
-from .rng import Rng, _PHI, _mix64_array
+from .rng import Rng, box_muller, child_keys, seed_keys, uniform_rows
 
 
 @dataclass
@@ -37,7 +42,12 @@ class GenParams:
     seed: int = 7
 
     def __post_init__(self):
-        for name in ("n_super", "classes_per_super", "samples_per_class", "input_dim"):
+        counts = ("n_super", "classes_per_super", "samples_per_class", "input_dim")
+        for name in counts + ("seed",):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise BadParams(f"{name} must be an integer, got {value!r}")
+        for name in counts:
             if getattr(self, name) < 1:
                 raise BadParams(f"{name} must be >= 1")
         if not self.sigma_sample > 0:
@@ -68,28 +78,27 @@ def generate(p: GenParams) -> HierarchicalDataset:
 
     Streams: root.child(0).child(s) for superclass means,
     root.child(1).child(c) for class offsets (c the global class id),
-    root.child(2).child(c).child(k) for sample k of class c.
+    root.child(2).child(c).child(k) for sample k of class c. Each mean or
+    sample is d Box-Muller Gaussians from the first 2d uniforms of its
+    stream. All streams of one level, and all samples of one class, are
+    drawn in one row-wise call, so temporaries stay bounded by one class's
+    rows.
     """
     root = Rng.from_seed(p.seed)
     sup_dom, cls_dom, smp_dom = root.child(0), root.child(1), root.child(2)
     d = p.input_dim
-    n_classes = p.n_super * p.classes_per_super
-    n = n_classes * p.samples_per_class
-    x = np.empty((n, d))
-    class_labels = np.empty(n, dtype=np.int64)
-    row = 0
-    for s in range(p.n_super):
-        mu_super = p.sigma_super * sup_dom.child(s).gauss_array(d)
-        for c_local in range(p.classes_per_super):
-            c = s * p.classes_per_super + c_local
-            mu_class = mu_super + p.sigma_class * cls_dom.child(c).gauss_array(d)
-            cls_samples = smp_dom.child(c)
-            for k in range(p.samples_per_class):
-                x[row] = mu_class + p.sigma_sample * cls_samples.child(k).gauss_array(d)
-                class_labels[row] = c
-                row += 1
-    supers = class_labels // p.classes_per_super
-    return HierarchicalDataset(x, class_labels, supers)
+    cps, spc = p.classes_per_super, p.samples_per_class
+    n_classes = p.n_super * cps
+    mu_super = p.sigma_super * box_muller(
+        uniform_rows(child_keys(sup_dom.key, p.n_super), 2 * d))
+    mu_class = np.repeat(mu_super, cps, axis=0) + p.sigma_class * box_muller(
+        uniform_rows(child_keys(cls_dom.key, n_classes), 2 * d))
+    x = np.empty((n_classes * spc, d))
+    for c, key in enumerate(child_keys(smp_dom.key, n_classes).tolist()):
+        noise = box_muller(uniform_rows(child_keys(key, spc), 2 * d))
+        x[c * spc:(c + 1) * spc] = mu_class[c] + p.sigma_sample * noise
+    class_labels = np.repeat(np.arange(n_classes, dtype=np.int64), spc)
+    return HierarchicalDataset(x, class_labels, class_labels // cps)
 
 
 def augment_batch(x: np.ndarray, noise_sigma: float, mask_prob: float,
@@ -104,16 +113,13 @@ def augment_batch(x: np.ndarray, noise_sigma: float, mask_prob: float,
         raise BadParams("mask_prob must lie in [0, 1)")
     a = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n, d = a.shape
-    seeds = np.asarray(seeds, dtype=np.uint64).reshape(n, 1)
-    keys = _mix64_array(seeds + np.uint64(_PHI))
-    counters = np.arange(1, 3 * d + 1, dtype=np.uint64).reshape(1, 3 * d)
-    raw = _mix64_array(keys + counters * np.uint64(_PHI))
-    u = (raw >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-    gauss = np.sqrt(-2.0 * np.log(1.0 - u[:, 0:2 * d:2])) * np.cos(
-        2.0 * np.pi * u[:, 1:2 * d:2])
-    out = a + noise_sigma * gauss
-    zero = u[:, 2 * d:] < mask_prob
-    out[zero] = 0.0
+    keys = seed_keys(seeds)
+    if keys.size != n:
+        raise BadParams(f"augment_batch needs one seed per row, got {keys.size} "
+                        f"seeds for {n} rows")
+    u = uniform_rows(keys, 3 * d)
+    out = a + noise_sigma * box_muller(u[:, :2 * d])
+    out[u[:, 2 * d:] < mask_prob] = 0.0
     return out
 
 

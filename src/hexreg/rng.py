@@ -8,6 +8,7 @@ this recipe:
 * ``mix64`` is the SplitMix64 finalizer:
   ``z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
   z *= 0x94D049BB133111EB; z ^= z >> 31`` (all mod 2**64).
+* ``from_seed(seed)`` is the stream with key ``mix64(seed + PHI)``.
 * A stream is a 64-bit ``key``. Its i-th raw output (i = 0, 1, ...) is
   ``mix64(key + (i + 1) * PHI)`` with ``PHI = 0x9E3779B97F4A7C15``.
 * Child streams: ``child_key = mix64((key ^ SPLIT) + (label + 1) * PHI)``
@@ -24,6 +25,13 @@ this recipe:
 * ``shuffle`` is Fisher-Yates from the high index down:
   ``for i = n-1 .. 1: j = randbelow(i + 1); swap(items[i], items[j])``,
   so a list of n items consumes exactly n - 1 uniforms (none for n < 2).
+
+The row-wise functions ``seed_keys``, ``child_keys``, ``uniform_rows`` and
+``box_muller`` are the single implementation of this recipe. Each works on
+many streams at once, as ``uint64`` or ``float64`` arrays; the ``Rng``
+methods are one-row calls into them. ``data.generate`` draws its
+superclass, class and sample streams through them with the same stream
+layout, and the same bits, as one ``Rng`` per stream.
 """
 
 from __future__ import annotations
@@ -31,28 +39,50 @@ from __future__ import annotations
 import numpy as np
 
 _M64 = (1 << 64) - 1
-_PHI = 0x9E3779B97F4A7C15
+_PHI = np.uint64(0x9E3779B97F4A7C15)
 _SPLIT = 0xD6E8FEB86659FD93
-_MUL1 = 0xBF58476D1CE4E5B9
-_MUL2 = 0x94D049BB133111EB
+_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2 = np.uint64(0x94D049BB133111EB)
 _TWO53 = float(1 << 53)
 
 
-def mix64(x: int) -> int:
-    z = x & _M64
-    z = (z ^ (z >> 30)) * _MUL1 & _M64
-    z = (z ^ (z >> 27)) * _MUL2 & _M64
-    return z ^ (z >> 31)
-
-
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
+    """``mix64`` of each element, in place; z must be a uint64 array that
+    the caller owns."""
     z ^= z >> np.uint64(30)
-    z *= np.uint64(_MUL1)
+    z *= _MUL1
     z ^= z >> np.uint64(27)
-    z *= np.uint64(_MUL2)
+    z *= _MUL2
     z ^= z >> np.uint64(31)
     return z
+
+
+def seed_keys(seeds) -> np.ndarray:
+    """Key of ``from_seed(s)`` for each seed s, as a uint64 array."""
+    return _mix64_array(np.asarray(seeds, dtype=np.uint64).reshape(-1) + _PHI)
+
+
+def child_keys(key: int, count: int, first: int = 0) -> np.ndarray:
+    """Keys of the child streams ``first .. first + count - 1`` of stream
+    ``key``, as a uint64 array."""
+    labels = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+    return _mix64_array(np.uint64(key ^ _SPLIT) + labels * _PHI)
+
+
+def uniform_rows(keys, m: int, counter: int = 0) -> np.ndarray:
+    """A (len(keys), m) block of uniforms: row i holds stream ``keys[i]``'s
+    draws at counters ``counter .. counter + m - 1``."""
+    keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 1)
+    idx = np.arange(counter + 1, counter + m + 1, dtype=np.uint64)
+    raw = _mix64_array(keys + idx * _PHI)
+    return (raw >> np.uint64(11)).astype(np.float64) / _TWO53
+
+
+def box_muller(u: np.ndarray) -> np.ndarray:
+    """One Gaussian per consecutive pair of uniforms along the last axis,
+    which must have even length."""
+    return np.sqrt(-2.0 * np.log(1.0 - u[..., 0::2])) * np.cos(
+        2.0 * np.pi * u[..., 1::2])
 
 
 class Rng:
@@ -68,24 +98,17 @@ class Rng:
     def from_seed(cls, seed: int) -> "Rng":
         # Offset before mixing so that seed 0 does not map to key 0
         # (mix64(0) == 0, a fixed point of the finalizer).
-        return cls(mix64((seed + _PHI) & _M64))
+        return cls(int(seed_keys(seed & _M64)[0]))
 
     def child(self, label: int) -> "Rng":
-        return Rng(mix64(((self.key ^ _SPLIT) + (label + 1) * _PHI) & _M64))
+        return Rng(int(child_keys(self.key, 1, label)[0]))
 
-    # -- scalar draws (pure Python integers, exact) ----------------------
-
-    def u64(self) -> int:
-        v = mix64((self.key + (self.counter + 1) * _PHI) & _M64)
-        self.counter += 1
-        return v
+    # -- draws: one-row calls into the row-wise recipe ------------------
 
     def uniform(self) -> float:
-        return (self.u64() >> 11) * (1.0 / _TWO53)
+        return float(self.uniform_array(1)[0])
 
     def gauss(self) -> float:
-        # Single draw through the vectorized kernel so scalar and batched
-        # consumers of one stream see bitwise-identical values.
         return float(self.gauss_array(1)[0])
 
     def randbelow(self, n: int) -> int:
@@ -104,18 +127,10 @@ class Rng:
         for i, j in zip(range(len(items) - 1, 0, -1), js.tolist()):
             items[i], items[j] = items[j], items[i]
 
-    # -- vectorized draws (bitwise identical to the scalar path) ---------
-
-    def _raw_array(self, n: int) -> np.ndarray:
-        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
-        self.counter += n
-        return _mix64_array(np.uint64(self.key) + idx * np.uint64(_PHI))
-
     def uniform_array(self, n: int) -> np.ndarray:
-        return (self._raw_array(n) >> np.uint64(11)).astype(np.float64) / _TWO53
+        u = uniform_rows(self.key, n, self.counter)[0]
+        self.counter += n
+        return u
 
     def gauss_array(self, n: int) -> np.ndarray:
-        u = self.uniform_array(2 * n)
-        u1 = u[0::2]
-        u2 = u[1::2]
-        return np.sqrt(-2.0 * np.log(1.0 - u1)) * np.cos(2.0 * np.pi * u2)
+        return box_muller(self.uniform_array(2 * n))

@@ -35,7 +35,7 @@ from .losses import (NNQueue, build_barlow_graph, build_combined_graph,
                      build_hex_graph, build_info_nce_graph,
                      build_vicreg_graph, nnclr_positive_rows,
                      paired_positive_index)
-from .rng import Rng, _PHI, _SPLIT, _mix64_array
+from .rng import Rng, child_keys
 from .schedule import ThresholdSchedule, adaptive_threshold, threshold_for_epoch
 
 CHECKPOINT_MAGIC = b"HEXCKPT1"
@@ -335,11 +335,6 @@ def _epoch_lr(opt: OptimConfig, epoch: int, total: int) -> float:
     return opt.lr * 0.5 * (1.0 + np.cos(np.pi * epoch / max(1, total)))
 
 
-def _augment_keys(step_stream: Rng, count: int) -> np.ndarray:
-    labels = np.arange(1, count + 1, dtype=np.uint64)
-    return _mix64_array(np.uint64(step_stream.key ^ _SPLIT) + labels * np.uint64(_PHI))
-
-
 def train_epoch(state: TrainState, dataset: HierarchicalDataset) -> dict:
     """Run one epoch of shuffled two-view batches; returns the metrics row
     (loss terms, thresholds, mask statistics) and advances state.epoch.
@@ -368,7 +363,7 @@ def train_epoch(state: TrainState, dataset: HierarchicalDataset) -> dict:
             break
         # Even keys augment view a, odd keys view b. Augmentation is row by
         # row, so both views come from one call on the stacked rows.
-        keys = _augment_keys(aug_dom.child(step), 2 * b)
+        keys = child_keys(aug_dom.child(step).key, 2 * b)
         x = dataset.x[idx]
         views = augment_batch(np.vstack((x, x)), cfg.augment.noise_sigma,
                               cfg.augment.mask_prob,

@@ -1,10 +1,52 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
-from hexreg.data import GenParams, augment_batch, generate, load_csv, save_csv
+from hexreg.data import (GenParams, HierarchicalDataset, augment_batch, generate,
+                         load_csv, save_csv)
 from hexreg.errors import BadParams, SchemaError
 from hexreg.linalg import cosine_sim_matrix, l2_normalize_rows
-from hexreg.rng import Rng
+from hexreg.rng import Rng, child_keys, seed_keys, uniform_rows
+
+M64 = (1 << 64) - 1
+PHI = 0x9E3779B97F4A7C15
+
+
+def mix64(z: int) -> int:
+    """The SplitMix64 finalizer of the recipe in hexreg.rng, on Python ints."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & M64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & M64
+    return z ^ (z >> 31)
+
+
+def oracle_child(key: int, label: int) -> int:
+    return mix64(((key ^ 0xD6E8FEB86659FD93) + (label + 1) * PHI) & M64)
+
+
+def oracle_uniforms(key: int, m: int, counter: int = 0) -> list:
+    return [(mix64((key + (i + 1) * PHI) & M64) >> 11) * 2.0 ** -53
+            for i in range(counter, counter + m)]
+
+
+def generate_oracle(p: GenParams) -> HierarchicalDataset:
+    """generate as one stream per sample, drawn one sample at a time."""
+    root = Rng.from_seed(p.seed)
+    sup_dom, cls_dom, smp_dom = root.child(0), root.child(1), root.child(2)
+    rows, labels = [], []
+    for s in range(p.n_super):
+        mu_super = p.sigma_super * sup_dom.child(s).gauss_array(p.input_dim)
+        for c_local in range(p.classes_per_super):
+            c = s * p.classes_per_super + c_local
+            mu_class = mu_super + p.sigma_class * cls_dom.child(c).gauss_array(p.input_dim)
+            cls_samples = smp_dom.child(c)
+            for k in range(p.samples_per_class):
+                rows.append(mu_class + p.sigma_sample
+                            * cls_samples.child(k).gauss_array(p.input_dim))
+                labels.append(c)
+    cls = np.array(labels, dtype=np.int64)
+    return HierarchicalDataset(np.array(rows), cls, cls // p.classes_per_super)
 
 
 class TestGenParams:
@@ -19,6 +61,13 @@ class TestGenParams:
     def test_counts_positive(self):
         with pytest.raises(BadParams):
             GenParams(n_super=0)
+
+    @pytest.mark.parametrize("field", ["n_super", "classes_per_super",
+                                       "samples_per_class", "input_dim", "seed"])
+    @pytest.mark.parametrize("value", [10.0, 10.5, True, "4", None])
+    def test_non_integer_values_name_the_field(self, field, value):
+        with pytest.raises(BadParams, match=f"{field} must be an integer"):
+            GenParams(**{field: value})
 
 
 class TestGenerate:
@@ -59,6 +108,32 @@ class TestGenerate:
         same = ds.superclass_labels[:, None] == ds.superclass_labels[None, :]
         off = ~np.eye(ds.n_samples, dtype=bool)
         assert sims[same & off].mean() > sims[~same].mean()
+
+    @pytest.mark.parametrize("shape", [
+        dict(n_super=2, classes_per_super=2, samples_per_class=5, input_dim=8, seed=3),
+        dict(n_super=3, classes_per_super=5, samples_per_class=7, input_dim=1, seed=0),
+        dict(n_super=1, classes_per_super=3, samples_per_class=1, input_dim=9, seed=M64),
+        dict(n_super=5, classes_per_super=1, samples_per_class=11, input_dim=3, seed=-5),
+    ])
+    def test_bitwise_equal_to_per_sample_oracle(self, shape):
+        p = GenParams(**shape)
+        got, want = generate(p), generate_oracle(p)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert np.array_equal(got.class_labels, want.class_labels)
+        assert np.array_equal(got.superclass_labels, want.superclass_labels)
+        assert got.class_labels.dtype == got.superclass_labels.dtype == np.int64
+
+    def test_memory_stays_bounded_by_a_class(self):
+        p = GenParams(n_super=16, classes_per_super=4, samples_per_class=250,
+                      input_dim=32, seed=5)
+        tracemalloc.start()
+        try:
+            ds = generate(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.n_samples == 16000
+        assert peak < 2 * ds.x.nbytes
 
     def test_adding_samples_preserves_earlier_draws(self):
         small = generate(GenParams(n_super=2, classes_per_super=2,
@@ -118,6 +193,8 @@ class TestAugment:
             augment(np.ones(3), -0.1, 0.0, seed=0)
         with pytest.raises(BadParams):
             augment(np.ones(3), 0.0, 1.0, seed=0)
+        with pytest.raises(BadParams, match="one seed per row"):
+            augment_batch(np.ones((3, 2)), 0.1, 0.0, [1, 2])
 
 
 class TestCsvRoundTrip:
@@ -189,6 +266,25 @@ class TestRngContract:
         expect = np.sqrt(-2.0 * np.log(1.0 - pair[0])) * np.cos(2.0 * np.pi * pair[1])
         r2 = Rng.from_seed(8)
         assert r2.gauss() == pytest.approx(expect, abs=1e-15)
+
+    @pytest.mark.parametrize("key", [0, 1, 0x0123456789ABCDEF, M64])
+    def test_row_functions_follow_the_recipe(self, key):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Rng.from_seed(key).key == int(seed_keys([key])[0]) == mix64((key + PHI) & M64)
+            keys = child_keys(key, 6)
+            assert keys.dtype == np.uint64
+            assert [int(k) for k in child_keys(key, 3, first=3)] == keys[3:].tolist()
+            all_keys = keys.tolist() + [0, M64]
+            rows = uniform_rows(np.array(all_keys, dtype=np.uint64), 7)
+            for i, k in enumerate(all_keys):
+                if i < keys.size:
+                    assert k == Rng(key).child(i).key == oracle_child(key, i)
+                assert rows[i].tolist() == Rng(k).uniform_array(7).tolist()
+                assert rows[i].tolist() == oracle_uniforms(k, 7)
+            stream = Rng(key, 1 << 40)
+            assert stream.uniform_array(5).tolist() == oracle_uniforms(key, 5, 1 << 40)
+            assert stream.counter == (1 << 40) + 5
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 1600])
     def test_shuffle_matches_scalar_fisher_yates(self, n):

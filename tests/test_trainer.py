@@ -13,7 +13,7 @@ from hexreg.errors import (BadConfig, IoError, NonFinite, NotNormalized,
                            SchemaError, VersionMismatch, ZeroMatrix)
 from hexreg.linalg import l2_normalize_rows
 from hexreg.losses import build_info_nce_graph, paired_positive_index
-from hexreg.rng import Rng
+from hexreg.rng import Rng, child_keys
 from hexreg.trainer import (ModelConfig, TrainConfig, build_model_graph,
                             evaluate, init_params, init_state,
                             load_checkpoint, mlp_forward, run_training,
@@ -180,7 +180,7 @@ class TestTrainEpoch:
         assert len(seen) == ds.n_samples // bsz
         for step, (xa, xb) in enumerate(seen):
             x = ds.x[order[step * bsz:(step + 1) * bsz]]
-            keys = trainer._augment_keys(ep.child(1).child(step), 2 * bsz)
+            keys = child_keys(ep.child(1).child(step).key, 2 * bsz)
             for view, k in ((xa, keys[0::2]), (xb, keys[1::2])):
                 want = augment_batch(x, cfg.augment.noise_sigma,
                                      cfg.augment.mask_prob, k)
@@ -198,14 +198,13 @@ class TestTrainEpoch:
         ds = generate(cfg.data)   # 32 samples -> two batches of 16
 
         # reproduce the first batch exactly as train_epoch builds it
-        from hexreg.trainer import _augment_keys
         state = init_state(cfg, ds.dim)
         p0 = state.params.copy()
         ep = Rng.from_seed(cfg.train.seed).child(1).child(0)
         order = list(range(ds.n_samples))
         ep.child(0).shuffle(order)
         idx = order[:16]
-        keys = _augment_keys(ep.child(1).child(0), 32)
+        keys = child_keys(ep.child(1).child(0).key, 32)
         xa = augment_batch(ds.x[idx], cfg.augment.noise_sigma,
                            cfg.augment.mask_prob, keys[0::2])
         xb = augment_batch(ds.x[idx], cfg.augment.noise_sigma,
