@@ -23,7 +23,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from . import losses as losses_mod
-from .autodiff import Tape, backward, forward
+from .autodiff import Buffers, Tape, backward, forward
 from .data import (GenParams, HierarchicalDataset, _write_atomic, augment_batch,
                    generate, load_csv)
 from .errors import (BadConfig, BadDims, InsufficientSamples, IoError,
@@ -319,6 +319,8 @@ class TrainState:
     mom_b: list
     queue: Optional[NNQueue]
     epoch: int = 0     # epochs completed so far
+    # The pool of arrays each step's tape takes from; not checkpointed.
+    buffers: Buffers = field(default_factory=Buffers, repr=False, compare=False)
 
 
 def init_state(config: TrainConfig, input_dim: int) -> TrainState:
@@ -420,7 +422,7 @@ def _train_step(state: TrainState, xa, xb, batch_supers, lr, epoch) -> dict:
     dq = mask_quality(diag_mask, row_supers)
 
     # Differentiable graph with the mask and NN rows frozen as constants.
-    tape = Tape()
+    tape = Tape(state.buffers)
     w_nodes, b_nodes, outs = build_model_graph(tape, state.params, [xa, xb])
     (_, y_a), (_, y_b) = outs
     if loss_cfg.is_hex or not loss_cfg.is_dim:
@@ -511,7 +513,11 @@ def evaluate(state: TrainState, dataset: HierarchicalDataset,
 def run_diagnostics(state: TrainState, dataset: HierarchicalDataset,
                     epoch: int) -> dict:
     """The diagnostic columns of epoch's metrics row. A NumericalError keeps
-    its class; its message is prefixed by the epoch."""
+    its class; its message is prefixed by the epoch.
+
+    The step pool is emptied first: its arrays serve only the next training
+    step, and the pass's own temporaries can use their memory."""
+    state.buffers.clear()
     cfg = state.config
     labels = dataset.superclass_labels
     try:

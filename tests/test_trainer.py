@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from hexreg import trainer
+from hexreg import autodiff, trainer
 from hexreg.autodiff import Tape, forward
 from hexreg.data import augment_batch, generate
 from hexreg.errors import (BadConfig, IoError, NonFinite, NotNormalized,
@@ -92,6 +92,42 @@ class TestForwardParity:
 
 
 class TestTrainEpoch:
+    @pytest.mark.parametrize("kind", ["simclr_hex", "simclr", "barlow", "vicreg",
+                                      "nnclr_hex"])
+    def test_pooled_tapes_train_bitwise_as_fresh_ones(self, kind, monkeypatch):
+        # Pool every array, so the tiny config takes the pooled path too.
+        # (At lr 0.05 the tiny vicreg run diverges in epoch 2.)
+        monkeypatch.setattr(autodiff, "_POOL_BYTES", 0)
+        cfg = tiny_config(loss={"kind": kind}, optimizer={"lr": 0.01})
+        ds = generate(cfg.data)
+        runs = []
+        for tape in (Tape, lambda buffers: Tape()):
+            monkeypatch.setattr(trainer, "Tape", tape)
+            state = init_state(cfg, ds.dim)
+            rows = [train_epoch(state, ds) for _ in range(3)]
+            runs.append((rows, state.params.weights + state.params.biases))
+        (rows, params), (rows0, params0) = runs
+        assert rows == rows0
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(params, params0))
+
+    def test_desk_steps_reuse_one_bounded_pool(self):
+        # Desk config: batch 64, so the loss's 128 x 128 arrays are pooled.
+        cfg = trainer.TrainConfig.from_dict({"loss": {"kind": "simclr_hex"},
+                                             "schedule": {"kind": "adaptive"},
+                                             "data": {"seed": 1}})
+        ds = cfg.load_dataset()
+        state = init_state(cfg, ds.dim)
+        sizes = []
+        for _ in range(4):
+            train_epoch(state, ds)
+            sizes.append(len(state.buffers))
+        assert sizes[0] > 0 and sizes[1:] == sizes[:-1]
+        # a diagnostics pass lets the pool go; the next epoch refills it
+        trainer.run_diagnostics(state, ds, state.epoch)
+        assert len(state.buffers) == 0
+        train_epoch(state, ds)
+        assert len(state.buffers) > 0
+
     def test_zero_lr_leaves_params_unchanged(self):
         cfg = tiny_config(optimizer={"lr": 0.0})
         ds = generate(cfg.data)
