@@ -26,8 +26,8 @@ from .schedule import threshold_for_epoch
 from .trainer import TrainConfig, run_training
 
 DIAGNOSE_COLUMNS = ["n_samples", "dim", "rankme_super", "rankme_random",
-                    "mean_super", "mean_regular", "ratio", "skew_super",
-                    "skew_regular", "knn_class", "knn_super"]
+                    "mean_super", "mean_regular", "skew_super", "skew_regular",
+                    "knn_class", "knn_super"]
 
 
 def _load_config(path: str) -> dict:
@@ -149,8 +149,7 @@ def cmd_diagnose(args) -> int:
         "rankme_super": rank.mean_rankme_superclass,
         "rankme_random": rank.mean_rankme_random,
         "mean_super": stats.mean_super, "mean_regular": stats.mean_regular,
-        "ratio": stats.ratio, "skew_super": stats.skew_super,
-        "skew_regular": stats.skew_regular,
+        "skew_super": stats.skew_super, "skew_regular": stats.skew_regular,
         "knn_class": knn_class, "knn_super": knn_super,
     }
 

@@ -50,6 +50,10 @@ class GenParams:
         for name in counts:
             if getattr(self, name) < 1:
                 raise BadParams(f"{name} must be >= 1")
+        for name in ("sigma_super", "sigma_class", "sigma_sample"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise BadParams(f"{name} must be finite, got {value!r}")
         if not self.sigma_sample > 0:
             raise BadParams("sigma ordering violated: sigma_sample must be > 0")
         if not self.sigma_sample <= self.sigma_class:

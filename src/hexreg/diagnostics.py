@@ -53,7 +53,6 @@ class DistributionStats:
     mean_regular: Optional[float]
     skew_super: Optional[float]
     skew_regular: Optional[float]
-    ratio: Optional[float]
 
 
 def rankme(r, eps: float = RANKME_EPS) -> float:
@@ -165,23 +164,6 @@ def _pair_sums(a: np.ndarray, groups: list) -> tuple:
             np.array([same, t @ t - sq.sum() - same]))
 
 
-def pool_means(z, superclass_labels) -> tuple:
-    """(mean_super, mean_regular): the mean cosine similarity of each unit
-    row of z with the other rows of its superclass, and with the rows of
-    other superclasses, from row sums alone (see _pair_sums). None for an
-    empty pool. Raises as distribution_stats does."""
-    counts, sums = _pair_sums(*_by_superclass(z, superclass_labels))
-    return tuple(float(s / c) if c else None for c, s in zip(counts, sums))
-
-
-def pool_ratio(mean_super, mean_regular) -> Optional[float]:
-    """mean_super / mean_regular; None when a pool is empty or the regular
-    mean is 0."""
-    if mean_super is None or mean_regular is None or mean_regular == 0.0:
-        return None
-    return mean_super / mean_regular
-
-
 def _block_deviations(z: np.ndarray, r0: int, r1: int, hi: int,
                       buf: np.ndarray, means: np.ndarray) -> np.ndarray:
     """Similarities of rows r0: of unit rows z (axis 0) with rows r0:r1
@@ -219,6 +201,8 @@ def distribution_stats(z, superclass_labels) -> DistributionStats:
     (similarities within about 1e-6 of each other) they cancel
     catastrophically and give skews wrong by orders of magnitude.
 
+    The two means are reported apart, never as their ratio: the other
+    pool's mean sits near 0, where a ratio swings by orders of magnitude.
     Empty pools yield None statistics; constant pools yield means but None
     skews. Raises NotNormalized if a row norm deviates from 1 by more than
     1e-9.
@@ -254,8 +238,7 @@ def distribution_stats(z, superclass_labels) -> DistributionStats:
     mean_regular, skew_regular = _pool_summary(counts[1], totals[1], s2[1], s3[1])
     return DistributionStats(
         mean_super=mean_super, mean_regular=mean_regular,
-        skew_super=skew_super, skew_regular=skew_regular,
-        ratio=pool_ratio(mean_super, mean_regular))
+        skew_super=skew_super, skew_regular=skew_regular)
 
 
 def _top_k(sims: np.ndarray, k: int) -> np.ndarray:

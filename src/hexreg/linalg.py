@@ -1,8 +1,11 @@
 """Dense matrix kernels: row normalization, cosine similarity, singular values.
 
-Matrices are 2-D C-contiguous float64 numpy arrays throughout. Singular
-values come straight from ``np.linalg.svd`` on the matrix itself rather
-than from the eigenvalues of its Gram matrix, which would square the
+Matrices are 2-D float64 numpy arrays throughout. A similarity matrix is
+numpy's own ``a @ a.T`` on a C-contiguous ``a``: numpy computes that
+product with one triangle of a symmetric rank-k update and copies it onto
+the other, so the result is bitwise symmetric with no mirror of our own.
+Singular values come straight from ``np.linalg.svd`` on the matrix itself
+rather than from the eigenvalues of its Gram matrix, which would square the
 condition number and lose the small values that subset RankMe depends on.
 """
 
@@ -11,12 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonFinite, NotNormalized
-
-# Rows per band in _mirror_upper. Bands keep the loop to n / 64 numpy calls
-# with no temporary larger than one 64x64 block; the diagonal block of a
-# band copies through the fixed strict-lower mask below.
-_MIRROR_BLOCK = 64
-_MIRROR_LOWER = np.tri(_MIRROR_BLOCK, k=-1, dtype=bool)
 
 
 def as_matrix(m) -> np.ndarray:
@@ -56,18 +53,6 @@ def _safe_unit_rows(m: np.ndarray) -> np.ndarray:
     return m / norms[:, None]
 
 
-def _mirror_upper(m: np.ndarray) -> np.ndarray:
-    """Copy the strict upper triangle of square m onto its lower triangle in
-    place, one band of rows at a time, and return m."""
-    n = m.shape[0]
-    for r0 in range(0, n, _MIRROR_BLOCK):
-        r1 = min(r0 + _MIRROR_BLOCK, n)
-        m[r1:, r0:r1] = m[r0:r1, r1:].T
-        block = m[r0:r1, r0:r1]
-        np.copyto(block, block.T, where=_MIRROR_LOWER[:r1 - r0, :r1 - r0])
-    return m
-
-
 def unit_rows(z) -> np.ndarray:
     """as_matrix(z), checked to have unit-norm rows.
 
@@ -85,15 +70,17 @@ def unit_rows(z) -> np.ndarray:
 def cosine_sim_matrix(z) -> np.ndarray:
     """Pairwise cosine similarities of unit-norm rows.
 
-    The upper triangle of the product is mirrored onto the lower one, so
-    the result is bitwise symmetric whatever order the matrix product
-    summed in. The diagonal is set to exactly 1 and all values are clamped
-    into [-1, 1] to absorb rounding before threshold logic.
+    The rows are copied to C order first: numpy's product of a contiguous
+    matrix with its own transpose fills one triangle and copies it onto
+    the other, so the result is bitwise symmetric, which a column-strided
+    view does not guarantee. The diagonal is set to exactly 1 and all
+    values are clamped into [-1, 1] to absorb rounding before threshold
+    logic.
 
     Raises NotNormalized if any row norm deviates from 1 by more than 1e-9.
     """
-    a = unit_rows(z)
-    sims = _mirror_upper(a @ a.T)
+    a = np.ascontiguousarray(unit_rows(z))
+    sims = a @ a.T
     np.fill_diagonal(sims, 1.0)
     np.clip(sims, -1.0, 1.0, out=sims)
     return sims

@@ -9,9 +9,10 @@ The hierarchical variant splits the softmax denominator: members of the
 anchor's estimated grouping H(i) are collapsed into a single reweighted term
 
     q_i = ( sum_h e^{s_h/t} (s_h/t) / ((1/N) sum_h e^{s_h/t})
-            -+ N t e^{s_pos/t} ) / (1 - t)
+            - N t e^{s_pos/t} ) / (1 - t)
 
-where -+ is ``qhi_sign``: "subtract" (the default) or "add". Every
+with t = ``qhi_tau``, N the number of samples (the graph's 2N rows are
+their two stacked views) and q_i clamped below at ``eps_den``. Every
 non-member (the positive included) keeps its ordinary exponential term.
 With every H(i) empty the graph records no q node and is InfoNCE, so
 ``build_info_nce_graph`` is ``build_hex_graph`` over an all-False mask.
@@ -28,7 +29,6 @@ from .autodiff import Node, Tape
 from .errors import BadAlpha, BadConfig, BadTemperature, EmptyQueue, TauOne
 from .hierarchy import HierarchyMask
 
-QHI_SIGNS = ("subtract", "add")
 DEFAULT_QHI_TAU = 0.1
 DEFAULT_EPS_DEN = 1e-6
 
@@ -140,7 +140,6 @@ def build_info_nce_graph(tape: Tape, z_node: Node, positive_index,
 
 def build_hex_graph(tape: Tape, z_node: Node, mask: HierarchyMask, tau: float,
                     *, qhi_tau: float = DEFAULT_QHI_TAU,
-                    qhi_sign: str = "subtract", qhi_n: Optional[int] = None,
                     eps_den: float = DEFAULT_EPS_DEN) -> ContrastiveGraphInfo:
     """Hierarchically decomposed InfoNCE as a differentiable graph.
 
@@ -154,15 +153,12 @@ def build_hex_graph(tape: Tape, z_node: Node, mask: HierarchyMask, tau: float,
         raise TauOne("the 1 - tau normalization vanishes at tau == 1")
     if qhi_tau <= 0.0:
         raise BadTemperature(f"qhi_tau must be > 0, got {qhi_tau}")
-    if qhi_sign not in QHI_SIGNS:
-        raise BadConfig(f"qhi_sign must be one of {QHI_SIGNS}, got {qhi_sign!r}")
     if not eps_den > 0.0:
         raise BadConfig(f"eps_den must be > 0, got {eps_den}")
     member = mask.membership
     pos = mask.positive_index
     n = member.shape[0]
-    if qhi_n is None:
-        qhi_n = n // 2
+    n_anchors = n // 2
     rows_with = member.any(axis=1)
 
     sims = tape.matmul(z_node, tape.transpose(z_node), name="sims")
@@ -180,15 +176,13 @@ def build_hex_graph(tape: Tape, z_node: Node, mask: HierarchyMask, tau: float,
         logits_q = tape.scalar_mul(sims, 1.0 / qhi_tau, name="logits_q")
         expq = tape.exp(logits_q, name="exp_logits_q")
         num = tape.masked_sum(tape.mul_elem(expq, logits_q), hf, name="q_numerator")
-        den = tape.scalar_mul(tape.masked_sum(expq, hf), 1.0 / qhi_n, name="q_denominator")
+        den = tape.scalar_mul(tape.masked_sum(expq, hf), 1.0 / n_anchors,
+                              name="q_denominator")
         safe_den = tape.add(den, tape.constant((~rows_with)[:, None].astype(np.float64)))
         ratio = tape.div_elem(num, safe_den, name="q_ratio")
         pos_exp_q = tape.pick(expq, pos, name="pos_exp_q")
-        pos_term = tape.scalar_mul(pos_exp_q, qhi_n * qhi_tau, name="q_pos_term")
-        if qhi_sign == "subtract":
-            core = tape.sub(ratio, pos_term, name="q_core")
-        else:
-            core = tape.add(ratio, pos_term, name="q_core")
+        pos_term = tape.scalar_mul(pos_exp_q, n_anchors * qhi_tau, name="q_pos_term")
+        core = tape.sub(ratio, pos_term, name="q_core")
         q_raw = tape.scalar_mul(core, 1.0 / (1.0 - qhi_tau), name="q_raw")
         q_clamped = tape.clamp_min(q_raw, eps_den, name="q_clamped")
         q_eff = tape.mul_elem(

@@ -44,8 +44,7 @@ METRICS_COLUMNS = [
     "hex_term_mean", "threshold", "adaptive_threshold", "mean_H_size",
     "clamp_events", "mask_precision", "mask_recall", "mask_size",
     "rankme_super", "rankme_random", "mean_super", "mean_regular",
-    "ratio_projection", "ratio_representation", "skew_super", "skew_regular",
-    "knn_class", "knn_super",
+    "skew_super", "skew_regular", "knn_class", "knn_super",
 ]
 
 
@@ -70,10 +69,8 @@ class ModelConfig:
 class LossConfig:
     kind: str = "simclr"
     tau: Optional[float] = None          # default depends on kind
-    qhi_tau: float = 0.1
-    qhi_sign: str = "subtract"
-    qhi_n: str = "anchors"               # "anchors" | "views"
-    eps_den: float = 1e-6
+    qhi_tau: float = losses_mod.DEFAULT_QHI_TAU
+    eps_den: float = losses_mod.DEFAULT_EPS_DEN
     alpha: Optional[float] = None        # default depends on kind
     hex_scale: Optional[float] = None    # default depends on kind
     barlow_lambda: float = 0.005
@@ -92,10 +89,6 @@ class LossConfig:
             self.alpha = 0.5 if self.kind in ("barlow_hex", "vicreg_hex") else 1.0
         if self.hex_scale is None:
             self.hex_scale = 5.0 if self.kind == "vicreg_hex" else 1.0
-        if self.qhi_sign not in losses_mod.QHI_SIGNS:
-            raise BadConfig(f"qhi_sign must be one of {losses_mod.QHI_SIGNS}")
-        if self.qhi_n not in ("anchors", "views"):
-            raise BadConfig("qhi_n must be 'anchors' or 'views'")
         if not 0.0 <= self.alpha <= 1.0:
             raise BadConfig(f"alpha must lie in [0, 1], got {self.alpha}")
         if not self.eps_den > 0.0:
@@ -147,6 +140,11 @@ class RunConfig:
     rank_subset_size: int = 100
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed", "eval_every", "queue_capacity",
+                     "knn_k", "rank_subsets", "rank_subset_size"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise BadConfig(f"train.{name} must be an integer, got {value!r}")
         if self.epochs < 1:
             raise BadConfig("epochs must be >= 1")
         if self.batch_size < 2:
@@ -444,10 +442,7 @@ def _train_step(state: TrainState, xa, xb, batch_supers, lr, epoch) -> dict:
         else:
             mask = threshold_mask(sims, thr_used, pos)
         contra = build_hex_graph(tape, z_node, mask, loss_cfg.tau,
-                                 qhi_tau=loss_cfg.qhi_tau,
-                                 qhi_sign=loss_cfg.qhi_sign,
-                                 qhi_n=b if loss_cfg.qhi_n == "anchors" else 2 * b,
-                                 eps_den=loss_cfg.eps_den)
+                                 qhi_tau=loss_cfg.qhi_tau, eps_den=loss_cfg.eps_den)
     elif not loss_cfg.is_dim:
         contra = build_info_nce_graph(tape, z_node, pos, loss_cfg.tau)
     if loss_cfg.kind.startswith("barlow"):
@@ -526,14 +521,11 @@ def run_diagnostics(state: TrainState, dataset: HierarchicalDataset,
         rank = diag.subset_rank_curve(r, labels, cfg.train.rank_subsets,
                                       cfg.train.rank_subset_size, seed=diag_seed)
         proj = diag.distribution_stats(_safe_unit_rows(y), labels)
-        rep_means = diag.pool_means(_safe_unit_rows(r), labels)
         return {
             "rankme_super": rank.mean_rankme_superclass,
             "rankme_random": rank.mean_rankme_random,
             "mean_super": proj.mean_super,
             "mean_regular": proj.mean_regular,
-            "ratio_projection": proj.ratio,
-            "ratio_representation": diag.pool_ratio(*rep_means),
             "skew_super": proj.skew_super,
             "skew_regular": proj.skew_regular,
             "knn_class": evaluate(state, dataset, "knn_class", cfg.train.knn_k),

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -175,6 +176,35 @@ class TestTrain:
         assert "loss.tau 0.1 != 0.2" in capsys.readouterr().err
         assert open(os.path.join(part, "metrics.csv")).read() == before
 
+    @pytest.mark.parametrize("train", [{"seed": 1.5}, {"batch_size": 64.0},
+                                       {"epochs": True}])
+    def test_non_integer_run_count_exit_code(self, tmp_path, capsys, train):
+        cfg = write_config(tmp_path, train=train)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        assert f"train.{next(iter(train))} must be an integer" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "run")
+
+    @pytest.mark.parametrize("key,value", [("qhi_sign", "subtract"),
+                                           ("qhi_n", "anchors")])
+    def test_resume_from_a_checkpoint_with_a_removed_loss_key_exit_code(
+            self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, train={"epochs": 4}, loss={"kind": "simclr_hex"})
+        part = str(tmp_path / "part")
+        main(["train", "--config", cfg, "--out", part, "--checkpoint-every", "2"])
+        ckpt = os.path.join(part, "ckpt_000002.bin")
+        blob = open(ckpt, "rb").read()
+        (blob_len,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12:12 + blob_len])
+        header["config"]["loss"][key] = value
+        new_blob = json.dumps(header).encode()
+        with open(ckpt, "wb") as fh:
+            fh.write(blob[:8] + struct.pack("<I", len(new_blob)) + new_blob
+                     + blob[12 + blob_len:])
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--out", part, "--resume", ckpt]) == 1
+        err = capsys.readouterr().err
+        assert "bad 'loss' section" in err and f"'{key}'" in err
+
     def test_one_row_dataset_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, data={"n_super": 1, "classes_per_super": 1,
                                            "samples_per_class": 1})
@@ -253,7 +283,9 @@ class TestDiagnose:
                      "--knn-k", "1"]) == 0
         header, row = open(out).read().splitlines()
         vals = dict(zip(header.split(","), row.split(",")))
-        assert float(vals["ratio"]) == pytest.approx(9.0, abs=1e-9)
+        assert "ratio" not in vals
+        assert float(vals["mean_super"]) == pytest.approx(0.9, abs=1e-9)
+        assert float(vals["mean_regular"]) == pytest.approx(0.1, abs=1e-9)
 
     def test_failed_replace_keeps_previous_out(self, tmp_path, monkeypatch):
         path = self._block_csv(tmp_path)

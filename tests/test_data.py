@@ -58,6 +58,12 @@ class TestGenParams:
         with pytest.raises(BadParams, match="sigma_sample must be > 0"):
             GenParams(sigma_sample=0.0)
 
+    @pytest.mark.parametrize("field", ["sigma_super", "sigma_class", "sigma_sample"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_sigma_names_the_field(self, field, value):
+        with pytest.raises(BadParams, match=f"{field} must be finite"):
+            GenParams(**{field: value})
+
     def test_counts_positive(self):
         with pytest.raises(BadParams):
             GenParams(n_super=0)

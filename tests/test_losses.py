@@ -10,7 +10,7 @@ from hexreg.errors import BadAlpha, BadConfig, BadTemperature, EmptyQueue, TauOn
 from hexreg.hierarchy import (HierarchyMask, supervised_mask, threshold_mask,
                               whole_batch_mask)
 from hexreg.linalg import cosine_sim_matrix, l2_normalize_rows
-from hexreg.losses import (QHI_SIGNS, NNQueue, build_barlow_graph,
+from hexreg.losses import (NNQueue, build_barlow_graph,
                            build_combined_graph, build_hex_graph,
                            build_info_nce_graph, build_vicreg_graph,
                            nnclr_positive_rows, paired_positive_index)
@@ -26,24 +26,22 @@ def random_rows(rng, n_samples, dim=6):
 # independent scalar oracles (deliberately written with plain loops)
 # ---------------------------------------------------------------------------
 
-def oracle_qhi(sims_h, pos_sim, tau, n, sign="subtract"):
+def oracle_qhi(sims_h, pos_sim, tau, n):
     """One-line transliteration of the reweighting formula."""
     num = sum(math.exp(s / tau) * (s / tau) for s in sims_h)
     den = (1.0 / n) * sum(math.exp(s / tau) for s in sims_h)
     pos = n * tau * math.exp(pos_sim / tau)
-    core = num / den - pos if sign == "subtract" else num / den + pos
-    return core / (1.0 - tau)
+    return (num / den - pos) / (1.0 - tau)
 
 
 def qhi_scale(sims_h, pos_sim, tau, n):
-    """Size of the two terms the reweighting adds or subtracts: the yardstick
-    for rounding, since "subtract" can cancel them against each other."""
+    """Size of the two terms the reweighting subtracts: the yardstick for
+    rounding, since they can cancel against each other."""
     ratio = n * max(abs(s) for s in sims_h) / tau
     return (ratio + n * tau * math.exp(pos_sim / tau)) / abs(1.0 - tau)
 
 
-def oracle_hex_loss(z, pos, tau, member, qhi_tau, big_n, sign="subtract",
-                    eps_den=1e-6):
+def oracle_hex_loss(z, pos, tau, member, qhi_tau, big_n, eps_den=1e-6):
     n = len(z)
     total = 0.0
     for i in range(n):
@@ -54,7 +52,7 @@ def oracle_hex_loss(z, pos, tau, member, qhi_tau, big_n, sign="subtract",
                 denom += math.exp(float(np.dot(z[i], z[a])) / tau)
         hs = [float(np.dot(z[i], z[a])) for a in range(n) if member[i][a]]
         if hs:
-            denom += max(oracle_qhi(hs, s_pos, qhi_tau, big_n, sign), eps_den)
+            denom += max(oracle_qhi(hs, s_pos, qhi_tau, big_n), eps_den)
         total += math.log(denom) - s_pos / tau
     return total / n
 
@@ -147,14 +145,13 @@ class TestInfoNce:
 # hierarchical reweighting
 # ---------------------------------------------------------------------------
 
-def hex_graph(z, member, *, qhi_tau=0.1, qhi_n=None, sign="subtract", tau=0.1):
+def hex_graph(z, member, *, qhi_tau=0.1, tau=0.1):
     """Evaluated build_hex_graph over rows z (pairing i <-> i + n/2) with an
     explicit membership matrix."""
     pos = paired_positive_index(len(z) // 2)
     mask = HierarchyMask(np.asarray(member, dtype=bool), pos)
     t = Tape()
-    info = build_hex_graph(t, t.input(z), mask, tau, qhi_tau=qhi_tau,
-                           qhi_sign=sign, qhi_n=qhi_n)
+    info = build_hex_graph(t, t.input(z), mask, tau, qhi_tau=qhi_tau)
     forward(t)
     return info
 
@@ -173,19 +170,20 @@ class TestHexReweight:
 
     def test_single_member_worked_example(self):
         z, member = worked_example_batch()
-        got = hex_graph(z, member, qhi_tau=0.5, qhi_n=4).q_raw.value[0, 0]
-        expected = (4.0 - 2.0 * math.exp(2.0)) / 0.5
+        # N = 2 anchors: (N * s / t - N * t * e^{s_pos / t}) / (1 - t)
+        got = hex_graph(z, member, qhi_tau=0.5).q_raw.value[0, 0]
+        expected = (2.0 - math.exp(2.0)) / 0.5
         assert got == pytest.approx(expected, rel=1e-14)
-        assert got == pytest.approx(-21.5562, abs=5e-4)
+        assert got == pytest.approx(-10.7781, abs=5e-4)
 
     def test_tau_one(self):
         z, member = worked_example_batch()
         with pytest.raises(TauOne):
-            hex_graph(z, member, qhi_tau=1.0, qhi_n=4)
+            hex_graph(z, member, qhi_tau=1.0)
 
     def test_empty_members(self):
         z, member = worked_example_batch()
-        info = hex_graph(z, member, qhi_tau=0.5, qhi_n=4)
+        info = hex_graph(z, member, qhi_tau=0.5)
         t = Tape()
         ref = build_info_nce_graph(t, t.input(z), paired_positive_index(2), 0.1)
         forward(t)
@@ -199,7 +197,7 @@ class TestHexReweight:
         z = l2_normalize_rows(rng.normal(size=(16, 6)))
         member = np.zeros((16, 16), dtype=bool)
         member[0, [3, 11]] = True
-        got = hex_graph(z, member, qhi_tau=0.1, qhi_n=8).q_raw.value[0, 0]
+        got = hex_graph(z, member, qhi_tau=0.1).q_raw.value[0, 0]
         hs = [float(np.dot(z[0], z[3])), float(np.dot(z[0], z[11]))]
         pos_sim = float(np.dot(z[0], z[8]))
         want = oracle_qhi(hs, pos_sim, 0.1, 8)
@@ -215,34 +213,30 @@ class TestHexReweight:
             j = int(rng.choice([a for a in range(2 * n) if a not in (i, (i + n) % (2 * n))]))
             member[i, j] = True
             tau = float(rng.choice([0.1, 0.2, 0.5, 0.7]))
-            big_n = int(rng.integers(2, 17))
-            got = hex_graph(z, member, qhi_tau=tau, qhi_n=big_n).q_raw.value[i, 0]
+            got = hex_graph(z, member, qhi_tau=tau).q_raw.value[i, 0]
             s = float(np.dot(z[i], z[j]))
             p = float(np.dot(z[i], z[(i + n) % (2 * n)]))
-            want = (big_n * (s / tau) - big_n * tau * math.exp(p / tau)) / (1.0 - tau)
-            assert abs(got - want) <= 1e-12 * qhi_scale([s], p, tau, big_n)
+            want = (n * (s / tau) - n * tau * math.exp(p / tau)) / (1.0 - tau)
+            assert abs(got - want) <= 1e-12 * qhi_scale([s], p, tau, n)
 
     def test_random_tuples_vs_oracle(self):
         rng = np.random.default_rng(3)
         checked = 0
-        for trial in range(40):
+        for _ in range(80):
             n = int(rng.choice([2, 4, 8]))
             z, pos = random_rows(rng, n)
             mask = threshold_mask(cosine_sim_matrix(z), float(rng.uniform(-0.5, 0.6)), pos)
             if not mask.membership.any():
                 continue
             tau = float(rng.choice([0.1, 0.2, 0.5, 0.9]))
-            sign = "subtract" if trial % 2 else "add"
-            for big_n in (n, 2 * n):
-                q = hex_graph(z, mask.membership, qhi_tau=tau, qhi_n=big_n,
-                              sign=sign).q_raw.value[:, 0]
-                for i in np.nonzero(mask.membership.any(axis=1))[0]:
-                    hs = [float(np.dot(z[i], z[a]))
-                          for a in np.nonzero(mask.membership[i])[0]]
-                    p = float(np.dot(z[i], z[pos[i]]))
-                    want = oracle_qhi(hs, p, tau, big_n, sign)
-                    assert abs(q[i] - want) <= 1e-12 * qhi_scale(hs, p, tau, big_n)
-                    checked += 1
+            q = hex_graph(z, mask.membership, qhi_tau=tau).q_raw.value[:, 0]
+            for i in np.nonzero(mask.membership.any(axis=1))[0]:
+                hs = [float(np.dot(z[i], z[a]))
+                      for a in np.nonzero(mask.membership[i])[0]]
+                p = float(np.dot(z[i], z[pos[i]]))
+                want = oracle_qhi(hs, p, tau, n)
+                assert abs(q[i] - want) <= 1e-12 * qhi_scale(hs, p, tau, n)
+                checked += 1
         assert checked > 100
 
 
@@ -259,23 +253,20 @@ class TestHexLoss:
     def test_whole_batch_vs_oracle(self):
         z, pos = np.eye(4), paired_positive_index(2)
         mask = whole_batch_mask(4, pos)
-        got = hex_graph(z, mask.membership, qhi_n=2).breakdown().total
+        got = hex_graph(z, mask.membership).breakdown().total
         want = oracle_hex_loss(z, pos, 0.1, mask.membership, 0.1, 2)
         assert abs(got - want) <= 1e-12 * loss_scale(z, pos, 0.1, want)
 
-    def test_random_masks_vs_oracle_both_signs(self):
+    def test_random_masks_vs_oracle(self):
         rng = np.random.default_rng(5)
-        for trial in range(20):
+        for _ in range(40):
             n = int(rng.choice([2, 4, 8]))
             tau = float(rng.choice([0.1, 0.2, 0.5]))
             z, pos = random_rows(rng, n)
             mask = threshold_mask(cosine_sim_matrix(z), float(rng.uniform(-0.2, 0.6)), pos)
-            sign = "subtract" if trial % 2 else "add"
-            for qhi_n in (n, 2 * n):
-                got = hex_graph(z, mask.membership, qhi_n=qhi_n, sign=sign,
-                                tau=tau).breakdown().total
-                want = oracle_hex_loss(z, pos, tau, mask.membership, 0.1, qhi_n, sign)
-                assert abs(got - want) <= 1e-12 * loss_scale(z, pos, tau, want)
+            got = hex_graph(z, mask.membership, tau=tau).breakdown().total
+            want = oracle_hex_loss(z, pos, tau, mask.membership, 0.1, n)
+            assert abs(got - want) <= 1e-12 * loss_scale(z, pos, tau, want)
 
     def test_tau_one_rejected(self):
         # 1 - qhi_tau must stay clear of zero by more than 1e-12.
@@ -308,19 +299,11 @@ class TestHexLoss:
         assert bd.hex_term_mean is not None
         assert np.isfinite(bd.total)
 
-    def test_qhi_n_override(self):
-        rng = np.random.default_rng(7)
-        z, pos = random_rows(rng, 4)
-        member = whole_batch_mask(8, pos).membership
-        with_anchor_n = hex_graph(z, member, qhi_n=4).breakdown().total
-        with_view_n = hex_graph(z, member, qhi_n=8).breakdown().total
-        assert with_anchor_n != with_view_n
-
 
 @st.composite
 def hex_cases(draw):
     """Unit rows of 2b views, a membership mask without self or positive,
-    and the HEX settings: temperatures, sign and qhi_n in {anchors, rows}."""
+    and the two temperatures."""
     b = draw(st.integers(2, 8))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
@@ -332,16 +315,13 @@ def hex_cases(draw):
     member[np.arange(2 * b), pos] = False
     return dict(z=z, pos=pos, member=member,
                 tau=draw(st.sampled_from([0.1, 0.2, 0.5])),
-                qhi_tau=draw(st.sampled_from([0.07, 0.1, 0.5])),
-                sign=draw(st.sampled_from(QHI_SIGNS)),
-                qhi_n=b * draw(st.sampled_from([1, 2])))
+                qhi_tau=draw(st.sampled_from([0.07, 0.1, 0.5])))
 
 
 def _graph_value(c, member):
     t = Tape()
     build_hex_graph(t, t.input(c["z"]), HierarchyMask(member, c["pos"]),
-                    c["tau"], qhi_tau=c["qhi_tau"], qhi_sign=c["sign"],
-                    qhi_n=c["qhi_n"])
+                    c["tau"], qhi_tau=c["qhi_tau"])
     return forward(t)
 
 
@@ -350,7 +330,7 @@ class TestHexProperties:
     @given(hex_cases())
     def test_graph_matches_oracle(self, c):
         want = oracle_hex_loss(c["z"], c["pos"], c["tau"], c["member"],
-                               c["qhi_tau"], c["qhi_n"], c["sign"])
+                               c["qhi_tau"], len(c["pos"]) // 2)
         scale = loss_scale(c["z"], c["pos"], c["tau"], want)
         assert abs(_graph_value(c, c["member"]) - want) <= 1e-12 * scale
 
@@ -516,8 +496,7 @@ class TestGraphParity:
     def test_hex_graph_matches_one_hot_selector_graph_bitwise(self):
         # The graph as it was built before pick and vstack existed: the two
         # views stacked by selector matmuls, positives read by one-hot sums.
-        def old_graph(t, ya, yb, member, pos, tau, qhi_tau, sign, qhi_n,
-                      eps_den=1e-6):
+        def old_graph(t, ya, yb, member, pos, tau, qhi_tau, eps_den=1e-6):
             b = ya.value.shape[0]
             n = 2 * b
             sel_a = np.zeros((n, b))
@@ -541,11 +520,11 @@ class TestGraphParity:
                 logits_q = t.scalar_mul(sims, 1.0 / qhi_tau)
                 expq = t.exp(logits_q)
                 num = t.masked_sum(t.mul_elem(expq, logits_q), hf)
-                den = t.scalar_mul(t.masked_sum(expq, hf), 1.0 / qhi_n)
+                den = t.scalar_mul(t.masked_sum(expq, hf), 1.0 / b)
                 safe_den = t.add(den, t.constant((~rows_with)[:, None].astype(np.float64)))
                 ratio = t.div_elem(num, safe_den)
-                pos_term = t.scalar_mul(t.masked_sum(expq, one_hot), qhi_n * qhi_tau)
-                core = (t.sub if sign == "subtract" else t.add)(ratio, pos_term)
+                pos_term = t.scalar_mul(t.masked_sum(expq, one_hot), b * qhi_tau)
+                core = t.sub(ratio, pos_term)
                 q_raw = t.scalar_mul(core, 1.0 / (1.0 - qhi_tau))
                 q_eff = t.mul_elem(t.clamp_min(q_raw, eps_den),
                                    t.constant(rows_with[:, None].astype(np.float64)))
@@ -553,15 +532,13 @@ class TestGraphParity:
             t.mean(t.sub(t.log(denom), pos_logits))
 
         rng = np.random.default_rng(16)
-        for trial in range(24):
+        for _ in range(24):
             b = int(rng.choice([2, 3, 8, 64]))
             ya_val, yb_val = rng.normal(size=(2, b, 8))
             pos = paired_positive_index(b)
             member = rng.uniform(size=(2 * b, 2 * b)) < rng.uniform(0.0, 0.6)
             member[np.arange(2 * b), np.arange(2 * b)] = False
             member[np.arange(2 * b), pos] = False
-            sign = QHI_SIGNS[trial % 2]
-            qhi_n = b if trial % 4 < 2 else 2 * b
             tau, qhi_tau = float(rng.choice([0.1, 0.5])), float(rng.choice([0.07, 0.1, 0.5]))
             results = []
             for build_new in (True, False):
@@ -570,9 +547,9 @@ class TestGraphParity:
                 if build_new:
                     z = t.row_l2_normalize(t.vstack(ya, yb))
                     build_hex_graph(t, z, HierarchyMask(member, pos), tau,
-                                    qhi_tau=qhi_tau, qhi_sign=sign, qhi_n=qhi_n)
+                                    qhi_tau=qhi_tau)
                 else:
-                    old_graph(t, ya, yb, member, pos, tau, qhi_tau, sign, qhi_n)
+                    old_graph(t, ya, yb, member, pos, tau, qhi_tau)
                 loss = forward(t)
                 backward(t)
                 results.append((loss, ya.grad, yb.grad))
