@@ -83,6 +83,23 @@ class TestCosineSimMatrix:
         assert np.array_equal(np.diag(sims), np.ones(40))
         assert sims.min() >= -1.0 and sims.max() <= 1.0
 
+    def test_mirror_across_partial_band(self):
+        # 600 rows, with a duplicated row, come back as the upper triangle of
+        # the product mirrored onto the lower one, bit for bit
+        rng = np.random.default_rng(6)
+        z = l2_normalize_rows(rng.normal(size=(600, 8)))
+        z[7] = z[300]
+        sims = cosine_sim_matrix(z)
+        full = z @ z.T
+        upper = np.triu(full, 1)
+        expect = upper + upper.T
+        np.fill_diagonal(expect, 1.0)
+        np.clip(expect, -1.0, 1.0, out=expect)
+        assert sims.tobytes() == expect.tobytes()
+        assert sims.tobytes() == sims.T.copy().tobytes()
+        assert (np.diag(sims) == 1.0).all()
+        assert sims.min() >= -1.0 and sims.max() <= 1.0
+
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 130, 600, 1600])
     def test_bitwise_symmetric_for_every_layout(self, n):
         # numpy's a @ a.T is bitwise symmetric for a C-contiguous a, not for
