@@ -7,10 +7,11 @@ fixed to what the encoder, projector and loss graphs need:
 
     input, constant, matmul, add, sub, mul_elem, div_elem, scalar_mul,
     exp, log, sum, mean, row_l2_normalize, tanh, relu, transpose,
-    masked_sum, clamp_min, pick, vstack
+    masked_sum, clamp_min, pick, vstack, rows
 
 ``pick(a, cols)`` is the n x 1 column of ``a[i, cols[i]]``; ``vstack(a, b)``
-stacks two row blocks. Masks (for masked_sum) and column indices (for pick)
+stacks two row blocks and ``rows(a, lo, hi)`` takes the row block
+``a[lo:hi]``. Masks (for masked_sum) and column indices (for pick)
 are plain constant arrays, never nodes, so no gradient can flow into them.
 Elementwise binaries support the usual numpy broadcasting between 2-D
 shapes; gradients are reduced back over broadcast axes. Values and gradients
@@ -99,8 +100,8 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return out
 
 
-# Smaller arrays are left to the allocator. The loss's 2b x 2b arrays are
-# 128 KiB at b = 64, the model's hidden-layer arrays 32 KiB.
+# Smaller arrays are left to the allocator. At b = 64 the loss's 2b x 2b
+# arrays are 128 KiB and the model's 2b-row hidden-layer arrays 64 KiB.
 _POOL_BYTES = 1 << 16
 _SMALL = "small"   # slot mark of a role whose array is left to the allocator
 
@@ -322,6 +323,10 @@ class Tape:
         """a's rows followed by b's rows."""
         return self._record("vstack", (a, b), name=name)
 
+    def rows(self, a: Node, lo: int, hi: int, name="") -> Node:
+        """The row block a[lo:hi]."""
+        return self._record("rows", (a,), aux=(lo, hi), name=name)
+
 
 def _x(node: Node, i: int = 0) -> np.ndarray:
     """Value of the node's i-th parent."""
@@ -356,6 +361,14 @@ def _pick_vjp(node: Node, g):
     scattered.fill(0.0)
     scattered[rows, cols] = g[:, 0]
     return scattered
+
+
+def _rows_vjp(node: Node, g):
+    lo, hi = node.aux
+    out = _empty(node, "vjp0", _x(node).shape)
+    out.fill(0.0)
+    out[lo:hi] = g
+    return out
 
 
 def _masked_sum(node: Node, a):
@@ -415,6 +428,7 @@ _OPS = {
     "clamp_min": (lambda n, a: _into(n, "value", np.maximum, a, n.aux),
                   (lambda n, g: _into(n, "vjp0", np.multiply, g, _x(n) > n.aux),)),
     "pick": (_pick, (_pick_vjp,)),
+    "rows": (lambda n, a: a[n.aux[0]:n.aux[1]], (_rows_vjp,)),
 }
 
 

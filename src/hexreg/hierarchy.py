@@ -23,7 +23,7 @@ class HierarchyMask:
 
     @property
     def mean_size(self) -> float:
-        return float(self.membership.sum(axis=1).mean())
+        return int(np.count_nonzero(self.membership)) / self.membership.shape[0]
 
 
 @dataclass
@@ -89,8 +89,8 @@ def mask_quality(mask: HierarchyMask, superclass_labels) -> MaskQuality:
     truth = supervised_mask(superclass_labels, mask.positive_index).membership
     est = mask.membership
     tp = int(np.count_nonzero(est & truth))
-    fp = int(np.count_nonzero(est & ~truth))
-    fn = int(np.count_nonzero(~est & truth))
+    fp = int(np.count_nonzero(est)) - tp
+    fn = int(np.count_nonzero(truth)) - tp
     precision = tp / (tp + fp) if tp + fp else 1.0
     recall = tp / (tp + fn) if tp + fn else 1.0
     return MaskQuality(precision, recall, mask.mean_size)

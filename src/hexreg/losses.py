@@ -165,8 +165,8 @@ def build_hex_graph(tape: Tape, z_node: Node, mask: HierarchyMask, tau: float,
     logits = tape.scalar_mul(sims, 1.0 / tau, name="logits")
     expl = tape.exp(logits, name="exp_logits")
     pos_logits = tape.pick(logits, pos, name="pos_logits")
-    non_h = 1.0 - np.eye(n)
-    non_h[member] = 0.0
+    non_h = (~member).astype(np.float64)
+    np.fill_diagonal(non_h, 0.0)
     base = tape.masked_sum(expl, non_h, name="non_member_sum")
 
     q_raw = q_clamped = None

@@ -3,6 +3,10 @@ augmented views per sample, loss selection over the supported objectives,
 SGD-with-momentum via the autodiff tape, per-epoch diagnostics, and
 bitwise-reproducible checkpointing.
 
+The model works row by row, so each step records it on the tape once, on
+the two views stacked into 2b rows (view a in rows 0:b, view b in rows
+b:2b); a loss that reads the views apart takes their row blocks.
+
 Determinism: everything derives from the run seed through fixed stream
 labels (0 = weight init, 1 = per-epoch streams, 4 = diagnostics draws,
 5 = evaluation split). Within an epoch stream, label 0 shuffles the sample
@@ -13,6 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import os
 import struct
 import time
@@ -52,6 +58,17 @@ METRICS_COLUMNS = [
 # configuration
 # ---------------------------------------------------------------------------
 
+def _check_int(name: str, value):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise BadConfig(f"{name} must be an integer, got {value!r}")
+
+
+def _check_finite(name: str, value):
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not math.isfinite(value)):
+        raise BadConfig(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass
 class ModelConfig:
     encoder_hidden: list = field(default_factory=lambda: [64])
@@ -60,8 +77,15 @@ class ModelConfig:
     proj_dim: int = 8
 
     def __post_init__(self):
-        dims = list(self.encoder_hidden) + [self.repr_dim, self.proj_hidden, self.proj_dim]
-        if any(int(d) < 1 for d in dims):
+        if not isinstance(self.encoder_hidden, list):
+            raise BadConfig(f"model.encoder_hidden must be a list of widths, "
+                            f"got {self.encoder_hidden!r}")
+        for i, width in enumerate(self.encoder_hidden):
+            _check_int(f"model.encoder_hidden[{i}]", width)
+        for name in ("repr_dim", "proj_hidden", "proj_dim"):
+            _check_int(f"model.{name}", getattr(self, name))
+        dims = self.encoder_hidden + [self.repr_dim, self.proj_hidden, self.proj_dim]
+        if any(d < 1 for d in dims):
             raise BadDims(f"all layer widths must be >= 1, got {dims}")
 
 
@@ -114,17 +138,30 @@ class OptimConfig:
     cosine_lr: bool = False
 
     def __post_init__(self):
+        _check_finite("optimizer.lr", self.lr)
+        _check_finite("optimizer.momentum", self.momentum)
+        if not isinstance(self.cosine_lr, bool):
+            raise BadConfig(f"optimizer.cosine_lr must be true or false, "
+                            f"got {self.cosine_lr!r}")
         # lr == 0 is allowed (freezes parameters, useful for harness checks)
         if self.lr < 0:
-            raise BadConfig(f"lr must be >= 0, got {self.lr}")
+            raise BadConfig(f"optimizer.lr must be >= 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
-            raise BadConfig(f"momentum must lie in [0, 1), got {self.momentum}")
+            raise BadConfig(f"optimizer.momentum must lie in [0, 1), got {self.momentum}")
 
 
 @dataclass
 class AugmentConfig:
     noise_sigma: float = 0.3
     mask_prob: float = 0.1
+
+    def __post_init__(self):
+        _check_finite("augment.noise_sigma", self.noise_sigma)
+        _check_finite("augment.mask_prob", self.mask_prob)
+        if self.noise_sigma < 0:
+            raise BadConfig(f"augment.noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0.0 <= self.mask_prob < 1.0:
+            raise BadConfig(f"augment.mask_prob must lie in [0, 1), got {self.mask_prob}")
 
 
 @dataclass
@@ -142,9 +179,7 @@ class RunConfig:
     def __post_init__(self):
         for name in ("epochs", "batch_size", "seed", "eval_every", "queue_capacity",
                      "knn_k", "rank_subsets", "rank_subset_size"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise BadConfig(f"train.{name} must be an integer, got {value!r}")
+            _check_int(f"train.{name}", getattr(self, name))
         if self.epochs < 1:
             raise BadConfig("epochs must be >= 1")
         if self.batch_size < 2:
@@ -243,8 +278,8 @@ class ModelParams:
 
 
 def layer_dims(model: ModelConfig, input_dim: int) -> list:
-    return ([int(input_dim)] + [int(h) for h in model.encoder_hidden]
-            + [int(model.repr_dim), int(model.proj_hidden), int(model.proj_dim)])
+    return ([int(input_dim)] + model.encoder_hidden
+            + [model.repr_dim, model.proj_hidden, model.proj_dim])
 
 
 def init_params(model: ModelConfig, input_dim: int, seed: int) -> ModelParams:
@@ -284,25 +319,23 @@ def mlp_forward(params: ModelParams, x: np.ndarray):
     return r, y
 
 
-def build_model_graph(tape: Tape, params: ModelParams, views: list):
-    """Shared-parameter forward subgraphs for each augmented view.
+def build_model_graph(tape: Tape, params: ModelParams, x):
+    """The model's forward subgraph on the rows of x, one input node per
+    parameter; a training step passes both views stacked.
 
-    Returns (weight_nodes, bias_nodes, per-view (repr_node, proj_node))."""
+    Returns (weight_nodes, bias_nodes, repr_node, proj_node)."""
     w_nodes = [tape.input(w, name=f"w{i}") for i, w in enumerate(params.weights)]
     b_nodes = [tape.input(b, name=f"b{i}") for i, b in enumerate(params.biases)]
-    outs = []
     n_enc = params.n_encoder_layers
-    for v, x in enumerate(views):
-        h = tape.constant(np.asarray(x, dtype=np.float64), name=f"x{v}")
-        for i in range(n_enc):
-            h = tape.add(tape.matmul(h, w_nodes[i]), b_nodes[i])
-            if i < n_enc - 1:
-                h = tape.tanh(h)
-        r = h
-        p = tape.relu(tape.add(tape.matmul(r, w_nodes[n_enc]), b_nodes[n_enc]))
-        y = tape.add(tape.matmul(p, w_nodes[n_enc + 1]), b_nodes[n_enc + 1])
-        outs.append((r, y))
-    return w_nodes, b_nodes, outs
+    h = tape.constant(np.asarray(x, dtype=np.float64), name="x")
+    for i in range(n_enc):
+        h = tape.add(tape.matmul(h, w_nodes[i]), b_nodes[i])
+        if i < n_enc - 1:
+            h = tape.tanh(h)
+    r = h
+    p = tape.relu(tape.add(tape.matmul(r, w_nodes[n_enc]), b_nodes[n_enc]))
+    y = tape.add(tape.matmul(p, w_nodes[n_enc + 1]), b_nodes[n_enc + 1])
+    return w_nodes, b_nodes, r, y
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +403,8 @@ def train_epoch(state: TrainState, dataset: HierarchicalDataset) -> dict:
                               np.concatenate((keys[0::2], keys[1::2])))
 
         try:
-            step_row = _train_step(state, views[:b], views[b:],
-                                   dataset.superclass_labels[idx], lr, e)
+            step_row = _train_step(state, views, dataset.superclass_labels[idx],
+                                   lr, e)
         except NumericalError as err:
             raise type(err)(f"epoch {e + 1}, batch {step}: {err}") from err
 
@@ -390,16 +423,18 @@ def train_epoch(state: TrainState, dataset: HierarchicalDataset) -> dict:
     return row
 
 
-def _train_step(state: TrainState, xa, xb, batch_supers, lr, epoch) -> dict:
+def _train_step(state: TrainState, views, batch_supers, lr, epoch) -> dict:
+    """One SGD step on a batch of b rows; ``views`` stacks view a (rows
+    0:b) on view b (rows b:2b), and the tape runs the model once on both."""
     cfg = state.config
     loss_cfg = cfg.loss
-    b = xa.shape[0]
+    b = views.shape[0] // 2
     pos = paired_positive_index(b)
     row_supers = np.concatenate([batch_supers, batch_supers])
 
     # Plain forward to derive the frozen constants (threshold, mask, NN rows).
-    _, ya = mlp_forward(state.params, xa)
-    _, yb = mlp_forward(state.params, xb)
+    _, ya = mlp_forward(state.params, views[:b])
+    _, yb = mlp_forward(state.params, views[b:])
     z_full = l2_normalize_rows(np.vstack([ya, yb]))
 
     # NNCLR contrasts the queue's nearest neighbours of view a with view b
@@ -421,14 +456,14 @@ def _train_step(state: TrainState, xa, xb, batch_supers, lr, epoch) -> dict:
 
     # Differentiable graph with the mask and NN rows frozen as constants.
     tape = Tape(state.buffers)
-    w_nodes, b_nodes, outs = build_model_graph(tape, state.params, [xa, xb])
-    (_, y_a), (_, y_b) = outs
+    w_nodes, b_nodes, _, y = build_model_graph(tape, state.params, views)
     if loss_cfg.is_hex or not loss_cfg.is_dim:
         if nn_rows is None:
-            z_node = tape.row_l2_normalize(tape.vstack(y_a, y_b), name="embeddings")
+            z_node = tape.row_l2_normalize(y, name="embeddings")
         else:
             z_node = tape.vstack(tape.constant(nn_rows, name="nn_rows"),
-                                 tape.row_l2_normalize(y_b), name="nn_batch")
+                                 tape.row_l2_normalize(tape.rows(y, b, 2 * b)),
+                                 name="nn_batch")
 
     # The last node recorded is the loss. The HEX subgraph is recorded
     # before the Barlow/VICReg one: backward adds their contributions to the
@@ -445,13 +480,15 @@ def _train_step(state: TrainState, xa, xb, batch_supers, lr, epoch) -> dict:
                                  qhi_tau=loss_cfg.qhi_tau, eps_den=loss_cfg.eps_den)
     elif not loss_cfg.is_dim:
         contra = build_info_nce_graph(tape, z_node, pos, loss_cfg.tau)
-    if loss_cfg.kind.startswith("barlow"):
-        dim = build_barlow_graph(tape, y_a, y_b, b, cfg.model.proj_dim,
-                                 loss_cfg.barlow_lambda, loss_cfg.barlow_scale)
-    elif loss_cfg.is_dim:
-        dim = build_vicreg_graph(tape, y_a, y_b, b, cfg.model.proj_dim,
-                                 loss_cfg.vicreg_sim, loss_cfg.vicreg_var,
-                                 loss_cfg.vicreg_cov)
+    if loss_cfg.is_dim:
+        y_a, y_b = tape.rows(y, 0, b), tape.rows(y, b, 2 * b)
+        if loss_cfg.kind.startswith("barlow"):
+            dim = build_barlow_graph(tape, y_a, y_b, b, cfg.model.proj_dim,
+                                     loss_cfg.barlow_lambda, loss_cfg.barlow_scale)
+        else:
+            dim = build_vicreg_graph(tape, y_a, y_b, b, cfg.model.proj_dim,
+                                     loss_cfg.vicreg_sim, loss_cfg.vicreg_var,
+                                     loss_cfg.vicreg_cov)
     if contra is not None and dim is not None:
         build_combined_graph(tape, contra.total, dim.total,
                              loss_cfg.alpha, loss_cfg.hex_scale)

@@ -209,12 +209,16 @@ def _graph_for_op(op, rng, buffers=None):
         b = t.input(rng.normal(size=(3, 3)))
         t.sum(t.mul_elem(t.vstack(a, b), t.constant(rng.normal(size=(5, 3)))))
         return t, [a, b]
+    if op == "rows":
+        a = t.input(rng.normal(size=(5, 3)))
+        t.sum(t.mul_elem(t.rows(a, 1, 3), t.constant(rng.normal(size=(2, 3)))))
+        return t, [a]
     raise AssertionError(op)
 
 
 ALL_OPS = ["matmul", "add", "sub", "mul_elem", "div_elem", "scalar_mul",
            "exp", "log", "sum", "mean", "row_l2_normalize", "tanh", "relu",
-           "transpose", "masked_sum", "clamp_min", "pick", "vstack"]
+           "transpose", "masked_sum", "clamp_min", "pick", "vstack", "rows"]
 
 
 @pytest.mark.parametrize("op", ALL_OPS)
@@ -250,8 +254,9 @@ def test_shared_parameter_accumulates():
 
 
 class TestPickAndVstack:
-    """pick and vstack give the bits of the forms they replace: a one-hot
-    masked_sum, and a stack built from two selector matmuls and an add."""
+    """pick, vstack and rows give the bits of the forms they replace: a
+    one-hot masked_sum, a stack built from two selector matmuls and an add,
+    and a selector matmul."""
 
     def test_pick_matches_one_hot_masked_sum_bitwise(self):
         rng = np.random.default_rng(21)
@@ -305,6 +310,27 @@ class TestPickAndVstack:
                 backward(t)
                 results.append((out.value, top.grad, bottom.grad))
             for new, old in zip(*results):
+                np.testing.assert_array_equal(new, old)
+
+    def test_rows_matches_selector_matmul_bitwise(self):
+        rng = np.random.default_rng(23)
+        for n, lo, hi, d in ((1, 0, 1, 1), (10, 0, 5, 4), (10, 7, 10, 2),
+                             (10, 2, 6, 3), (128, 64, 128, 8), (128, 0, 64, 8)):
+            a_val = rng.normal(size=(n, d))
+            w = rng.normal(size=(hi - lo, d))
+            sel = np.zeros((hi - lo, n))
+            sel[:, lo:hi] = np.eye(hi - lo)
+            results = []
+            for use_rows in (True, False):
+                t = Tape()
+                a = t.input(a_val)
+                out = t.rows(a, lo, hi) if use_rows else t.matmul(t.constant(sel), a)
+                t.sum(t.mul_elem(out, t.constant(w)))
+                forward(t)
+                backward(t)
+                results.append((out.value, a.grad))
+            for new, old in zip(*results):
+                assert new.shape == old.shape
                 np.testing.assert_array_equal(new, old)
 
 
@@ -424,6 +450,26 @@ class TestBuffers:
             t = run(pool)
             _assert_same_arrays(_arrays(t), _arrays(run(None)))
             np.testing.assert_array_equal(t.nodes[2].grad, np.full((2, 2), 3.0))
+
+    def test_row_blocks_of_one_node_match_fresh_passes_bitwise(self):
+        # As in a training step: one 2b-row model output whose two b-row
+        # blocks feed separate terms. Each block's gradient is a pooled
+        # array of the full shape whose other rows must be zeroed each pass.
+        def run(seed, buffers):
+            rng = np.random.default_rng(seed)
+            t = Tape(buffers)
+            w = t.input(rng.normal(size=(3, 4)))
+            y = t.tanh(t.matmul(t.constant(rng.normal(size=(8, 3))), w))
+            top, bottom = t.rows(y, 0, 4), t.rows(y, 4, 8)
+            t.sum(t.add(t.mul_elem(top, t.constant(rng.normal(size=(4, 4)))),
+                        t.exp(bottom)))
+            forward(t)
+            backward(t)
+            return t
+
+        pool = Buffers()
+        for seed in (1, 2, 1, 3):
+            _assert_same_arrays(_arrays(run(seed, pool)), _arrays(run(seed, None)))
 
     def test_alternating_graphs_do_not_grow_the_pool(self):
         pool = Buffers()

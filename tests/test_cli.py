@@ -205,6 +205,18 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "bad 'loss' section" in err and f"'{key}'" in err
 
+    @pytest.mark.parametrize("section,values,message", [
+        ("model", {"repr_dim": 16.7}, "model.repr_dim must be an integer"),
+        ("optimizer", {"lr": True}, "optimizer.lr must be a finite number"),
+        ("augment", {"mask_prob": 1.5}, "augment.mask_prob must lie in [0, 1)"),
+    ])
+    def test_bad_section_value_exit_code(self, tmp_path, capsys, section, values,
+                                         message):
+        cfg = write_config(tmp_path, **{section: values})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "run")
+
     def test_one_row_dataset_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, data={"n_super": 1, "classes_per_super": 1,
                                            "samples_per_class": 1})

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hexreg.autodiff import Tape
 from hexreg.errors import MissingLabels
 from hexreg.hierarchy import (HierarchyMask, mask_quality, supervised_mask,
                               threshold_mask, whole_batch_mask)
 from hexreg.linalg import cosine_sim_matrix, l2_normalize_rows
+from hexreg.losses import build_hex_graph
 
 
 def _pairing(n):
@@ -142,3 +146,46 @@ class TestMaskQuality:
         assert q.precision == pytest.approx(2 / 3)
         assert q.recall == pytest.approx(2 / 4)
         assert q.mean_mask_size == pytest.approx(3 / 4)
+
+
+@st.composite
+def masks_and_labels(draw):
+    """Any membership (self and positive included) of 2b rows, and labels."""
+    n = 2 * draw(st.integers(1, 8))
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return HierarchyMask(np.array(bits).reshape(n, n), _pairing(n)), np.array(labels)
+
+
+class TestCountsMatchTheElementwiseFormulas:
+    """The bookkeeping counts give the bits of the elementwise forms they
+    replace: a row-sum mean, complement ANDs, and 1 - eye with a scatter."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(masks_and_labels())
+    def test_mean_size_and_quality(self, case):
+        mask, labels = case
+        est = mask.membership
+        truth = supervised_mask(labels, mask.positive_index).membership
+        tp = int(np.count_nonzero(est & truth))
+        fp = int(np.count_nonzero(est & ~truth))
+        fn = int(np.count_nonzero(~est & truth))
+        want = (tp / (tp + fp) if tp + fp else 1.0, tp / (tp + fn) if tp + fn else 1.0,
+                float(est.sum(axis=1).mean()))
+        q = mask_quality(mask, labels)
+        got = (q.precision, q.recall, q.mean_mask_size)
+        assert got == want and all(type(v) is float for v in got)
+        assert mask.mean_size == want[2]
+
+    @settings(max_examples=40, deadline=None)
+    @given(masks_and_labels())
+    def test_hex_graph_non_member_mask(self, case):
+        mask, _ = case
+        n = mask.membership.shape[0]
+        t = Tape()
+        z = t.input(l2_normalize_rows(np.random.default_rng(n).normal(size=(n, 3))))
+        build_hex_graph(t, z, mask, 0.5)
+        want = 1.0 - np.eye(n)
+        want[mask.membership] = 0.0
+        (node,) = [node for node in t.nodes if node.name == "non_member_sum"]
+        assert node.aux.tobytes() == want.tobytes()

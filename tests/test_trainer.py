@@ -81,13 +81,12 @@ class TestForwardParity:
         z_plain = l2_normalize_rows(np.vstack([ya, yb]))
 
         t = Tape()
-        w, b, outs = build_model_graph(t, params, [xa, xb])
-        (gra, gya), (grb, gyb) = outs
-        zc = t.row_l2_normalize(t.vstack(gya, gyb))
+        w, b, gr, gy = build_model_graph(t, params, np.vstack([xa, xb]))
+        zc = t.row_l2_normalize(gy)
         build_info_nce_graph(t, zc, paired_positive_index(5), 0.1)
         forward(t)
-        assert np.array_equal(gra.value, ra)
-        assert np.array_equal(gya.value, ya)
+        assert np.array_equal(gr.value, np.vstack([ra, rb]))
+        assert np.array_equal(gy.value, np.vstack([ya, yb]))
         assert np.array_equal(zc.value, z_plain)
 
 
@@ -191,8 +190,8 @@ class TestTrainEpoch:
         xa, xb, other_xb = (augment_batch(ds.x[:8], 0.2, 0.1, np.arange(8) + 8 * k)
                             for k in range(3))
         supers = ds.superclass_labels[:8]
-        losses = [trainer._train_step(copy.deepcopy(state), xa, b, supers, 0.0, 1)
-                  ["loss_total"] for b in (xb, other_xb)]
+        losses = [trainer._train_step(copy.deepcopy(state), np.vstack((xa, b)), supers,
+                                      0.0, 1)["loss_total"] for b in (xb, other_xb)]
         assert losses[0] != losses[1]
 
     def test_views_take_even_and_odd_step_keys(self, monkeypatch):
@@ -204,9 +203,9 @@ class TestTrainEpoch:
         seen = []
         real_step = trainer._train_step
 
-        def spy(state, xa, xb, *rest):
-            seen.append((xa.copy(), xb.copy()))
-            return real_step(state, xa, xb, *rest)
+        def spy(state, views, *rest):
+            seen.append(views.copy())
+            return real_step(state, views, *rest)
 
         monkeypatch.setattr(trainer, "_train_step", spy)
         train_epoch(state, ds)
@@ -215,13 +214,60 @@ class TestTrainEpoch:
         ep.child(0).shuffle(order)
         bsz = cfg.train.batch_size
         assert len(seen) == ds.n_samples // bsz
-        for step, (xa, xb) in enumerate(seen):
+        for step, views in enumerate(seen):
+            xa, xb = views[:bsz], views[bsz:]
+            assert views.shape[0] == 2 * bsz
             x = ds.x[order[step * bsz:(step + 1) * bsz]]
             keys = child_keys(ep.child(1).child(step).key, 2 * bsz)
             for view, k in ((xa, keys[0::2]), (xb, keys[1::2])):
                 want = augment_batch(x, cfg.augment.noise_sigma,
                                      cfg.augment.mask_prob, k)
                 assert np.array_equal(view, want)
+
+    @pytest.mark.parametrize("kind", ["simclr", "simclr_hex", "nnclr", "nnclr_hex",
+                                      "barlow", "barlow_hex", "vicreg", "vicreg_hex"])
+    def test_stacked_step_matches_the_two_view_graph(self, kind, monkeypatch):
+        # The old model graph: one subgraph per view. Its outputs are
+        # stacked so the step's loss code can read it; vstack and rows copy
+        # values and gradients exactly, so the stack adds no rounding.
+        def two_view_graph(tape, params, x):
+            b = x.shape[0] // 2
+            w_nodes = [tape.input(w, name=f"w{i}") for i, w in enumerate(params.weights)]
+            b_nodes = [tape.input(c, name=f"b{i}") for i, c in enumerate(params.biases)]
+            n_enc = params.n_encoder_layers
+            outs = []
+            for v in (x[:b], x[b:]):
+                h = tape.constant(v)
+                for i in range(n_enc):
+                    h = tape.add(tape.matmul(h, w_nodes[i]), b_nodes[i])
+                    if i < n_enc - 1:
+                        h = tape.tanh(h)
+                p = tape.relu(tape.add(tape.matmul(h, w_nodes[n_enc]), b_nodes[n_enc]))
+                outs.append((h, tape.add(tape.matmul(p, w_nodes[n_enc + 1]),
+                                         b_nodes[n_enc + 1])))
+            (ra, ya), (rb, yb) = outs
+            return w_nodes, b_nodes, tape.vstack(ra, rb), tape.vstack(ya, yb)
+
+        cfg = tiny_config(loss={"kind": kind}, optimizer={"lr": 0.01})
+        ds = generate(cfg.data)
+        state = init_state(cfg, ds.dim)
+        train_epoch(state, ds)     # a trained state, with a filled NN queue
+        views = augment_batch(np.vstack((ds.x[:8], ds.x[:8])), 0.2, 0.1, np.arange(16))
+        tapes = []
+        monkeypatch.setattr(trainer, "backward",
+                            lambda tape: autodiff.backward(tape) or tapes.append(tape))
+        losses = []
+        for build in (build_model_graph, two_view_graph):
+            monkeypatch.setattr(trainer, "build_model_graph", build)
+            losses.append(trainer._train_step(copy.deepcopy(state), views,
+                                              ds.superclass_labels[:8], 0.0, 1)
+                          ["loss_total"])
+        assert losses[0] == losses[1]
+        stacked, two_view = ([n.grad for n in t.nodes if n.op == "input"] for t in tapes)
+        assert len(stacked) == len(two_view) == 8
+        scale = max(np.linalg.norm(g) for g in two_view)
+        for new, old in zip(stacked, two_view):
+            assert np.abs(new - old).max() <= 1e-12 * scale
 
     def test_bitwise_deterministic_runs(self):
         cfg = tiny_config()
@@ -242,16 +288,14 @@ class TestTrainEpoch:
         ep.child(0).shuffle(order)
         idx = order[:16]
         keys = child_keys(ep.child(1).child(0).key, 32)
-        xa = augment_batch(ds.x[idx], cfg.augment.noise_sigma,
-                           cfg.augment.mask_prob, keys[0::2])
-        xb = augment_batch(ds.x[idx], cfg.augment.noise_sigma,
-                           cfg.augment.mask_prob, keys[1::2])
+        views = augment_batch(np.vstack((ds.x[idx], ds.x[idx])), cfg.augment.noise_sigma,
+                              cfg.augment.mask_prob,
+                              np.concatenate((keys[0::2], keys[1::2])))
 
         def loss_at(params):
             t = Tape()
-            _, _, outs = build_model_graph(t, params, [xa, xb])
-            (_, ya), (_, yb) = outs
-            z = t.row_l2_normalize(t.vstack(ya, yb))
+            _, _, _, y = build_model_graph(t, params, views)
+            z = t.row_l2_normalize(y)
             build_info_nce_graph(t, z, paired_positive_index(16), cfg.loss.tau)
             return forward(t)
 
@@ -259,7 +303,7 @@ class TestTrainEpoch:
         h = 1e-5
         state3 = init_state(cfg, ds.dim)
         from hexreg.trainer import _train_step
-        _train_step(state3, xa, xb, ds.superclass_labels[idx], cfg.optimizer.lr, 0)
+        _train_step(state3, views, ds.superclass_labels[idx], cfg.optimizer.lr, 0)
         delta = [(w1 - w0) / -cfg.optimizer.lr
                  for w0, w1 in zip(p0.weights, state3.params.weights)]
         for li in (0, len(p0.weights) - 1):
@@ -527,6 +571,32 @@ class TestConfig:
     def test_non_integer_run_counts_name_the_field(self, field, value):
         with pytest.raises(BadConfig, match=rf"train\.{field} must be an integer"):
             tiny_config(train={field: value})
+
+    @pytest.mark.parametrize("section,values,message", [
+        ("model", {"encoder_hidden": [64.9]}, r"model\.encoder_hidden\[0\] must be an integer"),
+        ("model", {"encoder_hidden": [8, True]}, r"model\.encoder_hidden\[1\] must be an integer"),
+        ("model", {"encoder_hidden": 64}, r"model\.encoder_hidden must be a list"),
+        ("model", {"repr_dim": 16.7}, r"model\.repr_dim must be an integer"),
+        ("model", {"proj_dim": "8"}, r"model\.proj_dim must be an integer"),
+        ("optimizer", {"lr": True}, r"optimizer\.lr must be a finite number"),
+        ("optimizer", {"lr": float("nan")}, r"optimizer\.lr must be a finite number"),
+        ("optimizer", {"lr": -0.1}, r"optimizer\.lr must be >= 0"),
+        ("optimizer", {"momentum": "0.9"}, r"optimizer\.momentum must be a finite number"),
+        ("optimizer", {"momentum": 1.0}, r"optimizer\.momentum must lie in \[0, 1\)"),
+        ("optimizer", {"cosine_lr": "false"}, r"optimizer\.cosine_lr must be true or false"),
+        ("augment", {"noise_sigma": float("inf")},
+         r"augment\.noise_sigma must be a finite number"),
+        ("augment", {"noise_sigma": -0.3}, r"augment\.noise_sigma must be >= 0"),
+        ("augment", {"mask_prob": 1.5}, r"augment\.mask_prob must lie in \[0, 1\)"),
+        ("augment", {"mask_prob": None}, r"augment\.mask_prob must be a finite number"),
+    ])
+    def test_bad_section_values_name_the_field(self, section, values, message):
+        with pytest.raises(BadConfig, match=message):
+            tiny_config(**{section: values})
+
+    def test_fractional_widths_are_not_truncated(self):
+        with pytest.raises(BadConfig, match=r"model\.encoder_hidden\[0\]"):
+            ModelConfig(encoder_hidden=[64.9], repr_dim=16.7)
 
     def test_hash_stable_under_key_reordering(self):
         cfg = tiny_config()
