@@ -19,7 +19,7 @@ crosses a superclass boundary. A block holds the similarities of its
 rows with themselves and with every later row, one array row per later
 row, so its same-superclass pool is one contiguous slice of rows and the
 other pool the slice after it: no mask is built. The KNN probe scores
-_BLOCK queries at a time.
+_BLOCK queries at a time in one buffer, in k argmax rounds (_top_k).
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def rankme(r, eps: float = RANKME_EPS) -> float:
 
 
 def _draw(stream: Rng, pool: np.ndarray, size: int) -> np.ndarray:
-    items = list(pool)
+    items = pool.tolist()
     stream.shuffle(items)
     return np.asarray(items[:size], dtype=np.intp)
 
@@ -241,18 +241,18 @@ def distribution_stats(z, superclass_labels) -> DistributionStats:
         skew_super=skew_super, skew_regular=skew_regular)
 
 
-def _top_k(sims: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of the k largest entries per row, largest first, ties
-    to the lowest index: the first k columns of a stable argsort of -sims.
-
-    Only the entries at or above each row's k-th largest value are sorted."""
-    kth = np.partition(sims, sims.shape[1] - k, axis=1)[:, -k]
-    rows, cols = np.nonzero(sims >= kth[:, None])
-    # lexsort is stable and np.nonzero yields ascending columns per row,
-    # so equal similarities stay in index order.
-    cols = cols[np.lexsort((-sims[rows, cols], rows))]
-    starts = np.searchsorted(rows, np.arange(sims.shape[0]))
-    return cols[starts[:, None] + np.arange(k)]
+def _top_k(sims: np.ndarray, k: int) -> tuple:
+    """(columns, values) of the k largest entries per row, largest first, ties to
+    the lowest index as in a stable argsort of -sims: k argmax rounds, each writing
+    -inf over its pick in the finite sims. O(k * q * n); beats a sort to k ~ 50."""
+    rows = np.arange(sims.shape[0])
+    cols = np.empty((sims.shape[0], k), dtype=np.intp)
+    vals = np.empty((sims.shape[0], k))
+    for m in range(k):
+        c = cols[:, m] = np.argmax(sims, axis=1)
+        vals[:, m] = sims[rows, c]
+        sims[rows, c] = -np.inf
+    return cols, vals
 
 
 def holdout_split(n: int, fraction: float, seed: int) -> tuple:
@@ -270,8 +270,8 @@ def knn_accuracy(train_repr, train_labels, query_repr, query_labels,
     """Fraction of queries whose majority label among the k most cosine-
     similar training rows matches. Vote ties break by summed similarity,
     then by smallest label id; neighbor ties break by lowest train index.
-    Queries are scored _BLOCK at a time, each block's vote in numpy in
-    O(_BLOCK * k^2) time and O(_BLOCK * k) memory."""
+    Queries are scored _BLOCK at a time in one buffer that _top_k overwrites,
+    each block's vote in O(_BLOCK * k^2) time and O(_BLOCK * k) memory."""
     if np.asarray(train_repr).shape[0] == 0:
         raise EmptyTrainSet("no training rows")
     train = as_matrix(train_repr)
@@ -284,15 +284,14 @@ def knn_accuracy(train_repr, train_labels, query_repr, query_labels,
         raise BadConfig(f"k must lie in [1, {train.shape[0]}], got {k}")
     train = _safe_unit_rows(train)
     query = _safe_unit_rows(query)
+    buf = np.empty((min(_BLOCK, query.shape[0]), train.shape[0]))
     correct = 0
     for q0 in range(0, query.shape[0], _BLOCK):
-        sims = query[q0:q0 + _BLOCK] @ train.T
-        neigh = _top_k(sims, k)
+        sims = np.matmul(query[q0:q0 + _BLOCK], train.T, out=buf[:query.shape[0] - q0])
+        neigh, near = _top_k(sims, k)
         lab = tl[neigh]
-        near = np.take_along_axis(sims, neigh, axis=1)
-        # Column j gets the vote count and the summed similarity of its
-        # neighbour's label, the latter added in neighbour order as a dict
-        # of running sums would add it (adding 0.0 is exact).
+        # Column j gets the vote count and the similarity sum of its neighbour's
+        # label, summed in neighbour order as a dict would (adding 0.0 is exact).
         votes = np.zeros(lab.shape, dtype=np.intp)
         summed = np.zeros(near.shape)
         for m in range(k):

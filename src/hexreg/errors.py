@@ -2,7 +2,11 @@
 
 Every error carries an ``exit_code`` used by the CLI:
 1 = usage/config error, 2 = data/schema error, 3 = numerical failure.
+The config sections share the two field checks at the end.
 """
+
+import math
+import numbers
 
 
 class HexRegError(Exception):
@@ -93,3 +97,16 @@ class EmptyQueue(NumericalError):
 
 class ZeroMatrix(NumericalError):
     pass
+
+
+# -- config field checks --------------------------------------------------
+
+def _check_int(name: str, value):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise BadConfig(f"{name} must be an integer, got {value!r}")
+
+
+def _check_finite(name: str, value):
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not math.isfinite(value)):
+        raise BadConfig(f"{name} must be a finite number, got {value!r}")

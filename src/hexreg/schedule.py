@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadConfig, EmptyBatch
+from .errors import BadConfig, EmptyBatch, _check_finite, _check_int
 
 KINDS = ("step", "cos", "adaptive", "fixed")
 
@@ -31,6 +31,10 @@ class ThresholdSchedule:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise BadConfig(f"schedule kind must be one of {KINDS}, got {self.kind!r}")
+        for name in ("start", "floor", "step_down", "sigma_multiplier"):
+            _check_finite(f"schedule.{name}", getattr(self, name))
+        for name in ("period_epochs", "total_epochs"):
+            _check_int(f"schedule.{name}", getattr(self, name))
         if self.start < self.floor:
             raise BadConfig(f"start ({self.start}) must be >= floor ({self.floor})")
         if self.kind == "step" and self.step_down <= 0:

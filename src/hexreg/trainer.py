@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import numbers
 import os
 import struct
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -33,7 +32,8 @@ from .autodiff import Buffers, Tape, backward, forward
 from .data import (GenParams, HierarchicalDataset, _write_atomic, augment_batch,
                    generate, load_csv)
 from .errors import (BadConfig, BadDims, InsufficientSamples, IoError,
-                     NumericalError, SchemaError, VersionMismatch)
+                     NumericalError, SchemaError, VersionMismatch, _check_finite,
+                     _check_int)
 from .hierarchy import (mask_quality, supervised_mask, threshold_mask,
                         whole_batch_mask)
 from .linalg import _safe_unit_rows, cosine_sim_matrix, l2_normalize_rows
@@ -57,17 +57,6 @@ METRICS_COLUMNS = [
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
-
-def _check_int(name: str, value):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise BadConfig(f"{name} must be an integer, got {value!r}")
-
-
-def _check_finite(name: str, value):
-    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-            or not math.isfinite(value)):
-        raise BadConfig(f"{name} must be a finite number, got {value!r}")
-
 
 @dataclass
 class ModelConfig:
@@ -113,10 +102,13 @@ class LossConfig:
             self.alpha = 0.5 if self.kind in ("barlow_hex", "vicreg_hex") else 1.0
         if self.hex_scale is None:
             self.hex_scale = 5.0 if self.kind == "vicreg_hex" else 1.0
+        # A NaN eps_den fails this test too, and is reported here.
+        if isinstance(self.eps_den, numbers.Real) and not self.eps_den > 0.0:
+            raise BadConfig(f"loss.eps_den must be > 0, got {self.eps_den}")
+        for f in fields(self)[1:]:    # every field after kind is a number
+            _check_finite(f"loss.{f.name}", getattr(self, f.name))
         if not 0.0 <= self.alpha <= 1.0:
-            raise BadConfig(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not self.eps_den > 0.0:
-            raise BadConfig(f"eps_den must be > 0, got {self.eps_den}")
+            raise BadConfig(f"loss.alpha must lie in [0, 1], got {self.alpha}")
 
     @property
     def is_hex(self) -> bool:

@@ -209,6 +209,11 @@ class TestTrain:
         ("model", {"repr_dim": 16.7}, "model.repr_dim must be an integer"),
         ("optimizer", {"lr": True}, "optimizer.lr must be a finite number"),
         ("augment", {"mask_prob": 1.5}, "augment.mask_prob must lie in [0, 1)"),
+        ("loss", {"tau": True}, "loss.tau must be a finite number"),
+        ("loss", {"qhi_tau": float("inf")}, "loss.qhi_tau must be a finite number"),
+        ("schedule", {"sigma_multiplier": float("inf")},
+         "schedule.sigma_multiplier must be a finite number"),
+        ("schedule", {"period_epochs": 2.5}, "schedule.period_epochs must be an integer"),
     ])
     def test_bad_section_value_exit_code(self, tmp_path, capsys, section, values,
                                          message):

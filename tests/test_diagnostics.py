@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from hexreg import trainer
-from hexreg.diagnostics import (_BLOCK, _pool_summary, distribution_stats,
-                                holdout_split, knn_accuracy, rankme,
-                                subset_rank_curve)
+from hexreg.diagnostics import (_BLOCK, _draw, _pool_summary, _top_k,
+                                distribution_stats, holdout_split,
+                                knn_accuracy, rankme, subset_rank_curve)
 from hexreg.errors import (BadConfig, EmptyTrainSet, InsufficientSamples,
                            ZeroMatrix)
 from hexreg.linalg import _safe_unit_rows, l2_normalize_rows
@@ -156,6 +156,21 @@ def skewness(values):
     return summary(values)[1]
 
 
+class TestDraw:
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_matches_a_shuffle_of_the_numpy_items(self, seed):
+        rng = np.random.default_rng(seed)
+        pools = [np.arange(1), np.arange(40), rng.permutation(1600)[:400],
+                 np.nonzero(rng.integers(0, 4, size=1600) == 2)[0]]
+        for j, pool in enumerate(pools):
+            items = list(pool)
+            Rng.from_seed(seed).child(j).shuffle(items)
+            size = min(100, pool.size)
+            got = _draw(Rng.from_seed(seed).child(j), pool, size)
+            assert got.dtype == np.intp
+            assert got.tolist() == [int(i) for i in items[:size]]
+
+
 class TestSkewness:
     def test_symmetric_sample(self):
         assert skewness([-1.0, 0.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
@@ -286,7 +301,48 @@ class TestDistributionStats:
             assert peak < one_matrix / 8
 
 
+def tie_heavy_blocks(rng):
+    """Similarity blocks full of exact ties: one-decimal values, duplicated
+    columns and a constant row."""
+    for q, n in ((1, 1), (3, 7), (20, 60), (130, 300)):
+        sims = np.round(rng.uniform(-1.0, 1.0, size=(q, n)), 1)
+        sims[:, n // 2:] = sims[:, :n - n // 2]
+        sims[q // 2] = 0.3
+        yield sims
+
+
+class TestTopK:
+    def test_matches_a_stable_argsort_on_ties(self):
+        rng = np.random.default_rng(63)
+        for sims in tie_heavy_blocks(rng):
+            for k in sorted({1, min(5, sims.shape[1]), sims.shape[1]}):
+                want = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+                cols, vals = _top_k(sims.copy(), k)
+                assert np.array_equal(cols, want)
+                assert np.array_equal(vals, np.take_along_axis(sims, want, axis=1))
+
+    def test_overwrites_exactly_the_entries_it_took(self):
+        sims = np.round(np.random.default_rng(64).normal(size=(9, 30)), 1)
+        work = sims.copy()
+        cols, _ = _top_k(work, 5)
+        taken = np.zeros(sims.shape, dtype=bool)
+        np.put_along_axis(taken, cols, True, axis=1)
+        assert np.all(work[taken] == -np.inf)
+        assert np.array_equal(work[~taken], sims[~taken])
+
+
 class TestKnnAccuracy:
+    def test_inputs_are_left_byte_equal(self):
+        rng = np.random.default_rng(65)
+        train = l2_normalize_rows(rng.normal(size=(300, 6)))
+        query = np.round(rng.normal(size=(2 * _BLOCK + 5, 6)), 1)
+        tl = rng.integers(0, 3, size=300)
+        ql = rng.integers(0, 3, size=query.shape[0])
+        before = [a.copy() for a in (train, query, tl, ql)]
+        knn_accuracy(train, tl, query, ql, k=5)
+        for a, b in zip((train, query, tl, ql), before):
+            assert a.tobytes() == b.tobytes()
+
     def test_exact_duplicates(self):
         train = np.eye(4)
         labels = np.array([0, 1, 2, 3])
@@ -421,12 +477,18 @@ class TestRunDiagnostics:
         for _ in range(3):
             trainer.train_epoch(state, ds)
         row = trainer.run_diagnostics(state, ds, state.epoch)
-        _, y = trainer.mlp_forward(state.params, ds.x)
+        r, y = trainer.mlp_forward(state.params, ds.x)
         labels = ds.superclass_labels
         (mean_s, skew_s), (mean_r, skew_r) = pools_oracle(_safe_unit_rows(y), labels)
         assert row["mean_super"] == pytest.approx(mean_s, rel=1e-12)
         assert row["mean_regular"] == pytest.approx(mean_r, rel=1e-12)
         assert row["skew_super"] == pytest.approx(skew_s, rel=1e-12)
         assert row["skew_regular"] == pytest.approx(skew_r, rel=1e-12)
+        query, train = holdout_split(ds.n_samples, cfg.train.holdout_fraction,
+                                     cfg.train.seed)
+        for probe, probe_labels in (("knn_class", ds.class_labels),
+                                    ("knn_super", labels)):
+            assert row[probe] == knn_oracle(r[train], probe_labels[train], r[query],
+                                            probe_labels[query], cfg.train.knn_k)
         columns = trainer.METRICS_COLUMNS
         assert list(row) == columns[columns.index("rankme_super"):]

@@ -92,6 +92,20 @@ class TestScheduleValidation:
         with pytest.raises(BadConfig):
             ThresholdSchedule("adaptive", sigma_multiplier=0.0)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("sigma_multiplier", float("inf"), "must be a finite number"),
+        ("start", float("nan"), "must be a finite number"),
+        ("floor", True, "must be a finite number"),
+        ("step_down", "0.1", "must be a finite number"),
+        ("period_epochs", 2.5, "must be an integer"),
+        ("total_epochs", 100.0, "must be an integer"),
+        ("period_epochs", True, "must be an integer"),
+    ])
+    def test_bad_values_name_the_field(self, field, value, message):
+        for kind in ("step", "adaptive"):
+            with pytest.raises(BadConfig, match=rf"schedule\.{field} {message}"):
+                ThresholdSchedule(kind, **{field: value})
+
     def test_threshold_for_epoch_dispatch(self):
         assert threshold_for_epoch(ThresholdSchedule("fixed", start=0.75), 42) == 0.75
         assert threshold_for_epoch(ThresholdSchedule("adaptive"), 0) is None

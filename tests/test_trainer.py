@@ -589,6 +589,21 @@ class TestConfig:
         ("augment", {"noise_sigma": -0.3}, r"augment\.noise_sigma must be >= 0"),
         ("augment", {"mask_prob": 1.5}, r"augment\.mask_prob must lie in \[0, 1\)"),
         ("augment", {"mask_prob": None}, r"augment\.mask_prob must be a finite number"),
+        ("loss", {"tau": True}, r"loss\.tau must be a finite number"),
+        ("loss", {"qhi_tau": float("inf")}, r"loss\.qhi_tau must be a finite number"),
+        ("loss", {"barlow_lambda": float("nan")},
+         r"loss\.barlow_lambda must be a finite number"),
+        ("loss", {"eps_den": float("inf")}, r"loss\.eps_den must be a finite number"),
+        ("loss", {"eps_den": "1e-6"}, r"loss\.eps_den must be a finite number"),
+        ("loss", {"alpha": float("nan")}, r"loss\.alpha must be a finite number"),
+        ("loss", {"alpha": 1.5}, r"loss\.alpha must lie in \[0, 1\]"),
+        ("loss", {"hex_scale": "5"}, r"loss\.hex_scale must be a finite number"),
+        ("loss", {"vicreg_cov": float("-inf")}, r"loss\.vicreg_cov must be a finite number"),
+        ("schedule", {"sigma_multiplier": float("inf")},
+         r"schedule\.sigma_multiplier must be a finite number"),
+        ("schedule", {"period_epochs": 2.5}, r"schedule\.period_epochs must be an integer"),
+        ("schedule", {"start": float("nan")}, r"schedule\.start must be a finite number"),
+        ("schedule", {"total_epochs": 3.0}, r"schedule\.total_epochs must be an integer"),
     ])
     def test_bad_section_values_name_the_field(self, section, values, message):
         with pytest.raises(BadConfig, match=message):
