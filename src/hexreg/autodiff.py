@@ -7,11 +7,14 @@ fixed to what the encoder, projector and loss graphs need:
 
     input, constant, matmul, add, sub, mul_elem, div_elem, scalar_mul,
     exp, log, sum, mean, row_l2_normalize, tanh, relu, transpose,
-    masked_sum, clamp_min, pick, vstack, rows
+    masked_sum, clamp_min, pick, vstack, rows, kernel
 
 ``pick(a, cols)`` is the n x 1 column of ``a[i, cols[i]]``; ``vstack(a, b)``
 stacks two row blocks and ``rows(a, lo, hi)`` takes the row block
-``a[lo:hi]``. Masks (for masked_sum) and column indices (for pick)
+``a[lo:hi]``. ``kernel(k, *parents)`` has the value ``k.value(node,
+*parent_values)`` and the vjp ``k.vjp(node, g, i)`` for parent i; k keeps
+what its forward saved, so each kernel node has its own, and none of its
+arrays is pooled. Masks (for masked_sum) and column indices (for pick)
 are plain constant arrays, never nodes, so no gradient can flow into them.
 Elementwise binaries support the usual numpy broadcasting between 2-D
 shapes; gradients are reduced back over broadcast axes. Values and gradients
@@ -49,6 +52,8 @@ values and one vector-Jacobian product per parent. ``forward`` and
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -327,6 +332,9 @@ class Tape:
         """The row block a[lo:hi]."""
         return self._record("rows", (a,), aux=(lo, hi), name=name)
 
+    def kernel(self, k, *parents: Node, name="") -> Node:
+        return self._record("kernel", parents, aux=k, name=name)
+
 
 def _x(node: Node, i: int = 0) -> np.ndarray:
     """Value of the node's i-th parent."""
@@ -385,6 +393,12 @@ def _fill_vjp(node: Node, value: float):
     return out
 
 
+class _KernelVjps:
+    """A kernel node's vjps: one per parent, however many it has."""
+    def __iter__(self):
+        return (lambda n, g, i=i: n.aux.vjp(n, g, i) for i in itertools.count())
+
+
 # op -> (value(node, *parent_values), one vjp(node, g) per parent). Every op
 # a Tape method records has exactly one entry here. Arrays that one numpy
 # call makes go through _into or _empty, so that Buffers can pool them; the
@@ -429,6 +443,7 @@ _OPS = {
                   (lambda n, g: _into(n, "vjp0", np.multiply, g, _x(n) > n.aux),)),
     "pick": (_pick, (_pick_vjp,)),
     "rows": (lambda n, a: a[n.aux[0]:n.aux[1]], (_rows_vjp,)),
+    "kernel": (lambda n, *xs: n.aux.value(n, *xs), _KernelVjps()),
 }
 
 
@@ -466,7 +481,7 @@ def forward(tape: Tape) -> float:
     terminal only through add, sub, mean, log, scalar_mul and mul_elem, and
     each of those turns a NaN or Inf operand into a NaN or Inf result: a
     finite terminal implies a finite ``pos_logits``, ``log_denominator`` and
-    ``q_clamped`` and finite Barlow/VICReg terms.
+    ``q_clamped`` and finite Barlow/VICReg kernel terms.
     """
     if not tape.nodes:
         raise ValueError("empty tape")

@@ -16,6 +16,10 @@ their two stacked views) and q_i clamped below at ``eps_den``. Every
 non-member (the positive included) keeps its ordinary exponential term.
 With every H(i) empty the graph records no q node and is InfoNCE, so
 ``build_info_nce_graph`` is ``build_hex_graph`` over an all-False mask.
+
+Barlow Twins (Zbontar et al., arXiv 2103.03230) and VICReg (Bardes et al.,
+arXiv 2105.04906) are each one autodiff ``kernel`` node on the two views: a
+numpy forward and an analytic vjp, both given in the builder's docstring.
 """
 
 from __future__ import annotations
@@ -201,85 +205,99 @@ def build_hex_graph(tape: Tape, z_node: Node, mask: HierarchyMask, tau: float,
 
 @dataclass
 class DimGraphInfo:
-    total: Node
-    invariance: Node       # alignment-flavored part (on-diagonal / MSE)
-    regularization: Node   # decorrelation-flavored part
+    total: Node   # the kernel node; its kernel holds the two terms
 
     def breakdown(self) -> LossBreakdown:
-        """Read the two terms out of an evaluated graph."""
-        return LossBreakdown(
-            total=float(self.total.value[0, 0]),
-            invariance_term=float(self.invariance.value[0, 0]),
-            regularization_term=float(self.regularization.value[0, 0]),
-        )
+        """Read the two terms that the kernel's last forward computed."""
+        return LossBreakdown(float(self.total.value[0, 0]), *self.total.aux.terms)
 
 
-def _column_stats(tape: Tape, z: Node, n: int, denom: float, d: int,
-                  var_eps: float):
-    """Centered matrix and per-column std of z, sharing one tape.
+def _standardize(z: np.ndarray, ddof: int, var_eps: float):
+    """Centered columns of z and sqrt(var + var_eps), var over n - ddof rows."""
+    c = z - z.sum(axis=0) / z.shape[0]    # np.mean's bits, without its overhead
+    return c, np.sqrt((c * c).sum(axis=0) / (z.shape[0] - ddof) + var_eps)
 
-    var_eps is added inside the sqrt; it keeps log defined at zero variance
-    and bounds the 0.5/std gradient factor for near-dead columns."""
-    mean = tape.matmul(tape.constant(np.full((1, n), 1.0 / n)), z)
-    centered = tape.sub(z, mean)
-    sq_sum = tape.matmul(tape.constant(np.ones((1, n))), tape.mul_elem(centered, centered))
-    var = tape.scalar_mul(sq_sum, 1.0 / denom)
-    var_safe = tape.add(var, tape.constant(np.full((1, d), var_eps)))
-    # sqrt(x) over the fixed op set: exp(log(x) / 2)
-    std = tape.exp(tape.scalar_mul(tape.log(var_safe), 0.5))
-    return centered, std
+
+class _Barlow:
+    def __init__(self, lam, scale, var_eps):
+        self.lam, self.scale, self.var_eps = lam, scale, var_eps
+
+    def value(self, node, za, zb):
+        (ca, sa), (cb, sb) = (_standardize(z, 0, self.var_eps) for z in (za, zb))
+        a, b = ca / sa, cb / sb
+        cc = a.T @ b / za.shape[0]
+        miss, off = 1.0 - np.diagonal(cc), cc * cc
+        np.fill_diagonal(off, 0.0)
+        self.terms = (float(miss @ miss) * self.scale,
+                      float(off.sum()) * (self.scale * self.lam))
+        self._saved = (a, b, sa, sb, cc)
+        return np.array([[self.terms[0] + self.terms[1]]])
+
+    def vjp(self, node, g, i):
+        a, b, sa, sb, cc = self._saved
+        g = 2.0 * self.scale * g[0, 0] / len(a)
+        gc = (g * self.lam) * cc
+        np.fill_diagonal(gc, -g * (1.0 - np.diagonal(cc)))
+        ga, x, s = (b @ gc.T, a, sa) if i == 0 else (a @ gc, b, sb)
+        return (ga - ga.sum(axis=0) / len(a) - x * ((ga * x).sum(axis=0) / len(a))) / s
 
 
 def build_barlow_graph(tape: Tape, za: Node, zb: Node, n: int, d: int,
                        lam: float, scale: float,
                        var_eps: float = 1e-12) -> DimGraphInfo:
-    ca, stda = _column_stats(tape, za, n, float(n), d, var_eps)
-    cb, stdb = _column_stats(tape, zb, n, float(n), d, var_eps)
-    an = tape.div_elem(ca, stda)
-    bn = tape.div_elem(cb, stdb)
-    cc = tape.scalar_mul(tape.matmul(tape.transpose(an), bn), 1.0 / n, name="cross_corr")
-    eye = np.eye(d)
-    miss = tape.sub(tape.constant(np.ones((d, d))), cc)
-    on_sum = tape.sum(tape.masked_sum(tape.mul_elem(miss, miss), eye))
-    off_sum = tape.sum(tape.masked_sum(tape.mul_elem(cc, cc), 1.0 - eye))
-    invariance = tape.scalar_mul(on_sum, scale, name="barlow_on_diag")
-    regularization = tape.scalar_mul(off_sum, scale * lam, name="barlow_off_diag")
-    total = tape.add(invariance, regularization, name="barlow_loss")
-    return DimGraphInfo(total=total, invariance=invariance, regularization=regularization)
+    """Barlow Twins as one kernel node on the n x d views za and zb. With a,
+    b the standardized views (variance over n) and C = a^T b / n, the terms
+    are scale * sum_k (1 - C_kk)^2 and scale * lam * sum_{k != l} C_kl^2.
+    VJP: G = dL/dC is -2 scale (1 - C_kk) on the diagonal, 2 scale lam C_kl
+    off it; ga = b G^T / n (a G / n for zb) goes back through the
+    standardization as (ga - mean(ga) - a mean(ga a)) / s, column means."""
+    return DimGraphInfo(tape.kernel(_Barlow(lam, scale, var_eps), za, zb, name="barlow_loss"))
+
+
+class _Vicreg:
+    def __init__(self, sim_w, var_w, cov_w, var_eps):
+        self.sim_w, self.var_w, self.cov_w, self.var_eps = sim_w, var_w, cov_w, var_eps
+
+    def value(self, node, za, zb):
+        n, d = za.shape
+        hinge, pen, self._views = 0.0, 0.0, []
+        for z in (za, zb):
+            c, s = _standardize(z, 1, self.var_eps)
+            cov = c.T @ c / (n - 1)
+            np.fill_diagonal(cov, 0.0)
+            hinge += float(np.maximum(1.0 - s, 0.0).sum()) / d
+            pen += float((cov * cov).sum()) / d
+            self._views.append((c, s, cov))
+        self._diff = za - zb
+        self.terms = (self.sim_w * (float((self._diff * self._diff).sum()) / (n * d)),
+                      self.var_w * (0.5 * hinge) + self.cov_w * pen)
+        return np.array([[self.terms[0] + self.terms[1]]])
+
+    def vjp(self, node, g, i):
+        g, (c, s, cov) = g[0, 0], self._views[i]
+        n, d = c.shape
+        return ((2.0 * self.sim_w * (g if i == 0 else -g) / (n * d)) * self._diff
+                + c @ cov * (4.0 * self.cov_w * g / (d * (n - 1)))
+                - c * ((self.var_w * g / (2.0 * d * (n - 1))) * (s < 1.0) / s))
 
 
 def build_vicreg_graph(tape: Tape, za: Node, zb: Node, n: int, d: int,
                        sim_w: float, var_w: float, cov_w: float,
                        var_eps: float = 1e-4) -> DimGraphInfo:
-    diff = tape.sub(za, zb)
-    mse = tape.mean(tape.mul_elem(diff, diff), name="vicreg_mse")
-    hinges = []
-    covpens = []
-    off_mask = 1.0 - np.eye(d)
-    ones_row = np.ones((1, d))
-    for z in (za, zb):
-        centered, std = _column_stats(tape, z, n, float(n - 1), d, var_eps)
-        hinge = tape.mean(tape.relu(tape.sub(tape.constant(ones_row), std)))
-        hinges.append(hinge)
-        cov = tape.scalar_mul(tape.matmul(tape.transpose(centered), centered),
-                              1.0 / (n - 1))
-        covpens.append(tape.scalar_mul(
-            tape.sum(tape.masked_sum(tape.mul_elem(cov, cov), off_mask)), 1.0 / d))
-    var_term = tape.scalar_mul(tape.add(hinges[0], hinges[1]), 0.5)
-    cov_term = tape.add(covpens[0], covpens[1])
-    invariance = tape.scalar_mul(mse, sim_w, name="vicreg_invariance")
-    regularization = tape.add(tape.scalar_mul(var_term, var_w),
-                              tape.scalar_mul(cov_term, cov_w),
-                              name="vicreg_regularization")
-    total = tape.add(invariance, regularization, name="vicreg_loss")
-    return DimGraphInfo(total=total, invariance=invariance, regularization=regularization)
+    """VICReg as one kernel node on the n x d views za and zb. Per view: c
+    centered, s = sqrt(var + var_eps) over n - 1 rows, K = c^T c / (n - 1)
+    with a zero diagonal. The terms are sim_w * mean((za - zb)^2) and, summed
+    over both views, var_w * mean(max(0, 1 - s)) / 2 + cov_w * sum(K^2) / d.
+    VJP for za (zb negates the first part): 2 sim_w (za - zb) / (n d) +
+    4 cov_w c K / (d (n - 1)) - var_w [s < 1] c / (2 d (n - 1) s), so the
+    hinge's gradient is 0 at its kink, as relu's is."""
+    return DimGraphInfo(tape.kernel(_Vicreg(sim_w, var_w, cov_w, var_eps), za, zb,
+                                    name="vicreg_loss"))
 
 
 def build_combined_graph(tape: Tape, hex_total: Node, dim_total: Node,
                          alpha: float, hex_scale: float) -> Node:
     if not 0.0 <= alpha <= 1.0:
         raise BadAlpha(f"alpha must lie in [0, 1], got {alpha}")
-    if hex_scale <= 0.0:
-        raise BadConfig(f"hex_scale must be > 0, got {hex_scale}")
     return tape.add(tape.scalar_mul(hex_total, alpha * hex_scale),
                     tape.scalar_mul(dim_total, 1.0 - alpha), name="combined_loss")

@@ -107,8 +107,15 @@ class LossConfig:
             raise BadConfig(f"loss.eps_den must be > 0, got {self.eps_den}")
         for f in fields(self)[1:]:    # every field after kind is a number
             _check_finite(f"loss.{f.name}", getattr(self, f.name))
-        if not 0.0 <= self.alpha <= 1.0:
-            raise BadConfig(f"loss.alpha must lie in [0, 1], got {self.alpha}")
+        weights = ("barlow_lambda", "barlow_scale", "vicreg_sim", "vicreg_var", "vicreg_cov")
+        for name, rule, ok in [
+                ("alpha", "lie in [0, 1]", 0.0 <= self.alpha <= 1.0),
+                ("tau", "be > 0", self.tau > 0.0), ("hex_scale", "be > 0", self.hex_scale > 0.0),
+                ("qhi_tau", "be > 0 and != 1",
+                 self.qhi_tau > 0.0 and abs(self.qhi_tau - 1.0) > 1e-12),
+                *[(w, "be >= 0", getattr(self, w) >= 0.0) for w in weights]]:
+            if not ok:
+                raise BadConfig(f"loss.{name} must {rule}, got {getattr(self, name)}")
 
     @property
     def is_hex(self) -> bool:

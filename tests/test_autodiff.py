@@ -213,12 +213,32 @@ def _graph_for_op(op, rng, buffers=None):
         a = t.input(rng.normal(size=(5, 3)))
         t.sum(t.mul_elem(t.rows(a, 1, 3), t.constant(rng.normal(size=(2, 3)))))
         return t, [a]
+    if op == "kernel":
+        a = t.input(rng.normal(size=(3, 4)))
+        b = t.input(rng.normal(size=(3, 4)))
+        c = t.input(rng.normal(size=(1, 4)))
+        t.sum(t.kernel(_ProductKernel(), a, b, c))
+        return t, [a, b, c]
     raise AssertionError(op)
+
+
+class _ProductKernel:
+    """a * exp(b) + c as one kernel node: three parents, a broadcast one
+    among them, and a matrix value."""
+
+    def value(self, node, a, b, c):
+        self.exp_b = np.exp(b)
+        return a * self.exp_b + c
+
+    def vjp(self, node, g, i):
+        a = node.parents[0].value
+        return (g * self.exp_b, g * a * self.exp_b, g.sum(axis=0, keepdims=True))[i]
 
 
 ALL_OPS = ["matmul", "add", "sub", "mul_elem", "div_elem", "scalar_mul",
            "exp", "log", "sum", "mean", "row_l2_normalize", "tanh", "relu",
-           "transpose", "masked_sum", "clamp_min", "pick", "vstack", "rows"]
+           "transpose", "masked_sum", "clamp_min", "pick", "vstack", "rows",
+           "kernel"]
 
 
 @pytest.mark.parametrize("op", ALL_OPS)
@@ -242,6 +262,13 @@ def test_gradient_check_every_op(op):
 
 def test_every_table_op_has_a_gradient_check():
     assert set(ALL_OPS) == set(_OPS)
+
+
+def test_module_docstring_lists_the_leaves_and_the_table_ops():
+    # The op list is the docstring's first indented block.
+    block = autodiff.__doc__.split("\n\n    ", 1)[1].split("\n\n", 1)[0]
+    listed = [name.strip() for name in block.split(",")]
+    assert sorted(listed) == sorted(["input", "constant", *_OPS])
 
 
 def test_shared_parameter_accumulates():

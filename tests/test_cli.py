@@ -214,6 +214,11 @@ class TestTrain:
         ("schedule", {"sigma_multiplier": float("inf")},
          "schedule.sigma_multiplier must be a finite number"),
         ("schedule", {"period_epochs": 2.5}, "schedule.period_epochs must be an integer"),
+        ("loss", {"tau": 0.0}, "loss.tau must be > 0"),
+        ("loss", {"kind": "simclr_hex", "qhi_tau": 1.0}, "loss.qhi_tau must be > 0 and != 1"),
+        ("loss", {"kind": "simclr_hex", "hex_scale": 0}, "loss.hex_scale must be > 0"),
+        ("loss", {"kind": "vicreg", "vicreg_var": -1.0}, "loss.vicreg_var must be >= 0"),
+        ("loss", {"kind": "barlow", "barlow_lambda": -0.5}, "loss.barlow_lambda must be >= 0"),
     ])
     def test_bad_section_value_exit_code(self, tmp_path, capsys, section, values,
                                          message):

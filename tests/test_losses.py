@@ -66,6 +66,11 @@ def loss_scale(z, pos, tau, total):
 
 
 def oracle_barlow(za, zb, lam, scale):
+    return sum(oracle_barlow_terms(za, zb, lam, scale))
+
+
+def oracle_barlow_terms(za, zb, lam, scale):
+    """(invariance, regularization): the on- and off-diagonal parts."""
     n, d = za.shape
     an = (za - za.mean(0)) / za.std(0)
     bn = (zb - zb.mean(0)) / zb.std(0)
@@ -75,10 +80,16 @@ def oracle_barlow(za, zb, lam, scale):
             c[k, l] = float(np.dot(an[:, k], bn[:, l])) / n
     on = sum((1.0 - c[k, k]) ** 2 for k in range(d))
     off = sum(c[k, l] ** 2 for k in range(d) for l in range(d) if k != l)
-    return scale * (on + lam * off)
+    return scale * on, scale * lam * off
 
 
 def oracle_vicreg(za, zb, sim_w, var_w, cov_w):
+    return sum(oracle_vicreg_terms(za, zb, sim_w, var_w, cov_w))
+
+
+def oracle_vicreg_terms(za, zb, sim_w, var_w, cov_w):
+    """(invariance, regularization): the MSE part and the variance plus
+    covariance part."""
     n, d = za.shape
     mse = float(((za - zb) ** 2).mean())
     var_terms, cov_terms = [], []
@@ -89,7 +100,7 @@ def oracle_vicreg(za, zb, sim_w, var_w, cov_w):
         cov = c.T @ c / (n - 1)
         cov_terms.append(sum(cov[k, l] ** 2 for k in range(d)
                              for l in range(d) if k != l) / d)
-    return (sim_w * mse + var_w * (var_terms[0] + var_terms[1]) / 2.0
+    return (sim_w * mse, var_w * (var_terms[0] + var_terms[1]) / 2.0
             + cov_w * (cov_terms[0] + cov_terms[1]))
 
 
@@ -453,6 +464,81 @@ class TestVicreg:
             zb = rng.normal(size=(8, 4))
             got = vicreg(za, zb, 25.0, 25.0, 1.0, var_eps=0.0)
             assert got == pytest.approx(oracle_vicreg(za, zb, 25.0, 25.0, 1.0), rel=1e-12)
+
+
+def central_diff(f, x, h):
+    """Central-difference gradient of the scalar function f at x."""
+    g = np.zeros_like(x)
+    for idx in np.ndindex(x.shape):
+        up, down = x.copy(), x.copy()
+        up[idx] += h
+        down[idx] -= h
+        g[idx] = (f(up) - f(down)) / (2.0 * h)
+    return g
+
+
+DIM_LOSSES = [(build_barlow_graph, (0.3, 0.1)), (build_vicreg_graph, (25.0, 25.0, 1.0))]
+
+
+class TestDimKernels:
+    """Each builder records one kernel node whose analytic VJP matches
+    central differences of its value."""
+
+    @staticmethod
+    def assert_fd_gradients(build, weights, za, zb, h):
+        _, t, (a, b) = dim_graph(build, za, zb, *weights)
+        backward(t)
+        for node, fd in (
+                (a, central_diff(lambda v: dim_graph(build, v, zb, *weights)[0], za, h)),
+                (b, central_diff(lambda v: dim_graph(build, za, v, *weights)[0], zb, h))):
+            assert np.abs(node.grad - fd).max() <= 1e-5 * np.abs(fd).max()
+
+    @pytest.mark.parametrize("build,weights", DIM_LOSSES)
+    @pytest.mark.parametrize("shape", [(8, 4), (13, 5)])
+    def test_gradients_on_random_views(self, build, weights, shape):
+        rng = np.random.default_rng(shape[0])
+        self.assert_fd_gradients(build, weights, rng.normal(size=shape),
+                                 rng.normal(size=shape), 1e-5)
+
+    @pytest.mark.parametrize("build,weights,h", [(*DIM_LOSSES[0], 1e-9),
+                                                 (*DIM_LOSSES[1], 1e-6)])
+    def test_gradients_with_a_constant_column(self, build, weights, h):
+        # At the default var_eps a constant column's std is sqrt(var_eps):
+        # 1e-6 for Barlow Twins, so its step must stay far below that.
+        rng = np.random.default_rng(17)
+        za, zb = rng.normal(size=(8, 4)), rng.normal(size=(8, 4))
+        za[:, 1] = 0.7
+        self.assert_fd_gradients(build, weights, za, zb, h)
+
+    def test_vicreg_gradients_with_the_hinge_on_some_columns(self):
+        rng = np.random.default_rng(18)
+        za = rng.normal(size=(8, 4)) * [0.3, 2.0, 0.5, 3.0]
+        zb = rng.normal(size=(8, 4)) * [2.0, 0.4, 1.5, 0.2]
+        for z in (za, zb):
+            active = z.std(axis=0, ddof=1) < 1.0
+            assert active.any() and not active.all()
+        self.assert_fd_gradients(*DIM_LOSSES[1], za, zb, 1e-5)
+
+    @pytest.mark.parametrize("build,weights,oracle", [
+        (*DIM_LOSSES[0], oracle_barlow_terms), (*DIM_LOSSES[1], oracle_vicreg_terms)])
+    def test_breakdown_matches_the_oracle_terms(self, build, weights, oracle):
+        rng = np.random.default_rng(19)
+        za, zb = rng.normal(size=(8, 4)), rng.normal(size=(8, 4))
+        t = Tape()
+        info = build(t, t.input(za), t.input(zb), 8, 4, *weights, var_eps=0.0)
+        forward(t)
+        bd = info.breakdown()
+        want = oracle(za, zb, *weights)
+        assert bd.invariance_term == pytest.approx(want[0], rel=1e-12)
+        assert bd.regularization_term == pytest.approx(want[1], rel=1e-12)
+        assert bd.total == bd.invariance_term + bd.regularization_term
+
+    @pytest.mark.parametrize("build,weights", DIM_LOSSES)
+    def test_builder_records_one_kernel_node(self, build, weights):
+        t = Tape()
+        a, b = t.input(np.ones((8, 4))), t.input(np.ones((8, 4)))
+        info = build(t, a, b, 8, 4, *weights)
+        assert t.nodes[2:] == [info.total] and info.total.op == "kernel"
 
 
 def combined(hex_value, dim_value, alpha, hex_scale):

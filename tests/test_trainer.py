@@ -127,6 +127,18 @@ class TestTrainEpoch:
         train_epoch(state, ds)
         assert len(state.buffers) > 0
 
+    @pytest.mark.parametrize("kind", ["barlow", "vicreg"])
+    def test_desk_dim_step_records_at_most_22_nodes(self, kind, monkeypatch):
+        # Desk model and batch; the loss is one kernel node on the two views.
+        cfg = trainer.TrainConfig.from_dict({"loss": {"kind": kind},
+                                             "data": {"samples_per_class": 8}})
+        ds = cfg.load_dataset()
+        counts = []
+        monkeypatch.setattr(trainer, "forward",
+                            lambda tape: counts.append(len(tape.nodes)) or forward(tape))
+        train_epoch(init_state(cfg, ds.dim), ds)
+        assert len(counts) == 2 and max(counts) <= 22
+
     def test_zero_lr_leaves_params_unchanged(self):
         cfg = tiny_config(optimizer={"lr": 0.0})
         ds = generate(cfg.data)
@@ -604,10 +616,30 @@ class TestConfig:
         ("schedule", {"period_epochs": 2.5}, r"schedule\.period_epochs must be an integer"),
         ("schedule", {"start": float("nan")}, r"schedule\.start must be a finite number"),
         ("schedule", {"total_epochs": 3.0}, r"schedule\.total_epochs must be an integer"),
+        ("loss", {"tau": 0.0}, r"loss\.tau must be > 0"),
+        ("loss", {"tau": -0.1}, r"loss\.tau must be > 0"),
+        ("loss", {"kind": "simclr_hex", "qhi_tau": 0.0}, r"loss\.qhi_tau must be > 0 and != 1"),
+        ("loss", {"qhi_tau": -0.5}, r"loss\.qhi_tau must be > 0 and != 1"),
+        ("loss", {"qhi_tau": 1.0}, r"loss\.qhi_tau must be > 0 and != 1"),
+        ("loss", {"kind": "barlow_hex", "hex_scale": 0.0}, r"loss\.hex_scale must be > 0"),
+        ("loss", {"hex_scale": -2.0}, r"loss\.hex_scale must be > 0"),
+        ("loss", {"kind": "barlow", "barlow_lambda": -0.005},
+         r"loss\.barlow_lambda must be >= 0"),
+        ("loss", {"barlow_scale": -0.1}, r"loss\.barlow_scale must be >= 0"),
+        ("loss", {"vicreg_sim": -25.0}, r"loss\.vicreg_sim must be >= 0"),
+        ("loss", {"kind": "vicreg", "vicreg_var": -1.0}, r"loss\.vicreg_var must be >= 0"),
+        ("loss", {"vicreg_cov": -1e-9}, r"loss\.vicreg_cov must be >= 0"),
     ])
     def test_bad_section_values_name_the_field(self, section, values, message):
         with pytest.raises(BadConfig, match=message):
             tiny_config(**{section: values})
+
+    def test_zero_loss_weights_are_allowed(self):
+        # A zero weight switches a term off, for ablations.
+        weights = {"barlow_lambda": 0, "barlow_scale": 0.0, "vicreg_sim": 0.0,
+                   "vicreg_var": 0, "vicreg_cov": 0.0}
+        loss = tiny_config(loss={"kind": "vicreg", **weights}).loss
+        assert all(getattr(loss, name) == 0.0 for name in weights)
 
     def test_fractional_widths_are_not_truncated(self):
         with pytest.raises(BadConfig, match=r"model\.encoder_hidden\[0\]"):
