@@ -13,30 +13,18 @@ fixed to what the encoder, projector and loss graphs need:
 stacks two row blocks and ``rows(a, lo, hi)`` takes the row block
 ``a[lo:hi]``. ``kernel(k, *parents)`` has the value ``k.value(node,
 *parent_values)`` and the vjp ``k.vjp(node, g, i)`` for parent i; k keeps
-what its forward saved, so each kernel node has its own, and none of its
-arrays is pooled. Masks (for masked_sum) and column indices (for pick)
-are plain constant arrays, never nodes, so no gradient can flow into them.
-Elementwise binaries support the usual numpy broadcasting between 2-D
-shapes; gradients are reduced back over broadcast axes. Values and gradients
-are deterministic functions of the graph and its inputs.
+what its forward saved, so each kernel node has its own. Masks (for
+masked_sum) and column indices (for pick) are plain constant arrays, never
+nodes, so no gradient can flow into them. Elementwise binaries support the
+usual numpy broadcasting between 2-D shapes; gradients are reduced back over
+broadcast axes. Values and gradients are deterministic functions of the
+graph and its inputs.
 
 Gradients are computed only for parents that require one: constants, masks
 and every node built from constants alone get none. A gradient array is
 never written in place once made, so one array may be handed to several
 parents: the first contribution to a node is kept as it is and later ones
 are added out of place.
-
-A Tape built with a ``Buffers`` pool takes every array of at least 64 KiB
-that one numpy call of a pass makes (node values, most vector-Jacobian
-products, gradient sums, the product inside ``masked_sum``) from the pool
-instead of from the allocator. A training loop builds the same graph on
-the same shapes every step, so after the first step these arrays are never
-freed. Without the pool each step allocates and frees megabytes of them,
-and whenever glibc returns the freed top of the heap to the kernel, the
-next step faults every page of it back in. Pooled arrays give bitwise the
-same results as fresh ones: each is written by the same numpy call, through
-``out=``, into an array of the shape and memory order the fresh one had.
-The arrays of a pass stay valid until the next ``forward`` on the same pool.
 
 Finiteness is checked once per pass, on what a caller consumes: ``forward``
 checks the terminal value and ``backward`` the gradient of each input node.
@@ -61,7 +49,7 @@ from .errors import NonFinite
 
 class Node:
     __slots__ = ("idx", "op", "parents", "aux", "value", "grad",
-                 "requires_grad", "name", "_norms", "buffers", "n_sums")
+                 "requires_grad", "name", "_norms")
 
     def __init__(self, idx, op, parents=(), aux=None, value=None,
                  requires_grad=False, name=""):
@@ -74,8 +62,6 @@ class Node:
         self.requires_grad = requires_grad
         self.name = name
         self._norms = None
-        self.buffers = None     # the Buffers its arrays come from, or None
-        self.n_sums = 0         # gradient sums made for it this pass
 
     def __repr__(self):
         shape = None if self.value is None else self.value.shape
@@ -105,144 +91,11 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return out
 
 
-# Smaller arrays are left to the allocator. At b = 64 the loss's 2b x 2b
-# arrays are 128 KiB and the model's 2b-row hidden-layer arrays 64 KiB.
-_POOL_BYTES = 1 << 16
-_SMALL = "small"   # slot mark of a role whose array is left to the allocator
-
-
-def _layout(a: np.ndarray):
-    """(shape, order) of an array that numpy made; the order matters, as it
-    sets the order in which a later reduction adds the elements up."""
-    return a.shape, ("F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C")
-
-
-def _signature(node: Node):
-    """What the shapes of a node's arrays depend on."""
-    if not node.parents:
-        return node.op, node.value.shape
-    return (node.op, [p.value.shape for p in node.parents],
-            getattr(node.aux, "shape", None))
-
-
-class Buffers:
-    """A pool of arrays that successive passes of one graph reuse.
-
-    ``forward`` hands every array of the last pass back to the pool. Each
-    array of the new pass is taken from it, most recently taken first, so
-    a pass first writes the arrays the last pass wrote last, which are the
-    likeliest to be in cache. Slot i records, for the node recorded i-th,
-    the ``_layout`` of each array it takes, by role (``_SMALL`` for one
-    left to the allocator), and, once it holds a layout, under "sig" the
-    ``_signature`` it had then. A node with nothing recorded for a role, or
-    whose signature differs from its slot's, computes into a fresh array,
-    which then joins the pool in place of a free one of its layout.
-    """
-
-    def __init__(self):
-        self.slots: list = []
-        self._free: dict = {}   # layout -> arrays no pass holds, last on top
-        self._used: list = []   # arrays the current pass took, in order
-
-    def __len__(self):
-        """How many arrays the pool holds, free or taken."""
-        return len(self._used) + sum(map(len, self._free.values()))
-
-    def begin(self):
-        """Hand every array of the last pass back to the pool."""
-        for a in self._used:
-            self._free.setdefault(_layout(a), []).append(a)
-        self._used.clear()
-
-    def clear(self):
-        """Let go of every array, for the allocator to reuse elsewhere."""
-        self.slots.clear()
-        self._free.clear()
-        self._used.clear()
-
-    def attach(self, node: Node):
-        i = node.idx
-        if i == len(self.slots):
-            self.slots.append({})
-        elif "sig" in self.slots[i] and self.slots[i]["sig"] != _signature(node):
-            self.slots[i] = {}
-        node.buffers = self
-
-    def take(self, layout) -> np.ndarray:
-        stack = self._free.get(layout)
-        out = stack.pop() if stack else np.empty(layout[0], order=layout[1])
-        self._used.append(out)
-        return out
-
-    def adopt(self, node: Node, role: str, out: np.ndarray) -> np.ndarray:
-        """Record a fresh array that node computed for role and pool it if
-        it is large. The least recently used free array of its layout, if
-        any, leaves the pool, so that a graph that changes does not make the
-        pool grow."""
-        slot = self.slots[node.idx]
-        if out.nbytes < _POOL_BYTES:
-            slot[role] = _SMALL
-            return out
-        if "sig" not in slot:
-            slot["sig"] = _signature(node)
-        slot[role] = layout = _layout(out)
-        stack = self._free.get(layout)
-        if stack:
-            del stack[0]
-        self._used.append(out)
-        return out
-
-    def mark(self) -> int:
-        return len(self._used)
-
-    def took_one(self, mark: int, a: np.ndarray) -> bool:
-        """Whether a is the only array taken since ``mark()``."""
-        return len(self._used) == mark + 1 and self._used[-1] is a
-
-    def release(self, a: np.ndarray):
-        """Hand back an array of this pass that nothing holds any more. Only
-        the last three taken are looked at: a caller releases an array
-        right after the one or two operations that read it."""
-        for k in range(len(self._used) - 1, max(-1, len(self._used) - 4), -1):
-            if self._used[k] is a:
-                del self._used[k]
-                self._free.setdefault(_layout(a), []).append(a)
-                return
-
-
-def _into(node: Node, role: str, fn, *args):
-    """``fn(*args)``, written into an array of node's pool when it has one."""
-    buffers = node.buffers
-    if buffers is None:
-        return fn(*args)
-    layout = buffers.slots[node.idx].get(role)
-    if layout is _SMALL:
-        return fn(*args)
-    if layout is None:
-        return buffers.adopt(node, role, fn(*args))
-    return fn(*args, out=buffers.take(layout))
-
-
-def _empty(node: Node, role: str, shape) -> np.ndarray:
-    """A C-order array of shape with stale contents, pooled as ``_into``
-    pools."""
-    buffers = node.buffers
-    if buffers is None:
-        return np.empty(shape)
-    layout = buffers.slots[node.idx].get(role)
-    if layout is _SMALL:
-        return np.empty(shape)
-    if layout is None:
-        return buffers.adopt(node, role, np.empty(shape))
-    return buffers.take(layout)
-
-
 class Tape:
     """Single-owner operation recorder; build, forward, then backward."""
 
-    def __init__(self, buffers: Buffers | None = None):
+    def __init__(self):
         self.nodes: list[Node] = []
-        self.buffers = buffers
 
     # -- leaf nodes -------------------------------------------------------
 
@@ -346,7 +199,7 @@ def _normalize(node: Node, x):
     if (norms <= 1e-12).any():
         raise NonFinite(f"node {node.idx} ({node.name or node.op}): zero row in normalize")
     node._norms = norms
-    return _into(node, "value", np.divide, x, norms)
+    return x / norms
 
 
 def _normalize_vjp(node: Node, g):
@@ -365,31 +218,15 @@ def _pick(node: Node, a):
 
 def _pick_vjp(node: Node, g):
     rows, cols = node.aux
-    scattered = _empty(node, "vjp0", _x(node).shape)
-    scattered.fill(0.0)
+    scattered = np.zeros(_x(node).shape)
     scattered[rows, cols] = g[:, 0]
     return scattered
 
 
 def _rows_vjp(node: Node, g):
     lo, hi = node.aux
-    out = _empty(node, "vjp0", _x(node).shape)
-    out.fill(0.0)
+    out = np.zeros(_x(node).shape)
     out[lo:hi] = g
-    return out
-
-
-def _masked_sum(node: Node, a):
-    product = _into(node, "product", np.multiply, a, node.aux)
-    out = product.sum(axis=1, keepdims=True)
-    if node.buffers is not None:
-        node.buffers.release(product)
-    return out
-
-
-def _fill_vjp(node: Node, value: float):
-    out = _empty(node, "vjp0", _x(node).shape)
-    out.fill(value)
     return out
 
 
@@ -400,47 +237,34 @@ class _KernelVjps:
 
 
 # op -> (value(node, *parent_values), one vjp(node, g) per parent). Every op
-# a Tape method records has exactly one entry here. Arrays that one numpy
-# call makes go through _into or _empty, so that Buffers can pool them; the
-# few vjps that chain several calls, on the loss's column vectors and the
-# model's hidden layers, are left to the allocator.
+# a Tape method records has exactly one entry here.
 _OPS = {
-    "matmul": (lambda n, a, b: _into(n, "value", np.matmul, a, b),
-               (lambda n, g: _into(n, "vjp0", np.matmul, g, _x(n, 1).T),
-                lambda n, g: _into(n, "vjp1", np.matmul, _x(n, 0).T, g))),
-    "add": (lambda n, a, b: _into(n, "value", np.add, a, b),
-            (lambda n, g: g, lambda n, g: g)),
-    "sub": (lambda n, a, b: _into(n, "value", np.subtract, a, b),
-            (lambda n, g: g, lambda n, g: _into(n, "vjp1", np.negative, g))),
-    "mul_elem": (lambda n, a, b: _into(n, "value", np.multiply, a, b),
-                 (lambda n, g: _into(n, "vjp0", np.multiply, g, _x(n, 1)),
-                  lambda n, g: _into(n, "vjp1", np.multiply, g, _x(n, 0)))),
-    "div_elem": (lambda n, a, b: _into(n, "value", np.divide, a, b),
-                 (lambda n, g: _into(n, "vjp0", np.divide, g, _x(n, 1)),
-                  lambda n, g: -g * n.value / _x(n, 1))),
-    "vstack": (lambda n, a, b: _into(n, "value", np.concatenate, (a, b)),
+    "matmul": (lambda n, a, b: a @ b,
+               (lambda n, g: g @ _x(n, 1).T, lambda n, g: _x(n, 0).T @ g)),
+    "add": (lambda n, a, b: a + b, (lambda n, g: g, lambda n, g: g)),
+    "sub": (lambda n, a, b: a - b, (lambda n, g: g, lambda n, g: -g)),
+    "mul_elem": (lambda n, a, b: a * b,
+                 (lambda n, g: g * _x(n, 1), lambda n, g: g * _x(n, 0))),
+    "div_elem": (lambda n, a, b: a / b,
+                 (lambda n, g: g / _x(n, 1), lambda n, g: -g * n.value / _x(n, 1))),
+    "vstack": (lambda n, a, b: np.concatenate((a, b)),
                (lambda n, g: g[:_x(n, 0).shape[0]],
                 lambda n, g: g[_x(n, 0).shape[0]:])),
-    "scalar_mul": (lambda n, a: _into(n, "value", np.multiply, a, n.aux),
-                   (lambda n, g: _into(n, "vjp0", np.multiply, g, n.aux),)),
-    "exp": (lambda n, a: _into(n, "value", np.exp, a),
-            (lambda n, g: _into(n, "vjp0", np.multiply, g, n.value),)),
-    "log": (lambda n, a: _into(n, "value", np.log, a),
-            (lambda n, g: _into(n, "vjp0", np.divide, g, _x(n)),)),
+    "scalar_mul": (lambda n, a: a * n.aux, (lambda n, g: g * n.aux,)),
+    "exp": (lambda n, a: np.exp(a), (lambda n, g: g * n.value,)),
+    "log": (lambda n, a: np.log(a), (lambda n, g: g / _x(n),)),
     "sum": (lambda n, a: a.sum().reshape(1, 1),
-            (lambda n, g: _fill_vjp(n, g[0, 0]),)),
+            (lambda n, g: np.full(_x(n).shape, g[0, 0]),)),
     "mean": (lambda n, a: a.mean().reshape(1, 1),
-             (lambda n, g: _fill_vjp(n, g[0, 0] / _x(n).size),)),
+             (lambda n, g: np.full(_x(n).shape, g[0, 0] / _x(n).size),)),
     "row_l2_normalize": (_normalize, (_normalize_vjp,)),
-    "tanh": (lambda n, a: _into(n, "value", np.tanh, a),
-             (lambda n, g: g * (1.0 - n.value * n.value),)),
-    "relu": (lambda n, a: _into(n, "value", np.maximum, a, 0.0),
-             (lambda n, g: _into(n, "vjp0", np.multiply, g, _x(n) > 0.0),)),
+    "tanh": (lambda n, a: np.tanh(a), (lambda n, g: g * (1.0 - n.value * n.value),)),
+    "relu": (lambda n, a: np.maximum(a, 0.0), (lambda n, g: g * (_x(n) > 0.0),)),
     "transpose": (lambda n, a: a.T, (lambda n, g: g.T,)),
-    "masked_sum": (_masked_sum,
-                   (lambda n, g: _into(n, "vjp0", np.multiply, g, n.aux),)),
-    "clamp_min": (lambda n, a: _into(n, "value", np.maximum, a, n.aux),
-                  (lambda n, g: _into(n, "vjp0", np.multiply, g, _x(n) > n.aux),)),
+    "masked_sum": (lambda n, a: (a * n.aux).sum(axis=1, keepdims=True),
+                   (lambda n, g: g * n.aux,)),
+    "clamp_min": (lambda n, a: np.maximum(a, n.aux),
+                  (lambda n, g: g * (_x(n) > n.aux),)),
     "pick": (_pick, (_pick_vjp,)),
     "rows": (lambda n, a: a[n.aux[0]:n.aux[1]], (_rows_vjp,)),
     "kernel": (lambda n, *xs: n.aux.value(n, *xs), _KernelVjps()),
@@ -476,22 +300,17 @@ def forward(tape: Tape) -> float:
     came first.
 
     A non-finite value that never reaches the terminal does not raise:
-    ``relu(log(0))`` is 0 and ``exp(-inf)`` is 0. Values read back from an
-    evaluated loss graph are still checked, because each reaches the
-    terminal only through add, sub, mean, log, scalar_mul and mul_elem, and
-    each of those turns a NaN or Inf operand into a NaN or Inf result: a
-    finite terminal implies a finite ``pos_logits``, ``log_denominator`` and
-    ``q_clamped`` and finite Barlow/VICReg kernel terms.
+    ``relu(log(0))`` is 0 and ``exp(-inf)`` is 0. The terms a loss kernel
+    keeps from its forward are still checked, because each reaches the
+    kernel's value only through sums, products, log and mean, and each of
+    those turns a NaN or Inf operand into a NaN or Inf result: a finite
+    terminal implies finite HEX terms (``pos_logits``, ``log_denominator``,
+    ``q_clamped``) and finite Barlow/VICReg terms.
     """
     if not tape.nodes:
         raise ValueError("empty tape")
-    buffers = tape.buffers
-    if buffers is not None:
-        buffers.begin()
     with np.errstate(all="ignore"):
         for node in tape.nodes:
-            if buffers is not None:
-                buffers.attach(node)
             if node.op in ("input", "constant"):
                 continue
             try:
@@ -509,20 +328,11 @@ def forward(tape: Tape) -> float:
     return float(out[0, 0])
 
 
-def _accumulate(parent: Node, grad: np.ndarray, fresh: bool):
-    """Add one contribution to parent.grad; callers check requires_grad.
-
-    Out of place: another node may hold parent.grad. ``fresh`` says that
-    grad was taken from the pool for this contribution alone, so it goes
-    back to the pool once used."""
+def _accumulate(parent: Node, grad: np.ndarray):
+    """Add one contribution to parent.grad, out of place, as another node
+    may hold parent.grad; callers check requires_grad."""
     summand = _unbroadcast(grad, parent.value.shape)
-    if parent.grad is None:
-        parent.grad = summand
-    else:
-        parent.n_sums += 1
-        parent.grad = _into(parent, f"sum{parent.n_sums}", np.add, parent.grad, summand)
-    if fresh and parent.grad is not grad:
-        parent.buffers.release(grad)
+    parent.grad = summand if parent.grad is None else parent.grad + summand
 
 
 def backward(tape: Tape):
@@ -541,10 +351,8 @@ def backward(tape: Tape):
     terminal = tape.nodes[-1]
     if terminal.value is None:
         raise ValueError("run forward before backward")
-    buffers = tape.buffers
     for node in tape.nodes:
         node.grad = None
-        node.n_sums = 0
     terminal.grad = np.ones((1, 1))
     with np.errstate(all="ignore"):
         for node in reversed(tape.nodes):
@@ -559,11 +367,5 @@ def backward(tape: Tape):
             if not node.requires_grad:
                 continue
             for parent, vjp in zip(node.parents, _OPS[node.op][1]):
-                if not parent.requires_grad:
-                    continue
-                if buffers is None:
-                    _accumulate(parent, vjp(node, g), False)
-                else:
-                    mark = buffers.mark()
-                    grad = vjp(node, g)
-                    _accumulate(parent, grad, buffers.took_one(mark, grad))
+                if parent.requires_grad:
+                    _accumulate(parent, vjp(node, g))

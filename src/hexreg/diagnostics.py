@@ -211,7 +211,7 @@ def distribution_stats(z, superclass_labels) -> DistributionStats:
     counts, sums = _pair_sums(a, groups)
     means = sums / np.maximum(counts, 1)
     n = a.shape[0]
-    # Every block reuses these two buffers: fresh block-sized arrays would
+    # Every block reuses these two arrays: fresh block-sized arrays would
     # each be faulted in from the OS again, which costs more than the work.
     sims_buf, sq_buf = np.empty((2, n * min(n, _BLOCK)))
     # Rows: sum of d, d^2, d^3; columns: the same-superclass pool, the other.
@@ -258,11 +258,18 @@ def _top_k(sims: np.ndarray, k: int) -> tuple:
 def holdout_split(n: int, fraction: float, seed: int) -> tuple:
     """(query, train) row indices of a KNN probe: the first
     max(1, round(fraction * n)) rows of a shuffle drawn from stream 5 of the
-    seed are the queries, the rest the training rows."""
+    seed are the queries, the rest the training rows. The fraction must lie
+    in (0, 1) and leave at least one training row."""
+    if not 0.0 < fraction < 1.0:
+        raise BadConfig(f"holdout fraction must lie in (0, 1), got {fraction}")
+    n_query = max(1, int(round(fraction * n)))
+    if n_query >= n:
+        raise EmptyTrainSet(f"a holdout fraction of {fraction} leaves none of "
+                            f"the {n} rows for training")
     perm = list(range(n))
     Rng.from_seed(seed).child(5).shuffle(perm)
-    n_query = max(1, int(round(fraction * n)))
-    return np.asarray(perm[:n_query]), np.asarray(perm[n_query:])
+    return (np.asarray(perm[:n_query], dtype=np.intp),
+            np.asarray(perm[n_query:], dtype=np.intp))
 
 
 def knn_accuracy(train_repr, train_labels, query_repr, query_labels,

@@ -14,8 +14,10 @@ anchor's estimated grouping H(i) are collapsed into a single reweighted term
 with t = ``qhi_tau``, N the number of samples (the graph's 2N rows are
 their two stacked views) and q_i clamped below at ``eps_den``. Every
 non-member (the positive included) keeps its ordinary exponential term.
-With every H(i) empty the graph records no q node and is InfoNCE, so
+With every H(i) empty there is no q term and the loss is InfoNCE, so
 ``build_info_nce_graph`` is ``build_hex_graph`` over an all-False mask.
+HEX/InfoNCE is one autodiff ``kernel`` node on z whose forward and vjp
+replay, bit for bit, the graph of autodiff ops it stands for.
 
 Barlow Twins (Zbontar et al., arXiv 2103.03230) and VICReg (Bardes et al.,
 arXiv 2105.04906) are each one autodiff ``kernel`` node on the two views: a
@@ -103,34 +105,115 @@ def nnclr_positive_rows(q: NNQueue, z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ContrastiveGraphInfo:
-    total: Node
-    pos_logits: Node           # n x 1, s_pos / tau
-    log_denominator: Node      # n x 1
-    q_raw: Optional[Node]      # n x 1; None when no row has members
-    q_clamped: Optional[Node]
+    total: Node                # the kernel node; its kernel holds the terms
     rows_with_h: np.ndarray    # bool, n
     mask_mean_size: float
     eps_den: float
 
     def breakdown(self) -> LossBreakdown:
-        """Read the decomposition out of an evaluated graph."""
-        pos = self.pos_logits.value
-        logd = self.log_denominator.value
+        """Read the decomposition out of the kernel's last forward."""
+        k = self.total.aux
         hex_mean = None
         clamps = 0
-        if self.q_raw is not None:
+        if k.q_raw is not None:
             rows = self.rows_with_h
-            q = self.q_raw.value[:, 0]
-            clamps = int(np.count_nonzero(rows & (q < self.eps_den)))
-            hex_mean = float(self.q_clamped.value[rows, 0].mean())
+            clamps = int(np.count_nonzero(rows & (k.q_raw[:, 0] < self.eps_den)))
+            hex_mean = float(k.q_clamped[rows, 0].mean())
         return LossBreakdown(
             total=float(self.total.value[0, 0]),
-            invariance_term=float((-pos).mean()),
-            regularization_term=float(logd.mean()),
+            invariance_term=float((-k.pos_logits).mean()),
+            regularization_term=float(k.log_denominator.mean()),
             hex_term_mean=hex_mean,
             mean_H_size=self.mask_mean_size,
             clamp_events=clamps,
         )
+
+
+class _Hex:
+    """The HEX loss on the n unit rows z. Its value and vjp make, element
+    for element, the numpy calls of the op-by-op graph (sims = z z^T,
+    logits, exp, the masked sums, the q chain, log, mean) and of that
+    graph's backward pass, and add the contributions to a shared gradient in
+    the order the tape added them, so loss and gradient are that graph's bit
+    for bit. ``tests/test_losses.py`` builds the graph and compares.
+
+    After a forward it holds the n x 1 columns ``pos_logits`` (s_pos / tau),
+    ``log_denominator``, ``q_raw`` and ``q_clamped`` (both None when no row
+    has members)."""
+
+    def __init__(self, member, pos, tau, qhi_tau, eps_den):
+        self.pos = np.asarray(pos, dtype=np.intp)
+        self.tau, self.qhi_tau, self.eps_den = tau, qhi_tau, eps_den
+        self.rows_with = member.any(axis=1)[:, None].astype(np.float64)
+        self.non_member = (~member).astype(np.float64)
+        np.fill_diagonal(self.non_member, 0.0)
+        self.member = member.astype(np.float64) if member.any() else None
+        self.q_raw = self.q_clamped = None
+
+    def value(self, node, z):
+        rows = np.arange(z.shape[0])
+        sims = z @ z.T
+        expl = sims * (1.0 / self.tau)
+        self.pos_logits = expl[rows, self.pos][:, None]
+        np.exp(expl, out=expl)
+        expl *= self.non_member
+        self._expl = expl
+        self._denom = expl.sum(axis=1, keepdims=True)
+        if self.member is not None:
+            self._denom = self._denom + self._q_effective(sims, rows)
+        self.log_denominator = np.log(self._denom)
+        return (self.log_denominator - self.pos_logits).mean().reshape(1, 1)
+
+    def _q_effective(self, sims, rows):
+        """q_clamped on the rows with members, 0 elsewhere; sims becomes
+        the logits s / qhi_tau."""
+        n_anchors = len(rows) // 2
+        lq = np.multiply(sims, 1.0 / self.qhi_tau, out=sims)
+        eq = np.exp(lq)
+        work = eq * lq
+        work *= self.member
+        num = work.sum(axis=1, keepdims=True)
+        np.multiply(eq, self.member, out=work)
+        den = work.sum(axis=1, keepdims=True) * (1.0 / n_anchors)
+        self._safe = den + (1.0 - self.rows_with)
+        self._ratio = num / self._safe
+        core = self._ratio - eq[rows, self.pos][:, None] * (n_anchors * self.qhi_tau)
+        self.q_raw = core * (1.0 / (1.0 - self.qhi_tau))
+        self.q_clamped = np.maximum(self.q_raw, self.eps_den)
+        self._lq, self._eq = lq, eq
+        return self.q_clamped * self.rows_with
+
+    def vjp(self, node, g, i):
+        z = node.parents[0].value
+        rows = np.arange(z.shape[0])
+        g_loss = np.full((len(rows), 1), g[0, 0] / len(rows))
+        g_denom = g_loss / self._denom
+        gs = self._expl * g_denom
+        gs[rows, self.pos] -= g_loss[:, 0]
+        gs *= 1.0 / self.tau
+        if self.member is not None:
+            self._add_q_vjp(gs, g_denom)
+        return gs @ z + (z.T @ gs).T
+
+    def _add_q_vjp(self, gs, g_denom):
+        """Add the q chain's gradient with respect to sims to gs. A row whose
+        three column gradients below are all exactly 0 (no members, or q
+        clamped) contributes a signed zero to every entry, since a finite
+        loss implies finite exp(s / qhi_tau); only the other rows are
+        computed."""
+        n_anchors = len(gs) // 2
+        g_core = (g_denom * self.rows_with * (self.q_raw > self.eps_den)
+                  * (1.0 / (1.0 - self.qhi_tau)))
+        g_pos = -g_core * (n_anchors * self.qhi_tau)
+        g_num = g_core / self._safe
+        g_den = -g_core * self._ratio / self._safe * (1.0 / n_anchors)
+        live = np.flatnonzero((g_num != 0.0) | (g_den != 0.0) | (g_pos != 0.0))
+        h, lq, eq = self.member[live], self._lq[live], self._eq[live]
+        g_eq = np.zeros(h.shape)
+        g_eq[np.arange(len(live)), self.pos[live]] = g_pos[live, 0]
+        g_prod = g_num[live] * h
+        g_eq = g_eq + g_den[live] * h + g_prod * lq
+        gs[live] += (g_prod * eq + g_eq * eq) * (1.0 / self.qhi_tau)
 
 
 def build_info_nce_graph(tape: Tape, z_node: Node, positive_index,
@@ -145,7 +228,7 @@ def build_info_nce_graph(tape: Tape, z_node: Node, positive_index,
 def build_hex_graph(tape: Tape, z_node: Node, mask: HierarchyMask, tau: float,
                     *, qhi_tau: float = DEFAULT_QHI_TAU,
                     eps_den: float = DEFAULT_EPS_DEN) -> ContrastiveGraphInfo:
-    """Hierarchically decomposed InfoNCE as a differentiable graph.
+    """Hierarchically decomposed InfoNCE as one kernel node on z.
 
     The membership mask, the positive pairing and the per-row has-members
     indicator enter as constants; gradients flow through every similarity
@@ -160,46 +243,9 @@ def build_hex_graph(tape: Tape, z_node: Node, mask: HierarchyMask, tau: float,
     if not eps_den > 0.0:
         raise BadConfig(f"eps_den must be > 0, got {eps_den}")
     member = mask.membership
-    pos = mask.positive_index
-    n = member.shape[0]
-    n_anchors = n // 2
-    rows_with = member.any(axis=1)
-
-    sims = tape.matmul(z_node, tape.transpose(z_node), name="sims")
-    logits = tape.scalar_mul(sims, 1.0 / tau, name="logits")
-    expl = tape.exp(logits, name="exp_logits")
-    pos_logits = tape.pick(logits, pos, name="pos_logits")
-    non_h = (~member).astype(np.float64)
-    np.fill_diagonal(non_h, 0.0)
-    base = tape.masked_sum(expl, non_h, name="non_member_sum")
-
-    q_raw = q_clamped = None
-    denom = base
-    if rows_with.any():
-        hf = member.astype(np.float64)
-        logits_q = tape.scalar_mul(sims, 1.0 / qhi_tau, name="logits_q")
-        expq = tape.exp(logits_q, name="exp_logits_q")
-        num = tape.masked_sum(tape.mul_elem(expq, logits_q), hf, name="q_numerator")
-        den = tape.scalar_mul(tape.masked_sum(expq, hf), 1.0 / n_anchors,
-                              name="q_denominator")
-        safe_den = tape.add(den, tape.constant((~rows_with)[:, None].astype(np.float64)))
-        ratio = tape.div_elem(num, safe_den, name="q_ratio")
-        pos_exp_q = tape.pick(expq, pos, name="pos_exp_q")
-        pos_term = tape.scalar_mul(pos_exp_q, n_anchors * qhi_tau, name="q_pos_term")
-        core = tape.sub(ratio, pos_term, name="q_core")
-        q_raw = tape.scalar_mul(core, 1.0 / (1.0 - qhi_tau), name="q_raw")
-        q_clamped = tape.clamp_min(q_raw, eps_den, name="q_clamped")
-        q_eff = tape.mul_elem(
-            q_clamped, tape.constant(rows_with[:, None].astype(np.float64)),
-            name="q_effective")
-        denom = tape.add(base, q_eff, name="denominator")
-
-    log_denom = tape.log(denom, name="log_denominator")
-    loss_vec = tape.sub(log_denom, pos_logits, name="per_anchor_loss")
-    total = tape.mean(loss_vec, name="hex_loss")
+    k = _Hex(member, mask.positive_index, tau, qhi_tau, eps_den)
     return ContrastiveGraphInfo(
-        total=total, pos_logits=pos_logits, log_denominator=log_denom,
-        q_raw=q_raw, q_clamped=q_clamped, rows_with_h=rows_with,
+        total=tape.kernel(k, z_node, name="hex_loss"), rows_with_h=member.any(axis=1),
         mask_mean_size=mask.mean_size, eps_den=eps_den)
 
 
@@ -242,8 +288,7 @@ class _Barlow:
         return (ga - ga.sum(axis=0) / len(a) - x * ((ga * x).sum(axis=0) / len(a))) / s
 
 
-def build_barlow_graph(tape: Tape, za: Node, zb: Node, n: int, d: int,
-                       lam: float, scale: float,
+def build_barlow_graph(tape: Tape, za: Node, zb: Node, lam: float, scale: float,
                        var_eps: float = 1e-12) -> DimGraphInfo:
     """Barlow Twins as one kernel node on the n x d views za and zb. With a,
     b the standardized views (variance over n) and C = a^T b / n, the terms
@@ -281,7 +326,7 @@ class _Vicreg:
                 - c * ((self.var_w * g / (2.0 * d * (n - 1))) * (s < 1.0) / s))
 
 
-def build_vicreg_graph(tape: Tape, za: Node, zb: Node, n: int, d: int,
+def build_vicreg_graph(tape: Tape, za: Node, zb: Node,
                        sim_w: float, var_w: float, cov_w: float,
                        var_eps: float = 1e-4) -> DimGraphInfo:
     """VICReg as one kernel node on the n x d views za and zb. Per view: c

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from . import losses as losses_mod
-from .autodiff import Buffers, Tape, backward, forward
+from .autodiff import Tape, backward, forward
 from .data import (GenParams, HierarchicalDataset, _write_atomic, augment_batch,
                    generate, load_csv)
 from .errors import (BadConfig, BadDims, InsufficientSamples, IoError,
@@ -349,8 +349,6 @@ class TrainState:
     mom_b: list
     queue: Optional[NNQueue]
     epoch: int = 0     # epochs completed so far
-    # The pool of arrays each step's tape takes from; not checkpointed.
-    buffers: Buffers = field(default_factory=Buffers, repr=False, compare=False)
 
 
 def init_state(config: TrainConfig, input_dim: int) -> TrainState:
@@ -454,7 +452,7 @@ def _train_step(state: TrainState, views, batch_supers, lr, epoch) -> dict:
     dq = mask_quality(diag_mask, row_supers)
 
     # Differentiable graph with the mask and NN rows frozen as constants.
-    tape = Tape(state.buffers)
+    tape = Tape()
     w_nodes, b_nodes, _, y = build_model_graph(tape, state.params, views)
     if loss_cfg.is_hex or not loss_cfg.is_dim:
         if nn_rows is None:
@@ -482,12 +480,11 @@ def _train_step(state: TrainState, views, batch_supers, lr, epoch) -> dict:
     if loss_cfg.is_dim:
         y_a, y_b = tape.rows(y, 0, b), tape.rows(y, b, 2 * b)
         if loss_cfg.kind.startswith("barlow"):
-            dim = build_barlow_graph(tape, y_a, y_b, b, cfg.model.proj_dim,
-                                     loss_cfg.barlow_lambda, loss_cfg.barlow_scale)
+            dim = build_barlow_graph(tape, y_a, y_b, loss_cfg.barlow_lambda,
+                                     loss_cfg.barlow_scale)
         else:
-            dim = build_vicreg_graph(tape, y_a, y_b, b, cfg.model.proj_dim,
-                                     loss_cfg.vicreg_sim, loss_cfg.vicreg_var,
-                                     loss_cfg.vicreg_cov)
+            dim = build_vicreg_graph(tape, y_a, y_b, loss_cfg.vicreg_sim,
+                                     loss_cfg.vicreg_var, loss_cfg.vicreg_cov)
     if contra is not None and dim is not None:
         build_combined_graph(tape, contra.total, dim.total,
                              loss_cfg.alpha, loss_cfg.hex_scale)
@@ -544,11 +541,7 @@ def evaluate(state: TrainState, dataset: HierarchicalDataset,
 def run_diagnostics(state: TrainState, dataset: HierarchicalDataset,
                     epoch: int) -> dict:
     """The diagnostic columns of epoch's metrics row. A NumericalError keeps
-    its class; its message is prefixed by the epoch.
-
-    The step pool is emptied first: its arrays serve only the next training
-    step, and the pass's own temporaries can use their memory."""
-    state.buffers.clear()
+    its class; its message is prefixed by the epoch."""
     cfg = state.config
     labels = dataset.superclass_labels
     try:
@@ -668,9 +661,14 @@ def load_checkpoint(path: str) -> TrainState:
         header = json.loads(raw[12:12 + blob_len].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise IoError(f"{path}: corrupt header: {e}") from e
+    if not isinstance(header, dict):
+        raise IoError(f"{path}: corrupt header: not a JSON object")
     if header.get("format_version") != 1:
         raise VersionMismatch(f"{path}: unsupported format version "
                               f"{header.get('format_version')!r}")
+    for key in ("config", "arrays", "epoch_completed"):
+        if key not in header:
+            raise IoError(f"{path}: the header has no {key!r}")
     config = TrainConfig.from_dict(header["config"])
     offset = 12 + blob_len
     arrays = {}

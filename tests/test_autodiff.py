@@ -1,15 +1,11 @@
-import ctypes
-import resource
 import zlib
 
 import numpy as np
 import pytest
 
 from hexreg import autodiff, trainer
-from hexreg.autodiff import _OPS, Buffers, Tape, backward, forward
+from hexreg.autodiff import _OPS, Tape, backward, forward
 from hexreg.errors import NonFinite
-from hexreg.hierarchy import threshold_mask
-from hexreg.losses import build_hex_graph, paired_positive_index
 
 H = 1e-5
 
@@ -141,9 +137,9 @@ class TestBackwardBasics:
         assert bias.grad.shape == (1, 3)
 
 
-def _graph_for_op(op, rng, buffers=None):
+def _graph_for_op(op, rng):
     """One small scalar-terminal graph per differentiable op."""
-    t = Tape(buffers)
+    t = Tape()
     if op in ("add", "sub", "mul_elem", "div_elem"):
         a = t.input(rng.normal(size=(3, 4)))
         b = t.input(rng.normal(size=(3, 4)) + (3.0 if op == "div_elem" else 0.0))
@@ -377,176 +373,6 @@ def test_gradient_shared_by_two_parents_is_not_mutated():
     np.testing.assert_array_equal(x.grad, np.full((2, 2), 4.0))
     np.testing.assert_array_equal(y.grad, np.full((2, 2), 6.0))
     np.testing.assert_array_equal(s.grad, np.ones((2, 2)))
-
-
-def _arrays(tape):
-    return [(n.value.copy(), None if n.grad is None else n.grad.copy())
-            for n in tape.nodes]
-
-
-def _assert_same_arrays(got, want):
-    assert len(got) == len(want)
-    for (v, g), (v0, g0) in zip(got, want):
-        assert v.tobytes() == v0.tobytes() and v.shape == v0.shape
-        assert (g is None) == (g0 is None)
-        if g is not None:
-            assert g.tobytes() == g0.tobytes() and g.shape == g0.shape
-
-
-class TestBuffers:
-    """A pool reused pass after pass gives the bits fresh arrays give."""
-
-    @pytest.fixture(autouse=True)
-    def pool_every_array(self, monkeypatch):
-        # The graphs here are tiny; pool every array so each op's pooled
-        # path runs.
-        monkeypatch.setattr(autodiff, "_POOL_BYTES", 0)
-
-    @staticmethod
-    def _run(op, seed, buffers=None):
-        t, _ = _graph_for_op(op, np.random.default_rng(seed), buffers)
-        forward(t)
-        backward(t)
-        return t
-
-    @pytest.mark.parametrize("op", ALL_OPS)
-    def test_pooled_passes_match_fresh_passes_bitwise(self, op):
-        pool = Buffers()
-        first = self._run(op, 1, pool)
-        first_arrays = {id(n.value) for n in first.nodes} | {
-            id(n.grad) for n in first.nodes if n.grad is not None}
-        for seed in (2, 1, 3):
-            t = self._run(op, seed, pool)
-            _assert_same_arrays(_arrays(t), _arrays(self._run(op, seed)))
-        # the later passes wrote into the first pass's arrays
-        written = [n.value for n in t.nodes if n.op not in ("input", "constant")]
-        written += [n.grad for n in t.nodes if n.grad is not None]
-        assert any(id(a) in first_arrays for a in written)
-
-    def test_a_changed_shape_computes_fresh(self):
-        pool = Buffers()
-
-        def run(rows, buffers):
-            t = Tape(buffers)
-            a = t.input(np.arange(rows * 4.0).reshape(rows, 4) / 7.0)
-            w = t.input(np.linspace(-1.0, 1.0, 12).reshape(4, 3))
-            h = t.exp(t.scalar_mul(t.matmul(a, w), 0.1))
-            t.mean(t.masked_sum(h, np.tri(rows, 3)))
-            forward(t)
-            backward(t)
-            return t
-
-        for rows in (5, 3, 5, 8):
-            _assert_same_arrays(_arrays(run(rows, pool)), _arrays(run(rows, None)))
-
-    def test_gradient_shared_by_two_parents_is_not_mutated(self):
-        pool = Buffers()
-        for scale in (1.0, 2.0):
-            t = Tape(pool)
-            x = t.input([[1.0, -2.0], [0.5, 3.0]])
-            y = t.input([[4.0, 0.0], [-1.0, 2.0]])
-            u = t.scalar_mul(x, 3.0)
-            v = t.scalar_mul(y, 5.0)
-            s = t.add(x, y)
-            t.sum(t.scalar_mul(t.add(s, t.add(u, v)), scale))
-            forward(t)
-            backward(t)
-            np.testing.assert_array_equal(x.grad, np.full((2, 2), 4.0 * scale))
-            np.testing.assert_array_equal(y.grad, np.full((2, 2), 6.0 * scale))
-            np.testing.assert_array_equal(s.grad, np.full((2, 2), scale))
-
-    def test_a_gradient_handed_on_is_never_handed_back(self):
-        # n's gradient is a pooled array that add passes on to p1, where it
-        # is summed, and to p2, which keeps it. Handing it back to the pool
-        # at the sum would let p2's own vjp overwrite p2.grad.
-        def run(buffers):
-            t = Tape(buffers)
-            x = t.input([[1.0, -2.0], [0.5, 3.0]])
-            p1 = t.scalar_mul(x, 5.0)
-            p2 = t.scalar_mul(x, 7.0)
-            n = t.add(p1, p2)
-            c = t.scalar_mul(n, 3.0)
-            d = t.scalar_mul(p1, 11.0)
-            t.sum(t.add(c, d))
-            forward(t)
-            backward(t)
-            return t
-
-        pool = Buffers()
-        for _ in range(3):
-            t = run(pool)
-            _assert_same_arrays(_arrays(t), _arrays(run(None)))
-            np.testing.assert_array_equal(t.nodes[2].grad, np.full((2, 2), 3.0))
-
-    def test_row_blocks_of_one_node_match_fresh_passes_bitwise(self):
-        # As in a training step: one 2b-row model output whose two b-row
-        # blocks feed separate terms. Each block's gradient is a pooled
-        # array of the full shape whose other rows must be zeroed each pass.
-        def run(seed, buffers):
-            rng = np.random.default_rng(seed)
-            t = Tape(buffers)
-            w = t.input(rng.normal(size=(3, 4)))
-            y = t.tanh(t.matmul(t.constant(rng.normal(size=(8, 3))), w))
-            top, bottom = t.rows(y, 0, 4), t.rows(y, 4, 8)
-            t.sum(t.add(t.mul_elem(top, t.constant(rng.normal(size=(4, 4)))),
-                        t.exp(bottom)))
-            forward(t)
-            backward(t)
-            return t
-
-        pool = Buffers()
-        for seed in (1, 2, 1, 3):
-            _assert_same_arrays(_arrays(run(seed, pool)), _arrays(run(seed, None)))
-
-    def test_alternating_graphs_do_not_grow_the_pool(self):
-        pool = Buffers()
-        sizes = []
-        for k in range(12):
-            t, _ = _graph_for_op(("pick", "div_elem")[k % 2],
-                                 np.random.default_rng(k), pool)
-            forward(t)
-            backward(t)
-            sizes.append(len(pool))
-        assert max(sizes[2:]) == sizes[1]
-
-
-def _hex_tape(buffers, seed, b=64):
-    """A desk-size HEX loss tape: 2b unit rows of 8 dims, threshold mask."""
-    rng = np.random.default_rng(seed)
-    pos = paired_positive_index(b)
-    t = Tape(buffers)
-    z = t.row_l2_normalize(t.input(rng.normal(size=(2 * b, 8))))
-    rows = rng.normal(size=(2 * b, 8))
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    build_hex_graph(t, z, threshold_mask(rows @ rows.T, 0.2, pos), 0.5)
-    return t
-
-
-def _minor_faults() -> int:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
-
-@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "malloc_trim"),
-                    reason="needs glibc's malloc_trim")
-def test_pooled_passes_touch_no_fresh_pages():
-    # malloc_trim(0) returns every free page to the kernel, the worst case
-    # of glibc's trimming; a pass whose 2b x 2b arrays come from a warm pool
-    # must not fault their pages back in.
-    trim = ctypes.CDLL(None).malloc_trim
-    faults = {}
-    for label, pool in (("pooled", Buffers()), ("fresh", None)):
-        for seed in range(3):
-            t = _hex_tape(pool, seed)
-            forward(t)
-            backward(t)
-        t = _hex_tape(pool, 3)
-        trim(0)
-        before = _minor_faults()
-        forward(t)
-        backward(t)
-        faults[label] = _minor_faults() - before
-    assert faults["fresh"] > 200    # the probe sees the pages a pass frees
-    assert faults["pooled"] < 64, faults
 
 
 class TestNonFinite:

@@ -240,6 +240,14 @@ class TestTrain:
         assert not os.path.exists(tmp_path / "run")
 
 
+# --holdout values, with the exit code and message they give on the 24-row
+# BASE_CONFIG dataset and the 48-row diagnose fixture.
+HOLDOUT_ERRORS = [("-3", 1, "holdout fraction must lie in (0, 1), got -3.0"),
+                  ("0", 1, "holdout fraction must lie in (0, 1), got 0.0"),
+                  ("5", 1, "holdout fraction must lie in (0, 1), got 5.0"),
+                  ("0.99", 2, "leaves none of the")]
+
+
 class TestEval:
     def test_eval_checkpoint(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -251,6 +259,16 @@ class TestEval:
         got = json.loads(capsys.readouterr().out)
         assert set(got) == {"knn_class", "knn_super"}
         assert 0.0 <= got["knn_super"] <= 1.0
+
+    @pytest.mark.parametrize("holdout,code,message", HOLDOUT_ERRORS)
+    def test_bad_holdout_exit_code(self, tmp_path, capsys, holdout, code, message):
+        cfg = write_config(tmp_path)
+        out = str(tmp_path / "run")
+        main(["train", "--config", cfg, "--out", out, "--checkpoint-every", "2"])
+        capsys.readouterr()
+        ckpt = os.path.join(out, "ckpt_final.bin")
+        assert main(["eval", "--checkpoint", ckpt, "--holdout", holdout]) == code
+        assert message in capsys.readouterr().err
 
 
 class TestDiagnose:
@@ -319,6 +337,16 @@ class TestDiagnose:
                      "--knn-k", "1"]) == 2
         assert out.read_bytes() == b"previous\n"
         assert not os.path.exists(str(out) + ".tmp")
+
+    @pytest.mark.parametrize("holdout,code,message", HOLDOUT_ERRORS)
+    def test_bad_holdout_exit_code(self, tmp_path, capsys, holdout, code, message):
+        path = self._block_csv(tmp_path)
+        out = tmp_path / "diag.csv"
+        assert main(["diagnose", "--embeddings", path, "--out", str(out),
+                     "--rankme-subsets", "4", "--subset-size", "12",
+                     "--holdout", holdout]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_column_exit_code(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -446,11 +446,22 @@ class TestKnnAccuracy:
 
 class TestHoldoutSplit:
     @pytest.mark.parametrize("n,frac,n_query", [(10, 0.25, 2), (10, 0.35, 4),
-                                                (7, 0.0, 1), (40, 0.2, 8)])
+                                                (7, 0.01, 1), (40, 0.2, 8)])
     def test_sizes_and_partition(self, n, frac, n_query):
         query, train = holdout_split(n, frac, seed=3)
         assert query.size == n_query and train.size == n - n_query
+        assert query.dtype == train.dtype == np.intp
         assert sorted(np.concatenate([query, train]).tolist()) == list(range(n))
+
+    @pytest.mark.parametrize("frac", [-3.0, 0.0, 1.0, 5.0, float("nan")])
+    def test_fraction_outside_the_open_unit_interval(self, frac):
+        with pytest.raises(BadConfig, match="holdout fraction must lie in"):
+            holdout_split(40, frac, seed=3)
+
+    @pytest.mark.parametrize("n,frac", [(40, 0.99), (1, 0.5)])
+    def test_split_without_a_training_row(self, n, frac):
+        with pytest.raises(EmptyTrainSet, match=f"none of the {n} rows"):
+            holdout_split(n, frac, seed=3)
 
     def test_first_rows_of_the_stream_5_shuffle(self):
         perm = list(range(30))

@@ -187,5 +187,5 @@ class TestCountsMatchTheElementwiseFormulas:
         build_hex_graph(t, z, mask, 0.5)
         want = 1.0 - np.eye(n)
         want[mask.membership] = 0.0
-        (node,) = [node for node in t.nodes if node.name == "non_member_sum"]
-        assert node.aux.tobytes() == want.tobytes()
+        (node,) = [node for node in t.nodes if node.name == "hex_loss"]
+        assert node.aux.non_member.tobytes() == want.tobytes()

@@ -182,7 +182,7 @@ class TestHexReweight:
     def test_single_member_worked_example(self):
         z, member = worked_example_batch()
         # N = 2 anchors: (N * s / t - N * t * e^{s_pos / t}) / (1 - t)
-        got = hex_graph(z, member, qhi_tau=0.5).q_raw.value[0, 0]
+        got = hex_graph(z, member, qhi_tau=0.5).total.aux.q_raw[0, 0]
         expected = (2.0 - math.exp(2.0)) / 0.5
         assert got == pytest.approx(expected, rel=1e-14)
         assert got == pytest.approx(-10.7781, abs=5e-4)
@@ -199,16 +199,16 @@ class TestHexReweight:
         ref = build_info_nce_graph(t, t.input(z), paired_positive_index(2), 0.1)
         forward(t)
         assert info.rows_with_h.tolist() == [True, False, False, False]
-        np.testing.assert_array_equal(info.log_denominator.value[1:],
-                                      ref.log_denominator.value[1:])
-        assert info.log_denominator.value[0, 0] != ref.log_denominator.value[0, 0]
+        np.testing.assert_array_equal(info.total.aux.log_denominator[1:],
+                                      ref.total.aux.log_denominator[1:])
+        assert info.total.aux.log_denominator[0, 0] != ref.total.aux.log_denominator[0, 0]
 
     def test_two_members_vs_oracle(self):
         rng = np.random.default_rng(2)
         z = l2_normalize_rows(rng.normal(size=(16, 6)))
         member = np.zeros((16, 16), dtype=bool)
         member[0, [3, 11]] = True
-        got = hex_graph(z, member, qhi_tau=0.1).q_raw.value[0, 0]
+        got = hex_graph(z, member, qhi_tau=0.1).total.aux.q_raw[0, 0]
         hs = [float(np.dot(z[0], z[3])), float(np.dot(z[0], z[11]))]
         pos_sim = float(np.dot(z[0], z[8]))
         want = oracle_qhi(hs, pos_sim, 0.1, 8)
@@ -224,7 +224,7 @@ class TestHexReweight:
             j = int(rng.choice([a for a in range(2 * n) if a not in (i, (i + n) % (2 * n))]))
             member[i, j] = True
             tau = float(rng.choice([0.1, 0.2, 0.5, 0.7]))
-            got = hex_graph(z, member, qhi_tau=tau).q_raw.value[i, 0]
+            got = hex_graph(z, member, qhi_tau=tau).total.aux.q_raw[i, 0]
             s = float(np.dot(z[i], z[j]))
             p = float(np.dot(z[i], z[(i + n) % (2 * n)]))
             want = (n * (s / tau) - n * tau * math.exp(p / tau)) / (1.0 - tau)
@@ -240,7 +240,7 @@ class TestHexReweight:
             if not mask.membership.any():
                 continue
             tau = float(rng.choice([0.1, 0.2, 0.5, 0.9]))
-            q = hex_graph(z, mask.membership, qhi_tau=tau).q_raw.value[:, 0]
+            q = hex_graph(z, mask.membership, qhi_tau=tau).total.aux.q_raw[:, 0]
             for i in np.nonzero(mask.membership.any(axis=1))[0]:
                 hs = [float(np.dot(z[i], z[a]))
                       for a in np.nonzero(mask.membership[i])[0]]
@@ -398,7 +398,7 @@ def dim_graph(build, za, zb, *weights, **kw):
     evaluated on views za and zb."""
     t = Tape()
     a, b = t.input(za), t.input(zb)
-    build(t, a, b, *za.shape, *weights, **kw)
+    build(t, a, b, *weights, **kw)
     return forward(t), t, (a, b)
 
 
@@ -525,7 +525,7 @@ class TestDimKernels:
         rng = np.random.default_rng(19)
         za, zb = rng.normal(size=(8, 4)), rng.normal(size=(8, 4))
         t = Tape()
-        info = build(t, t.input(za), t.input(zb), 8, 4, *weights, var_eps=0.0)
+        info = build(t, t.input(za), t.input(zb), *weights, var_eps=0.0)
         forward(t)
         bd = info.breakdown()
         want = oracle(za, zb, *weights)
@@ -537,8 +537,54 @@ class TestDimKernels:
     def test_builder_records_one_kernel_node(self, build, weights):
         t = Tape()
         a, b = t.input(np.ones((8, 4))), t.input(np.ones((8, 4)))
-        info = build(t, a, b, 8, 4, *weights)
+        info = build(t, a, b, *weights)
         assert t.nodes[2:] == [info.total] and info.total.op == "kernel"
+
+
+class TestHexKernel:
+    """build_hex_graph records one kernel node whose vjp matches central
+    differences of its value, on each kind of mask a training step uses."""
+
+    @staticmethod
+    def assert_fd_gradient(z, mask, fixed_rows=0, h=1e-6):
+        """Checks the gradient with respect to z[fixed_rows:]; the rows
+        before them enter as a constant, as NNCLR's neighbour rows do."""
+        def loss(rows_value):
+            t = Tape()
+            rows = t.input(rows_value)
+            z_node = (t.vstack(t.constant(z[:fixed_rows]), rows) if fixed_rows
+                      else rows)
+            info = build_hex_graph(t, z_node, mask, 0.5, qhi_tau=0.5)
+            return forward(t), t, rows, info
+
+        _, t, rows, info = loss(z[fixed_rows:])
+        assert [n.op for n in t.nodes].count("kernel") == 1
+        backward(t)
+        fd = central_diff(lambda v: loss(v)[0], z[fixed_rows:], h)
+        assert np.abs(rows.grad - fd).max() <= 1e-6 * np.abs(fd).max()
+        return info
+
+    def test_empty_mask(self):
+        z, pos = random_rows(np.random.default_rng(20), 8, dim=4)
+        info = self.assert_fd_gradient(
+            z, HierarchyMask(np.zeros((16, 16), dtype=bool), pos))
+        assert info.total.aux.q_raw is None
+
+    def test_threshold_mask_with_clamped_and_unclamped_rows(self):
+        z, pos = random_rows(np.random.default_rng(21), 8, dim=4)
+        mask = threshold_mask(cosine_sim_matrix(z), 0.3, pos)
+        info = self.assert_fd_gradient(z, mask)
+        q = info.total.aux.q_raw[info.rows_with_h, 0]
+        assert (q < info.eps_den).any() and (q > info.eps_den).any()
+
+    def test_whole_batch_mask(self):
+        z, pos = random_rows(np.random.default_rng(22), 8, dim=4)
+        self.assert_fd_gradient(z, whole_batch_mask(16, pos))
+
+    def test_constant_first_half(self):
+        z, pos = random_rows(np.random.default_rng(23), 8, dim=4)
+        self.assert_fd_gradient(z, threshold_mask(cosine_sim_matrix(z), 0.3, pos),
+                                fixed_rows=8)
 
 
 def combined(hex_value, dim_value, alpha, hex_scale):

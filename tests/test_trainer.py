@@ -91,53 +91,21 @@ class TestForwardParity:
 
 
 class TestTrainEpoch:
-    @pytest.mark.parametrize("kind", ["simclr_hex", "simclr", "barlow", "vicreg",
-                                      "nnclr_hex"])
-    def test_pooled_tapes_train_bitwise_as_fresh_ones(self, kind, monkeypatch):
-        # Pool every array, so the tiny config takes the pooled path too.
-        # (At lr 0.05 the tiny vicreg run diverges in epoch 2.)
-        monkeypatch.setattr(autodiff, "_POOL_BYTES", 0)
-        cfg = tiny_config(loss={"kind": kind}, optimizer={"lr": 0.01})
-        ds = generate(cfg.data)
-        runs = []
-        for tape in (Tape, lambda buffers: Tape()):
-            monkeypatch.setattr(trainer, "Tape", tape)
-            state = init_state(cfg, ds.dim)
-            rows = [train_epoch(state, ds) for _ in range(3)]
-            runs.append((rows, state.params.weights + state.params.biases))
-        (rows, params), (rows0, params0) = runs
-        assert rows == rows0
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(params, params0))
-
-    def test_desk_steps_reuse_one_bounded_pool(self):
-        # Desk config: batch 64, so the loss's 128 x 128 arrays are pooled.
-        cfg = trainer.TrainConfig.from_dict({"loss": {"kind": "simclr_hex"},
-                                             "schedule": {"kind": "adaptive"},
-                                             "data": {"seed": 1}})
-        ds = cfg.load_dataset()
-        state = init_state(cfg, ds.dim)
-        sizes = []
-        for _ in range(4):
-            train_epoch(state, ds)
-            sizes.append(len(state.buffers))
-        assert sizes[0] > 0 and sizes[1:] == sizes[:-1]
-        # a diagnostics pass lets the pool go; the next epoch refills it
-        trainer.run_diagnostics(state, ds, state.epoch)
-        assert len(state.buffers) == 0
-        train_epoch(state, ds)
-        assert len(state.buffers) > 0
-
-    @pytest.mark.parametrize("kind", ["barlow", "vicreg"])
+    @pytest.mark.parametrize("kind", ["barlow", "vicreg", "simclr_hex"])
     def test_desk_dim_step_records_at_most_22_nodes(self, kind, monkeypatch):
-        # Desk model and batch; the loss is one kernel node on the two views.
+        # Desk model and batch: 19 model nodes, then the loss as one kernel
+        # node, on the two views' row blocks or on the normalized rows.
         cfg = trainer.TrainConfig.from_dict({"loss": {"kind": kind},
                                              "data": {"samples_per_class": 8}})
         ds = cfg.load_dataset()
-        counts = []
+        tapes = []
         monkeypatch.setattr(trainer, "forward",
-                            lambda tape: counts.append(len(tape.nodes)) or forward(tape))
+                            lambda tape: tapes.append(tape) or forward(tape))
         train_epoch(init_state(cfg, ds.dim), ds)
-        assert len(counts) == 2 and max(counts) <= 22
+        assert [len(t.nodes) for t in tapes] == [21 if kind == "simclr_hex" else 22] * 2
+        for t in tapes:
+            assert [n.op for n in t.nodes].count("kernel") == 1
+            assert t.nodes[-1].op == "kernel"
 
     def test_zero_lr_leaves_params_unchanged(self):
         cfg = tiny_config(optimizer={"lr": 0.0})
@@ -477,6 +445,30 @@ class TestCheckpointing:
             fh.write(blob[:8] + struct.pack("<I", len(new_blob)) + new_blob + payload)
         with pytest.raises(IoError, match=r"s\.bin: the header lists no array mb3$"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["config", "arrays", "epoch_completed"])
+    def test_header_without_a_key_names_it(self, tmp_path, key):
+        cfg = tiny_config()
+        state = init_state(cfg, generate(cfg.data).dim)
+        path = str(tmp_path / "s.bin")
+        save_checkpoint(state, path)
+        blob = open(path, "rb").read()
+        (blob_len,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12:12 + blob_len])
+        del header[key]
+        new_blob = json.dumps(header).encode()
+        with open(path, "wb") as fh:
+            fh.write(blob[:8] + struct.pack("<I", len(new_blob)) + new_blob
+                     + blob[12 + blob_len:])
+        with pytest.raises(IoError, match=rf"s\.bin: the header has no '{key}'$"):
+            load_checkpoint(path)
+
+    def test_header_that_is_not_an_object(self, tmp_path):
+        blob = json.dumps([1, 2]).encode()
+        path = tmp_path / "s.bin"
+        path.write_bytes(trainer.CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob)
+        with pytest.raises(IoError, match=r"s\.bin: corrupt header: not a JSON object$"):
+            load_checkpoint(str(path))
 
     @pytest.mark.parametrize("key,value", [("qhi_sign", "subtract"),
                                            ("qhi_n", "anchors")])
