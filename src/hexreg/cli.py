@@ -33,11 +33,22 @@ DIAGNOSE_COLUMNS = ["n_samples", "dim", "rankme_super", "rankme_random",
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except OSError as e:
         raise IoError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise BadConfig(f"config {path} is not valid JSON: {e}") from e
+    if not isinstance(raw, dict):
+        raise BadConfig(f"config {path} must hold a JSON object, got "
+                        f"{type(raw).__name__}")
+    return raw
+
+
+def _int(what: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise BadConfig(f"{what} must be an integer, got {text!r}") from None
 
 
 def cmd_gen_data(args) -> int:
@@ -79,7 +90,8 @@ def _run_cell(raw_cfg: dict, out_dir: str, checkpoint_every, resume):
 
 def cmd_train(args) -> int:
     raw = _load_config(args.config)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
+    seeds = ([_int("each --seeds entry", s) for s in args.seeds.split(",")]
+             if args.seeds else None)
     kinds = args.loss_kinds.split(",") if args.loss_kinds else None
     if seeds is None and kinds is None:
         cfg = _apply_overrides(raw, args.seed, args.epochs, args.loss_kind)
@@ -99,7 +111,7 @@ def cmd_train(args) -> int:
         for seed in seeds:
             cfg = _apply_overrides(raw, seed, args.epochs, kind)
             cells.append((cfg, os.path.join(args.out, f"{kind}_seed{seed}")))
-    workers = int(os.environ.get("HEXREG_THREADS", "1"))
+    workers = _int("HEXREG_THREADS", os.environ.get("HEXREG_THREADS", "1"))
     summaries = []
     if workers > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

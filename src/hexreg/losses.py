@@ -17,7 +17,8 @@ non-member (the positive included) keeps its ordinary exponential term.
 With every H(i) empty there is no q term and the loss is InfoNCE, so
 ``build_info_nce_graph`` is ``build_hex_graph`` over an all-False mask.
 HEX/InfoNCE is one autodiff ``kernel`` node on z whose forward and vjp
-replay, bit for bit, the graph of autodiff ops it stands for.
+replay, bit for bit, the graph of autodiff ops it stands for; its q term is
+evaluated at the members of H(i) and the positives only.
 
 Barlow Twins (Zbontar et al., arXiv 2103.03230) and VICReg (Bardes et al.,
 arXiv 2105.04906) are each one autodiff ``kernel`` node on the two views: a
@@ -137,6 +138,18 @@ class _Hex:
     the order the tape added them, so loss and gradient are that graph's bit
     for bit. ``tests/test_losses.py`` builds the graph and compares.
 
+    The graph multiplied whole n x n arrays by 0/1 masks. Off H(i) the q
+    chain's masked products are zeros, so the kernel evaluates that chain
+    only at the member entries (``idx``, the row-major flat index of
+    ``member``) and at the positives. It takes the member row sums over
+    one zeroed n x n scratch array that holds the member values, so numpy
+    adds them in the graph's pairwise order, and it applies the
+    denominator's mask by zeroing entries in place. Between forward and vjp
+    it keeps two n x n arrays: ``_sims`` (z z^T) and ``_expl``
+    (exp(sims / tau) with H(i) and the diagonal at 0); the vjp recomputes
+    the q chain's factors on the live rows only. Unlike the graph's, its
+    loss is not NaN when only a masked-out entry's exp overflows.
+
     After a forward it holds the n x 1 columns ``pos_logits`` (s_pos / tau),
     ``log_denominator``, ``q_raw`` and ``q_clamped`` (both None when no row
     has members)."""
@@ -144,10 +157,9 @@ class _Hex:
     def __init__(self, member, pos, tau, qhi_tau, eps_den):
         self.pos = np.asarray(pos, dtype=np.intp)
         self.tau, self.qhi_tau, self.eps_den = tau, qhi_tau, eps_den
+        self.member = member
+        self.idx = np.flatnonzero(member)
         self.rows_with = member.any(axis=1)[:, None].astype(np.float64)
-        self.non_member = (~member).astype(np.float64)
-        np.fill_diagonal(self.non_member, 0.0)
-        self.member = member.astype(np.float64) if member.any() else None
         self.q_raw = self.q_clamped = None
 
     def value(self, node, z):
@@ -155,32 +167,35 @@ class _Hex:
         sims = z @ z.T
         expl = sims * (1.0 / self.tau)
         self.pos_logits = expl[rows, self.pos][:, None]
+        # Zeroing in place gives the bits of a product with the 0/1 mask,
+        # as exp >= 0.
         np.exp(expl, out=expl)
-        expl *= self.non_member
-        self._expl = expl
+        expl.ravel()[self.idx] = 0.0
+        np.fill_diagonal(expl, 0.0)
+        self._sims, self._expl = sims, expl
         self._denom = expl.sum(axis=1, keepdims=True)
-        if self.member is not None:
+        if self.idx.size:
             self._denom = self._denom + self._q_effective(sims, rows)
         self.log_denominator = np.log(self._denom)
         return (self.log_denominator - self.pos_logits).mean().reshape(1, 1)
 
     def _q_effective(self, sims, rows):
-        """q_clamped on the rows with members, 0 elsewhere; sims becomes
-        the logits s / qhi_tau."""
+        """q_clamped on the rows with members, 0 elsewhere."""
         n_anchors = len(rows) // 2
-        lq = np.multiply(sims, 1.0 / self.qhi_tau, out=sims)
+        lq = sims.ravel()[self.idx] * (1.0 / self.qhi_tau)
         eq = np.exp(lq)
-        work = eq * lq
-        work *= self.member
+        work = np.zeros(sims.shape)
+        flat = work.ravel()
+        flat[self.idx] = eq * lq
         num = work.sum(axis=1, keepdims=True)
-        np.multiply(eq, self.member, out=work)
+        flat[self.idx] = eq
         den = work.sum(axis=1, keepdims=True) * (1.0 / n_anchors)
         self._safe = den + (1.0 - self.rows_with)
         self._ratio = num / self._safe
-        core = self._ratio - eq[rows, self.pos][:, None] * (n_anchors * self.qhi_tau)
+        eq_pos = np.exp(sims[rows, self.pos] * (1.0 / self.qhi_tau))[:, None]
+        core = self._ratio - eq_pos * (n_anchors * self.qhi_tau)
         self.q_raw = core * (1.0 / (1.0 - self.qhi_tau))
         self.q_clamped = np.maximum(self.q_raw, self.eps_den)
-        self._lq, self._eq = lq, eq
         return self.q_clamped * self.rows_with
 
     def vjp(self, node, g, i):
@@ -191,16 +206,16 @@ class _Hex:
         gs = self._expl * g_denom
         gs[rows, self.pos] -= g_loss[:, 0]
         gs *= 1.0 / self.tau
-        if self.member is not None:
+        if self.idx.size:
             self._add_q_vjp(gs, g_denom)
         return gs @ z + (z.T @ gs).T
 
     def _add_q_vjp(self, gs, g_denom):
         """Add the q chain's gradient with respect to sims to gs. A row whose
         three column gradients below are all exactly 0 (no members, or q
-        clamped) contributes a signed zero to every entry, since a finite
-        loss implies finite exp(s / qhi_tau); only the other rows are
-        computed."""
+        clamped) contributes a signed zero to every entry where
+        exp(s / qhi_tau) is finite, which is all of them unless qhi_tau <
+        1/709.78, as s <= 1; only the other rows are computed."""
         n_anchors = len(gs) // 2
         g_core = (g_denom * self.rows_with * (self.q_raw > self.eps_den)
                   * (1.0 / (1.0 - self.qhi_tau)))
@@ -208,7 +223,9 @@ class _Hex:
         g_num = g_core / self._safe
         g_den = -g_core * self._ratio / self._safe * (1.0 / n_anchors)
         live = np.flatnonzero((g_num != 0.0) | (g_den != 0.0) | (g_pos != 0.0))
-        h, lq, eq = self.member[live], self._lq[live], self._eq[live]
+        h = self.member[live].astype(np.float64)
+        lq = self._sims[live] * (1.0 / self.qhi_tau)
+        eq = np.exp(lq)
         g_eq = np.zeros(h.shape)
         g_eq[np.arange(len(live)), self.pos[live]] = g_pos[live, 0]
         g_prod = g_num[live] * h

@@ -67,8 +67,12 @@ def adaptive_threshold(batch_sims, sigma_multiplier: float = 2.0) -> float:
     values = np.asarray(batch_sims, dtype=np.float64).ravel()
     if values.size == 0:
         raise EmptyBatch("adaptive threshold needs at least one similarity")
-    mean = float(values.mean())
-    std = float(np.sqrt(((values - mean) ** 2).mean()))
+    # sum / size and d *= d give np.mean's and ** 2's bits without their
+    # temporaries and dispatch.
+    mean = float(values.sum() / values.size)
+    d = values - mean
+    d *= d
+    std = float(np.sqrt(d.sum() / d.size))
     return mean + sigma_multiplier * std
 
 

@@ -382,7 +382,12 @@ def train_epoch(state: TrainState, dataset: HierarchicalDataset) -> dict:
     ep_stream = Rng.from_seed(cfg.train.seed).child(1).child(e)
     order = list(range(n))
     ep_stream.child(0).shuffle(order)
-    aug_dom = ep_stream.child(1)
+    # Computed once per epoch, not per step: the order as an index array,
+    # every step's augmentation key (child s of the augmentation domain is
+    # step s's), and per batch size the pairing and eligible-pair index.
+    order = np.asarray(order, dtype=np.intp)
+    step_keys = child_keys(ep_stream.child(1).key, -(-n // bsz))
+    pairs: dict = {}
 
     totals: dict = {}
     counts: dict = {}
@@ -391,9 +396,11 @@ def train_epoch(state: TrainState, dataset: HierarchicalDataset) -> dict:
         b = len(idx)
         if b < 2:
             break
+        if b not in pairs:
+            pairs[b] = _batch_pairs(b)
         # Even keys augment view a, odd keys view b. Augmentation is row by
         # row, so both views come from one call on the stacked rows.
-        keys = child_keys(aug_dom.child(step).key, 2 * b)
+        keys = child_keys(int(step_keys[step]), 2 * b)
         x = dataset.x[idx]
         views = augment_batch(np.vstack((x, x)), cfg.augment.noise_sigma,
                               cfg.augment.mask_prob,
@@ -401,7 +408,7 @@ def train_epoch(state: TrainState, dataset: HierarchicalDataset) -> dict:
 
         try:
             step_row = _train_step(state, views, dataset.superclass_labels[idx],
-                                   lr, e)
+                                   lr, e, pairs[b])
         except NumericalError as err:
             raise type(err)(f"epoch {e + 1}, batch {step}: {err}") from err
 
@@ -420,13 +427,21 @@ def train_epoch(state: TrainState, dataset: HierarchicalDataset) -> dict:
     return row
 
 
-def _train_step(state: TrainState, views, batch_supers, lr, epoch) -> dict:
+def _batch_pairs(b: int):
+    """The two-view pairing of 2b stacked rows, and the row-major flat index
+    of their eligible pairs (neither the anchor itself nor its positive)."""
+    pos = paired_positive_index(b)
+    return pos, np.flatnonzero(whole_batch_mask(2 * b, pos).membership)
+
+
+def _train_step(state: TrainState, views, batch_supers, lr, epoch, pairs) -> dict:
     """One SGD step on a batch of b rows; ``views`` stacks view a (rows
-    0:b) on view b (rows b:2b), and the tape runs the model once on both."""
+    0:b) on view b (rows b:2b), and the tape runs the model once on both.
+    ``pairs`` is ``_batch_pairs(b)``."""
     cfg = state.config
     loss_cfg = cfg.loss
     b = views.shape[0] // 2
-    pos = paired_positive_index(b)
+    pos, elig = pairs
     row_supers = np.concatenate([batch_supers, batch_supers])
 
     # Plain forward to derive the frozen constants (threshold, mask, NN rows).
@@ -443,13 +458,23 @@ def _train_step(state: TrainState, views, batch_supers, lr, epoch) -> dict:
         z_used = np.vstack([nn_rows, z_full[b:]])
 
     sims = cosine_sim_matrix(z_used)
-    elig = whole_batch_mask(2 * b, pos).membership
-    ada_eps = adaptive_threshold(sims[elig], cfg.schedule.sigma_multiplier)
+    ada_eps = adaptive_threshold(sims.ravel()[elig], cfg.schedule.sigma_multiplier)
     sched_eps = threshold_for_epoch(cfg.schedule, epoch)
     thr_used = ada_eps if sched_eps is None else sched_eps
 
     diag_mask = threshold_mask(sims, ada_eps, pos)
     dq = mask_quality(diag_mask, row_supers)
+    mask = None
+    if loss_cfg.is_hex:
+        if cfg.mask_source == "supervised":
+            mask = supervised_mask(row_supers, pos)
+        elif cfg.mask_source == "all":
+            mask = whole_batch_mask(2 * b, pos)
+        else:
+            mask = threshold_mask(sims, thr_used, pos)
+    # Nothing below reads the batch similarities; freeing them here keeps
+    # them out of the tape pass's memory peak.
+    del sims
 
     # Differentiable graph with the mask and NN rows frozen as constants.
     tape = Tape()
@@ -467,12 +492,6 @@ def _train_step(state: TrainState, views, batch_supers, lr, epoch) -> dict:
     # shared model nodes in reverse recording order.
     contra = dim = None
     if loss_cfg.is_hex:
-        if cfg.mask_source == "supervised":
-            mask = supervised_mask(row_supers, pos)
-        elif cfg.mask_source == "all":
-            mask = whole_batch_mask(2 * b, pos)
-        else:
-            mask = threshold_mask(sims, thr_used, pos)
         contra = build_hex_graph(tape, z_node, mask, loss_cfg.tau,
                                  qhi_tau=loss_cfg.qhi_tau, eps_den=loss_cfg.eps_den)
     elif not loss_cfg.is_dim:

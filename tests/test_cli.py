@@ -80,6 +80,13 @@ class TestGenData:
         assert code == 1
         assert "sigma" in capsys.readouterr().err
 
+    def test_config_that_is_not_an_object_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[]")
+        code = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert f"config {cfg} must hold a JSON object, got list" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_writes_metrics_and_summary(self, tmp_path):
@@ -142,6 +149,31 @@ class TestTrain:
         serial = run()
         monkeypatch.setenv("HEXREG_THREADS", "2")
         assert run() == serial
+
+    @pytest.mark.parametrize("flags", [["--seed", "3"], ["--seeds", "1,2"]])
+    def test_config_that_is_not_an_object_exit_code(self, tmp_path, capsys, flags):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[]")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out), *flags]) == 1
+        assert f"config {cfg} must hold a JSON object, got list" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seeds_entry_that_is_not_an_integer_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "matrix"
+        assert main(["train", "--config", cfg, "--out", str(out), "--seeds", "1,x"]) == 1
+        assert "each --seeds entry must be an integer, got 'x'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_threads_that_is_not_an_integer_exit_code(self, tmp_path, capsys,
+                                                      monkeypatch):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "matrix"
+        monkeypatch.setenv("HEXREG_THREADS", "two")
+        assert main(["train", "--config", cfg, "--out", str(out), "--seeds", "1,2"]) == 1
+        assert "HEXREG_THREADS must be an integer, got 'two'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_resume_matches_uninterrupted(self, tmp_path):
         cfg = write_config(tmp_path, train={"epochs": 4})

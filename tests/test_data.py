@@ -292,6 +292,13 @@ class TestRngContract:
             assert stream.uniform_array(5).tolist() == oracle_uniforms(key, 5, 1 << 40)
             assert stream.counter == (1 << 40) + 5
 
+    @pytest.mark.parametrize("seed,epoch,n", [(1, 0, 25), (2, 7, 25), (3, 19, 200)])
+    def test_one_child_keys_call_gives_each_child_key(self, seed, epoch, n):
+        # train_epoch draws every step's augmentation key in one call.
+        dom = Rng.from_seed(seed).child(1).child(epoch).child(1)
+        keys = child_keys(dom.key, n)
+        assert [int(k) for k in keys] == [dom.child(s).key for s in range(n)]
+
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 1600])
     def test_shuffle_matches_scalar_fisher_yates(self, n):
         for seed in (0, 1, 7, 2024):

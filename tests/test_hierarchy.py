@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexreg.autodiff import Tape
+from hexreg.autodiff import Tape, forward
 from hexreg.errors import MissingLabels
 from hexreg.hierarchy import (HierarchyMask, mask_quality, supervised_mask,
                               threshold_mask, whole_batch_mask)
@@ -185,7 +185,9 @@ class TestCountsMatchTheElementwiseFormulas:
         t = Tape()
         z = t.input(l2_normalize_rows(np.random.default_rng(n).normal(size=(n, 3))))
         build_hex_graph(t, z, mask, 0.5)
+        forward(t)
         want = 1.0 - np.eye(n)
         want[mask.membership] = 0.0
         (node,) = [node for node in t.nodes if node.name == "hex_loss"]
-        assert node.aux.non_member.tobytes() == want.tobytes()
+        masked_exp = np.exp((z.value @ z.value.T) * (1.0 / 0.5)) * want
+        assert node.aux._expl.tobytes() == masked_exp.tobytes()

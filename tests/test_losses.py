@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -586,6 +587,32 @@ class TestHexKernel:
         self.assert_fd_gradient(z, threshold_mask(cosine_sim_matrix(z), 0.3, pos),
                                 fixed_rows=8)
 
+    def test_desk_size_tape_peak_memory(self):
+        # b = 64, d = 8 and the mean + 2 std threshold mask, with the two
+        # views close, so every row with members is clamped, as about 97%
+        # are at the desk defaults. The kernel keeps two n x n arrays between
+        # forward and vjp, and the q chain reads member entries only.
+        b, d = 64, 8
+        rng = np.random.default_rng(3)
+        za = rng.normal(size=(b, d))
+        z = l2_normalize_rows(np.vstack((za, za + 0.2 * rng.normal(size=(b, d)))))
+        pos = paired_positive_index(b)
+        sims = cosine_sim_matrix(z)
+        eligible = sims[whole_batch_mask(2 * b, pos).membership]
+        mask = threshold_mask(sims, eligible.mean() + 2.0 * eligible.std(), pos)
+        tracemalloc.start()
+        try:
+            t = Tape()
+            info = build_hex_graph(t, t.input(z), mask, 0.1)
+            forward(t)
+            backward(t)
+            bd = info.breakdown()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bd.clamp_events == np.count_nonzero(info.rows_with_h) > 0
+        assert peak <= 4 * (2 * b) ** 2 * 8
+
 
 def combined(hex_value, dim_value, alpha, hex_scale):
     t = Tape()
@@ -613,6 +640,64 @@ class TestCombined:
 # graph builders against the oracles and the pre-pick graph
 # ---------------------------------------------------------------------------
 
+# The graph as it was built before pick and vstack existed: the two
+# views stacked by selector matmuls, positives read by one-hot sums.
+def old_graph(t, ya, yb, member, pos, tau, qhi_tau, eps_den=1e-6):
+    b = ya.value.shape[0]
+    n = 2 * b
+    sel_a = np.zeros((n, b))
+    sel_a[:b] = np.eye(b)
+    sel_b = np.zeros((n, b))
+    sel_b[b:] = np.eye(b)
+    z = t.row_l2_normalize(t.add(t.matmul(t.constant(sel_a), ya),
+                                 t.matmul(t.constant(sel_b), yb)))
+    one_hot = np.zeros((n, n))
+    one_hot[np.arange(n), pos] = 1.0
+    rows_with = member.any(axis=1)
+    sims = t.matmul(z, t.transpose(z))
+    logits = t.scalar_mul(sims, 1.0 / tau)
+    expl = t.exp(logits)
+    pos_logits = t.masked_sum(logits, one_hot)
+    non_h = 1.0 - np.eye(n)
+    non_h[member] = 0.0
+    denom = t.masked_sum(expl, non_h)
+    if rows_with.any():
+        hf = member.astype(np.float64)
+        logits_q = t.scalar_mul(sims, 1.0 / qhi_tau)
+        expq = t.exp(logits_q)
+        num = t.masked_sum(t.mul_elem(expq, logits_q), hf)
+        den = t.scalar_mul(t.masked_sum(expq, hf), 1.0 / b)
+        safe_den = t.add(den, t.constant((~rows_with)[:, None].astype(np.float64)))
+        ratio = t.div_elem(num, safe_den)
+        pos_term = t.scalar_mul(t.masked_sum(expq, one_hot), b * qhi_tau)
+        core = t.sub(ratio, pos_term)
+        q_raw = t.scalar_mul(core, 1.0 / (1.0 - qhi_tau))
+        q_eff = t.mul_elem(t.clamp_min(q_raw, eps_den),
+                           t.constant(rows_with[:, None].astype(np.float64)))
+        denom = t.add(denom, q_eff)
+    t.mean(t.sub(t.log(denom), pos_logits))
+
+
+def new_and_old_graph(ya_val, yb_val, member, pos, tau, qhi_tau):
+    """(loss, ya grad, yb grad, kernel) from build_hex_graph, then (loss, ya
+    grad, yb grad, None) from old_graph, on the same views."""
+    results = []
+    for build_new in (True, False):
+        t = Tape()
+        ya, yb = t.input(ya_val), t.input(yb_val)
+        kernel = None
+        if build_new:
+            z = t.row_l2_normalize(t.vstack(ya, yb))
+            kernel = build_hex_graph(t, z, HierarchyMask(member, pos), tau,
+                                     qhi_tau=qhi_tau).total.aux
+        else:
+            old_graph(t, ya, yb, member, pos, tau, qhi_tau)
+        loss = forward(t)
+        backward(t)
+        results.append((loss, ya.grad, yb.grad, kernel))
+    return results
+
+
 class TestGraphParity:
     def test_info_nce_graph(self):
         rng = np.random.default_rng(12)
@@ -626,43 +711,6 @@ class TestGraphParity:
         assert abs(bd.regularization_term - (want - inv)) <= 1e-12 * scale
 
     def test_hex_graph_matches_one_hot_selector_graph_bitwise(self):
-        # The graph as it was built before pick and vstack existed: the two
-        # views stacked by selector matmuls, positives read by one-hot sums.
-        def old_graph(t, ya, yb, member, pos, tau, qhi_tau, eps_den=1e-6):
-            b = ya.value.shape[0]
-            n = 2 * b
-            sel_a = np.zeros((n, b))
-            sel_a[:b] = np.eye(b)
-            sel_b = np.zeros((n, b))
-            sel_b[b:] = np.eye(b)
-            z = t.row_l2_normalize(t.add(t.matmul(t.constant(sel_a), ya),
-                                         t.matmul(t.constant(sel_b), yb)))
-            one_hot = np.zeros((n, n))
-            one_hot[np.arange(n), pos] = 1.0
-            rows_with = member.any(axis=1)
-            sims = t.matmul(z, t.transpose(z))
-            logits = t.scalar_mul(sims, 1.0 / tau)
-            expl = t.exp(logits)
-            pos_logits = t.masked_sum(logits, one_hot)
-            non_h = 1.0 - np.eye(n)
-            non_h[member] = 0.0
-            denom = t.masked_sum(expl, non_h)
-            if rows_with.any():
-                hf = member.astype(np.float64)
-                logits_q = t.scalar_mul(sims, 1.0 / qhi_tau)
-                expq = t.exp(logits_q)
-                num = t.masked_sum(t.mul_elem(expq, logits_q), hf)
-                den = t.scalar_mul(t.masked_sum(expq, hf), 1.0 / b)
-                safe_den = t.add(den, t.constant((~rows_with)[:, None].astype(np.float64)))
-                ratio = t.div_elem(num, safe_den)
-                pos_term = t.scalar_mul(t.masked_sum(expq, one_hot), b * qhi_tau)
-                core = t.sub(ratio, pos_term)
-                q_raw = t.scalar_mul(core, 1.0 / (1.0 - qhi_tau))
-                q_eff = t.mul_elem(t.clamp_min(q_raw, eps_den),
-                                   t.constant(rows_with[:, None].astype(np.float64)))
-                denom = t.add(denom, q_eff)
-            t.mean(t.sub(t.log(denom), pos_logits))
-
         rng = np.random.default_rng(16)
         for _ in range(24):
             b = int(rng.choice([2, 3, 8, 64]))
@@ -672,23 +720,38 @@ class TestGraphParity:
             member[np.arange(2 * b), np.arange(2 * b)] = False
             member[np.arange(2 * b), pos] = False
             tau, qhi_tau = float(rng.choice([0.1, 0.5])), float(rng.choice([0.07, 0.1, 0.5]))
-            results = []
-            for build_new in (True, False):
-                t = Tape()
-                ya, yb = t.input(ya_val), t.input(yb_val)
-                if build_new:
-                    z = t.row_l2_normalize(t.vstack(ya, yb))
-                    build_hex_graph(t, z, HierarchyMask(member, pos), tau,
-                                    qhi_tau=qhi_tau)
-                else:
-                    old_graph(t, ya, yb, member, pos, tau, qhi_tau)
-                loss = forward(t)
-                backward(t)
-                results.append((loss, ya.grad, yb.grad))
-            (loss_new, ga_new, gb_new), (loss_old, ga_old, gb_old) = results
+            results = new_and_old_graph(ya_val, yb_val, member, pos, tau, qhi_tau)
+            (loss_new, ga_new, gb_new, _), (loss_old, ga_old, gb_old, _) = results
             assert loss_new == loss_old
             np.testing.assert_array_equal(ga_new, ga_old)
             np.testing.assert_array_equal(gb_new, gb_old)
+
+    @pytest.mark.parametrize("tau", [0.1, 0.2])   # simclr_hex, nnclr_hex defaults
+    @pytest.mark.parametrize("source", ["all", "supervised", "threshold"])
+    def test_desk_size_masks_match_the_one_hot_selector_graph_bitwise(self, source, tau):
+        # The kernel's q chain reads member entries only; at b = 64 the
+        # whole-batch mask holds every eligible pair, and the threshold mask
+        # is the desk schedule's mean + 2 std one.
+        rng = np.random.default_rng(17)
+        b = 64
+        ya_val, yb_val = rng.normal(size=(2, b, 8))
+        pos = paired_positive_index(b)
+        if source == "all":
+            member = whole_batch_mask(2 * b, pos).membership
+        elif source == "supervised":
+            member = supervised_mask(np.tile(rng.integers(0, 4, size=b), 2), pos).membership
+        else:
+            sims = cosine_sim_matrix(l2_normalize_rows(np.vstack((ya_val, yb_val))))
+            eligible = sims[whole_batch_mask(2 * b, pos).membership]
+            member = threshold_mask(sims, eligible.mean() + 2.0 * eligible.std(),
+                                    pos).membership
+        (loss_new, ga_new, gb_new, k), (loss_old, ga_old, gb_old, _) = new_and_old_graph(
+            ya_val, yb_val, member, pos, tau, 0.1)
+        q = k.q_raw[member.any(axis=1), 0]
+        assert (q > k.eps_den).any()     # the q chain's vjp runs
+        assert np.array(loss_new).tobytes() == np.array(loss_old).tobytes()
+        assert ga_new.tobytes() == ga_old.tobytes()
+        assert gb_new.tobytes() == gb_old.tobytes()
 
     def test_hex_graph_gradients_finite(self):
         rng = np.random.default_rng(14)

@@ -171,7 +171,8 @@ class TestTrainEpoch:
                             for k in range(3))
         supers = ds.superclass_labels[:8]
         losses = [trainer._train_step(copy.deepcopy(state), np.vstack((xa, b)), supers,
-                                      0.0, 1)["loss_total"] for b in (xb, other_xb)]
+                                      0.0, 1, trainer._batch_pairs(8))["loss_total"]
+                  for b in (xb, other_xb)]
         assert losses[0] != losses[1]
 
     def test_views_take_even_and_odd_step_keys(self, monkeypatch):
@@ -240,8 +241,8 @@ class TestTrainEpoch:
         for build in (build_model_graph, two_view_graph):
             monkeypatch.setattr(trainer, "build_model_graph", build)
             losses.append(trainer._train_step(copy.deepcopy(state), views,
-                                              ds.superclass_labels[:8], 0.0, 1)
-                          ["loss_total"])
+                                              ds.superclass_labels[:8], 0.0, 1,
+                                              trainer._batch_pairs(8))["loss_total"])
         assert losses[0] == losses[1]
         stacked, two_view = ([n.grad for n in t.nodes if n.op == "input"] for t in tapes)
         assert len(stacked) == len(two_view) == 8
@@ -282,8 +283,8 @@ class TestTrainEpoch:
         # with momentum 0, one real step moves the weights by -lr * gradient
         h = 1e-5
         state3 = init_state(cfg, ds.dim)
-        from hexreg.trainer import _train_step
-        _train_step(state3, views, ds.superclass_labels[idx], cfg.optimizer.lr, 0)
+        trainer._train_step(state3, views, ds.superclass_labels[idx], cfg.optimizer.lr, 0,
+                            trainer._batch_pairs(16))
         delta = [(w1 - w0) / -cfg.optimizer.lr
                  for w0, w1 in zip(p0.weights, state3.params.weights)]
         for li in (0, len(p0.weights) - 1):
