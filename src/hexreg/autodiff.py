@@ -3,22 +3,23 @@
 A Tape records an acyclic graph of matrix operations; ``forward`` evaluates
 every node in insertion order and returns the terminal scalar, ``backward``
 accumulates gradients for all input (parameter) nodes. The operation set is
-fixed to what the encoder, projector and loss graphs need:
+what the encoder, projector and loss graphs need, plus what the tests
+record: the ops of their op-by-op reference graph of the HEX/InfoNCE kernel
+(sub, mul_elem, div_elem, exp, log, mean, transpose, masked_sum, clamp_min)
+and sum, their scalar reducer:
 
     input, constant, matmul, add, sub, mul_elem, div_elem, scalar_mul,
     exp, log, sum, mean, row_l2_normalize, tanh, relu, transpose,
-    masked_sum, clamp_min, pick, vstack, rows, kernel
+    masked_sum, clamp_min, vstack, rows, kernel
 
-``pick(a, cols)`` is the n x 1 column of ``a[i, cols[i]]``; ``vstack(a, b)``
-stacks two row blocks and ``rows(a, lo, hi)`` takes the row block
-``a[lo:hi]``. ``kernel(k, *parents)`` has the value ``k.value(node,
+``vstack(a, b)`` stacks two row blocks and ``rows(a, lo, hi)`` takes the
+row block ``a[lo:hi]``. ``kernel(k, *parents)`` has the value ``k.value(node,
 *parent_values)`` and the vjp ``k.vjp(node, g, i)`` for parent i; k keeps
 what its forward saved, so each kernel node has its own. Masks (for
-masked_sum) and column indices (for pick) are plain constant arrays, never
-nodes, so no gradient can flow into them. Elementwise binaries support the
-usual numpy broadcasting between 2-D shapes; gradients are reduced back over
-broadcast axes. Values and gradients are deterministic functions of the
-graph and its inputs.
+masked_sum) are plain constant arrays, never nodes, so no gradient can flow
+into them. Elementwise binaries support the usual numpy broadcasting between
+2-D shapes; gradients are reduced back over broadcast axes. Values and
+gradients are deterministic functions of the graph and its inputs.
 
 Gradients are computed only for parents that require one: constants, masks
 and every node built from constants alone get none. A gradient array is
@@ -170,13 +171,6 @@ class Tape:
     def clamp_min(self, a: Node, bound: float, name="") -> Node:
         return self._record("clamp_min", (a,), aux=float(bound), name=name)
 
-    def pick(self, a: Node, cols, name="") -> Node:
-        """n x 1 column holding a[i, cols[i]] for each of a's n rows."""
-        cols = np.asarray(cols, dtype=np.intp)
-        if cols.ndim != 1:
-            raise ValueError(f"pick needs one column index per row, got shape {cols.shape}")
-        return self._record("pick", (a,), aux=(np.arange(cols.shape[0]), cols), name=name)
-
     def vstack(self, a: Node, b: Node, name="") -> Node:
         """a's rows followed by b's rows."""
         return self._record("vstack", (a, b), name=name)
@@ -206,21 +200,6 @@ def _normalize_vjp(node: Node, g):
     y = node.value
     inner = (g * y).sum(axis=1, keepdims=True)
     return (g - y * inner) / node._norms
-
-
-def _pick(node: Node, a):
-    rows, cols = node.aux
-    if a.shape[0] != rows.shape[0]:
-        raise ValueError(f"node {node.idx} ({node.name or node.op}): {rows.shape[0]} "
-                         f"column indices for {a.shape[0]} rows")
-    return a[rows, cols][:, None]
-
-
-def _pick_vjp(node: Node, g):
-    rows, cols = node.aux
-    scattered = np.zeros(_x(node).shape)
-    scattered[rows, cols] = g[:, 0]
-    return scattered
 
 
 def _rows_vjp(node: Node, g):
@@ -265,7 +244,6 @@ _OPS = {
                    (lambda n, g: g * n.aux,)),
     "clamp_min": (lambda n, a: np.maximum(a, n.aux),
                   (lambda n, g: g * (_x(n) > n.aux),)),
-    "pick": (_pick, (_pick_vjp,)),
     "rows": (lambda n, a: a[n.aux[0]:n.aux[1]], (_rows_vjp,)),
     "kernel": (lambda n, *xs: n.aux.value(n, *xs), _KernelVjps()),
 }

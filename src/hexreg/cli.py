@@ -19,9 +19,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import diagnostics as diag
-from .data import GenParams, _write_atomic, generate, load_csv, save_csv
+from .data import GenParams, _format_cell, _write_atomic, generate, load_csv, save_csv
 from .errors import BadConfig, HexRegError, IoError
-from .linalg import _safe_unit_rows
 from .schedule import threshold_for_epoch
 from .trainer import TrainConfig, run_training
 
@@ -146,9 +145,8 @@ def cmd_diagnose(args) -> int:
     if subset_size is None:
         smallest = min(np.count_nonzero(supers == s) for s in np.unique(supers))
         subset_size = min(100, smallest)
-    rank = diag.subset_rank_curve(x, supers, args.rankme_subsets, subset_size,
-                                  seed=args.seed)
-    stats = diag.distribution_stats(_safe_unit_rows(x), supers)
+    columns = diag.rank_and_similarity_columns(x, x, supers, args.rankme_subsets,
+                                               subset_size, args.seed)
 
     n = ds.n_samples
     q_idx, t_idx = diag.holdout_split(n, args.holdout, args.seed)
@@ -156,22 +154,10 @@ def cmd_diagnose(args) -> int:
                                   x[q_idx], ds.class_labels[q_idx], args.knn_k)
     knn_super = diag.knn_accuracy(x[t_idx], supers[t_idx],
                                   x[q_idx], supers[q_idx], args.knn_k)
-    row = {
-        "n_samples": n, "dim": ds.dim,
-        "rankme_super": rank.mean_rankme_superclass,
-        "rankme_random": rank.mean_rankme_random,
-        "mean_super": stats.mean_super, "mean_regular": stats.mean_regular,
-        "skew_super": stats.skew_super, "skew_regular": stats.skew_regular,
-        "knn_class": knn_class, "knn_super": knn_super,
-    }
-
-    def cell(v):
-        if v is None:
-            return ""
-        return str(v) if isinstance(v, int) else repr(float(v))
-
+    row = {"n_samples": n, "dim": ds.dim, **columns,
+           "knn_class": knn_class, "knn_super": knn_super}
     lines = [",".join(DIAGNOSE_COLUMNS),
-             ",".join(cell(row[c]) for c in DIAGNOSE_COLUMNS)]
+             ",".join(_format_cell(row[c]) for c in DIAGNOSE_COLUMNS)]
     return _emit("\n".join(lines) + "\n", args.out)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams, IoError, SchemaError
+from .errors import BadParams, IoError, SchemaError, _is_finite_real
 from .rng import Rng, box_muller, child_keys, seed_keys, uniform_rows
 
 
@@ -52,7 +52,7 @@ class GenParams:
                 raise BadParams(f"{name} must be >= 1")
         for name in ("sigma_super", "sigma_class", "sigma_sample"):
             value = getattr(self, name)
-            if not np.isfinite(value):
+            if not _is_finite_real(value):
                 raise BadParams(f"{name} must be finite, got {value!r}")
         if not self.sigma_sample > 0:
             raise BadParams("sigma ordering violated: sigma_sample must be > 0")
@@ -143,18 +143,27 @@ def _write_atomic(path: str, data: bytes):
         raise IoError(f"cannot write {path}: {e}") from e
 
 
+def _format_cell(v) -> str:
+    """One CSV cell of every file this package writes: empty for None, an
+    integer as itself, anything else as a shortest round-trip float."""
+    if v is None:
+        return ""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return repr(float(v))
+
+
 def save_csv(d: HierarchicalDataset, path: str):
     lines = [",".join([f"f{j}" for j in range(d.dim)] + ["class", "superclass"])]
     for i in range(d.n_samples):
-        cells = [repr(float(v)) for v in d.x[i]]
-        cells.append(str(int(d.class_labels[i])))
-        cells.append(str(int(d.superclass_labels[i])))
-        lines.append(",".join(cells))
+        cells = [*d.x[i], d.class_labels[i], d.superclass_labels[i]]
+        lines.append(",".join(_format_cell(v) for v in cells))
     _write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def load_csv(path: str) -> HierarchicalDataset:
-    """Read the schema above; feature columns must be f0..f{d-1} in order."""
+    """Read the schema above; feature columns must be f0..f{d-1} in order
+    and every feature cell finite."""
     try:
         with open(path, "r", newline="") as fh:
             lines = fh.read().splitlines()
@@ -185,4 +194,9 @@ def load_csv(path: str) -> HierarchicalDataset:
             sup[i] = int(cells[d + 1])
         except ValueError as e:
             raise SchemaError(f"{path}: row {i + 1}: {e}") from e
+    bad = np.argwhere(~np.isfinite(x))
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise SchemaError(f"{path}: row {i + 1}: feature f{j} must be finite, "
+                          f"got {rows[i].split(',')[j]!r}")
     return HierarchicalDataset(x, cls, sup)

@@ -55,19 +55,17 @@ class DistributionStats:
     skew_regular: Optional[float]
 
 
-def rankme(r, eps: float = RANKME_EPS) -> float:
+def rankme(r) -> float:
     """Effective rank: exp of the entropy of the normalized singular-value
-    distribution, each share perturbed by eps."""
+    distribution, each share perturbed by RANKME_EPS."""
     a = as_matrix(r)
-    if eps <= 0.0:
-        raise BadConfig(f"eps must be > 0, got {eps}")
     if not np.any(a):
         raise ZeroMatrix("effective rank of the zero matrix is undefined")
     sv = singular_values(a)
     total = sv.sum()
     if total <= 0.0:
         raise ZeroMatrix("singular values sum to zero")
-    p = sv / total + eps
+    p = sv / total + RANKME_EPS
     return float(np.exp(-(p * np.log(p)).sum()))
 
 
@@ -239,6 +237,19 @@ def distribution_stats(z, superclass_labels) -> DistributionStats:
     return DistributionStats(
         mean_super=mean_super, mean_regular=mean_regular,
         skew_super=skew_super, skew_regular=skew_regular)
+
+
+def rank_and_similarity_columns(r, z, superclass_labels, n_subsets: int,
+                                subset_size: int, seed: int) -> dict:
+    """The six rank and similarity columns of a diagnostics row: the mean
+    effective ranks of subset_rank_curve on r, and distribution_stats of z's
+    rows scaled to unit norm."""
+    rank = subset_rank_curve(r, superclass_labels, n_subsets, subset_size, seed=seed)
+    stats = distribution_stats(_safe_unit_rows(z), superclass_labels)
+    return {"rankme_super": rank.mean_rankme_superclass,
+            "rankme_random": rank.mean_rankme_random,
+            "mean_super": stats.mean_super, "mean_regular": stats.mean_regular,
+            "skew_super": stats.skew_super, "skew_regular": stats.skew_regular}
 
 
 def _top_k(sims: np.ndarray, k: int) -> tuple:

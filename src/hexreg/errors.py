@@ -106,7 +106,12 @@ def _check_int(name: str, value):
         raise BadConfig(f"{name} must be an integer, got {value!r}")
 
 
+def _is_finite_real(value) -> bool:
+    """A finite real number; a bool is not one."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _check_finite(name: str, value):
-    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-            or not math.isfinite(value)):
+    if not _is_finite_real(value):
         raise BadConfig(f"{name} must be a finite number, got {value!r}")

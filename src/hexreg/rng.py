@@ -108,9 +108,6 @@ class Rng:
     def uniform(self) -> float:
         return float(self.uniform_array(1)[0])
 
-    def gauss(self) -> float:
-        return float(self.gauss_array(1)[0])
-
     def randbelow(self, n: int) -> int:
         """Integer in [0, n) via the uniform mapping (documented, portable)."""
         return min(int(self.uniform() * n), n - 1)
@@ -131,6 +128,3 @@ class Rng:
         u = uniform_rows(self.key, n, self.counter)[0]
         self.counter += n
         return u
-
-    def gauss_array(self, n: int) -> np.ndarray:
-        return box_muller(self.uniform_array(2 * n))

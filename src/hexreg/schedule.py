@@ -35,7 +35,7 @@ class ThresholdSchedule:
             _check_finite(f"schedule.{name}", getattr(self, name))
         for name in ("period_epochs", "total_epochs"):
             _check_int(f"schedule.{name}", getattr(self, name))
-        if self.start < self.floor:
+        if self.kind in ("step", "cos") and self.start < self.floor:
             raise BadConfig(f"start ({self.start}) must be >= floor ({self.floor})")
         if self.kind == "step" and self.step_down <= 0:
             raise BadConfig("step_down must be > 0 for the step schedule")
@@ -48,14 +48,10 @@ class ThresholdSchedule:
 
 
 def step_threshold(s: ThresholdSchedule, epoch: int) -> float:
-    if s.kind != "step":
-        raise BadConfig(f"step_threshold called on a {s.kind!r} schedule")
     return max(s.floor, s.start - s.step_down * (epoch // s.period_epochs))
 
 
 def cosine_threshold(s: ThresholdSchedule, epoch: int) -> float:
-    if s.kind != "cos":
-        raise BadConfig(f"cosine_threshold called on a {s.kind!r} schedule")
     frac = min(epoch, s.total_epochs) / s.total_epochs
     return s.floor + (s.start - s.floor) * (1.0 + math.cos(math.pi * frac)) / 2.0
 

@@ -29,14 +29,14 @@ import numpy as np
 from . import diagnostics as diag
 from . import losses as losses_mod
 from .autodiff import Tape, backward, forward
-from .data import (GenParams, HierarchicalDataset, _write_atomic, augment_batch,
-                   generate, load_csv)
+from .data import (GenParams, HierarchicalDataset, _format_cell, _write_atomic,
+                   augment_batch, generate, load_csv)
 from .errors import (BadConfig, BadDims, InsufficientSamples, IoError,
                      NumericalError, SchemaError, VersionMismatch, _check_finite,
                      _check_int)
 from .hierarchy import (mask_quality, supervised_mask, threshold_mask,
                         whole_batch_mask)
-from .linalg import _safe_unit_rows, cosine_sim_matrix, l2_normalize_rows
+from .linalg import cosine_sim_matrix, l2_normalize_rows
 from .losses import (NNQueue, build_barlow_graph, build_combined_graph,
                      build_hex_graph, build_info_nce_graph,
                      build_vicreg_graph, nnclr_positive_rows,
@@ -178,13 +178,11 @@ class RunConfig:
     def __post_init__(self):
         for name in ("epochs", "batch_size", "seed", "eval_every", "queue_capacity",
                      "knn_k", "rank_subsets", "rank_subset_size"):
-            _check_int(f"train.{name}", getattr(self, name))
-        if self.epochs < 1:
-            raise BadConfig("epochs must be >= 1")
-        if self.batch_size < 2:
-            raise BadConfig("batch_size must be >= 2")
-        if self.eval_every < 1:
-            raise BadConfig("eval_every must be >= 1")
+            value = getattr(self, name)
+            _check_int(f"train.{name}", value)
+            least = 2 if name == "batch_size" else 1
+            if name != "seed" and value < least:
+                raise BadConfig(f"train.{name} must be >= {least}, got {value}")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise BadConfig("holdout_fraction must lie in (0, 1)")
 
@@ -270,11 +268,6 @@ class ModelParams:
     biases: list
     n_encoder_layers: int
 
-    def copy(self) -> "ModelParams":
-        return ModelParams([w.copy() for w in self.weights],
-                           [b.copy() for b in self.biases],
-                           self.n_encoder_layers)
-
 
 def layer_dims(model: ModelConfig, input_dim: int) -> list:
     return ([int(input_dim)] + model.encoder_hidden
@@ -286,8 +279,6 @@ def init_params(model: ModelConfig, input_dim: int, seed: int) -> ModelParams:
     biases; layer i draws fan_in * fan_out uniforms (row-major) from the
     init stream's child i."""
     dims = layer_dims(model, input_dim)
-    if any(d < 1 for d in dims):
-        raise BadDims(f"layer widths must be >= 1, got {dims}")
     root = Rng.from_seed(seed).child(0)
     weights, biases = [], []
     for i in range(len(dims) - 1):
@@ -562,20 +553,13 @@ def run_diagnostics(state: TrainState, dataset: HierarchicalDataset,
     """The diagnostic columns of epoch's metrics row. A NumericalError keeps
     its class; its message is prefixed by the epoch."""
     cfg = state.config
-    labels = dataset.superclass_labels
     try:
         r, y = mlp_forward(state.params, dataset.x)
         diag_seed = Rng.from_seed(cfg.train.seed).child(4).child(epoch).key
-        rank = diag.subset_rank_curve(r, labels, cfg.train.rank_subsets,
-                                      cfg.train.rank_subset_size, seed=diag_seed)
-        proj = diag.distribution_stats(_safe_unit_rows(y), labels)
         return {
-            "rankme_super": rank.mean_rankme_superclass,
-            "rankme_random": rank.mean_rankme_random,
-            "mean_super": proj.mean_super,
-            "mean_regular": proj.mean_regular,
-            "skew_super": proj.skew_super,
-            "skew_regular": proj.skew_regular,
+            **diag.rank_and_similarity_columns(r, y, dataset.superclass_labels,
+                                               cfg.train.rank_subsets,
+                                               cfg.train.rank_subset_size, diag_seed),
             "knn_class": evaluate(state, dataset, "knn_class", cfg.train.knn_k),
             "knn_super": evaluate(state, dataset, "knn_super", cfg.train.knn_k),
         }
@@ -586,14 +570,6 @@ def run_diagnostics(state: TrainState, dataset: HierarchicalDataset,
 # ---------------------------------------------------------------------------
 # output files
 # ---------------------------------------------------------------------------
-
-def _format_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
 
 def write_metrics_csv(rows: list, path: str):
     lines = [",".join(METRICS_COLUMNS)]

@@ -195,11 +195,6 @@ def _graph_for_op(op, rng):
         a = t.input(rng.normal(size=(3, 3)) * 2.0)
         t.sum(t.clamp_min(a, 0.5))
         return t, [a]
-    if op == "pick":
-        a = t.input(rng.normal(size=(4, 3)))
-        picked = t.pick(a, [2, 0, 2, 1])
-        t.sum(t.mul_elem(picked, t.constant(rng.normal(size=(4, 1)))))
-        return t, [a]
     if op == "vstack":
         a = t.input(rng.normal(size=(2, 3)))
         b = t.input(rng.normal(size=(3, 3)))
@@ -233,7 +228,7 @@ class _ProductKernel:
 
 ALL_OPS = ["matmul", "add", "sub", "mul_elem", "div_elem", "scalar_mul",
            "exp", "log", "sum", "mean", "row_l2_normalize", "tanh", "relu",
-           "transpose", "masked_sum", "clamp_min", "pick", "vstack", "rows",
+           "transpose", "masked_sum", "clamp_min", "vstack", "rows",
            "kernel"]
 
 
@@ -277,37 +272,8 @@ def test_shared_parameter_accumulates():
 
 
 class TestPickAndVstack:
-    """pick, vstack and rows give the bits of the forms they replace: a
-    one-hot masked_sum, a stack built from two selector matmuls and an add,
-    and a selector matmul."""
-
-    def test_pick_matches_one_hot_masked_sum_bitwise(self):
-        rng = np.random.default_rng(21)
-        for n, m in ((1, 1), (4, 4), (7, 3), (128, 128)):
-            a_val = rng.normal(size=(n, m)) * 10.0
-            cols = rng.integers(0, m, size=n)
-            w = rng.normal(size=(n, 1))
-            one_hot = np.zeros((n, m))
-            one_hot[np.arange(n), cols] = 1.0
-            results = []
-            for use_pick in (True, False):
-                t = Tape()
-                a = t.input(a_val)
-                out = t.pick(a, cols) if use_pick else t.masked_sum(a, one_hot)
-                t.sum(t.mul_elem(out, t.constant(w)))
-                forward(t)
-                backward(t)
-                results.append((out.value, a.grad))
-            (v_new, g_new), (v_old, g_old) = results
-            assert v_new.shape == (n, 1)
-            np.testing.assert_array_equal(v_new, v_old)
-            np.testing.assert_array_equal(g_new, g_old)
-
-    def test_pick_rejects_a_row_count_mismatch(self):
-        t = Tape()
-        t.sum(t.pick(t.input(np.ones((3, 2))), [0, 1]))
-        with pytest.raises(ValueError, match="2 column indices for 3 rows"):
-            forward(t)
+    """vstack and rows give the bits of the forms they replace: a stack
+    built from two selector matmuls and an add, and a selector matmul."""
 
     def test_vstack_matches_selector_matmul_stack_bitwise(self):
         rng = np.random.default_rng(22)

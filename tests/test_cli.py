@@ -251,6 +251,10 @@ class TestTrain:
         ("loss", {"kind": "simclr_hex", "hex_scale": 0}, "loss.hex_scale must be > 0"),
         ("loss", {"kind": "vicreg", "vicreg_var": -1.0}, "loss.vicreg_var must be >= 0"),
         ("loss", {"kind": "barlow", "barlow_lambda": -0.5}, "loss.barlow_lambda must be >= 0"),
+        ("train", {"knn_k": 0}, "train.knn_k must be >= 1, got 0"),
+        ("train", {"rank_subsets": 0}, "train.rank_subsets must be >= 1, got 0"),
+        ("train", {"rank_subset_size": 0}, "train.rank_subset_size must be >= 1, got 0"),
+        ("train", {"queue_capacity": 0}, "train.queue_capacity must be >= 1, got 0"),
     ])
     def test_bad_section_value_exit_code(self, tmp_path, capsys, section, values,
                                          message):
@@ -384,6 +388,14 @@ class TestDiagnose:
         path = tmp_path / "bad.csv"
         path.write_text("f0,f1,class\n1.0,0.0,0\n")
         assert main(["diagnose", "--embeddings", str(path)]) == 2
+
+    def test_non_finite_feature_cell_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("f0,f1,class,superclass\n1.0,0.0,0,0\n0.0,nan,1,0\n")
+        out = tmp_path / "diag.csv"
+        assert main(["diagnose", "--embeddings", str(path), "--out", str(out)]) == 2
+        assert f"{path}: row 2: feature f1 must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSchedule:

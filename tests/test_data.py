@@ -8,7 +8,7 @@ from hexreg.data import (GenParams, HierarchicalDataset, augment_batch, generate
                          load_csv, save_csv)
 from hexreg.errors import BadParams, SchemaError
 from hexreg.linalg import cosine_sim_matrix, l2_normalize_rows
-from hexreg.rng import Rng, child_keys, seed_keys, uniform_rows
+from hexreg.rng import Rng, box_muller, child_keys, seed_keys, uniform_rows
 
 M64 = (1 << 64) - 1
 PHI = 0x9E3779B97F4A7C15
@@ -34,16 +34,19 @@ def generate_oracle(p: GenParams) -> HierarchicalDataset:
     """generate as one stream per sample, drawn one sample at a time."""
     root = Rng.from_seed(p.seed)
     sup_dom, cls_dom, smp_dom = root.child(0), root.child(1), root.child(2)
+
+    def gauss(stream):
+        return box_muller(stream.uniform_array(2 * p.input_dim))
+
     rows, labels = [], []
     for s in range(p.n_super):
-        mu_super = p.sigma_super * sup_dom.child(s).gauss_array(p.input_dim)
+        mu_super = p.sigma_super * gauss(sup_dom.child(s))
         for c_local in range(p.classes_per_super):
             c = s * p.classes_per_super + c_local
-            mu_class = mu_super + p.sigma_class * cls_dom.child(c).gauss_array(p.input_dim)
+            mu_class = mu_super + p.sigma_class * gauss(cls_dom.child(c))
             cls_samples = smp_dom.child(c)
             for k in range(p.samples_per_class):
-                rows.append(mu_class + p.sigma_sample
-                            * cls_samples.child(k).gauss_array(p.input_dim))
+                rows.append(mu_class + p.sigma_sample * gauss(cls_samples.child(k)))
                 labels.append(c)
     cls = np.array(labels, dtype=np.int64)
     return HierarchicalDataset(np.array(rows), cls, cls // p.classes_per_super)
@@ -59,7 +62,8 @@ class TestGenParams:
             GenParams(sigma_sample=0.0)
 
     @pytest.mark.parametrize("field", ["sigma_super", "sigma_class", "sigma_sample"])
-    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"),
+                                       True, "3", None])
     def test_non_finite_sigma_names_the_field(self, field, value):
         with pytest.raises(BadParams, match=f"{field} must be finite"):
             GenParams(**{field: value})
@@ -232,6 +236,14 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaError):
             load_csv(str(path))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_feature_cell_names_the_row(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"f0,f1,class,superclass\n0.1,0.2,0,0\n0.3,{cell},1,0\n")
+        with pytest.raises(SchemaError, match=f"row 2: feature f1 must be finite, "
+                                              f"got '{cell}'"):
+            load_csv(str(path))
+
     def test_feature_columns_must_be_ordered(self, tmp_path):
         path = tmp_path / "wrong.csv"
         path.write_text("f1,f0,class,superclass\n0.1,0.2,0,0\n")
@@ -271,7 +283,7 @@ class TestRngContract:
         pair = r.uniform_array(2)
         expect = np.sqrt(-2.0 * np.log(1.0 - pair[0])) * np.cos(2.0 * np.pi * pair[1])
         r2 = Rng.from_seed(8)
-        assert r2.gauss() == pytest.approx(expect, abs=1e-15)
+        assert box_muller(r2.uniform_array(2))[0] == pytest.approx(expect, abs=1e-15)
 
     @pytest.mark.parametrize("key", [0, 1, 0x0123456789ABCDEF, M64])
     def test_row_functions_follow_the_recipe(self, key):

@@ -637,11 +637,11 @@ class TestCombined:
 
 
 # ---------------------------------------------------------------------------
-# graph builders against the oracles and the pre-pick graph
+# graph builders against the oracles and the op-by-op graph
 # ---------------------------------------------------------------------------
 
-# The graph as it was built before pick and vstack existed: the two
-# views stacked by selector matmuls, positives read by one-hot sums.
+# The graph as it was built before vstack and the loss kernels existed: the
+# two views stacked by selector matmuls, positives read by one-hot sums.
 def old_graph(t, ya, yb, member, pos, tau, qhi_tau, eps_den=1e-6):
     b = ya.value.shape[0]
     n = 2 * b

@@ -84,6 +84,12 @@ class TestScheduleValidation:
         with pytest.raises(BadConfig):
             ThresholdSchedule("step", start=0.1, floor=0.5)
 
+    @pytest.mark.parametrize("kind,fields", [("fixed", {"start": 0.05}),
+                                             ("adaptive", {"floor": 0.95})])
+    def test_floor_binds_only_the_kinds_that_read_it(self, kind, fields):
+        s = ThresholdSchedule(kind, **fields)
+        assert threshold_for_epoch(s, 3) == (0.05 if kind == "fixed" else None)
+
     def test_bad_kind(self):
         with pytest.raises(BadConfig):
             ThresholdSchedule("linear")

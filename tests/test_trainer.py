@@ -41,7 +41,8 @@ def tiny_config(**over):
 
 def metrics_text(rows):
     buf = []
-    from hexreg.trainer import METRICS_COLUMNS, _format_cell
+    from hexreg.data import _format_cell
+    from hexreg.trainer import METRICS_COLUMNS
     for row in rows:
         buf.append(",".join(_format_cell(row.get(c)) for c in METRICS_COLUMNS))
     return "\n".join(buf)
@@ -263,7 +264,7 @@ class TestTrainEpoch:
 
         # reproduce the first batch exactly as train_epoch builds it
         state = init_state(cfg, ds.dim)
-        p0 = state.params.copy()
+        p0 = copy.deepcopy(state.params)
         ep = Rng.from_seed(cfg.train.seed).child(1).child(0)
         order = list(range(ds.n_samples))
         ep.child(0).shuffle(order)
@@ -294,7 +295,7 @@ class TestTrainEpoch:
             rng = np.random.default_rng(0)
             picks = [flat[k] for k in rng.choice(len(flat), size=12, replace=False)]
             for (i, j) in picks:
-                pp = p0.copy()
+                pp = copy.deepcopy(p0)
                 pp.weights[li][i, j] += h
                 up = loss_at(pp)
                 pp.weights[li][i, j] -= 2 * h
@@ -622,6 +623,11 @@ class TestConfig:
         ("loss", {"vicreg_sim": -25.0}, r"loss\.vicreg_sim must be >= 0"),
         ("loss", {"kind": "vicreg", "vicreg_var": -1.0}, r"loss\.vicreg_var must be >= 0"),
         ("loss", {"vicreg_cov": -1e-9}, r"loss\.vicreg_cov must be >= 0"),
+        ("train", {"knn_k": 0}, r"train\.knn_k must be >= 1, got 0"),
+        ("train", {"rank_subsets": 0}, r"train\.rank_subsets must be >= 1, got 0"),
+        ("train", {"rank_subset_size": -3},
+         r"train\.rank_subset_size must be >= 1, got -3"),
+        ("train", {"queue_capacity": 0}, r"train\.queue_capacity must be >= 1, got 0"),
     ])
     def test_bad_section_values_name_the_field(self, section, values, message):
         with pytest.raises(BadConfig, match=message):
