@@ -3,22 +3,18 @@
 A Tape records an acyclic graph of matrix operations; ``forward`` evaluates
 every node in insertion order and returns the terminal scalar, ``backward``
 accumulates gradients for all input (parameter) nodes. The operation set is
-what the encoder, projector and loss graphs need, plus what the tests
-record: the ops of their op-by-op reference graph of the HEX/InfoNCE kernel
-(sub, mul_elem, div_elem, exp, log, mean, transpose, masked_sum, clamp_min)
-and sum, their scalar reducer:
+what the model and loss graphs need, plus sum, the tests' scalar reducer:
 
-    input, constant, matmul, add, sub, mul_elem, div_elem, scalar_mul,
-    exp, log, sum, mean, row_l2_normalize, tanh, relu, transpose,
-    masked_sum, clamp_min, vstack, rows, kernel
+    input, constant, matmul, add, scalar_mul, sum, row_l2_normalize,
+    tanh, relu, vstack, rows, kernel
 
 ``vstack(a, b)`` stacks two row blocks and ``rows(a, lo, hi)`` takes the
 row block ``a[lo:hi]``. ``kernel(k, *parents)`` has the value ``k.value(node,
 *parent_values)`` and the vjp ``k.vjp(node, g, i)`` for parent i; k keeps
-what its forward saved, so each kernel node has its own. Masks (for
-masked_sum) are plain constant arrays, never nodes, so no gradient can flow
-into them. Elementwise binaries support the usual numpy broadcasting between
-2-D shapes; gradients are reduced back over broadcast axes. Values and
+what its forward saved, so each kernel node has its own. A kernel's masks
+are plain constant arrays it holds, never nodes, so no gradient can flow
+into them. ``add`` supports numpy broadcasting between 2-D shapes (a bias
+row on a batch); gradients are reduced back over broadcast axes. Values and
 gradients are deterministic functions of the graph and its inputs.
 
 Gradients are computed only for parents that require one: constants, masks
@@ -32,7 +28,7 @@ checks the terminal value and ``backward`` the gradient of each input node.
 Only after a failed check are the nodes rescanned, so that NonFinite names
 the first bad node, the one a check after every node would have named. A
 NaN or Inf that reaches neither the loss nor a parameter gradient, such as
-``exp(-inf) = 0``, does not raise.
+``relu(-inf) = 0``, does not raise.
 
 An op is defined in two places: its ``Tape`` method, which records the node,
 and its entry in ``_OPS``, which gives the node's value from its parents'
@@ -127,29 +123,11 @@ class Tape:
     def add(self, a: Node, b: Node, name="") -> Node:
         return self._record("add", (a, b), name=name)
 
-    def sub(self, a: Node, b: Node, name="") -> Node:
-        return self._record("sub", (a, b), name=name)
-
-    def mul_elem(self, a: Node, b: Node, name="") -> Node:
-        return self._record("mul_elem", (a, b), name=name)
-
-    def div_elem(self, a: Node, b: Node, name="") -> Node:
-        return self._record("div_elem", (a, b), name=name)
-
     def scalar_mul(self, a: Node, c: float, name="") -> Node:
         return self._record("scalar_mul", (a,), aux=float(c), name=name)
 
-    def exp(self, a: Node, name="") -> Node:
-        return self._record("exp", (a,), name=name)
-
-    def log(self, a: Node, name="") -> Node:
-        return self._record("log", (a,), name=name)
-
     def sum(self, a: Node, name="") -> Node:
         return self._record("sum", (a,), name=name)
-
-    def mean(self, a: Node, name="") -> Node:
-        return self._record("mean", (a,), name=name)
 
     def row_l2_normalize(self, a: Node, name="") -> Node:
         return self._record("row_l2_normalize", (a,), name=name)
@@ -159,17 +137,6 @@ class Tape:
 
     def relu(self, a: Node, name="") -> Node:
         return self._record("relu", (a,), name=name)
-
-    def transpose(self, a: Node, name="") -> Node:
-        return self._record("transpose", (a,), name=name)
-
-    def masked_sum(self, a: Node, mask, name="") -> Node:
-        """Row-wise sum of the entries selected by a constant 0/1 mask."""
-        m = _as_value(mask)
-        return self._record("masked_sum", (a,), aux=m, name=name)
-
-    def clamp_min(self, a: Node, bound: float, name="") -> Node:
-        return self._record("clamp_min", (a,), aux=float(bound), name=name)
 
     def vstack(self, a: Node, b: Node, name="") -> Node:
         """a's rows followed by b's rows."""
@@ -221,29 +188,15 @@ _OPS = {
     "matmul": (lambda n, a, b: a @ b,
                (lambda n, g: g @ _x(n, 1).T, lambda n, g: _x(n, 0).T @ g)),
     "add": (lambda n, a, b: a + b, (lambda n, g: g, lambda n, g: g)),
-    "sub": (lambda n, a, b: a - b, (lambda n, g: g, lambda n, g: -g)),
-    "mul_elem": (lambda n, a, b: a * b,
-                 (lambda n, g: g * _x(n, 1), lambda n, g: g * _x(n, 0))),
-    "div_elem": (lambda n, a, b: a / b,
-                 (lambda n, g: g / _x(n, 1), lambda n, g: -g * n.value / _x(n, 1))),
     "vstack": (lambda n, a, b: np.concatenate((a, b)),
                (lambda n, g: g[:_x(n, 0).shape[0]],
                 lambda n, g: g[_x(n, 0).shape[0]:])),
     "scalar_mul": (lambda n, a: a * n.aux, (lambda n, g: g * n.aux,)),
-    "exp": (lambda n, a: np.exp(a), (lambda n, g: g * n.value,)),
-    "log": (lambda n, a: np.log(a), (lambda n, g: g / _x(n),)),
     "sum": (lambda n, a: a.sum().reshape(1, 1),
             (lambda n, g: np.full(_x(n).shape, g[0, 0]),)),
-    "mean": (lambda n, a: a.mean().reshape(1, 1),
-             (lambda n, g: np.full(_x(n).shape, g[0, 0] / _x(n).size),)),
     "row_l2_normalize": (_normalize, (_normalize_vjp,)),
     "tanh": (lambda n, a: np.tanh(a), (lambda n, g: g * (1.0 - n.value * n.value),)),
     "relu": (lambda n, a: np.maximum(a, 0.0), (lambda n, g: g * (_x(n) > 0.0),)),
-    "transpose": (lambda n, a: a.T, (lambda n, g: g.T,)),
-    "masked_sum": (lambda n, a: (a * n.aux).sum(axis=1, keepdims=True),
-                   (lambda n, g: g * n.aux,)),
-    "clamp_min": (lambda n, a: np.maximum(a, n.aux),
-                  (lambda n, g: g * (_x(n) > n.aux),)),
     "rows": (lambda n, a: a[n.aux[0]:n.aux[1]], (_rows_vjp,)),
     "kernel": (lambda n, *xs: n.aux.value(n, *xs), _KernelVjps()),
 }
@@ -278,12 +231,12 @@ def forward(tape: Tape) -> float:
     came first.
 
     A non-finite value that never reaches the terminal does not raise:
-    ``relu(log(0))`` is 0 and ``exp(-inf)`` is 0. The terms a loss kernel
+    ``relu(-inf)`` is 0. The terms a loss kernel
     keeps from its forward are still checked, because each reaches the
     kernel's value only through sums, products, log and mean, and each of
     those turns a NaN or Inf operand into a NaN or Inf result: a finite
     terminal implies finite HEX terms (``pos_logits``, ``log_denominator``,
-    ``q_clamped``) and finite Barlow/VICReg terms.
+    ``q``) and finite Barlow/VICReg terms.
     """
     if not tape.nodes:
         raise ValueError("empty tape")

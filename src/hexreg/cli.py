@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--data", help="embeddings CSV; defaults to the run's dataset")
     e.add_argument("--probe", choices=["knn_class", "knn_super", "both"],
                    default="both")
-    e.add_argument("--k", type=int, default=5)
+    e.add_argument("--k", type=int, default=None)
     e.add_argument("--holdout", type=float, default=None)
     e.add_argument("--seed", type=int, default=None)
     e.set_defaults(fn=cmd_eval)

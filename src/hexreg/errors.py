@@ -47,10 +47,6 @@ class BadTemperature(UsageError):
     pass
 
 
-class TauOne(UsageError):
-    pass
-
-
 # -- data / schema / io --------------------------------------------------
 
 class IoError(DataError):

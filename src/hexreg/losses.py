@@ -5,20 +5,26 @@ over the autodiff op set; the trainer differentiates it and reads its terms
 back from the evaluated nodes. The independent plain-loop numpy oracles
 that check the builders live in ``tests/test_losses.py``.
 
-The hierarchical variant splits the softmax denominator: members of the
-anchor's estimated grouping H(i) are collapsed into a single reweighted term
+The hierarchical variant splits the softmax denominator: the members of
+the anchor's estimated grouping H(i) are replaced by one reweighted term,
+the hard-negative estimator of Robinson et al. (arXiv 2010.04592, beta = 1)
+over H(i), which builds on the debiased estimator of Chuang et al. (arXiv
+2007.00224). With e_a = e^{s_ia/t}, t the loss temperature, m = |H(i)| and
+w_h = e_h / sum_h e_h,
 
-    q_i = ( sum_h e^{s_h/t} (s_h/t) / ((1/N) sum_h e^{s_h/t})
-            - N t e^{s_pos/t} ) / (1 - t)
+    q_i = max( (m sum_h e_h w_h - tau_plus m e_pos) / (1 - tau_plus),
+               m e^{-1/t} )
 
-with t = ``qhi_tau``, N the number of samples (the graph's 2N rows are
-their two stacked views) and q_i clamped below at ``eps_den``. Every
-non-member (the positive included) keeps its ordinary exponential term.
-With every H(i) empty there is no q term and the loss is InfoNCE, so
-``build_info_nce_graph`` is ``build_hex_graph`` over an all-False mask.
-HEX/InfoNCE is one autodiff ``kernel`` node on z whose forward and vjp
-replay, bit for bit, the graph of autodiff ops it stands for; its q term is
-evaluated at the members of H(i) and the positives only.
+where tau_plus is the class prior. The weights w_h are e_h's share of the
+members' mass, so e_h w_h cannot overflow where e_h does not. The second
+argument of max is the floor: q never drops below what m members at
+similarity -1 would give. Every non-member (the positive included) keeps its
+ordinary exponential term. With every H(i) empty there is no q term and the
+loss is InfoNCE, so ``build_info_nce_graph`` is ``build_hex_graph`` over an
+all-False mask. With tau_plus = 0 and one similarity on all of H(i), q_i is
+the members' own sum, so the loss is InfoNCE again. HEX/InfoNCE is one
+autodiff ``kernel`` node on z; its q term is evaluated and differentiated
+at the members of H(i) and the positives only.
 
 Barlow Twins (Zbontar et al., arXiv 2103.03230) and VICReg (Bardes et al.,
 arXiv 2105.04906) are each one autodiff ``kernel`` node on the two views: a
@@ -33,11 +39,10 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import Node, Tape
-from .errors import BadAlpha, BadConfig, BadTemperature, EmptyQueue, TauOne
+from .errors import BadAlpha, BadConfig, BadTemperature, EmptyQueue
 from .hierarchy import HierarchyMask
 
-DEFAULT_QHI_TAU = 0.1
-DEFAULT_EPS_DEN = 1e-6
+DEFAULT_TAU_PLUS = 0.1
 
 LOSS_KINDS = ("simclr", "simclr_hex", "nnclr", "nnclr_hex",
               "barlow", "barlow_hex", "vicreg", "vicreg_hex")
@@ -109,94 +114,77 @@ class ContrastiveGraphInfo:
     total: Node                # the kernel node; its kernel holds the terms
     rows_with_h: np.ndarray    # bool, n
     mask_mean_size: float
-    eps_den: float
 
     def breakdown(self) -> LossBreakdown:
         """Read the decomposition out of the kernel's last forward."""
         k = self.total.aux
         hex_mean = None
-        clamps = 0
-        if k.q_raw is not None:
+        floored = 0
+        if k.q is not None:
             rows = self.rows_with_h
-            clamps = int(np.count_nonzero(rows & (k.q_raw[:, 0] < self.eps_den)))
-            hex_mean = float(k.q_clamped[rows, 0].mean())
+            floored = int(np.count_nonzero(rows & ~k.live[:, 0]))
+            hex_mean = float(k.q[rows, 0].mean())
         return LossBreakdown(
             total=float(self.total.value[0, 0]),
             invariance_term=float((-k.pos_logits).mean()),
             regularization_term=float(k.log_denominator.mean()),
             hex_term_mean=hex_mean,
             mean_H_size=self.mask_mean_size,
-            clamp_events=clamps,
+            clamp_events=floored,
         )
 
 
 class _Hex:
-    """The HEX loss on the n unit rows z. Its value and vjp make, element
-    for element, the numpy calls of the op-by-op graph (sims = z z^T,
-    logits, exp, the masked sums, the q chain, log, mean) and of that
-    graph's backward pass, and add the contributions to a shared gradient in
-    the order the tape added them, so loss and gradient are that graph's bit
-    for bit. ``tests/test_losses.py`` builds the graph and compares.
+    """The HEX loss on the n unit rows z, with e = exp(z z^T / tau).
 
-    The graph multiplied whole n x n arrays by 0/1 masks. Off H(i) the q
-    chain's masked products are zeros, so the kernel evaluates that chain
-    only at the member entries (``idx``, the row-major flat index of
-    ``member``) and at the positives. It takes the member row sums over
-    one zeroed n x n scratch array that holds the member values, so numpy
-    adds them in the graph's pairwise order, and it applies the
-    denominator's mask by zeroing entries in place. Between forward and vjp
-    it keeps two n x n arrays: ``_sims`` (z z^T) and ``_expl``
-    (exp(sims / tau) with H(i) and the diagonal at 0); the vjp recomputes
-    the q chain's factors on the live rows only. Unlike the graph's, its
-    loss is not NaN when only a masked-out entry's exp overflows.
+    Off H(i) the kernel works on whole n x n arrays; the q term reads the
+    member entries only (``idx``, the row-major flat index of the mask),
+    gathered from the one exp array and summed per row (``row``). Between
+    forward and vjp it keeps one n x n array, e with H(i) and the diagonal
+    at 0. A row whose q sits on the floor is not live: q is constant there.
 
     After a forward it holds the n x 1 columns ``pos_logits`` (s_pos / tau),
-    ``log_denominator``, ``q_raw`` and ``q_clamped`` (both None when no row
-    has members)."""
+    ``log_denominator``, ``q`` and ``live`` (both None when no row has
+    members)."""
 
-    def __init__(self, member, pos, tau, qhi_tau, eps_den):
+    def __init__(self, member, pos, tau, tau_plus):
         self.pos = np.asarray(pos, dtype=np.intp)
-        self.tau, self.qhi_tau, self.eps_den = tau, qhi_tau, eps_den
-        self.member = member
+        self.tau, self.tau_plus = tau, tau_plus
         self.idx = np.flatnonzero(member)
-        self.rows_with = member.any(axis=1)[:, None].astype(np.float64)
-        self.q_raw = self.q_clamped = None
+        self.row = self.idx // len(member)
+        self.size = np.bincount(self.row, minlength=len(member))[:, None]
+        self.q = self.live = None
 
     def value(self, node, z):
         rows = np.arange(z.shape[0])
-        sims = z @ z.T
-        expl = sims * (1.0 / self.tau)
-        self.pos_logits = expl[rows, self.pos][:, None]
-        # Zeroing in place gives the bits of a product with the 0/1 mask,
-        # as exp >= 0.
-        np.exp(expl, out=expl)
-        expl.ravel()[self.idx] = 0.0
-        np.fill_diagonal(expl, 0.0)
-        self._sims, self._expl = sims, expl
-        self._denom = expl.sum(axis=1, keepdims=True)
+        e = z @ z.T
+        e *= 1.0 / self.tau
+        self.pos_logits = e[rows, self.pos][:, None]
+        np.exp(e, out=e)
+        e_pos = e[rows, self.pos][:, None]
+        self._e_h = e.ravel()[self.idx]
+        e.ravel()[self.idx] = 0.0
+        np.fill_diagonal(e, 0.0)
+        self._expl = e
+        self._denom = e.sum(axis=1, keepdims=True)
         if self.idx.size:
-            self._denom = self._denom + self._q_effective(sims, rows)
+            self._denom = self._denom + self._q(e_pos)
         self.log_denominator = np.log(self._denom)
         return (self.log_denominator - self.pos_logits).mean().reshape(1, 1)
 
-    def _q_effective(self, sims, rows):
-        """q_clamped on the rows with members, 0 elsewhere."""
-        n_anchors = len(rows) // 2
-        lq = sims.ravel()[self.idx] * (1.0 / self.qhi_tau)
-        eq = np.exp(lq)
-        work = np.zeros(sims.shape)
-        flat = work.ravel()
-        flat[self.idx] = eq * lq
-        num = work.sum(axis=1, keepdims=True)
-        flat[self.idx] = eq
-        den = work.sum(axis=1, keepdims=True) * (1.0 / n_anchors)
-        self._safe = den + (1.0 - self.rows_with)
-        self._ratio = num / self._safe
-        eq_pos = np.exp(sims[rows, self.pos] * (1.0 / self.qhi_tau))[:, None]
-        core = self._ratio - eq_pos * (n_anchors * self.qhi_tau)
-        self.q_raw = core * (1.0 / (1.0 - self.qhi_tau))
-        self.q_clamped = np.maximum(self.q_raw, self.eps_den)
-        return self.q_clamped * self.rows_with
+    def _q(self, e_pos):
+        """q on every row; 0 on a row without members, as |H| = 0 there."""
+        n, m, row = len(e_pos), self.size, self.row
+        s1 = np.bincount(row, self._e_h, minlength=n)
+        self._w = self._e_h / s1[row]
+        s2 = np.bincount(row, self._e_h * self._w, minlength=n)
+        self._sum_w2 = s2[row] / s1[row]
+        self._e_pos = e_pos
+        est = (m * s2[:, None] - (self.tau_plus * m) * e_pos) / (1.0 - self.tau_plus)
+        floor = m * np.exp(-1.0 / self.tau)
+        self.live = est > floor
+        self.q = np.maximum(est, floor)
+        return self.q
 
     def vjp(self, node, g, i):
         z = node.parents[0].value
@@ -205,32 +193,15 @@ class _Hex:
         g_denom = g_loss / self._denom
         gs = self._expl * g_denom
         gs[rows, self.pos] -= g_loss[:, 0]
-        gs *= 1.0 / self.tau
         if self.idx.size:
-            self._add_q_vjp(gs, g_denom)
+            # d(m S2)/de_h = m (2 w_h - sum_h w_h^2); the member entries of
+            # gs are 0 until here.
+            g_est = (g_denom * self.live * self.size)[:, 0] / (1.0 - self.tau_plus)
+            gs[rows, self.pos] -= g_est * self.tau_plus * self._e_pos[:, 0]
+            gs.ravel()[self.idx] = (g_est[self.row] * (2.0 * self._w - self._sum_w2)
+                                    * self._e_h)
+        gs *= 1.0 / self.tau
         return gs @ z + (z.T @ gs).T
-
-    def _add_q_vjp(self, gs, g_denom):
-        """Add the q chain's gradient with respect to sims to gs. A row whose
-        three column gradients below are all exactly 0 (no members, or q
-        clamped) contributes a signed zero to every entry where
-        exp(s / qhi_tau) is finite, which is all of them unless qhi_tau <
-        1/709.78, as s <= 1; only the other rows are computed."""
-        n_anchors = len(gs) // 2
-        g_core = (g_denom * self.rows_with * (self.q_raw > self.eps_den)
-                  * (1.0 / (1.0 - self.qhi_tau)))
-        g_pos = -g_core * (n_anchors * self.qhi_tau)
-        g_num = g_core / self._safe
-        g_den = -g_core * self._ratio / self._safe * (1.0 / n_anchors)
-        live = np.flatnonzero((g_num != 0.0) | (g_den != 0.0) | (g_pos != 0.0))
-        h = self.member[live].astype(np.float64)
-        lq = self._sims[live] * (1.0 / self.qhi_tau)
-        eq = np.exp(lq)
-        g_eq = np.zeros(h.shape)
-        g_eq[np.arange(len(live)), self.pos[live]] = g_pos[live, 0]
-        g_prod = g_num[live] * h
-        g_eq = g_eq + g_den[live] * h + g_prod * lq
-        gs[live] += (g_prod * eq + g_eq * eq) * (1.0 / self.qhi_tau)
 
 
 def build_info_nce_graph(tape: Tape, z_node: Node, positive_index,
@@ -243,27 +214,22 @@ def build_info_nce_graph(tape: Tape, z_node: Node, positive_index,
 
 
 def build_hex_graph(tape: Tape, z_node: Node, mask: HierarchyMask, tau: float,
-                    *, qhi_tau: float = DEFAULT_QHI_TAU,
-                    eps_den: float = DEFAULT_EPS_DEN) -> ContrastiveGraphInfo:
+                    *, tau_plus: float = DEFAULT_TAU_PLUS) -> ContrastiveGraphInfo:
     """Hierarchically decomposed InfoNCE as one kernel node on z.
 
-    The membership mask, the positive pairing and the per-row has-members
-    indicator enter as constants; gradients flow through every similarity
-    inside the reweighted term and the denominator, never into the mask.
+    The membership mask and the positive pairing enter as constants;
+    gradients flow through every similarity inside q and the denominator,
+    never into the mask.
     """
     if tau <= 0.0:
         raise BadTemperature(f"temperature must be > 0, got {tau}")
-    if abs(qhi_tau - 1.0) <= 1e-12:
-        raise TauOne("the 1 - tau normalization vanishes at tau == 1")
-    if qhi_tau <= 0.0:
-        raise BadTemperature(f"qhi_tau must be > 0, got {qhi_tau}")
-    if not eps_den > 0.0:
-        raise BadConfig(f"eps_den must be > 0, got {eps_den}")
+    if not 0.0 <= tau_plus < 1.0:
+        raise BadConfig(f"tau_plus must lie in [0, 1), got {tau_plus}")
     member = mask.membership
-    k = _Hex(member, mask.positive_index, tau, qhi_tau, eps_den)
     return ContrastiveGraphInfo(
-        total=tape.kernel(k, z_node, name="hex_loss"), rows_with_h=member.any(axis=1),
-        mask_mean_size=mask.mean_size, eps_den=eps_den)
+        total=tape.kernel(_Hex(member, mask.positive_index, tau, tau_plus), z_node,
+                          name="hex_loss"),
+        rows_with_h=member.any(axis=1), mask_mean_size=mask.mean_size)
 
 
 @dataclass

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 import os
 import struct
 import time
@@ -82,8 +81,7 @@ class ModelConfig:
 class LossConfig:
     kind: str = "simclr"
     tau: Optional[float] = None          # default depends on kind
-    qhi_tau: float = losses_mod.DEFAULT_QHI_TAU
-    eps_den: float = losses_mod.DEFAULT_EPS_DEN
+    tau_plus: float = losses_mod.DEFAULT_TAU_PLUS    # class prior of the HEX term
     alpha: Optional[float] = None        # default depends on kind
     hex_scale: Optional[float] = None    # default depends on kind
     barlow_lambda: float = 0.005
@@ -102,17 +100,13 @@ class LossConfig:
             self.alpha = 0.5 if self.kind in ("barlow_hex", "vicreg_hex") else 1.0
         if self.hex_scale is None:
             self.hex_scale = 5.0 if self.kind == "vicreg_hex" else 1.0
-        # A NaN eps_den fails this test too, and is reported here.
-        if isinstance(self.eps_den, numbers.Real) and not self.eps_den > 0.0:
-            raise BadConfig(f"loss.eps_den must be > 0, got {self.eps_den}")
         for f in fields(self)[1:]:    # every field after kind is a number
             _check_finite(f"loss.{f.name}", getattr(self, f.name))
         weights = ("barlow_lambda", "barlow_scale", "vicreg_sim", "vicreg_var", "vicreg_cov")
         for name, rule, ok in [
                 ("alpha", "lie in [0, 1]", 0.0 <= self.alpha <= 1.0),
                 ("tau", "be > 0", self.tau > 0.0), ("hex_scale", "be > 0", self.hex_scale > 0.0),
-                ("qhi_tau", "be > 0 and != 1",
-                 self.qhi_tau > 0.0 and abs(self.qhi_tau - 1.0) > 1e-12),
+                ("tau_plus", "lie in [0, 1)", 0.0 <= self.tau_plus < 1.0),
                 *[(w, "be >= 0", getattr(self, w) >= 0.0) for w in weights]]:
             if not ok:
                 raise BadConfig(f"loss.{name} must {rule}, got {getattr(self, name)}")
@@ -183,8 +177,10 @@ class RunConfig:
             least = 2 if name == "batch_size" else 1
             if name != "seed" and value < least:
                 raise BadConfig(f"train.{name} must be >= {least}, got {value}")
+        _check_finite("train.holdout_fraction", self.holdout_fraction)
         if not 0.0 < self.holdout_fraction < 1.0:
-            raise BadConfig("holdout_fraction must lie in (0, 1)")
+            raise BadConfig(f"train.holdout_fraction must lie in (0, 1), "
+                            f"got {self.holdout_fraction}")
 
 
 _SECTION_TYPES = {
@@ -484,7 +480,7 @@ def _train_step(state: TrainState, views, batch_supers, lr, epoch, pairs) -> dic
     contra = dim = None
     if loss_cfg.is_hex:
         contra = build_hex_graph(tape, z_node, mask, loss_cfg.tau,
-                                 qhi_tau=loss_cfg.qhi_tau, eps_den=loss_cfg.eps_den)
+                                 tau_plus=loss_cfg.tau_plus)
     elif not loss_cfg.is_dim:
         contra = build_info_nce_graph(tape, z_node, pos, loss_cfg.tau)
     if loss_cfg.is_dim:
@@ -528,10 +524,11 @@ def _train_step(state: TrainState, views, batch_supers, lr, epoch, pairs) -> dic
 # ---------------------------------------------------------------------------
 
 def evaluate(state: TrainState, dataset: HierarchicalDataset,
-             probe: str = "knn_class", k: int = 5,
+             probe: str = "knn_class", k: Optional[int] = None,
              holdout_fraction: Optional[float] = None,
              seed: Optional[int] = None) -> float:
     """Cosine KNN accuracy of encoder representations on a held-out split.
+    k, holdout_fraction and seed default to the run's train settings.
 
     The split permutation derives from the run seed only, so it is stable
     across epochs and across runs that share a seed."""
@@ -540,6 +537,7 @@ def evaluate(state: TrainState, dataset: HierarchicalDataset,
     cfg = state.config
     frac = cfg.train.holdout_fraction if holdout_fraction is None else holdout_fraction
     seed = cfg.train.seed if seed is None else seed
+    k = cfg.train.knn_k if k is None else k
     r, _ = mlp_forward(state.params, dataset.x)
     labels = (dataset.class_labels if probe == "knn_class"
               else dataset.superclass_labels)
@@ -560,8 +558,8 @@ def run_diagnostics(state: TrainState, dataset: HierarchicalDataset,
             **diag.rank_and_similarity_columns(r, y, dataset.superclass_labels,
                                                cfg.train.rank_subsets,
                                                cfg.train.rank_subset_size, diag_seed),
-            "knn_class": evaluate(state, dataset, "knn_class", cfg.train.knn_k),
-            "knn_super": evaluate(state, dataset, "knn_super", cfg.train.knn_k),
+            "knn_class": evaluate(state, dataset, "knn_class"),
+            "knn_super": evaluate(state, dataset, "knn_super"),
         }
     except NumericalError as err:
         raise type(err)(f"epoch {epoch}, diagnostics: {err}") from err
@@ -709,9 +707,11 @@ def _resume_conflicts(saved: TrainConfig, given: TrainConfig) -> list:
     """'key saved != given' for each config field on which a resumed run
     would differ from the run that wrote the checkpoint.
 
-    train.epochs may change, which lengthens or shortens the run, and so may
-    schedule.total_epochs where it equals train.epochs on both sides, as it
-    does when left to its default."""
+    train.epochs may change, which lengthens or shortens the run, unless the
+    total is read mid-run: by optimizer.cosine_lr, or by a cos schedule
+    whose total_epochs follows it. schedule.total_epochs may change with
+    it where it equals train.epochs on both sides, as it does when left to
+    its default, and no cos schedule reads it."""
     def flat(config):
         out = {}
         for name, section in config.to_dict().items():
@@ -722,8 +722,12 @@ def _resume_conflicts(saved: TrainConfig, given: TrainConfig) -> list:
         return out
 
     a, b = flat(saved), flat(given)
-    ignored = {"train.epochs"}
-    if all(f["schedule.total_epochs"] == f["train.epochs"] for f in (a, b)):
+    follows = all(f["schedule.total_epochs"] == f["train.epochs"] for f in (a, b))
+    cos_follows = follows and "cos" in (a["schedule.kind"], b["schedule.kind"])
+    ignored = set()
+    if not (a["optimizer.cosine_lr"] or b["optimizer.cosine_lr"] or cos_follows):
+        ignored.add("train.epochs")
+    if follows and not cos_follows:
         ignored.add("schedule.total_epochs")
     return [f"{k} {a.get(k)!r} != {b.get(k)!r}" for k in sorted(a.keys() | b.keys())
             if k not in ignored and a.get(k) != b.get(k)]
@@ -748,7 +752,8 @@ def run_training(config: TrainConfig, out_dir: Optional[str] = None,
         if conflicts:
             raise BadConfig(f"{resume_from}: the checkpoint's config differs on "
                             f"{'; '.join(conflicts)}; only train.epochs may change "
-                            f"on resume")
+                            f"on resume, and only while no cosine lr or cos "
+                            f"schedule reads it")
         state.config = config
         if out_dir is not None:
             existing = os.path.join(out_dir, "metrics.csv")

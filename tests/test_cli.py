@@ -8,6 +8,7 @@ import pytest
 from hexreg.cli import main
 from hexreg.data import load_csv
 from hexreg.linalg import l2_normalize_rows
+from hexreg.trainer import read_metrics_csv
 
 
 BASE_CONFIG = {
@@ -217,7 +218,8 @@ class TestTrain:
         assert not os.path.exists(tmp_path / "run")
 
     @pytest.mark.parametrize("key,value", [("qhi_sign", "subtract"),
-                                           ("qhi_n", "anchors")])
+                                           ("qhi_n", "anchors"),
+                                           ("qhi_tau", 0.1), ("eps_den", 1e-6)])
     def test_resume_from_a_checkpoint_with_a_removed_loss_key_exit_code(
             self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, train={"epochs": 4}, loss={"kind": "simclr_hex"})
@@ -242,12 +244,12 @@ class TestTrain:
         ("optimizer", {"lr": True}, "optimizer.lr must be a finite number"),
         ("augment", {"mask_prob": 1.5}, "augment.mask_prob must lie in [0, 1)"),
         ("loss", {"tau": True}, "loss.tau must be a finite number"),
-        ("loss", {"qhi_tau": float("inf")}, "loss.qhi_tau must be a finite number"),
+        ("loss", {"tau_plus": float("inf")}, "loss.tau_plus must be a finite number"),
         ("schedule", {"sigma_multiplier": float("inf")},
          "schedule.sigma_multiplier must be a finite number"),
         ("schedule", {"period_epochs": 2.5}, "schedule.period_epochs must be an integer"),
         ("loss", {"tau": 0.0}, "loss.tau must be > 0"),
-        ("loss", {"kind": "simclr_hex", "qhi_tau": 1.0}, "loss.qhi_tau must be > 0 and != 1"),
+        ("loss", {"kind": "simclr_hex", "tau_plus": 1.0}, "loss.tau_plus must lie in [0, 1)"),
         ("loss", {"kind": "simclr_hex", "hex_scale": 0}, "loss.hex_scale must be > 0"),
         ("loss", {"kind": "vicreg", "vicreg_var": -1.0}, "loss.vicreg_var must be >= 0"),
         ("loss", {"kind": "barlow", "barlow_lambda": -0.5}, "loss.barlow_lambda must be >= 0"),
@@ -255,6 +257,8 @@ class TestTrain:
         ("train", {"rank_subsets": 0}, "train.rank_subsets must be >= 1, got 0"),
         ("train", {"rank_subset_size": 0}, "train.rank_subset_size must be >= 1, got 0"),
         ("train", {"queue_capacity": 0}, "train.queue_capacity must be >= 1, got 0"),
+        ("train", {"holdout_fraction": None}, "train.holdout_fraction must be a finite number"),
+        ("train", {"holdout_fraction": 0.0}, "train.holdout_fraction must lie in (0, 1)"),
     ])
     def test_bad_section_value_exit_code(self, tmp_path, capsys, section, values,
                                          message):
@@ -269,11 +273,6 @@ class TestTrain:
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
         assert "at least 2 rows" in capsys.readouterr().err
 
-    def test_nonpositive_eps_den_exit_code(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, loss={"kind": "simclr_hex", "eps_den": 0})
-        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
-        assert "eps_den must be > 0" in capsys.readouterr().err
-        assert not os.path.exists(tmp_path / "run")
 
 
 # --holdout values, with the exit code and message they give on the 24-row
@@ -295,6 +294,18 @@ class TestEval:
         got = json.loads(capsys.readouterr().out)
         assert set(got) == {"knn_class", "knn_super"}
         assert 0.0 <= got["knn_super"] <= 1.0
+
+    def test_default_eval_reproduces_the_final_metrics_row(self, tmp_path, capsys):
+        # knn_k 1 is not the --k a default would hard-code, so the default
+        # must come from the run's config.
+        cfg = write_config(tmp_path, train={"knn_k": 1})
+        out = str(tmp_path / "run")
+        main(["train", "--config", cfg, "--out", out, "--checkpoint-every", "2"])
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", os.path.join(out, "ckpt_final.bin")]) == 0
+        got = json.loads(capsys.readouterr().out)
+        final = read_metrics_csv(os.path.join(out, "metrics.csv"))[-1]
+        assert got == {"knn_class": final["knn_class"], "knn_super": final["knn_super"]}
 
     @pytest.mark.parametrize("holdout,code,message", HOLDOUT_ERRORS)
     def test_bad_holdout_exit_code(self, tmp_path, capsys, holdout, code, message):

@@ -12,9 +12,7 @@ attribute somewhere in the package; a field that shares its name with an
 attribute read elsewhere passes unseen. And every method of a package
 class, dunders aside, must be referenced as an attribute somewhere in the
 package. The same blind spot holds: a method named like an attribute used
-elsewhere, such as numpy's ``sum`` or ``copy``, passes unseen. Only the Tape
-ops that the tests' op-by-op reference graph records are exempt
-(REFERENCE_OPS).
+elsewhere, such as numpy's ``sum`` or ``copy``, passes unseen.
 """
 
 import ast
@@ -137,27 +135,9 @@ def test_every_dataclass_field_is_read():
     assert not unread, f"dataclass fields in src/hexreg that nothing reads: {unread}"
 
 
-# Tape ops that no package graph records but that
-# tests/test_losses.py::old_graph does. old_graph is the reference of the
-# bitwise parity tests of the HEX/InfoNCE kernel, so its ops stay until the
-# HEX formula changes.
-REFERENCE_OPS = (
-    ("Tape.sub", "log(denominator) - positive logit, and the q core"),
-    ("Tape.mul_elem", "member weights times their logits, and q times the row mask"),
-    ("Tape.div_elem", "the member ratio of q"),
-    ("Tape.exp", "the exponentiated logits"),
-    ("Tape.log", "the log of the denominator"),
-    ("Tape.mean", "the loss as the mean over anchors"),
-    ("Tape.transpose", "the similarity matrix z z^T"),
-    ("Tape.masked_sum", "positives, denominators and member sums by 0/1 masks"),
-    ("Tape.clamp_min", "the clamp of q at eps_den"),
-)
-
-
-def unreferenced_methods(sources: dict, exempt=()) -> list[str]:
+def unreferenced_methods(sources: dict) -> list[str]:
     """``Class.method`` of each non-dunder method of a class in ``sources``
-    (file name -> text) that no module references as an attribute, less
-    the names in ``exempt``."""
+    (file name -> text) that no module references as an attribute."""
     trees = [ast.parse(text) for text in sources.values()]
     used = {node.attr for tree in trees for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)}
@@ -167,8 +147,7 @@ def unreferenced_methods(sources: dict, exempt=()) -> list[str]:
                   for fn in cls.body
                   if isinstance(fn, ast.FunctionDef)
                   and not (fn.name.startswith("__") and fn.name.endswith("__"))
-                  and fn.name not in used
-                  and f"{cls.name}.{fn.name}" not in exempt)
+                  and fn.name not in used)
 
 
 def test_finds_an_unreferenced_method():
@@ -178,21 +157,8 @@ def test_finds_an_unreferenced_method():
                "b.py": "def use(a):\n    return a.h\n"
                        "class B:\n    def g(self): pass\n    def j(self): pass\n"}
     assert unreferenced_methods(sources) == ["A.g", "B.g", "B.j"]
-    assert unreferenced_methods(sources, exempt=("B.j",)) == ["A.g", "B.g"]
 
 
 def test_every_method_is_referenced():
-    unused = unreferenced_methods(package_sources(),
-                                  exempt=[name for name, _ in REFERENCE_OPS])
+    unused = unreferenced_methods(package_sources())
     assert not unused, f"methods in src/hexreg that nothing there calls: {unused}"
-
-
-def test_reference_ops_are_the_ones_old_graph_records():
-    with open(os.path.join(ROOT, "tests", "test_losses.py"), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    old_graph = next(node for node in tree.body
-                     if isinstance(node, ast.FunctionDef) and node.name == "old_graph")
-    recorded = {f"Tape.{node.func.attr}" for node in ast.walk(old_graph)
-                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name) and node.func.value.id == "t"}
-    assert {name for name, _ in REFERENCE_OPS} <= recorded

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexreg.autodiff import Tape, backward, forward
-from hexreg.errors import BadAlpha, BadConfig, BadTemperature, EmptyQueue, TauOne
+from hexreg.errors import BadAlpha, BadConfig, BadTemperature, EmptyQueue
 from hexreg.hierarchy import (HierarchyMask, supervised_mask, threshold_mask,
                               whole_batch_mask)
 from hexreg.linalg import cosine_sim_matrix, l2_normalize_rows
@@ -27,22 +27,24 @@ def random_rows(rng, n_samples, dim=6):
 # independent scalar oracles (deliberately written with plain loops)
 # ---------------------------------------------------------------------------
 
-def oracle_qhi(sims_h, pos_sim, tau, n):
-    """One-line transliteration of the reweighting formula."""
-    num = sum(math.exp(s / tau) * (s / tau) for s in sims_h)
-    den = (1.0 / n) * sum(math.exp(s / tau) for s in sims_h)
-    pos = n * tau * math.exp(pos_sim / tau)
-    return (num / den - pos) / (1.0 - tau)
+def oracle_q(sims_h, pos_sim, tau, tau_plus):
+    """One-line transliteration of the estimator over H(i)."""
+    m = len(sims_h)
+    e = [math.exp(s / tau) for s in sims_h]
+    reweighted = sum(x * (x / sum(e)) for x in e)
+    est = (m * reweighted - tau_plus * m * math.exp(pos_sim / tau)) / (1.0 - tau_plus)
+    return max(est, m * math.exp(-1.0 / tau))
 
 
-def qhi_scale(sims_h, pos_sim, tau, n):
-    """Size of the two terms the reweighting subtracts: the yardstick for
+def q_scale(sims_h, pos_sim, tau, tau_plus):
+    """Size of the two terms the estimator subtracts: the yardstick for
     rounding, since they can cancel against each other."""
-    ratio = n * max(abs(s) for s in sims_h) / tau
-    return (ratio + n * tau * math.exp(pos_sim / tau)) / abs(1.0 - tau)
+    m = len(sims_h)
+    return m * (max(math.exp(s / tau) for s in sims_h)
+                + tau_plus * math.exp(pos_sim / tau)) / (1.0 - tau_plus)
 
 
-def oracle_hex_loss(z, pos, tau, member, qhi_tau, big_n, eps_den=1e-6):
+def oracle_hex_loss(z, pos, tau, member, tau_plus=0.1):
     n = len(z)
     total = 0.0
     for i in range(n):
@@ -53,7 +55,7 @@ def oracle_hex_loss(z, pos, tau, member, qhi_tau, big_n, eps_den=1e-6):
                 denom += math.exp(float(np.dot(z[i], z[a])) / tau)
         hs = [float(np.dot(z[i], z[a])) for a in range(n) if member[i][a]]
         if hs:
-            denom += max(oracle_qhi(hs, s_pos, qhi_tau, big_n), eps_den)
+            denom += oracle_q(hs, s_pos, tau, tau_plus)
         total += math.log(denom) - s_pos / tau
     return total / n
 
@@ -157,13 +159,13 @@ class TestInfoNce:
 # hierarchical reweighting
 # ---------------------------------------------------------------------------
 
-def hex_graph(z, member, *, qhi_tau=0.1, tau=0.1):
+def hex_graph(z, member, *, tau_plus=0.1, tau=0.1):
     """Evaluated build_hex_graph over rows z (pairing i <-> i + n/2) with an
     explicit membership matrix."""
     pos = paired_positive_index(len(z) // 2)
     mask = HierarchyMask(np.asarray(member, dtype=bool), pos)
     t = Tape()
-    info = build_hex_graph(t, t.input(z), mask, tau, qhi_tau=qhi_tau)
+    info = build_hex_graph(t, t.input(z), mask, tau, tau_plus=tau_plus)
     forward(t)
     return info
 
@@ -178,24 +180,24 @@ def worked_example_batch():
 
 
 class TestHexReweight:
-    """Per-row reweighted term q_raw of the HEX graph against oracle_qhi."""
+    """Per-row reweighted term q of the HEX graph against oracle_q."""
 
     def test_single_member_worked_example(self):
         z, member = worked_example_batch()
-        # N = 2 anchors: (N * s / t - N * t * e^{s_pos / t}) / (1 - t)
-        got = hex_graph(z, member, qhi_tau=0.5).total.aux.q_raw[0, 0]
-        expected = (2.0 - math.exp(2.0)) / 0.5
+        # One member: (e^{s/t} - tau_plus e^{s_pos/t}) / (1 - tau_plus)
+        got = hex_graph(z, member, tau_plus=0.1, tau=0.5).total.aux.q[0, 0]
+        expected = (math.exp(1.0) - 0.1 * math.exp(2.0)) / 0.9
         assert got == pytest.approx(expected, rel=1e-14)
-        assert got == pytest.approx(-10.7781, abs=5e-4)
+        assert got == pytest.approx(2.1993, abs=5e-4)
 
     def test_tau_one(self):
         z, member = worked_example_batch()
-        with pytest.raises(TauOne):
-            hex_graph(z, member, qhi_tau=1.0)
+        with pytest.raises(BadConfig, match=r"tau_plus must lie in \[0, 1\)"):
+            hex_graph(z, member, tau_plus=1.0)
 
     def test_empty_members(self):
         z, member = worked_example_batch()
-        info = hex_graph(z, member, qhi_tau=0.5)
+        info = hex_graph(z, member, tau_plus=0.5)
         t = Tape()
         ref = build_info_nce_graph(t, t.input(z), paired_positive_index(2), 0.1)
         forward(t)
@@ -209,11 +211,11 @@ class TestHexReweight:
         z = l2_normalize_rows(rng.normal(size=(16, 6)))
         member = np.zeros((16, 16), dtype=bool)
         member[0, [3, 11]] = True
-        got = hex_graph(z, member, qhi_tau=0.1).total.aux.q_raw[0, 0]
+        got = hex_graph(z, member, tau_plus=0.1).total.aux.q[0, 0]
         hs = [float(np.dot(z[0], z[3])), float(np.dot(z[0], z[11]))]
         pos_sim = float(np.dot(z[0], z[8]))
-        want = oracle_qhi(hs, pos_sim, 0.1, 8)
-        assert abs(got - want) <= 1e-12 * qhi_scale(hs, pos_sim, 0.1, 8)
+        want = oracle_q(hs, pos_sim, 0.1, 0.1)
+        assert abs(got - want) <= 1e-12 * q_scale(hs, pos_sim, 0.1, 0.1)
 
     def test_single_member_algebraic_collapse(self):
         rng = np.random.default_rng(2)
@@ -225,11 +227,13 @@ class TestHexReweight:
             j = int(rng.choice([a for a in range(2 * n) if a not in (i, (i + n) % (2 * n))]))
             member[i, j] = True
             tau = float(rng.choice([0.1, 0.2, 0.5, 0.7]))
-            got = hex_graph(z, member, qhi_tau=tau).total.aux.q_raw[i, 0]
+            tau_plus = float(rng.choice([0.0, 0.1, 0.5]))
+            got = hex_graph(z, member, tau_plus=tau_plus, tau=tau).total.aux.q[i, 0]
             s = float(np.dot(z[i], z[j]))
             p = float(np.dot(z[i], z[(i + n) % (2 * n)]))
-            want = (n * (s / tau) - n * tau * math.exp(p / tau)) / (1.0 - tau)
-            assert abs(got - want) <= 1e-12 * qhi_scale([s], p, tau, n)
+            want = max((math.exp(s / tau) - tau_plus * math.exp(p / tau)) / (1.0 - tau_plus),
+                       math.exp(-1.0 / tau))
+            assert abs(got - want) <= 1e-12 * q_scale([s], p, tau, tau_plus)
 
     def test_random_tuples_vs_oracle(self):
         rng = np.random.default_rng(3)
@@ -241,13 +245,14 @@ class TestHexReweight:
             if not mask.membership.any():
                 continue
             tau = float(rng.choice([0.1, 0.2, 0.5, 0.9]))
-            q = hex_graph(z, mask.membership, qhi_tau=tau).total.aux.q_raw[:, 0]
+            tau_plus = float(rng.choice([0.0, 0.1, 0.5]))
+            q = hex_graph(z, mask.membership, tau_plus=tau_plus, tau=tau).total.aux.q[:, 0]
             for i in np.nonzero(mask.membership.any(axis=1))[0]:
                 hs = [float(np.dot(z[i], z[a]))
                       for a in np.nonzero(mask.membership[i])[0]]
                 p = float(np.dot(z[i], z[pos[i]]))
-                want = oracle_qhi(hs, p, tau, n)
-                assert abs(q[i] - want) <= 1e-12 * qhi_scale(hs, p, tau, n)
+                want = oracle_q(hs, p, tau, tau_plus)
+                assert abs(q[i] - want) <= 1e-12 * q_scale(hs, p, tau, tau_plus)
                 checked += 1
         assert checked > 100
 
@@ -262,11 +267,28 @@ class TestHexLoss:
                 got = hex_graph(z, mask.membership, tau=tau).breakdown().total
                 assert got == info_nce_graph(z, pos, tau).breakdown().total
 
+    def test_equal_member_similarities_and_no_prior_give_info_nce(self):
+        # Rows of one group are copies, so every member of a row, all drawn
+        # from one group, has the same similarity; then w_h = 1/m and q is
+        # the members' own sum.
+        rng = np.random.default_rng(24)
+        for b, tau in ((6, 0.1), (9, 0.2), (12, 0.5)):
+            groups = np.arange(2 * b) % 3
+            z = l2_normalize_rows(rng.normal(size=(3, 5)))[groups]
+            pos = paired_positive_index(b)
+            member = groups[None, :] == (groups[:, None] + 1) % 3
+            member[np.arange(2 * b), pos] = False
+            info = hex_graph(z, member, tau_plus=0.0, tau=tau)
+            assert info.total.aux.live[:, 0].all()
+            want = info_nce_graph(z, pos, tau).breakdown().total
+            got = info.breakdown().total
+            assert abs(got - want) <= 1e-12 * loss_scale(z, pos, tau, want)
+
     def test_whole_batch_vs_oracle(self):
         z, pos = np.eye(4), paired_positive_index(2)
         mask = whole_batch_mask(4, pos)
         got = hex_graph(z, mask.membership).breakdown().total
-        want = oracle_hex_loss(z, pos, 0.1, mask.membership, 0.1, 2)
+        want = oracle_hex_loss(z, pos, 0.1, mask.membership)
         assert abs(got - want) <= 1e-12 * loss_scale(z, pos, 0.1, want)
 
     def test_random_masks_vs_oracle(self):
@@ -277,29 +299,20 @@ class TestHexLoss:
             z, pos = random_rows(rng, n)
             mask = threshold_mask(cosine_sim_matrix(z), float(rng.uniform(-0.2, 0.6)), pos)
             got = hex_graph(z, mask.membership, tau=tau).breakdown().total
-            want = oracle_hex_loss(z, pos, tau, mask.membership, 0.1, n)
+            want = oracle_hex_loss(z, pos, tau, mask.membership)
             assert abs(got - want) <= 1e-12 * loss_scale(z, pos, tau, want)
 
     def test_tau_one_rejected(self):
-        # 1 - qhi_tau must stay clear of zero by more than 1e-12.
         z, pos = np.eye(4), paired_positive_index(2)
-        for qhi_tau in (1.0, 1.0 + 5e-13, 1.0 - 5e-13):
-            with pytest.raises(TauOne):
-                hex_graph(z, whole_batch_mask(4, pos).membership, qhi_tau=qhi_tau)
+        for tau_plus in (1.0, 1.0 + 5e-13, 1.5, float("nan")):
+            with pytest.raises(BadConfig, match=r"tau_plus must lie in \[0, 1\)"):
+                hex_graph(z, whole_batch_mask(4, pos).membership, tau_plus=tau_plus)
 
-    def test_nonpositive_qhi_tau_rejected(self):
+    def test_negative_tau_plus_rejected(self):
         z, pos = np.eye(4), paired_positive_index(2)
-        for qhi_tau in (0.0, -0.1):
-            with pytest.raises(BadTemperature):
-                hex_graph(z, whole_batch_mask(4, pos).membership, qhi_tau=qhi_tau)
-
-    def test_nonpositive_eps_den_rejected(self):
-        z, pos = np.eye(4), paired_positive_index(2)
-        mask = whole_batch_mask(4, pos)
-        for eps_den in (0.0, -1.0, float("nan")):
-            t = Tape()
-            with pytest.raises(BadConfig, match="eps_den must be > 0"):
-                build_hex_graph(t, t.input(z), mask, 0.1, eps_den=eps_den)
+        for tau_plus in (-0.1, -1e-300):
+            with pytest.raises(BadConfig, match=r"tau_plus must lie in \[0, 1\)"):
+                hex_graph(z, whole_batch_mask(4, pos).membership, tau_plus=tau_plus)
 
     def test_supervised_mask_and_breakdown_fields(self):
         rng = np.random.default_rng(6)
@@ -315,7 +328,7 @@ class TestHexLoss:
 @st.composite
 def hex_cases(draw):
     """Unit rows of 2b views, a membership mask without self or positive,
-    and the two temperatures."""
+    the loss temperature and the class prior."""
     b = draw(st.integers(2, 8))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
@@ -327,13 +340,13 @@ def hex_cases(draw):
     member[np.arange(2 * b), pos] = False
     return dict(z=z, pos=pos, member=member,
                 tau=draw(st.sampled_from([0.1, 0.2, 0.5])),
-                qhi_tau=draw(st.sampled_from([0.07, 0.1, 0.5])))
+                tau_plus=draw(st.sampled_from([0.0, 0.1, 0.5])))
 
 
 def _graph_value(c, member):
     t = Tape()
     build_hex_graph(t, t.input(c["z"]), HierarchyMask(member, c["pos"]),
-                    c["tau"], qhi_tau=c["qhi_tau"])
+                    c["tau"], tau_plus=c["tau_plus"])
     return forward(t)
 
 
@@ -341,8 +354,7 @@ class TestHexProperties:
     @settings(max_examples=60, deadline=None)
     @given(hex_cases())
     def test_graph_matches_oracle(self, c):
-        want = oracle_hex_loss(c["z"], c["pos"], c["tau"], c["member"],
-                               c["qhi_tau"], len(c["pos"]) // 2)
+        want = oracle_hex_loss(c["z"], c["pos"], c["tau"], c["member"], c["tau_plus"])
         scale = loss_scale(c["z"], c["pos"], c["tau"], want)
         assert abs(_graph_value(c, c["member"]) - want) <= 1e-12 * scale
 
@@ -542,12 +554,26 @@ class TestDimKernels:
         assert t.nodes[2:] == [info.total] and info.total.op == "kernel"
 
 
+def desk_batch(rng, b=64, d=8):
+    """Two views of b random rows, stacked and normalized, with the
+    two-view pairing."""
+    ya, yb = rng.normal(size=(2, b, d))
+    return l2_normalize_rows(np.vstack((ya, yb))), paired_positive_index(b)
+
+
+def desk_threshold_mask(z, pos):
+    """The desk schedule's mask: eligible mean + 2 std."""
+    sims = cosine_sim_matrix(z)
+    eligible = sims[whole_batch_mask(len(z), pos).membership]
+    return threshold_mask(sims, eligible.mean() + 2.0 * eligible.std(), pos)
+
+
 class TestHexKernel:
     """build_hex_graph records one kernel node whose vjp matches central
     differences of its value, on each kind of mask a training step uses."""
 
     @staticmethod
-    def assert_fd_gradient(z, mask, fixed_rows=0, h=1e-6):
+    def assert_fd_gradient(z, mask, fixed_rows=0, h=1e-6, tau_plus=0.1):
         """Checks the gradient with respect to z[fixed_rows:]; the rows
         before them enter as a constant, as NNCLR's neighbour rows do."""
         def loss(rows_value):
@@ -555,7 +581,7 @@ class TestHexKernel:
             rows = t.input(rows_value)
             z_node = (t.vstack(t.constant(z[:fixed_rows]), rows) if fixed_rows
                       else rows)
-            info = build_hex_graph(t, z_node, mask, 0.5, qhi_tau=0.5)
+            info = build_hex_graph(t, z_node, mask, 0.5, tau_plus=tau_plus)
             return forward(t), t, rows, info
 
         _, t, rows, info = loss(z[fixed_rows:])
@@ -569,14 +595,26 @@ class TestHexKernel:
         z, pos = random_rows(np.random.default_rng(20), 8, dim=4)
         info = self.assert_fd_gradient(
             z, HierarchyMask(np.zeros((16, 16), dtype=bool), pos))
-        assert info.total.aux.q_raw is None
+        assert info.total.aux.q is None
 
-    def test_threshold_mask_with_clamped_and_unclamped_rows(self):
+    def test_live_rows(self):
         z, pos = random_rows(np.random.default_rng(21), 8, dim=4)
         mask = threshold_mask(cosine_sim_matrix(z), 0.3, pos)
-        info = self.assert_fd_gradient(z, mask)
-        q = info.total.aux.q_raw[info.rows_with_h, 0]
-        assert (q < info.eps_den).any() and (q > info.eps_den).any()
+        info = self.assert_fd_gradient(z, mask, tau_plus=0.0)
+        assert info.total.aux.live[info.rows_with_h].all()
+
+    def test_threshold_mask_with_clamped_and_unclamped_rows(self):
+        # Row 0's positive is a near-duplicate and the prior is large, so
+        # its estimate falls below the floor.
+        rng = np.random.default_rng(21)
+        z, pos = random_rows(rng, 8, dim=4)
+        z[8] = l2_normalize_rows(z[:1] + 1e-3 * rng.normal(size=(1, 4)))[0]
+        mask = threshold_mask(cosine_sim_matrix(z), 0.3, pos)
+        info = self.assert_fd_gradient(z, mask, tau_plus=0.9)
+        live = info.total.aux.live[info.rows_with_h, 0]
+        assert live.any() and not live.all()
+        assert not info.total.aux.live[0, 0] and info.rows_with_h[0]
+        assert info.breakdown().clamp_events == np.count_nonzero(~live)
 
     def test_whole_batch_mask(self):
         z, pos = random_rows(np.random.default_rng(22), 8, dim=4)
@@ -587,31 +625,43 @@ class TestHexKernel:
         self.assert_fd_gradient(z, threshold_mask(cosine_sim_matrix(z), 0.3, pos),
                                 fixed_rows=8)
 
+    @pytest.mark.parametrize("tau", [0.1, 0.2])   # simclr_hex, nnclr_hex defaults
+    @pytest.mark.parametrize("source", ["all", "supervised", "threshold"])
+    def test_desk_size_masks_match_the_oracle(self, source, tau):
+        # At b = 64 the whole-batch mask holds every eligible pair, and the
+        # threshold mask is the desk schedule's mean + 2 std one.
+        rng = np.random.default_rng(17)
+        z, pos = desk_batch(rng)
+        if source == "all":
+            mask = whole_batch_mask(len(z), pos)
+        elif source == "supervised":
+            mask = supervised_mask(np.tile(rng.integers(0, 4, size=len(pos) // 2), 2), pos)
+        else:
+            mask = desk_threshold_mask(z, pos)
+        info = hex_graph(z, mask.membership, tau=tau)
+        assert info.total.aux.live[info.rows_with_h].any()
+        got = info.breakdown().total
+        want = oracle_hex_loss(z, pos, tau, mask.membership)
+        assert abs(got - want) <= 1e-12 * loss_scale(z, pos, tau, want)
+
     def test_desk_size_tape_peak_memory(self):
-        # b = 64, d = 8 and the mean + 2 std threshold mask, with the two
-        # views close, so every row with members is clamped, as about 97%
-        # are at the desk defaults. The kernel keeps two n x n arrays between
-        # forward and vjp, and the q chain reads member entries only.
-        b, d = 64, 8
-        rng = np.random.default_rng(3)
-        za = rng.normal(size=(b, d))
-        z = l2_normalize_rows(np.vstack((za, za + 0.2 * rng.normal(size=(b, d)))))
-        pos = paired_positive_index(b)
-        sims = cosine_sim_matrix(z)
-        eligible = sims[whole_batch_mask(2 * b, pos).membership]
-        mask = threshold_mask(sims, eligible.mean() + 2.0 * eligible.std(), pos)
+        # b = 64, d = 8 and the desk threshold mask. The kernel keeps one
+        # n x n array between forward and vjp, and the q term reads member
+        # entries only.
+        z, pos = desk_batch(np.random.default_rng(3))
+        mask = desk_threshold_mask(z, pos)
         tracemalloc.start()
         try:
             t = Tape()
             info = build_hex_graph(t, t.input(z), mask, 0.1)
             forward(t)
             backward(t)
-            bd = info.breakdown()
+            info.breakdown()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert bd.clamp_events == np.count_nonzero(info.rows_with_h) > 0
-        assert peak <= 4 * (2 * b) ** 2 * 8
+        assert np.count_nonzero(info.rows_with_h) > 0
+        assert peak <= 3 * len(z) ** 2 * 8
 
 
 def combined(hex_value, dim_value, alpha, hex_scale):
@@ -637,121 +687,20 @@ class TestCombined:
 
 
 # ---------------------------------------------------------------------------
-# graph builders against the oracles and the op-by-op graph
+# graph builders against the oracles
 # ---------------------------------------------------------------------------
-
-# The graph as it was built before vstack and the loss kernels existed: the
-# two views stacked by selector matmuls, positives read by one-hot sums.
-def old_graph(t, ya, yb, member, pos, tau, qhi_tau, eps_den=1e-6):
-    b = ya.value.shape[0]
-    n = 2 * b
-    sel_a = np.zeros((n, b))
-    sel_a[:b] = np.eye(b)
-    sel_b = np.zeros((n, b))
-    sel_b[b:] = np.eye(b)
-    z = t.row_l2_normalize(t.add(t.matmul(t.constant(sel_a), ya),
-                                 t.matmul(t.constant(sel_b), yb)))
-    one_hot = np.zeros((n, n))
-    one_hot[np.arange(n), pos] = 1.0
-    rows_with = member.any(axis=1)
-    sims = t.matmul(z, t.transpose(z))
-    logits = t.scalar_mul(sims, 1.0 / tau)
-    expl = t.exp(logits)
-    pos_logits = t.masked_sum(logits, one_hot)
-    non_h = 1.0 - np.eye(n)
-    non_h[member] = 0.0
-    denom = t.masked_sum(expl, non_h)
-    if rows_with.any():
-        hf = member.astype(np.float64)
-        logits_q = t.scalar_mul(sims, 1.0 / qhi_tau)
-        expq = t.exp(logits_q)
-        num = t.masked_sum(t.mul_elem(expq, logits_q), hf)
-        den = t.scalar_mul(t.masked_sum(expq, hf), 1.0 / b)
-        safe_den = t.add(den, t.constant((~rows_with)[:, None].astype(np.float64)))
-        ratio = t.div_elem(num, safe_den)
-        pos_term = t.scalar_mul(t.masked_sum(expq, one_hot), b * qhi_tau)
-        core = t.sub(ratio, pos_term)
-        q_raw = t.scalar_mul(core, 1.0 / (1.0 - qhi_tau))
-        q_eff = t.mul_elem(t.clamp_min(q_raw, eps_den),
-                           t.constant(rows_with[:, None].astype(np.float64)))
-        denom = t.add(denom, q_eff)
-    t.mean(t.sub(t.log(denom), pos_logits))
-
-
-def new_and_old_graph(ya_val, yb_val, member, pos, tau, qhi_tau):
-    """(loss, ya grad, yb grad, kernel) from build_hex_graph, then (loss, ya
-    grad, yb grad, None) from old_graph, on the same views."""
-    results = []
-    for build_new in (True, False):
-        t = Tape()
-        ya, yb = t.input(ya_val), t.input(yb_val)
-        kernel = None
-        if build_new:
-            z = t.row_l2_normalize(t.vstack(ya, yb))
-            kernel = build_hex_graph(t, z, HierarchyMask(member, pos), tau,
-                                     qhi_tau=qhi_tau).total.aux
-        else:
-            old_graph(t, ya, yb, member, pos, tau, qhi_tau)
-        loss = forward(t)
-        backward(t)
-        results.append((loss, ya.grad, yb.grad, kernel))
-    return results
-
 
 class TestGraphParity:
     def test_info_nce_graph(self):
         rng = np.random.default_rng(12)
         z, pos = random_rows(rng, 4)
         bd = info_nce_graph(z, pos, 0.1).breakdown()
-        want = oracle_hex_loss(z, pos, 0.1, np.zeros((8, 8), dtype=bool), 0.1, 4)
+        want = oracle_hex_loss(z, pos, 0.1, np.zeros((8, 8), dtype=bool))
         scale = loss_scale(z, pos, 0.1, want)
         assert abs(bd.total - want) <= 1e-12 * scale
         inv = -sum(float(np.dot(z[i], z[pos[i]])) for i in range(8)) / 8 / 0.1
         assert abs(bd.invariance_term - inv) <= 1e-12 * scale
         assert abs(bd.regularization_term - (want - inv)) <= 1e-12 * scale
-
-    def test_hex_graph_matches_one_hot_selector_graph_bitwise(self):
-        rng = np.random.default_rng(16)
-        for _ in range(24):
-            b = int(rng.choice([2, 3, 8, 64]))
-            ya_val, yb_val = rng.normal(size=(2, b, 8))
-            pos = paired_positive_index(b)
-            member = rng.uniform(size=(2 * b, 2 * b)) < rng.uniform(0.0, 0.6)
-            member[np.arange(2 * b), np.arange(2 * b)] = False
-            member[np.arange(2 * b), pos] = False
-            tau, qhi_tau = float(rng.choice([0.1, 0.5])), float(rng.choice([0.07, 0.1, 0.5]))
-            results = new_and_old_graph(ya_val, yb_val, member, pos, tau, qhi_tau)
-            (loss_new, ga_new, gb_new, _), (loss_old, ga_old, gb_old, _) = results
-            assert loss_new == loss_old
-            np.testing.assert_array_equal(ga_new, ga_old)
-            np.testing.assert_array_equal(gb_new, gb_old)
-
-    @pytest.mark.parametrize("tau", [0.1, 0.2])   # simclr_hex, nnclr_hex defaults
-    @pytest.mark.parametrize("source", ["all", "supervised", "threshold"])
-    def test_desk_size_masks_match_the_one_hot_selector_graph_bitwise(self, source, tau):
-        # The kernel's q chain reads member entries only; at b = 64 the
-        # whole-batch mask holds every eligible pair, and the threshold mask
-        # is the desk schedule's mean + 2 std one.
-        rng = np.random.default_rng(17)
-        b = 64
-        ya_val, yb_val = rng.normal(size=(2, b, 8))
-        pos = paired_positive_index(b)
-        if source == "all":
-            member = whole_batch_mask(2 * b, pos).membership
-        elif source == "supervised":
-            member = supervised_mask(np.tile(rng.integers(0, 4, size=b), 2), pos).membership
-        else:
-            sims = cosine_sim_matrix(l2_normalize_rows(np.vstack((ya_val, yb_val))))
-            eligible = sims[whole_batch_mask(2 * b, pos).membership]
-            member = threshold_mask(sims, eligible.mean() + 2.0 * eligible.std(),
-                                    pos).membership
-        (loss_new, ga_new, gb_new, k), (loss_old, ga_old, gb_old, _) = new_and_old_graph(
-            ya_val, yb_val, member, pos, tau, 0.1)
-        q = k.q_raw[member.any(axis=1), 0]
-        assert (q > k.eps_den).any()     # the q chain's vjp runs
-        assert np.array(loss_new).tobytes() == np.array(loss_old).tobytes()
-        assert ga_new.tobytes() == ga_old.tobytes()
-        assert gb_new.tobytes() == gb_old.tobytes()
 
     def test_hex_graph_gradients_finite(self):
         rng = np.random.default_rng(14)

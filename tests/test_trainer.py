@@ -398,6 +398,20 @@ class TestCheckpointing:
         assert [r["epoch"] for r in rows] == [1, 2, 3, 4]
         assert state.config.train.epochs == 4
 
+    @pytest.mark.parametrize("override", [
+        {"optimizer": {"cosine_lr": True}},
+        {"schedule": {"kind": "cos", "start": 0.9, "floor": 0.5}}])
+    def test_resume_refuses_a_changed_epoch_count_that_is_read_mid_run(self, tmp_path,
+                                                                       override):
+        # The cosine lr and a cos schedule that follows train.epochs read
+        # the total every epoch, so the resumed rows would match no run.
+        out = str(tmp_path / "run")
+        run_training(tiny_config(train={"epochs": 2}, **override), out_dir=out,
+                     checkpoint_every=1)
+        with pytest.raises(BadConfig, match=r"train\.epochs 2 != 4"):
+            run_training(tiny_config(train={"epochs": 4}, **override), out_dir=out,
+                         resume_from=os.path.join(out, "ckpt_000001.bin"))
+
     def test_state_round_trip(self, tmp_path):
         cfg = tiny_config(loss={"kind": "nnclr"})
         ds = generate(cfg.data)
@@ -536,6 +550,18 @@ class TestLossKinds:
         if cfg.loss.uses_queue:
             assert len(state.queue) > 0
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_desk_simclr_hex_floors_at_most_one_percent_of_rows(self, seed):
+        # Desk config: 4 x 4 x 100 rows x 32 dims, batch 64, MLP 32-64-16-32-8,
+        # adaptive schedule. The HEX term reweights H(i) instead of flooring it.
+        cfg = TrainConfig.from_dict({"loss": {"kind": "simclr_hex"},
+                                     "data": {"seed": seed}, "train": {"seed": seed}})
+        dataset = cfg.load_dataset()
+        state = init_state(cfg, dataset.dim)
+        for _ in range(5):
+            row = train_epoch(state, dataset)
+            assert row["clamp_events"] <= 0.01 * 2 * dataset.n_samples, row["epoch"]
+
     def test_hex_with_fixed_threshold_one_matches_simclr(self):
         base = tiny_config(schedule={"kind": "fixed", "start": 1.0, "floor": 0.0})
         hexc = tiny_config(loss={"kind": "simclr_hex"},
@@ -596,11 +622,11 @@ class TestConfig:
         ("augment", {"mask_prob": 1.5}, r"augment\.mask_prob must lie in \[0, 1\)"),
         ("augment", {"mask_prob": None}, r"augment\.mask_prob must be a finite number"),
         ("loss", {"tau": True}, r"loss\.tau must be a finite number"),
-        ("loss", {"qhi_tau": float("inf")}, r"loss\.qhi_tau must be a finite number"),
+        ("loss", {"tau_plus": float("inf")}, r"loss\.tau_plus must be a finite number"),
         ("loss", {"barlow_lambda": float("nan")},
          r"loss\.barlow_lambda must be a finite number"),
-        ("loss", {"eps_den": float("inf")}, r"loss\.eps_den must be a finite number"),
-        ("loss", {"eps_den": "1e-6"}, r"loss\.eps_den must be a finite number"),
+        ("loss", {"tau_plus": "0.1"}, r"loss\.tau_plus must be a finite number"),
+        ("loss", {"tau_plus": None}, r"loss\.tau_plus must be a finite number"),
         ("loss", {"alpha": float("nan")}, r"loss\.alpha must be a finite number"),
         ("loss", {"alpha": 1.5}, r"loss\.alpha must lie in \[0, 1\]"),
         ("loss", {"hex_scale": "5"}, r"loss\.hex_scale must be a finite number"),
@@ -612,9 +638,10 @@ class TestConfig:
         ("schedule", {"total_epochs": 3.0}, r"schedule\.total_epochs must be an integer"),
         ("loss", {"tau": 0.0}, r"loss\.tau must be > 0"),
         ("loss", {"tau": -0.1}, r"loss\.tau must be > 0"),
-        ("loss", {"kind": "simclr_hex", "qhi_tau": 0.0}, r"loss\.qhi_tau must be > 0 and != 1"),
-        ("loss", {"qhi_tau": -0.5}, r"loss\.qhi_tau must be > 0 and != 1"),
-        ("loss", {"qhi_tau": 1.0}, r"loss\.qhi_tau must be > 0 and != 1"),
+        ("loss", {"kind": "simclr_hex", "tau_plus": -1e-9},
+         r"loss\.tau_plus must lie in \[0, 1\)"),
+        ("loss", {"tau_plus": -0.5}, r"loss\.tau_plus must lie in \[0, 1\)"),
+        ("loss", {"tau_plus": 1.0}, r"loss\.tau_plus must lie in \[0, 1\)"),
         ("loss", {"kind": "barlow_hex", "hex_scale": 0.0}, r"loss\.hex_scale must be > 0"),
         ("loss", {"hex_scale": -2.0}, r"loss\.hex_scale must be > 0"),
         ("loss", {"kind": "barlow", "barlow_lambda": -0.005},
@@ -628,6 +655,12 @@ class TestConfig:
         ("train", {"rank_subset_size": -3},
          r"train\.rank_subset_size must be >= 1, got -3"),
         ("train", {"queue_capacity": 0}, r"train\.queue_capacity must be >= 1, got 0"),
+        ("train", {"holdout_fraction": "0.2"},
+         r"train\.holdout_fraction must be a finite number"),
+        ("train", {"holdout_fraction": None},
+         r"train\.holdout_fraction must be a finite number"),
+        ("train", {"holdout_fraction": 1.0},
+         r"train\.holdout_fraction must lie in \(0, 1\), got 1\.0"),
     ])
     def test_bad_section_values_name_the_field(self, section, values, message):
         with pytest.raises(BadConfig, match=message):
@@ -649,11 +682,6 @@ class TestConfig:
         d = cfg.to_dict()
         scrambled = json.loads(json.dumps(d))
         assert TrainConfig.from_dict(scrambled).config_hash() == cfg.config_hash()
-
-    def test_nonpositive_eps_den_rejected(self):
-        for eps_den in (0.0, -1.0, float("nan")):
-            with pytest.raises(BadConfig, match="eps_den must be > 0"):
-                tiny_config(loss={"kind": "simclr_hex", "eps_den": eps_den})
 
     def test_method_defaults(self):
         assert tiny_config(loss={"kind": "nnclr"}).loss.tau == 0.2
