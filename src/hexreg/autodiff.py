@@ -3,25 +3,23 @@
 A Tape records an acyclic graph of matrix operations; ``forward`` evaluates
 every node in insertion order and returns the terminal scalar, ``backward``
 accumulates gradients for all input (parameter) nodes. The operation set is
-what the model and loss graphs need, plus sum, the tests' scalar reducer:
+what the model graph and the loss mix need:
 
-    input, constant, matmul, add, scalar_mul, sum, row_l2_normalize,
-    tanh, relu, vstack, rows, kernel
+    input, constant, matmul, add, scalar_mul, tanh, relu, kernel
 
-``vstack(a, b)`` stacks two row blocks and ``rows(a, lo, hi)`` takes the
-row block ``a[lo:hi]``. ``kernel(k, *parents)`` has the value ``k.value(node,
-*parent_values)`` and the vjp ``k.vjp(node, g, i)`` for parent i; k keeps
-what its forward saved, so each kernel node has its own. A kernel's masks
-are plain constant arrays it holds, never nodes, so no gradient can flow
-into them. ``add`` supports numpy broadcasting between 2-D shapes (a bias
-row on a batch); gradients are reduced back over broadcast axes. Values and
-gradients are deterministic functions of the graph and its inputs.
+``kernel(k, x)`` is a loss on one parent: its value is ``k.value(x)`` and
+its vjp ``k.vjp(g)``. k keeps what its forward saved, so each kernel node
+has its own. A kernel's masks and fixed rows are plain constant arrays it
+holds, never nodes, so no gradient can flow into them. ``add`` supports
+numpy broadcasting between 2-D shapes (a bias row on a batch); gradients
+are reduced back over broadcast axes. Values and gradients are
+deterministic functions of the graph and its inputs.
 
-Gradients are computed only for parents that require one: constants, masks
-and every node built from constants alone get none. A gradient array is
-never written in place once made, so one array may be handed to several
-parents: the first contribution to a node is kept as it is and later ones
-are added out of place.
+Gradients are computed only for parents that require one: constants and
+every node built from constants alone get none. A gradient array is never
+written in place once made, so one array may be handed to several parents:
+the first contribution to a node is kept as it is and later ones are added
+out of place.
 
 Finiteness is checked once per pass, on what a caller consumes: ``forward``
 checks the terminal value and ``backward`` the gradient of each input node.
@@ -38,15 +36,13 @@ values and one vector-Jacobian product per parent. ``forward`` and
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .errors import NonFinite
 
 class Node:
     __slots__ = ("idx", "op", "parents", "aux", "value", "grad",
-                 "requires_grad", "name", "_norms")
+                 "requires_grad", "name")
 
     def __init__(self, idx, op, parents=(), aux=None, value=None,
                  requires_grad=False, name=""):
@@ -58,7 +54,6 @@ class Node:
         self.grad = None
         self.requires_grad = requires_grad
         self.name = name
-        self._norms = None
 
     def __repr__(self):
         shape = None if self.value is None else self.value.shape
@@ -126,79 +121,26 @@ class Tape:
     def scalar_mul(self, a: Node, c: float, name="") -> Node:
         return self._record("scalar_mul", (a,), aux=float(c), name=name)
 
-    def sum(self, a: Node, name="") -> Node:
-        return self._record("sum", (a,), name=name)
-
-    def row_l2_normalize(self, a: Node, name="") -> Node:
-        return self._record("row_l2_normalize", (a,), name=name)
-
     def tanh(self, a: Node, name="") -> Node:
         return self._record("tanh", (a,), name=name)
 
     def relu(self, a: Node, name="") -> Node:
         return self._record("relu", (a,), name=name)
 
-    def vstack(self, a: Node, b: Node, name="") -> Node:
-        """a's rows followed by b's rows."""
-        return self._record("vstack", (a, b), name=name)
-
-    def rows(self, a: Node, lo: int, hi: int, name="") -> Node:
-        """The row block a[lo:hi]."""
-        return self._record("rows", (a,), aux=(lo, hi), name=name)
-
-    def kernel(self, k, *parents: Node, name="") -> Node:
-        return self._record("kernel", parents, aux=k, name=name)
-
-
-def _x(node: Node, i: int = 0) -> np.ndarray:
-    """Value of the node's i-th parent."""
-    return node.parents[i].value
-
-
-def _normalize(node: Node, x):
-    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
-    if (norms <= 1e-12).any():
-        raise NonFinite(f"node {node.idx} ({node.name or node.op}): zero row in normalize")
-    node._norms = norms
-    return x / norms
-
-
-def _normalize_vjp(node: Node, g):
-    y = node.value
-    inner = (g * y).sum(axis=1, keepdims=True)
-    return (g - y * inner) / node._norms
-
-
-def _rows_vjp(node: Node, g):
-    lo, hi = node.aux
-    out = np.zeros(_x(node).shape)
-    out[lo:hi] = g
-    return out
-
-
-class _KernelVjps:
-    """A kernel node's vjps: one per parent, however many it has."""
-    def __iter__(self):
-        return (lambda n, g, i=i: n.aux.vjp(n, g, i) for i in itertools.count())
+    def kernel(self, k, x: Node, name="") -> Node:
+        return self._record("kernel", (x,), aux=k, name=name)
 
 
 # op -> (value(node, *parent_values), one vjp(node, g) per parent). Every op
 # a Tape method records has exactly one entry here.
 _OPS = {
-    "matmul": (lambda n, a, b: a @ b,
-               (lambda n, g: g @ _x(n, 1).T, lambda n, g: _x(n, 0).T @ g)),
+    "matmul": (lambda n, a, b: a @ b, (lambda n, g: g @ n.parents[1].value.T,
+                                       lambda n, g: n.parents[0].value.T @ g)),
     "add": (lambda n, a, b: a + b, (lambda n, g: g, lambda n, g: g)),
-    "vstack": (lambda n, a, b: np.concatenate((a, b)),
-               (lambda n, g: g[:_x(n, 0).shape[0]],
-                lambda n, g: g[_x(n, 0).shape[0]:])),
     "scalar_mul": (lambda n, a: a * n.aux, (lambda n, g: g * n.aux,)),
-    "sum": (lambda n, a: a.sum().reshape(1, 1),
-            (lambda n, g: np.full(_x(n).shape, g[0, 0]),)),
-    "row_l2_normalize": (_normalize, (_normalize_vjp,)),
     "tanh": (lambda n, a: np.tanh(a), (lambda n, g: g * (1.0 - n.value * n.value),)),
-    "relu": (lambda n, a: np.maximum(a, 0.0), (lambda n, g: g * (_x(n) > 0.0),)),
-    "rows": (lambda n, a: a[n.aux[0]:n.aux[1]], (_rows_vjp,)),
-    "kernel": (lambda n, *xs: n.aux.value(n, *xs), _KernelVjps()),
+    "relu": (lambda n, a: np.maximum(a, 0.0), (lambda n, g: g * (n.parents[0].value > 0.0),)),
+    "kernel": (lambda n, x: n.aux.value(x), (lambda n, g: n.aux.vjp(g),)),
 }
 
 
@@ -226,9 +168,9 @@ def forward(tape: Tape) -> float:
     The last node recorded on the tape is the terminal and must be 1x1.
     Only the terminal's value is checked. When it is NaN/Inf, the nodes are
     rescanned in recording order and NonFinite names the first bad one.
-    When an op raises NonFinite itself (``row_l2_normalize``'s zero-row
-    guard), a non-finite node recorded before it is named instead, as it
-    came first.
+    When a kernel raises NonFinite itself (the HEX kernel's zero-row guard
+    on y), a non-finite node recorded before it is named instead, as it
+    came first; otherwise the kernel's message is prefixed by its node.
 
     A non-finite value that never reaches the terminal does not raise:
     ``relu(-inf)`` is 0. The terms a loss kernel
@@ -246,11 +188,11 @@ def forward(tape: Tape) -> float:
                 continue
             try:
                 node.value = _OPS[node.op][0](node, *[p.value for p in node.parents])
-            except NonFinite:
+            except NonFinite as err:
                 bad = _first_non_finite(tape.nodes[:node.idx], "value")
                 if bad is not None:
                     raise _non_finite(bad, "value") from None
-                raise
+                raise NonFinite(f"node {node.idx} ({node.name or node.op}): {err}") from None
     out = tape.nodes[-1].value
     if not _all_finite(out):
         raise _non_finite(_first_non_finite(tape.nodes, "value"), "value")
@@ -269,7 +211,7 @@ def _accumulate(parent: Node, grad: np.ndarray):
 def backward(tape: Tape):
     """Populate .grad for every node on a path from an input to the terminal.
 
-    Must be called after forward. Constants, masks and nodes computed from
+    Must be called after forward. Constants and nodes computed from
     constants alone receive no gradient, and none is computed for them.
 
     Only the gradients of input nodes, which an optimizer reads, are

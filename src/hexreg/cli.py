@@ -20,7 +20,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .data import GenParams, _format_cell, _write_atomic, generate, load_csv, save_csv
-from .errors import BadConfig, HexRegError, IoError
+from .errors import BadConfig, HexRegError, IoError, SchemaError
 from .schedule import threshold_for_epoch
 from .trainer import TrainConfig, run_training
 
@@ -128,6 +128,10 @@ def cmd_eval(args) -> int:
     from .trainer import evaluate, load_checkpoint
     state = load_checkpoint(args.checkpoint)
     dataset = load_csv(args.data) if args.data else state.config.load_dataset()
+    model_dim = state.params.weights[0].shape[0]
+    if dataset.dim != model_dim:
+        raise SchemaError(f"{args.data or 'the run dataset'} has {dataset.dim} feature "
+                          f"columns; the checkpoint's model takes {model_dim}")
     out = {}
     probes = ["knn_class", "knn_super"] if args.probe == "both" else [args.probe]
     for probe in probes:

@@ -1,9 +1,11 @@
 """Contrastive and redundancy-reduction losses as tape-graph builders.
 
-Each ``build_*_graph`` function is the one implementation of its formula,
-over the autodiff op set; the trainer differentiates it and reads its terms
-back from the evaluated nodes. The independent plain-loop numpy oracles
-that check the builders live in ``tests/test_losses.py``.
+Each loss is one autodiff ``kernel`` node on y, the 2b x d projector
+output (view a in rows 0:b, view b in rows b:2b), whose vjp returns the
+gradient with respect to y. Each ``build_*_graph`` function records that
+node and is the one implementation of its formula; the trainer reads its
+terms back from the kernel. The independent plain-loop numpy oracles that
+check the builders live in ``tests/test_losses.py``.
 
 The hierarchical variant splits the softmax denominator: the members of
 the anchor's estimated grouping H(i) are replaced by one reweighted term,
@@ -22,18 +24,18 @@ similarity -1 would give. Every non-member (the positive included) keeps its
 ordinary exponential term. With every H(i) empty there is no q term and the
 loss is InfoNCE, so ``build_info_nce_graph`` is ``build_hex_graph`` over an
 all-False mask. With tau_plus = 0 and one similarity on all of H(i), q_i is
-the members' own sum, so the loss is InfoNCE again. HEX/InfoNCE is one
-autodiff ``kernel`` node on z; its q term is evaluated and differentiated
-at the members of H(i) and the positives only.
+the members' own sum, so the loss is InfoNCE again. The HEX/InfoNCE kernel
+normalizes y's rows itself; its q term is evaluated and differentiated at
+the members of H(i) and the positives only.
 
 Barlow Twins (Zbontar et al., arXiv 2103.03230) and VICReg (Bardes et al.,
-arXiv 2105.04906) are each one autodiff ``kernel`` node on the two views: a
-numpy forward and an analytic vjp, both given in the builder's docstring.
+arXiv 2105.04906) split y into its two views; each forward and analytic
+vjp is given in the builder's docstring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -41,6 +43,7 @@ import numpy as np
 from .autodiff import Node, Tape
 from .errors import BadAlpha, BadConfig, BadTemperature, EmptyQueue
 from .hierarchy import HierarchyMask
+from .linalg import l2_normalize_rows, row_norms
 
 DEFAULT_TAU_PLUS = 0.1
 
@@ -73,28 +76,27 @@ class LossBreakdown:
 # ---------------------------------------------------------------------------
 
 class NNQueue:
-    """FIFO ring of unit-norm embedding rows, oldest evicted first."""
+    """FIFO of unit-norm embedding rows in one array, oldest evicted first."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise BadConfig(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._rows: list[np.ndarray] = []
+        self._rows = None
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return 0 if self._rows is None else len(self._rows)
 
     def push(self, rows: np.ndarray):
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        for row in rows:
-            self._rows.append(row.copy())
-        if len(self._rows) > self.capacity:
-            self._rows = self._rows[len(self._rows) - self.capacity:]
+        rows = np.array(rows, dtype=np.float64, ndmin=2)
+        if self._rows is not None:
+            rows = np.concatenate((self._rows, rows))
+        self._rows = rows[-self.capacity:]
 
     def as_matrix(self) -> np.ndarray:
-        if not self._rows:
+        if not len(self):
             raise EmptyQueue("queue holds no entries")
-        return np.vstack(self._rows)
+        return self._rows
 
 
 def nnclr_positive_rows(q: NNQueue, z: np.ndarray) -> np.ndarray:
@@ -102,7 +104,7 @@ def nnclr_positive_rows(q: NNQueue, z: np.ndarray) -> np.ndarray:
     ties go to the oldest entry."""
     entries = q.as_matrix()
     sims = np.asarray(z, dtype=np.float64) @ entries.T
-    return entries[np.argmax(sims, axis=1)].copy()
+    return entries[np.argmax(sims, axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +137,9 @@ class ContrastiveGraphInfo:
 
 
 class _Hex:
-    """The HEX loss on the n unit rows z, with e = exp(z z^T / tau).
+    """The HEX loss on y's rows, normalized to z, with e = exp(z z^T / tau).
+    Given ``nn_rows``, they replace rows 0:b of z and only y's rows b:2b are
+    normalized; y's rows 0:b then get a zero gradient.
 
     Off H(i) the kernel works on whole n x n arrays; the q term reads the
     member entries only (``idx``, the row-major flat index of the mask),
@@ -143,19 +147,26 @@ class _Hex:
     forward and vjp it keeps one n x n array, e with H(i) and the diagonal
     at 0. A row whose q sits on the floor is not live: q is constant there.
 
-    After a forward it holds the n x 1 columns ``pos_logits`` (s_pos / tau),
-    ``log_denominator``, ``q`` and ``live`` (both None when no row has
-    members)."""
+    After a forward it holds z and the n x 1 columns ``pos_logits``
+    (s_pos / tau), ``log_denominator``, ``q`` and ``live`` (both None when
+    no row has members)."""
 
-    def __init__(self, member, pos, tau, tau_plus):
+    def __init__(self, member, pos, tau, tau_plus, nn_rows):
         self.pos = np.asarray(pos, dtype=np.intp)
         self.tau, self.tau_plus = tau, tau_plus
+        self.nn_rows = nn_rows
+        self.lo = 0 if nn_rows is None else len(nn_rows)   # first row normalized
         self.idx = np.flatnonzero(member)
         self.row = self.idx // len(member)
         self.size = np.bincount(self.row, minlength=len(member))[:, None]
         self.q = self.live = None
 
-    def value(self, node, z):
+    def value(self, y):
+        self._y = y
+        z = l2_normalize_rows(y[self.lo:])
+        if self.lo:
+            z = np.concatenate((self.nn_rows, z))
+        self.z = z
         rows = np.arange(z.shape[0])
         e = z @ z.T
         e *= 1.0 / self.tau
@@ -186,8 +197,8 @@ class _Hex:
         self.q = np.maximum(est, floor)
         return self.q
 
-    def vjp(self, node, g, i):
-        z = node.parents[0].value
+    def vjp(self, g):
+        z = self.z
         rows = np.arange(z.shape[0])
         g_loss = np.full((len(rows), 1), g[0, 0] / len(rows))
         g_denom = g_loss / self._denom
@@ -201,25 +212,34 @@ class _Hex:
             gs.ravel()[self.idx] = (g_est[self.row] * (2.0 * self._w - self._sum_w2)
                                     * self._e_h)
         gs *= 1.0 / self.tau
-        return gs @ z + (z.T @ gs).T
+        g_z = gs @ z + (z.T @ gs).T
+        # Back through each normalized row u = y / |y|: (g - u (g . u)) / |y|.
+        u, g_u = z[self.lo:], g_z[self.lo:]
+        g_y = np.zeros(self._y.shape)
+        g_y[self.lo:] = ((g_u - u * (g_u * u).sum(axis=1, keepdims=True))
+                         / row_norms(self._y[self.lo:])[:, None])
+        return g_y
 
 
-def build_info_nce_graph(tape: Tape, z_node: Node, positive_index,
-                         tau: float) -> ContrastiveGraphInfo:
+def build_info_nce_graph(tape: Tape, y: Node, positive_index, tau: float, *,
+                         nn_rows=None) -> ContrastiveGraphInfo:
     """InfoNCE: the HEX graph with no anchor holding members."""
     pos = np.asarray(positive_index, dtype=np.intp)
     n = pos.shape[0]
-    return build_hex_graph(tape, z_node,
-                           HierarchyMask(np.zeros((n, n), dtype=bool), pos), tau)
+    return build_hex_graph(tape, y, HierarchyMask(np.zeros((n, n), dtype=bool), pos),
+                           tau, nn_rows=nn_rows)
 
 
-def build_hex_graph(tape: Tape, z_node: Node, mask: HierarchyMask, tau: float,
-                    *, tau_plus: float = DEFAULT_TAU_PLUS) -> ContrastiveGraphInfo:
-    """Hierarchically decomposed InfoNCE as one kernel node on z.
+def build_hex_graph(tape: Tape, y: Node, mask: HierarchyMask, tau: float, *,
+                    tau_plus: float = DEFAULT_TAU_PLUS,
+                    nn_rows=None) -> ContrastiveGraphInfo:
+    """Hierarchically decomposed InfoNCE as one kernel node on the
+    projector output y, whose rows the kernel normalizes.
 
-    The membership mask and the positive pairing enter as constants;
-    gradients flow through every similarity inside q and the denominator,
-    never into the mask.
+    The membership mask, the positive pairing and NNCLR's neighbour rows
+    ``nn_rows`` (which replace rows 0:b of the normalized rows) enter as
+    constants; gradients flow through every similarity inside q and the
+    denominator, never into them.
     """
     if tau <= 0.0:
         raise BadTemperature(f"temperature must be > 0, got {tau}")
@@ -227,7 +247,7 @@ def build_hex_graph(tape: Tape, z_node: Node, mask: HierarchyMask, tau: float,
         raise BadConfig(f"tau_plus must lie in [0, 1), got {tau_plus}")
     member = mask.membership
     return ContrastiveGraphInfo(
-        total=tape.kernel(_Hex(member, mask.positive_index, tau, tau_plus), z_node,
+        total=tape.kernel(_Hex(member, mask.positive_index, tau, tau_plus, nn_rows), y,
                           name="hex_loss"),
         rows_with_h=member.any(axis=1), mask_mean_size=mask.mean_size)
 
@@ -251,7 +271,8 @@ class _Barlow:
     def __init__(self, lam, scale, var_eps):
         self.lam, self.scale, self.var_eps = lam, scale, var_eps
 
-    def value(self, node, za, zb):
+    def value(self, y):
+        za, zb = y[:len(y) // 2], y[len(y) // 2:]
         (ca, sa), (cb, sb) = (_standardize(z, 0, self.var_eps) for z in (za, zb))
         a, b = ca / sa, cb / sb
         cc = a.T @ b / za.shape[0]
@@ -262,31 +283,34 @@ class _Barlow:
         self._saved = (a, b, sa, sb, cc)
         return np.array([[self.terms[0] + self.terms[1]]])
 
-    def vjp(self, node, g, i):
+    def vjp(self, g):
         a, b, sa, sb, cc = self._saved
-        g = 2.0 * self.scale * g[0, 0] / len(a)
+        n = len(a)
+        g = 2.0 * self.scale * g[0, 0] / n
         gc = (g * self.lam) * cc
         np.fill_diagonal(gc, -g * (1.0 - np.diagonal(cc)))
-        ga, x, s = (b @ gc.T, a, sa) if i == 0 else (a @ gc, b, sb)
-        return (ga - ga.sum(axis=0) / len(a) - x * ((ga * x).sum(axis=0) / len(a))) / s
+        return np.concatenate([(gx - gx.sum(axis=0) / n - x * ((gx * x).sum(axis=0) / n)) / s
+                               for gx, x, s in ((b @ gc.T, a, sa), (a @ gc, b, sb))])
 
 
-def build_barlow_graph(tape: Tape, za: Node, zb: Node, lam: float, scale: float,
+def build_barlow_graph(tape: Tape, y: Node, lam: float, scale: float,
                        var_eps: float = 1e-12) -> DimGraphInfo:
-    """Barlow Twins as one kernel node on the n x d views za and zb. With a,
-    b the standardized views (variance over n) and C = a^T b / n, the terms
-    are scale * sum_k (1 - C_kk)^2 and scale * lam * sum_{k != l} C_kl^2.
-    VJP: G = dL/dC is -2 scale (1 - C_kk) on the diagonal, 2 scale lam C_kl
-    off it; ga = b G^T / n (a G / n for zb) goes back through the
-    standardization as (ga - mean(ga) - a mean(ga a)) / s, column means."""
-    return DimGraphInfo(tape.kernel(_Barlow(lam, scale, var_eps), za, zb, name="barlow_loss"))
+    """Barlow Twins as one kernel node on y, whose rows 0:b and b:2b are the
+    n x d views za and zb. With a, b the standardized views (variance over
+    n) and C = a^T b / n, the terms are scale * sum_k (1 - C_kk)^2 and
+    scale * lam * sum_{k != l} C_kl^2. VJP: G = dL/dC is -2 scale (1 - C_kk)
+    on the diagonal, 2 scale lam C_kl off it; ga = b G^T / n (a G / n for
+    zb) goes back through the standardization as
+    (ga - mean(ga) - a mean(ga a)) / s, column means."""
+    return DimGraphInfo(tape.kernel(_Barlow(lam, scale, var_eps), y, name="barlow_loss"))
 
 
 class _Vicreg:
     def __init__(self, sim_w, var_w, cov_w, var_eps):
         self.sim_w, self.var_w, self.cov_w, self.var_eps = sim_w, var_w, cov_w, var_eps
 
-    def value(self, node, za, zb):
+    def value(self, y):
+        za, zb = y[:len(y) // 2], y[len(y) // 2:]
         n, d = za.shape
         hinge, pen, self._views = 0.0, 0.0, []
         for z in (za, zb):
@@ -301,31 +325,52 @@ class _Vicreg:
                       self.var_w * (0.5 * hinge) + self.cov_w * pen)
         return np.array([[self.terms[0] + self.terms[1]]])
 
-    def vjp(self, node, g, i):
-        g, (c, s, cov) = g[0, 0], self._views[i]
-        n, d = c.shape
-        return ((2.0 * self.sim_w * (g if i == 0 else -g) / (n * d)) * self._diff
-                + c @ cov * (4.0 * self.cov_w * g / (d * (n - 1)))
-                - c * ((self.var_w * g / (2.0 * d * (n - 1))) * (s < 1.0) / s))
+    def vjp(self, g):
+        g = g[0, 0]
+        n, d = self._diff.shape
+        return np.concatenate([
+            (2.0 * self.sim_w * g_sim / (n * d)) * self._diff
+            + c @ cov * (4.0 * self.cov_w * g / (d * (n - 1)))
+            - c * ((self.var_w * g / (2.0 * d * (n - 1))) * (s < 1.0) / s)
+            for g_sim, (c, s, cov) in zip((g, -g), self._views)])
 
 
-def build_vicreg_graph(tape: Tape, za: Node, zb: Node,
-                       sim_w: float, var_w: float, cov_w: float,
+def build_vicreg_graph(tape: Tape, y: Node, sim_w: float, var_w: float, cov_w: float,
                        var_eps: float = 1e-4) -> DimGraphInfo:
-    """VICReg as one kernel node on the n x d views za and zb. Per view: c
-    centered, s = sqrt(var + var_eps) over n - 1 rows, K = c^T c / (n - 1)
-    with a zero diagonal. The terms are sim_w * mean((za - zb)^2) and, summed
-    over both views, var_w * mean(max(0, 1 - s)) / 2 + cov_w * sum(K^2) / d.
-    VJP for za (zb negates the first part): 2 sim_w (za - zb) / (n d) +
+    """VICReg as one kernel node on y, whose rows 0:b and b:2b are the n x d
+    views za and zb. Per view: c centered, s = sqrt(var + var_eps) over
+    n - 1 rows, K = c^T c / (n - 1) with a zero diagonal. The terms are
+    sim_w * mean((za - zb)^2) and, summed over both views,
+    var_w * mean(max(0, 1 - s)) / 2 + cov_w * sum(K^2) / d. VJP for za (zb
+    negates the first part): 2 sim_w (za - zb) / (n d) +
     4 cov_w c K / (d (n - 1)) - var_w [s < 1] c / (2 d (n - 1) s), so the
     hinge's gradient is 0 at its kink, as relu's is."""
-    return DimGraphInfo(tape.kernel(_Vicreg(sim_w, var_w, cov_w, var_eps), za, zb,
+    return DimGraphInfo(tape.kernel(_Vicreg(sim_w, var_w, cov_w, var_eps), y,
                                     name="vicreg_loss"))
 
 
-def build_combined_graph(tape: Tape, hex_total: Node, dim_total: Node,
-                         alpha: float, hex_scale: float) -> Node:
+@dataclass
+class CombinedGraphInfo:
+    total: Node      # the add node of the two weighted losses
+    parts: tuple     # (ContrastiveGraphInfo, DimGraphInfo)
+    weights: tuple   # (alpha * hex_scale, 1 - alpha)
+
+    def breakdown(self) -> LossBreakdown:
+        """The two loss columns mixed as the total mixes the losses; the
+        HEX columns are the contrastive part's."""
+        (h, d), (c1, c2) = (p.breakdown() for p in self.parts), self.weights
+        return replace(h, total=float(self.total.value[0, 0]),
+                       invariance_term=c1 * h.invariance_term + c2 * d.invariance_term,
+                       regularization_term=(c1 * h.regularization_term
+                                            + c2 * d.regularization_term))
+
+
+def build_combined_graph(tape: Tape, contra: ContrastiveGraphInfo, dim: DimGraphInfo,
+                         alpha: float, hex_scale: float) -> CombinedGraphInfo:
+    """alpha * hex_scale * contrastive loss + (1 - alpha) * dim loss."""
     if not 0.0 <= alpha <= 1.0:
         raise BadAlpha(f"alpha must lie in [0, 1], got {alpha}")
-    return tape.add(tape.scalar_mul(hex_total, alpha * hex_scale),
-                    tape.scalar_mul(dim_total, 1.0 - alpha), name="combined_loss")
+    weights = (alpha * hex_scale, 1.0 - alpha)
+    total = tape.add(tape.scalar_mul(contra.total, weights[0]),
+                     tape.scalar_mul(dim.total, weights[1]), name="combined_loss")
+    return CombinedGraphInfo(total, (contra, dim), weights)

@@ -5,7 +5,8 @@ bitwise-reproducible checkpointing.
 
 The model works row by row, so each step records it on the tape once, on
 the two views stacked into 2b rows (view a in rows 0:b, view b in rows
-b:2b); a loss that reads the views apart takes their row blocks.
+b:2b). Every loss is one kernel node on that stacked projector output;
+a loss that reads the views apart splits it at b.
 
 Determinism: everything derives from the run seed through fixed stream
 labels (0 = weight init, 1 = per-epoch streams, 4 = diagnostics draws,
@@ -464,36 +465,24 @@ def _train_step(state: TrainState, views, batch_supers, lr, epoch, pairs) -> dic
     del sims
 
     # Differentiable graph with the mask and NN rows frozen as constants.
+    # Each loss is one kernel node on y, the HEX one first: backward adds
+    # their contributions to y in reverse recording order.
     tape = Tape()
     w_nodes, b_nodes, _, y = build_model_graph(tape, state.params, views)
-    if loss_cfg.is_hex or not loss_cfg.is_dim:
-        if nn_rows is None:
-            z_node = tape.row_l2_normalize(y, name="embeddings")
-        else:
-            z_node = tape.vstack(tape.constant(nn_rows, name="nn_rows"),
-                                 tape.row_l2_normalize(tape.rows(y, b, 2 * b)),
-                                 name="nn_batch")
-
-    # The last node recorded is the loss. The HEX subgraph is recorded
-    # before the Barlow/VICReg one: backward adds their contributions to the
-    # shared model nodes in reverse recording order.
     contra = dim = None
     if loss_cfg.is_hex:
-        contra = build_hex_graph(tape, z_node, mask, loss_cfg.tau,
-                                 tau_plus=loss_cfg.tau_plus)
+        contra = build_hex_graph(tape, y, mask, loss_cfg.tau,
+                                 tau_plus=loss_cfg.tau_plus, nn_rows=nn_rows)
     elif not loss_cfg.is_dim:
-        contra = build_info_nce_graph(tape, z_node, pos, loss_cfg.tau)
-    if loss_cfg.is_dim:
-        y_a, y_b = tape.rows(y, 0, b), tape.rows(y, b, 2 * b)
-        if loss_cfg.kind.startswith("barlow"):
-            dim = build_barlow_graph(tape, y_a, y_b, loss_cfg.barlow_lambda,
-                                     loss_cfg.barlow_scale)
-        else:
-            dim = build_vicreg_graph(tape, y_a, y_b, loss_cfg.vicreg_sim,
-                                     loss_cfg.vicreg_var, loss_cfg.vicreg_cov)
+        contra = build_info_nce_graph(tape, y, pos, loss_cfg.tau, nn_rows=nn_rows)
+    if loss_cfg.kind.startswith("barlow"):
+        dim = build_barlow_graph(tape, y, loss_cfg.barlow_lambda, loss_cfg.barlow_scale)
+    elif loss_cfg.kind.startswith("vicreg"):
+        dim = build_vicreg_graph(tape, y, loss_cfg.vicreg_sim,
+                                 loss_cfg.vicreg_var, loss_cfg.vicreg_cov)
+    info = contra or dim
     if contra is not None and dim is not None:
-        build_combined_graph(tape, contra.total, dim.total,
-                             loss_cfg.alpha, loss_cfg.hex_scale)
+        info = build_combined_graph(tape, contra, dim, loss_cfg.alpha, loss_cfg.hex_scale)
 
     loss_value = forward(tape)
     backward(tape)
@@ -510,7 +499,7 @@ def _train_step(state: TrainState, views, batch_supers, lr, epoch, pairs) -> dic
     if state.queue is not None:
         state.queue.push(z_full[b:])
 
-    bd = (contra or dim).breakdown()
+    bd = info.breakdown()
     return {"loss_total": loss_value, "loss_invariance": bd.invariance_term,
             "loss_regularization": bd.regularization_term,
             "hex_term_mean": bd.hex_term_mean, "threshold": thr_used,
@@ -663,9 +652,17 @@ def load_checkpoint(path: str) -> TrainState:
         if key not in header:
             raise IoError(f"{path}: the header has no {key!r}")
     config = TrainConfig.from_dict(header["config"])
+    epoch, specs = header["epoch_completed"], header["arrays"]
+    if type(epoch) is not int or epoch < 0:
+        raise IoError(f"{path}: epoch_completed must be a count, got {epoch!r}")
+    if not (isinstance(specs, list) and all(
+            isinstance(s, dict) and isinstance(s.get("name"), str)
+            and type(s.get("rows")) is int and type(s.get("cols")) is int
+            and min(s["rows"], s["cols"]) >= 0 for s in specs)):
+        raise IoError(f"{path}: corrupt header: each array needs a name, rows and cols")
     offset = 12 + blob_len
     arrays = {}
-    for spec in header["arrays"]:
+    for spec in specs:
         count = spec["rows"] * spec["cols"]
         end = offset + 8 * count
         if end > len(raw):
@@ -679,13 +676,20 @@ def load_checkpoint(path: str) -> TrainState:
 
     n_enc = len(config.model.encoder_hidden) + 1
     layers = range(n_enc + 2)
-    needed = [f"{kind}{i}" for kind in ("w", "b", "mw", "mb") for i in layers]
+    # The input dim is w0's row count; every other width is the config's.
+    dims = layer_dims(config.model, len(arrays.get("w0", ())))
+    shapes = {f"{kind}{i}": (1 if kind.endswith("b") else dims[i], dims[i + 1])
+              for kind in ("w", "b", "mw", "mb") for i in layers}
     has_queue = config.loss.uses_queue and header.get("queue_len")
-    if has_queue:
-        needed.append("queue")
-    missing = [name for name in needed if name not in arrays]
+    if has_queue:    # 1 to queue_capacity rows
+        rows = min(max(len(arrays.get("queue", ())), 1), config.train.queue_capacity)
+        shapes["queue"] = (rows, config.model.proj_dim)
+    missing = [name for name in shapes if name not in arrays]
     if missing:
         raise IoError(f"{path}: the header lists no array {', '.join(missing)}")
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise IoError(f"{path}: array {name} has shape {arrays[name].shape}, not {shape}")
     params = ModelParams([arrays[f"w{i}"] for i in layers],
                          [arrays[f"b{i}"] for i in layers], n_enc)
     mom_w = [arrays[f"mw{i}"] for i in layers]
@@ -695,8 +699,7 @@ def load_checkpoint(path: str) -> TrainState:
         queue = NNQueue(config.train.queue_capacity)
         if has_queue:
             queue.push(arrays["queue"])
-    return TrainState(config, params, mom_w, mom_b, queue,
-                      header["epoch_completed"])
+    return TrainState(config, params, mom_w, mom_b, queue, epoch)
 
 
 # ---------------------------------------------------------------------------
@@ -743,6 +746,10 @@ def run_training(config: TrainConfig, out_dir: Optional[str] = None,
     uninterrupted run's remaining rows bitwise; rows already covered by the
     checkpoint are reread from the existing metrics.csv when present.
     """
+    if checkpoint_every is not None:
+        _check_int("checkpoint_every", checkpoint_every)
+        if checkpoint_every < 1:
+            raise BadConfig(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     t0 = time.time()
     dataset = config.load_dataset()
     prior_rows: list = []

@@ -6,8 +6,38 @@ import pytest
 from hexreg import autodiff, trainer
 from hexreg.autodiff import _OPS, Tape, backward, forward
 from hexreg.errors import NonFinite
+from hexreg.linalg import l2_normalize_rows
+from hexreg.losses import LOSS_KINDS
 
 H = 1e-5
+
+
+class _WeightedSum:
+    """sum(x * w) for a constant weight w, as one kernel node: the tests'
+    scalar reducer. It counts the vjps it was asked for."""
+
+    def __init__(self, w=1.0):
+        self.w, self.asked = w, 0
+
+    def value(self, x):
+        self.shape = x.shape
+        return (x * self.w).sum().reshape(1, 1)
+
+    def vjp(self, g):
+        self.asked += 1
+        return np.full(self.shape, g[0, 0]) * self.w
+
+
+def total(t, a, w=1.0):
+    return t.kernel(_WeightedSum(w), a)
+
+
+class _UnitRowSum:
+    """The sum of x's rows scaled to unit norm; like the HEX kernel, it
+    raises NonFinite on a zero row. Its tests run forward only."""
+
+    def value(self, x):
+        return l2_normalize_rows(x).sum().reshape(1, 1)
 
 
 def finite_diff(tape, inputs, build_value=None):
@@ -40,8 +70,7 @@ def max_rel_err(analytic, numeric):
 class TestForward:
     def test_sum_of_normalized_row(self):
         t = Tape()
-        x = t.input([[3.0, 4.0]])
-        t.sum(t.row_l2_normalize(x))
+        t.kernel(_UnitRowSum(), t.input([[3.0, 4.0]]))
         assert forward(t) == pytest.approx(1.4, abs=1e-12)
 
     def test_non_finite_identifies_node(self):
@@ -67,7 +96,7 @@ class TestForward:
             x = t.input(vals)
             y = t.input(vals.T.copy())
             h = t.tanh(t.matmul(x, y))
-            t.sum(t.kernel(_ProductKernel(), h, t.relu(h), t.rows(h, 0, 1)))
+            total(t, t.kernel(_ProductKernel(vals[:1, :1]), t.add(h, t.relu(h))))
             loss = forward(t)
             backward(t)
             return loss, np.vstack((x.grad, y.grad.T))
@@ -78,43 +107,27 @@ class TestForward:
         assert np.array_equal(g1, g2)
 
 
-class _MaskedProduct:
-    """sum over the entries a mask selects of a * b, as one kernel node; it
-    records which parents its vjp was asked for."""
-
-    def __init__(self, mask):
-        self.mask, self.asked = mask, []
-
-    def value(self, node, a, b):
-        return (a * b * self.mask).sum().reshape(1, 1)
-
-    def vjp(self, node, g, i):
-        self.asked.append(i)
-        return g[0, 0] * node.parents[1 - i].value * self.mask
-
-
-def weighted_sum(t, a, w):
-    """sum(a * w) for a constant weight array w."""
-    return t.kernel(_MaskedProduct(w), a, t.constant(np.ones(w.shape)))
-
-
 class TestBackwardBasics:
     def test_constants_and_masks_get_no_grad(self):
+        # A mask is an array a kernel holds; a kernel on a constant's
+        # subgraph is never asked for its vjp.
         t = Tape()
         x = t.input(np.full((2, 3), 1.5))
         c = t.constant(np.full((2, 3), 2.0))
-        k = _MaskedProduct(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+        masked = _WeightedSum(np.array([[2.0, 0.0, 2.0], [0.0, 2.0, 0.0]]))
+        on_c = _WeightedSum()
         from_c = t.scalar_mul(c, 3.0)
-        t.sum(t.add(t.kernel(k, x, c), t.sum(from_c)))
+        total(t, t.add(t.kernel(masked, x), t.kernel(on_c, from_c)))
         forward(t)
         backward(t)
-        assert c.grad is None and from_c.grad is None and k.asked == [0]
+        assert c.grad is None and from_c.grad is None
+        assert (masked.asked, on_c.asked) == (1, 0)
         np.testing.assert_array_equal(x.grad, [[2.0, 0.0, 2.0], [0.0, 2.0, 0.0]])
 
     def test_relu_subgradient_zero_at_zero(self):
         t = Tape()
         x = t.input([[0.0, -1.0, 2.0]])
-        t.sum(t.relu(x))
+        total(t, t.relu(x))
         forward(t)
         backward(t)
         np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 1.0]])
@@ -124,7 +137,7 @@ class TestBackwardBasics:
         t = Tape()
         x = t.constant(rng.normal(size=(5, 3)))
         bias = t.input(rng.normal(size=(1, 3)))
-        t.sum(t.tanh(t.add(x, bias)))
+        total(t, t.tanh(t.add(x, bias)))
         forward(t)
         backward(t)
         assert bias.grad.shape == (1, 3)
@@ -136,66 +149,49 @@ def _graph_for_op(op, rng):
     if op == "add":
         a = t.input(rng.normal(size=(3, 4)))
         b = t.input(rng.normal(size=(3, 4)))
-        t.sum(t.add(a, b))
+        total(t, t.add(a, b))
         return t, [a, b]
     if op == "matmul":
         a = t.input(rng.normal(size=(3, 4)))
         b = t.input(rng.normal(size=(4, 2)))
-        t.sum(t.matmul(a, b))
+        total(t, t.matmul(a, b))
         return t, [a, b]
     if op == "scalar_mul":
         a = t.input(rng.normal(size=(3, 3)))
-        t.sum(t.scalar_mul(a, -1.7))
-        return t, [a]
-    if op == "sum":
-        a = t.input(rng.normal(size=(3, 3)))
-        t.sum(a)
-        return t, [a]
-    if op == "row_l2_normalize":
-        a = t.input(rng.normal(size=(3, 4)) + 2.0)
-        t.sum(t.matmul(t.row_l2_normalize(a), t.constant(rng.normal(size=(4, 2)))))
+        total(t, t.scalar_mul(a, -1.7))
         return t, [a]
     if op == "tanh":
         a = t.input(rng.normal(size=(3, 3)))
-        t.sum(t.tanh(a))
+        total(t, t.tanh(a))
         return t, [a]
     if op == "relu":
         a = t.input(rng.normal(size=(3, 3)) + 0.3)
-        t.sum(t.relu(a))
-        return t, [a]
-    if op == "vstack":
-        a = t.input(rng.normal(size=(2, 3)))
-        b = t.input(rng.normal(size=(3, 3)))
-        t.sum(t.matmul(t.vstack(a, b), t.constant(rng.normal(size=(3, 2)))))
-        return t, [a, b]
-    if op == "rows":
-        a = t.input(rng.normal(size=(5, 3)))
-        t.sum(t.matmul(t.rows(a, 1, 3), t.constant(rng.normal(size=(3, 2)))))
+        total(t, t.relu(a))
         return t, [a]
     if op == "kernel":
         a = t.input(rng.normal(size=(3, 4)))
-        b = t.input(rng.normal(size=(3, 4)))
-        c = t.input(rng.normal(size=(1, 4)))
-        t.sum(t.kernel(_ProductKernel(), a, b, c))
-        return t, [a, b, c]
+        total(t, t.kernel(_ProductKernel(rng.normal(size=(1, 4))), a),
+              rng.normal(size=(3, 4)))
+        return t, [a]
     raise AssertionError(op)
 
 
 class _ProductKernel:
-    """a * exp(b) + c as one kernel node: three parents, a broadcast one
-    among them, and a matrix value."""
+    """x * exp(x) + c for a constant c that broadcasts over x, as one kernel
+    node with a matrix value."""
 
-    def value(self, node, a, b, c):
-        self.exp_b = np.exp(b)
-        return a * self.exp_b + c
+    def __init__(self, c):
+        self.c = c
 
-    def vjp(self, node, g, i):
-        a = node.parents[0].value
-        return (g * self.exp_b, g * a * self.exp_b, g.sum(axis=0, keepdims=True))[i]
+    def value(self, x):
+        self.x, self.exp_x = x, np.exp(x)
+        return x * self.exp_x + self.c
+
+    def vjp(self, g):
+        return g * (1.0 + self.x) * self.exp_x
 
 
-ALL_OPS = ["matmul", "add", "scalar_mul", "sum", "row_l2_normalize", "tanh",
-           "relu", "vstack", "rows", "kernel"]
+ALL_OPS = ["matmul", "add", "scalar_mul", "tanh", "relu", "kernel"]
 
 
 @pytest.mark.parametrize("op", ALL_OPS)
@@ -230,62 +226,10 @@ def test_module_docstring_lists_the_leaves_and_the_table_ops():
 def test_shared_parameter_accumulates():
     t = Tape()
     x = t.input([[1.0, 2.0]])
-    t.sum(t.add(x, x))
+    total(t, t.add(x, x))
     forward(t)
     backward(t)
     np.testing.assert_array_equal(x.grad, [[2.0, 2.0]])
-
-
-class TestPickAndVstack:
-    """vstack and rows give the bits of the forms they replace: a stack
-    built from two selector matmuls and an add, and a selector matmul."""
-
-    def test_vstack_matches_selector_matmul_stack_bitwise(self):
-        rng = np.random.default_rng(22)
-        for n_top, n_bottom, d in ((1, 1, 1), (5, 5, 4), (3, 7, 2), (64, 64, 8)):
-            top_val = rng.normal(size=(n_top, d))
-            bottom_val = rng.normal(size=(n_bottom, d))
-            w = rng.normal(size=(n_top + n_bottom, d))
-            sel_a = np.zeros((n_top + n_bottom, n_top))
-            sel_a[:n_top] = np.eye(n_top)
-            sel_b = np.zeros((n_top + n_bottom, n_bottom))
-            sel_b[n_top:] = np.eye(n_bottom)
-            results = []
-            for use_vstack in (True, False):
-                t = Tape()
-                top, bottom = t.input(top_val), t.input(bottom_val)
-                if use_vstack:
-                    out = t.vstack(top, bottom)
-                else:
-                    out = t.add(t.matmul(t.constant(sel_a), top),
-                                t.matmul(t.constant(sel_b), bottom))
-                weighted_sum(t, out, w)
-                forward(t)
-                backward(t)
-                results.append((out.value, top.grad, bottom.grad))
-            for new, old in zip(*results):
-                np.testing.assert_array_equal(new, old)
-
-    def test_rows_matches_selector_matmul_bitwise(self):
-        rng = np.random.default_rng(23)
-        for n, lo, hi, d in ((1, 0, 1, 1), (10, 0, 5, 4), (10, 7, 10, 2),
-                             (10, 2, 6, 3), (128, 64, 128, 8), (128, 0, 64, 8)):
-            a_val = rng.normal(size=(n, d))
-            w = rng.normal(size=(hi - lo, d))
-            sel = np.zeros((hi - lo, n))
-            sel[:, lo:hi] = np.eye(hi - lo)
-            results = []
-            for use_rows in (True, False):
-                t = Tape()
-                a = t.input(a_val)
-                out = t.rows(a, lo, hi) if use_rows else t.matmul(t.constant(sel), a)
-                weighted_sum(t, out, w)
-                forward(t)
-                backward(t)
-                results.append((out.value, a.grad))
-            for new, old in zip(*results):
-                assert new.shape == old.shape
-                np.testing.assert_array_equal(new, old)
 
 
 def test_gradient_shared_by_two_parents_is_not_mutated():
@@ -298,7 +242,7 @@ def test_gradient_shared_by_two_parents_is_not_mutated():
     u = t.scalar_mul(x, 3.0)
     v = t.scalar_mul(y, 5.0)
     s = t.add(x, y)
-    t.sum(t.add(s, t.add(u, v)))
+    total(t, t.add(s, t.add(u, v)))
     forward(t)
     backward(t)
     np.testing.assert_array_equal(x.grad, np.full((2, 2), 4.0))
@@ -314,7 +258,7 @@ class TestNonFinite:
         t = Tape()
         x = t.input([[0.0, 2.0]])
         bad = t.scalar_mul(x, np.inf, name="bad_scale")
-        t.sum(t.add(bad, t.constant([[1.0, 1.0]])))
+        total(t, t.add(bad, t.constant([[1.0, 1.0]])))
         with pytest.raises(NonFinite, match=r"^non-finite value at node 1 \(bad_scale\)$"):
             forward(t)
 
@@ -323,7 +267,7 @@ class TestNonFinite:
         t = Tape()
         x = t.input([[1e-300]], name="w")
         scaled = t.scalar_mul(x, 1.0, name="scaled")
-        t.sum(t.scalar_mul(t.scalar_mul(scaled, 1e200), 1e200))
+        total(t, t.scalar_mul(t.scalar_mul(scaled, 1e200), 1e200))
         assert np.isfinite(forward(t))
         with pytest.raises(NonFinite, match=r"^non-finite gradient at node 1 \(scaled\)$"):
             backward(t)
@@ -331,7 +275,7 @@ class TestNonFinite:
     def test_non_finite_value_that_misses_the_loss_does_not_raise(self):
         t = Tape()
         x = t.input([[1.0]], name="w")
-        t.sum(t.relu(t.scalar_mul(x, -np.inf)))
+        total(t, t.relu(t.scalar_mul(x, -np.inf)))
         assert forward(t) == 0.0
         # the loss is finite; w's gradient, 0 * -inf, is not
         with pytest.raises(NonFinite, match=r"^non-finite gradient at node 0 \(w\)$"):
@@ -341,7 +285,7 @@ class TestNonFinite:
         t = Tape()
         w = t.input([[2.0]], name="w")
         c = t.constant([[1.0]])
-        t.sum(t.add(w, t.relu(t.scalar_mul(c, -np.inf))))
+        total(t, t.add(w, t.relu(t.scalar_mul(c, -np.inf))))
         assert forward(t) == 2.0
         backward(t)
         np.testing.assert_array_equal(w.grad, [[1.0]])
@@ -349,15 +293,17 @@ class TestNonFinite:
     def test_earlier_non_finite_node_beats_a_zero_row(self):
         t = Tape()
         bad = t.scalar_mul(t.input([[0.0]]), np.inf, name="bad_scale")
-        zero = t.row_l2_normalize(t.constant([[0.0, 0.0]]), name="zero_row")
-        t.sum(t.add(zero, bad))
+        zero = t.kernel(_UnitRowSum(), t.constant([[0.0, 0.0]]), name="zero_row")
+        total(t, t.add(zero, bad))
         with pytest.raises(NonFinite, match=r"^non-finite value at node 1 \(bad_scale\)$"):
             forward(t)
 
     def test_zero_row_alone_keeps_its_message(self):
+        # A kernel's own NonFinite keeps its message, prefixed by the node.
         t = Tape()
-        t.sum(t.row_l2_normalize(t.input([[1.0, 0.0], [0.0, 0.0]]), name="z"))
-        with pytest.raises(NonFinite, match=r"^node 1 \(z\): zero row in normalize$"):
+        t.kernel(_UnitRowSum(), t.input([[1.0, 0.0], [0.0, 0.0]]), name="z")
+        with pytest.raises(NonFinite, match=r"^node 1 \(z\): row 1 has norm "
+                                            r"0\.000e\+00 <= 1e-12$"):
             forward(t)
 
 
@@ -393,3 +339,26 @@ def test_a_passing_train_step_checks_the_loss_and_each_parameter_gradient(monkey
             assert n_checks == 1
         else:
             assert 1 <= n_checks <= n_inputs
+
+
+def test_training_steps_record_every_table_op_and_no_other(monkeypatch):
+    # One tiny step of each loss kind; together they use the whole table,
+    # so no op can live in the package for the tests alone.
+    recorded = set()
+
+    def spy(tape):
+        recorded.update(node.op for node in tape.nodes)
+        return autodiff.forward(tape)
+
+    monkeypatch.setattr(trainer, "forward", spy)
+    for kind in LOSS_KINDS:
+        cfg = trainer.TrainConfig.from_dict({
+            "data": {"n_super": 2, "classes_per_super": 2, "samples_per_class": 2,
+                     "input_dim": 6, "seed": 5},
+            "model": {"encoder_hidden": [8], "repr_dim": 5, "proj_hidden": 6,
+                      "proj_dim": 4},
+            "loss": {"kind": kind}, "optimizer": {"lr": 0.0},
+            "train": {"epochs": 1, "batch_size": 8}})
+        dataset = cfg.load_dataset()
+        trainer.train_epoch(trainer.init_state(cfg, dataset.dim), dataset)
+    assert recorded == set(_OPS) | {"input", "constant"}

@@ -187,6 +187,14 @@ class TestTrain:
         assert (open(os.path.join(full, "metrics.csv")).read()
                 == open(os.path.join(part, "metrics.csv")).read())
 
+    def test_checkpoint_every_zero_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out),
+                     "--checkpoint-every", "0"]) == 1
+        assert "checkpoint_every must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resume_into_empty_metrics_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, train={"epochs": 4})
         part = str(tmp_path / "part")
@@ -306,6 +314,19 @@ class TestEval:
         got = json.loads(capsys.readouterr().out)
         final = read_metrics_csv(os.path.join(out, "metrics.csv"))[-1]
         assert got == {"knn_class": final["knn_class"], "knn_super": final["knn_super"]}
+
+    def test_data_of_another_dim_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = str(tmp_path / "run")
+        main(["train", "--config", cfg, "--out", out, "--checkpoint-every", "2"])
+        data_cfg = write_config(tmp_path, name="dim4.json", data={"input_dim": 4})
+        csv = str(tmp_path / "dim4.csv")
+        main(["gen-data", "--config", data_cfg, "--out", csv])
+        capsys.readouterr()
+        ckpt = os.path.join(out, "ckpt_final.bin")
+        assert main(["eval", "--checkpoint", ckpt, "--data", csv]) == 2
+        assert (f"{csv} has 4 feature columns; the checkpoint's model takes 6"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("holdout,code,message", HOLDOUT_ERRORS)
     def test_bad_holdout_exit_code(self, tmp_path, capsys, holdout, code, message):

@@ -189,5 +189,6 @@ class TestCountsMatchTheElementwiseFormulas:
         want = 1.0 - np.eye(n)
         want[mask.membership] = 0.0
         (node,) = [node for node in t.nodes if node.name == "hex_loss"]
-        masked_exp = np.exp((z.value @ z.value.T) * (1.0 / 0.5)) * want
+        unit = node.aux.z    # the kernel's normalized rows of z
+        masked_exp = np.exp((unit @ unit.T) * (1.0 / 0.5)) * want
         assert node.aux._expl.tobytes() == masked_exp.tobytes()

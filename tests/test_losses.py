@@ -11,7 +11,7 @@ from hexreg.errors import BadAlpha, BadConfig, BadTemperature, EmptyQueue
 from hexreg.hierarchy import (HierarchyMask, supervised_mask, threshold_mask,
                               whole_batch_mask)
 from hexreg.linalg import cosine_sim_matrix, l2_normalize_rows
-from hexreg.losses import (NNQueue, build_barlow_graph,
+from hexreg.losses import (DimGraphInfo, NNQueue, build_barlow_graph,
                            build_combined_graph, build_hex_graph,
                            build_info_nce_graph, build_vicreg_graph,
                            nnclr_positive_rows, paired_positive_index)
@@ -393,6 +393,13 @@ class TestNNQueue:
         out = nnclr_positive_rows(q, np.array([[1.0, 0.0]]))
         np.testing.assert_array_equal(out, [[0.0, 1.0]])
 
+    def test_push_copies_the_rows(self):
+        q = NNQueue(4)
+        rows = np.array([[1.0, 0.0], [0.0, 1.0]])
+        q.push(rows)
+        rows[:] = 0.0
+        np.testing.assert_array_equal(q.as_matrix(), np.eye(2))
+
     def test_fifo_eviction(self):
         q = NNQueue(2)
         q.push(np.array([[1.0, 0.0]]))
@@ -400,6 +407,8 @@ class TestNNQueue:
         m = q.as_matrix()
         assert len(q) == 2
         np.testing.assert_array_equal(m[0], [0.0, 1.0])
+        q.push(np.arange(10.0).reshape(5, 2))   # one push beyond the capacity
+        np.testing.assert_array_equal(q.as_matrix(), [[6.0, 7.0], [8.0, 9.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +416,12 @@ class TestNNQueue:
 # ---------------------------------------------------------------------------
 
 def dim_graph(build, za, zb, *weights, **kw):
-    """(loss, tape, view nodes) of build_barlow_graph or build_vicreg_graph
-    evaluated on views za and zb."""
+    """(loss, tape, y node) of build_barlow_graph or build_vicreg_graph
+    evaluated on y, the views za and zb stacked."""
     t = Tape()
-    a, b = t.input(za), t.input(zb)
-    build(t, a, b, *weights, **kw)
-    return forward(t), t, (a, b)
+    y = t.input(np.vstack((za, zb)))
+    build(t, y, *weights, **kw)
+    return forward(t), t, y
 
 
 def barlow(za, zb, lam, scale, **kw):
@@ -435,11 +444,10 @@ class TestBarlow:
         za[:, 0] = [1.0, 2.0, 3.0, 4.0]
         for build, weights, want in ((build_barlow_graph, (0.005, 0.1), 0.2),
                                      (build_vicreg_graph, (25.0, 25.0, 1.0), 16.5)):
-            loss, t, views = dim_graph(build, za, za.copy(), *weights)
+            loss, t, y = dim_graph(build, za, za.copy(), *weights)
             assert loss == pytest.approx(want, rel=1e-9)
             backward(t)
-            for node in views:
-                assert np.isfinite(node.grad).all()
+            assert np.isfinite(y.grad).all()
 
     def test_seeded_vs_oracle(self):
         rng = np.random.default_rng(9)
@@ -499,12 +507,14 @@ class TestDimKernels:
 
     @staticmethod
     def assert_fd_gradients(build, weights, za, zb, h):
-        _, t, (a, b) = dim_graph(build, za, zb, *weights)
+        _, t, y = dim_graph(build, za, zb, *weights)
         backward(t)
-        for node, fd in (
-                (a, central_diff(lambda v: dim_graph(build, v, zb, *weights)[0], za, h)),
-                (b, central_diff(lambda v: dim_graph(build, za, v, *weights)[0], zb, h))):
-            assert np.abs(node.grad - fd).max() <= 1e-5 * np.abs(fd).max()
+        for grad, fd in (
+                (y.grad[:len(za)],
+                 central_diff(lambda v: dim_graph(build, v, zb, *weights)[0], za, h)),
+                (y.grad[len(za):],
+                 central_diff(lambda v: dim_graph(build, za, v, *weights)[0], zb, h))):
+            assert np.abs(grad - fd).max() <= 1e-5 * np.abs(fd).max()
 
     @pytest.mark.parametrize("build,weights", DIM_LOSSES)
     @pytest.mark.parametrize("shape", [(8, 4), (13, 5)])
@@ -538,7 +548,7 @@ class TestDimKernels:
         rng = np.random.default_rng(19)
         za, zb = rng.normal(size=(8, 4)), rng.normal(size=(8, 4))
         t = Tape()
-        info = build(t, t.input(za), t.input(zb), *weights, var_eps=0.0)
+        info = build(t, t.input(np.vstack((za, zb))), *weights, var_eps=0.0)
         forward(t)
         bd = info.breakdown()
         want = oracle(za, zb, *weights)
@@ -549,9 +559,8 @@ class TestDimKernels:
     @pytest.mark.parametrize("build,weights", DIM_LOSSES)
     def test_builder_records_one_kernel_node(self, build, weights):
         t = Tape()
-        a, b = t.input(np.ones((8, 4))), t.input(np.ones((8, 4)))
-        info = build(t, a, b, *weights)
-        assert t.nodes[2:] == [info.total] and info.total.op == "kernel"
+        info = build(t, t.input(np.ones((16, 4))), *weights)
+        assert t.nodes[1:] == [info.total] and info.total.op == "kernel"
 
 
 def desk_batch(rng, b=64, d=8):
@@ -574,21 +583,25 @@ class TestHexKernel:
 
     @staticmethod
     def assert_fd_gradient(z, mask, fixed_rows=0, h=1e-6, tau_plus=0.1):
-        """Checks the gradient with respect to z[fixed_rows:]; the rows
-        before them enter as a constant, as NNCLR's neighbour rows do."""
-        def loss(rows_value):
-            t = Tape()
-            rows = t.input(rows_value)
-            z_node = (t.vstack(t.constant(z[:fixed_rows]), rows) if fixed_rows
-                      else rows)
-            info = build_hex_graph(t, z_node, mask, 0.5, tau_plus=tau_plus)
-            return forward(t), t, rows, info
+        """Checks the gradient with respect to y, z's rows scaled by random
+        norms, through the kernel's normalization. With fixed_rows, z's
+        rows before them enter as NNCLR's neighbour rows do, and y's rows
+        there get a zero gradient."""
+        nn_rows = z[:fixed_rows] if fixed_rows else None
+        y0 = z * np.random.default_rng(len(z)).uniform(0.5, 2.0, size=(len(z), 1))
 
-        _, t, rows, info = loss(z[fixed_rows:])
+        def loss(y_value):
+            t = Tape()
+            y = t.input(y_value)
+            info = build_hex_graph(t, y, mask, 0.5, tau_plus=tau_plus, nn_rows=nn_rows)
+            return forward(t), t, y, info
+
+        _, t, y, info = loss(y0)
         assert [n.op for n in t.nodes].count("kernel") == 1
         backward(t)
-        fd = central_diff(lambda v: loss(v)[0], z[fixed_rows:], h)
-        assert np.abs(rows.grad - fd).max() <= 1e-6 * np.abs(fd).max()
+        fd = central_diff(lambda v: loss(v)[0], y0, h)
+        assert np.abs(y.grad - fd).max() <= 1e-6 * np.abs(fd).max()
+        assert not y.grad[:fixed_rows].any()
         return info
 
     def test_empty_mask(self):
@@ -666,8 +679,8 @@ class TestHexKernel:
 
 def combined(hex_value, dim_value, alpha, hex_scale):
     t = Tape()
-    build_combined_graph(t, t.input([[hex_value]]), t.input([[dim_value]]),
-                         alpha, hex_scale)
+    build_combined_graph(t, DimGraphInfo(t.input([[hex_value]])),
+                         DimGraphInfo(t.input([[dim_value]])), alpha, hex_scale)
     return forward(t)
 
 
@@ -684,6 +697,25 @@ class TestCombined:
     def test_bad_alpha(self):
         with pytest.raises(BadAlpha):
             combined(1.0, 1.0, 1.5, 1.0)
+
+    def test_breakdown_weighs_each_column_as_the_total(self):
+        rng = np.random.default_rng(25)
+        z, pos = random_rows(rng, 8, dim=4)
+        t = Tape()
+        y = t.input(z)
+        contra = build_hex_graph(t, y, threshold_mask(cosine_sim_matrix(z), 0.3, pos), 0.1)
+        dim = build_barlow_graph(t, y, 0.005, 0.1)
+        info = build_combined_graph(t, contra, dim, 0.5, 5.0)
+        forward(t)
+        bd, h, d = info.breakdown(), contra.breakdown(), dim.breakdown()
+        assert bd.total == 2.5 * h.total + 0.5 * d.total
+        assert bd.invariance_term == 2.5 * h.invariance_term + 0.5 * d.invariance_term
+        assert bd.regularization_term == (2.5 * h.regularization_term
+                                          + 0.5 * d.regularization_term)
+        assert (bd.hex_term_mean, bd.mean_H_size, bd.clamp_events) == (
+            h.hex_term_mean, h.mean_H_size, h.clamp_events)
+        assert abs(bd.invariance_term + bd.regularization_term - bd.total) <= 1e-12 * (
+            abs(bd.invariance_term) + abs(bd.regularization_term))
 
 
 # ---------------------------------------------------------------------------

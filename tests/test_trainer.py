@@ -83,19 +83,18 @@ class TestForwardParity:
 
         t = Tape()
         w, b, gr, gy = build_model_graph(t, params, np.vstack([xa, xb]))
-        zc = t.row_l2_normalize(gy)
-        build_info_nce_graph(t, zc, paired_positive_index(5), 0.1)
+        info = build_info_nce_graph(t, gy, paired_positive_index(5), 0.1)
         forward(t)
         assert np.array_equal(gr.value, np.vstack([ra, rb]))
         assert np.array_equal(gy.value, np.vstack([ya, yb]))
-        assert np.array_equal(zc.value, z_plain)
+        assert np.array_equal(info.total.aux.z, z_plain)
 
 
 class TestTrainEpoch:
     @pytest.mark.parametrize("kind", ["barlow", "vicreg", "simclr_hex"])
     def test_desk_dim_step_records_at_most_22_nodes(self, kind, monkeypatch):
         # Desk model and batch: 19 model nodes, then the loss as one kernel
-        # node, on the two views' row blocks or on the normalized rows.
+        # node on the projector output.
         cfg = trainer.TrainConfig.from_dict({"loss": {"kind": kind},
                                              "data": {"samples_per_class": 8}})
         ds = cfg.load_dataset()
@@ -103,7 +102,7 @@ class TestTrainEpoch:
         monkeypatch.setattr(trainer, "forward",
                             lambda tape: tapes.append(tape) or forward(tape))
         train_epoch(init_state(cfg, ds.dim), ds)
-        assert [len(t.nodes) for t in tapes] == [21 if kind == "simclr_hex" else 22] * 2
+        assert [len(t.nodes) for t in tapes] == [20] * 2
         for t in tapes:
             assert [n.op for n in t.nodes].count("kernel") == 1
             assert t.nodes[-1].op == "kernel"
@@ -210,8 +209,8 @@ class TestTrainEpoch:
                                       "barlow", "barlow_hex", "vicreg", "vicreg_hex"])
     def test_stacked_step_matches_the_two_view_graph(self, kind, monkeypatch):
         # The old model graph: one subgraph per view. Its outputs are
-        # stacked so the step's loss code can read it; vstack and rows copy
-        # values and gradients exactly, so the stack adds no rounding.
+        # stacked with selector matmuls so the step's loss code can read
+        # them; a selector matmul copies values exactly.
         def two_view_graph(tape, params, x):
             b = x.shape[0] // 2
             w_nodes = [tape.input(w, name=f"w{i}") for i, w in enumerate(params.weights)]
@@ -227,8 +226,14 @@ class TestTrainEpoch:
                 p = tape.relu(tape.add(tape.matmul(h, w_nodes[n_enc]), b_nodes[n_enc]))
                 outs.append((h, tape.add(tape.matmul(p, w_nodes[n_enc + 1]),
                                          b_nodes[n_enc + 1])))
+            top, bottom = np.eye(2 * b)[:, :b], np.eye(2 * b)[:, b:]
+
+            def stack(u, v):
+                return tape.add(tape.matmul(tape.constant(top), u),
+                                tape.matmul(tape.constant(bottom), v))
+
             (ra, ya), (rb, yb) = outs
-            return w_nodes, b_nodes, tape.vstack(ra, rb), tape.vstack(ya, yb)
+            return w_nodes, b_nodes, stack(ra, rb), stack(ya, yb)
 
         cfg = tiny_config(loss={"kind": kind}, optimizer={"lr": 0.01})
         ds = generate(cfg.data)
@@ -277,8 +282,7 @@ class TestTrainEpoch:
         def loss_at(params):
             t = Tape()
             _, _, _, y = build_model_graph(t, params, views)
-            z = t.row_l2_normalize(y)
-            build_info_nce_graph(t, z, paired_positive_index(16), cfg.loss.tau)
+            build_info_nce_graph(t, y, paired_positive_index(16), cfg.loss.tau)
             return forward(t)
 
         # with momentum 0, one real step moves the weights by -lr * gradient
@@ -479,6 +483,71 @@ class TestCheckpointing:
         with pytest.raises(IoError, match=rf"s\.bin: the header has no '{key}'$"):
             load_checkpoint(path)
 
+    @staticmethod
+    def _saved_with_header(tmp_path, edit, **over):
+        """A checkpoint of a tiny state trained one epoch, its header
+        changed in place by ``edit``; returns its path."""
+        cfg = tiny_config(**over)
+        ds = generate(cfg.data)
+        state = init_state(cfg, ds.dim)
+        train_epoch(state, ds)
+        path = str(tmp_path / "s.bin")
+        save_checkpoint(state, path)
+        blob = open(path, "rb").read()
+        (blob_len,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12:12 + blob_len])
+        edit(header)
+        new_blob = json.dumps(header).encode()
+        with open(path, "wb") as fh:
+            fh.write(blob[:8] + struct.pack("<I", len(new_blob)) + new_blob
+                     + blob[12 + blob_len:])
+        return path
+
+    def test_header_with_swapped_weight_dims_names_the_array(self, tmp_path):
+        def swap(header):
+            spec = header["arrays"][0]
+            assert spec["name"] == "w0"
+            spec["rows"], spec["cols"] = spec["cols"], spec["rows"]
+
+        path = self._saved_with_header(tmp_path, swap)
+        with pytest.raises(IoError, match=r"s\.bin: array w0 has shape \(8, 6\), "
+                                          r"not \(8, 8\)$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value", [("rows", "x"), ("cols", None), ("rows", -1),
+                                           ("rows", True), ("name", 3)])
+    def test_header_with_a_bad_array_field_is_refused(self, tmp_path, key, value):
+        path = self._saved_with_header(
+            tmp_path, lambda header: header["arrays"][2].update({key: value}))
+        with pytest.raises(IoError, match=r"s\.bin: corrupt header: each array needs a "
+                                          r"name, rows and cols$"):
+            load_checkpoint(path)
+
+    def test_header_with_a_bad_epoch_is_refused(self, tmp_path):
+        path = self._saved_with_header(
+            tmp_path, lambda header: header.update({"epoch_completed": "1"}))
+        with pytest.raises(IoError, match=r"s\.bin: epoch_completed must be a count, "
+                                          r"got '1'$"):
+            load_checkpoint(path)
+
+    def test_queue_longer_than_the_capacity_is_refused(self, tmp_path):
+        def shrink(header):
+            header["config"]["train"]["queue_capacity"] = 4
+
+        path = self._saved_with_header(tmp_path, shrink, loss={"kind": "nnclr"})
+        with pytest.raises(IoError, match=r"s\.bin: array queue has shape \(32, 4\), "
+                                          r"not \(4, 4\)$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_checkpoint_every_below_one_is_refused_before_any_output(self, tmp_path,
+                                                                    every):
+        out = tmp_path / "run"
+        with pytest.raises(BadConfig, match=rf"^checkpoint_every must be >= 1, "
+                                            rf"got {every}$"):
+            run_training(tiny_config(), out_dir=str(out), checkpoint_every=every)
+        assert not out.exists()
+
     def test_header_that_is_not_an_object(self, tmp_path):
         blob = json.dumps([1, 2]).encode()
         path = tmp_path / "s.bin"
@@ -549,6 +618,18 @@ class TestLossKinds:
         assert np.isfinite(rows[-1]["loss_total"])
         if cfg.loss.uses_queue:
             assert len(state.queue) > 0
+
+    @pytest.mark.parametrize("kind", ["simclr", "simclr_hex", "nnclr",
+                                      "nnclr_hex", "barlow", "barlow_hex",
+                                      "vicreg", "vicreg_hex"])
+    def test_loss_columns_add_up_to_the_total(self, kind):
+        # The combined kinds weigh each column as the total weighs its loss.
+        lr = 0.01 if kind.startswith("vicreg") else 0.05
+        rows, _, _ = run_training(tiny_config(loss={"kind": kind}, train={"epochs": 2},
+                                              optimizer={"lr": lr}))
+        for row in rows:
+            inv, reg = row["loss_invariance"], row["loss_regularization"]
+            assert abs(inv + reg - row["loss_total"]) <= 1e-12 * (abs(inv) + abs(reg))
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_desk_simclr_hex_floors_at_most_one_percent_of_rows(self, seed):
