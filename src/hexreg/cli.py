@@ -183,6 +183,8 @@ def cmd_schedule(args) -> int:
               "no epoch table exists")
         return 0
     epochs = args.epochs if args.epochs is not None else config.train.epochs
+    if epochs < 1:
+        raise BadConfig(f"--epochs must be >= 1, got {epochs}")
     lines = ["epoch,epsilon"]
     for e in range(epochs):
         lines.append(f"{e},{repr(float(threshold_for_epoch(sched, e)))}")

@@ -29,13 +29,22 @@ def as_matrix(m) -> np.ndarray:
 
 
 def row_norms(m: np.ndarray) -> np.ndarray:
-    return np.sqrt((m * m).sum(axis=1))
+    """Euclidean row norms. Raises NonFinite naming the first row whose
+    norm is not finite, as when a finite row's squares overflow."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((m * m).sum(axis=1))
+    finite = np.isfinite(norms)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NonFinite(f"row {i} has a non-finite norm ({norms[i]})")
+    return norms
 
 
 def l2_normalize_rows(m) -> np.ndarray:
     """Scale every row to unit Euclidean norm.
 
-    Raises NonFinite naming the first row whose norm is at or below 1e-12.
+    Raises NonFinite naming the first row whose norm is not finite, or
+    else the first whose norm is at or below 1e-12.
     """
     a = as_matrix(m)
     norms = row_norms(a)

@@ -1,11 +1,14 @@
 """Contrastive and redundancy-reduction losses as tape-graph builders.
 
 Each loss is one autodiff ``kernel`` node on y, the 2b x d projector
-output (view a in rows 0:b, view b in rows b:2b), whose vjp returns the
-gradient with respect to y. Each ``build_*_graph`` function records that
-node and is the one implementation of its formula; the trainer reads its
-terms back from the kernel. The independent plain-loop numpy oracles that
-check the builders live in ``tests/test_losses.py``.
+output in ``hierarchy``'s two-view layout, whose vjp returns the gradient
+with respect to y. Each ``build_*_graph`` function is the one
+implementation of its formula and returns its kernel k; after a forward,
+``k.breakdown()`` reports the loss and its terms. k keeps its node's index
+(``k.node_idx``), not the node, which holds k: the cycle would keep each
+step's tape alive until the garbage collector ran. The independent
+plain-loop numpy oracles that check the builders live in
+``tests/test_losses.py``.
 
 The hierarchical variant splits the softmax denominator: the members of
 the anchor's estimated grouping H(i) are replaced by one reweighted term,
@@ -42,7 +45,7 @@ import numpy as np
 
 from .autodiff import Node, Tape
 from .errors import BadAlpha, BadConfig, BadTemperature, EmptyQueue
-from .hierarchy import HierarchyMask
+from .hierarchy import paired_positive_index
 from .linalg import l2_normalize_rows, row_norms
 
 DEFAULT_TAU_PLUS = 0.1
@@ -52,14 +55,8 @@ LOSS_KINDS = ("simclr", "simclr_hex", "nnclr", "nnclr_hex",
 
 
 # ---------------------------------------------------------------------------
-# pairing and breakdown record
+# breakdown record
 # ---------------------------------------------------------------------------
-
-def paired_positive_index(n_samples: int) -> np.ndarray:
-    """Standard two-view pairing: row i <-> row i + N."""
-    idx = np.arange(2 * n_samples)
-    return np.where(idx < n_samples, idx + n_samples, idx - n_samples)
-
 
 @dataclass
 class LossBreakdown:
@@ -111,31 +108,6 @@ def nnclr_positive_rows(q: NNQueue, z: np.ndarray) -> np.ndarray:
 # graph builders
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ContrastiveGraphInfo:
-    total: Node                # the kernel node; its kernel holds the terms
-    rows_with_h: np.ndarray    # bool, n
-    mask_mean_size: float
-
-    def breakdown(self) -> LossBreakdown:
-        """Read the decomposition out of the kernel's last forward."""
-        k = self.total.aux
-        hex_mean = None
-        floored = 0
-        if k.q is not None:
-            rows = self.rows_with_h
-            floored = int(np.count_nonzero(rows & ~k.live[:, 0]))
-            hex_mean = float(k.q[rows, 0].mean())
-        return LossBreakdown(
-            total=float(self.total.value[0, 0]),
-            invariance_term=float((-k.pos_logits).mean()),
-            regularization_term=float(k.log_denominator.mean()),
-            hex_term_mean=hex_mean,
-            mean_H_size=self.mask_mean_size,
-            clamp_events=floored,
-        )
-
-
 class _Hex:
     """The HEX loss on y's rows, normalized to z, with e = exp(z z^T / tau).
     Given ``nn_rows``, they replace rows 0:b of z and only y's rows b:2b are
@@ -149,17 +121,35 @@ class _Hex:
 
     After a forward it holds z and the n x 1 columns ``pos_logits``
     (s_pos / tau), ``log_denominator``, ``q`` and ``live`` (both None when
-    no row has members)."""
+    no row has members). ``rows_with_h`` marks the rows with members."""
 
-    def __init__(self, member, pos, tau, tau_plus, nn_rows):
-        self.pos = np.asarray(pos, dtype=np.intp)
+    def __init__(self, member, tau, tau_plus, nn_rows):
+        self.pos = paired_positive_index(len(member))
         self.tau, self.tau_plus = tau, tau_plus
         self.nn_rows = nn_rows
         self.lo = 0 if nn_rows is None else len(nn_rows)   # first row normalized
         self.idx = np.flatnonzero(member)
         self.row = self.idx // len(member)
         self.size = np.bincount(self.row, minlength=len(member))[:, None]
+        self.rows_with_h = member.any(axis=1)
         self.q = self.live = None
+
+    def breakdown(self) -> LossBreakdown:
+        """Read the decomposition out of the last forward."""
+        hex_mean = None
+        floored = 0
+        if self.q is not None:
+            rows = self.rows_with_h
+            floored = int(np.count_nonzero(rows & ~self.live[:, 0]))
+            hex_mean = float(self.q[rows, 0].mean())
+        return LossBreakdown(
+            total=float(self.loss),
+            invariance_term=float((-self.pos_logits).mean()),
+            regularization_term=float(self.log_denominator.mean()),
+            hex_term_mean=hex_mean,
+            mean_H_size=self.idx.size / len(self.rows_with_h),
+            clamp_events=floored,
+        )
 
     def value(self, y):
         self._y = y
@@ -181,7 +171,8 @@ class _Hex:
         if self.idx.size:
             self._denom = self._denom + self._q(e_pos)
         self.log_denominator = np.log(self._denom)
-        return (self.log_denominator - self.pos_logits).mean().reshape(1, 1)
+        self.loss = (self.log_denominator - self.pos_logits).mean()
+        return self.loss.reshape(1, 1)
 
     def _q(self, e_pos):
         """q on every row; 0 on a row without members, as |H| = 0 there."""
@@ -221,44 +212,29 @@ class _Hex:
         return g_y
 
 
-def build_info_nce_graph(tape: Tape, y: Node, positive_index, tau: float, *,
-                         nn_rows=None) -> ContrastiveGraphInfo:
-    """InfoNCE: the HEX graph with no anchor holding members."""
-    pos = np.asarray(positive_index, dtype=np.intp)
-    n = pos.shape[0]
-    return build_hex_graph(tape, y, HierarchyMask(np.zeros((n, n), dtype=bool), pos),
-                           tau, nn_rows=nn_rows)
+def build_info_nce_graph(tape: Tape, y: Node, n: int, tau: float, *,
+                         nn_rows=None) -> _Hex:
+    """InfoNCE on y's n rows: the HEX graph with no anchor holding members."""
+    return build_hex_graph(tape, y, np.zeros((n, n), dtype=bool), tau, nn_rows=nn_rows)
 
 
-def build_hex_graph(tape: Tape, y: Node, mask: HierarchyMask, tau: float, *,
-                    tau_plus: float = DEFAULT_TAU_PLUS,
-                    nn_rows=None) -> ContrastiveGraphInfo:
+def build_hex_graph(tape: Tape, y: Node, member: np.ndarray, tau: float, *,
+                    tau_plus: float = DEFAULT_TAU_PLUS, nn_rows=None) -> _Hex:
     """Hierarchically decomposed InfoNCE as one kernel node on the
     projector output y, whose rows the kernel normalizes.
 
-    The membership mask, the positive pairing and NNCLR's neighbour rows
-    ``nn_rows`` (which replace rows 0:b of the normalized rows) enter as
-    constants; gradients flow through every similarity inside q and the
-    denominator, never into them.
+    The n x n membership mask ``member``, the layout's positives and
+    NNCLR's neighbour rows ``nn_rows`` (which replace rows 0:b of the
+    normalized rows) enter as constants; gradients flow through every
+    similarity inside q and the denominator, never into them.
     """
     if tau <= 0.0:
         raise BadTemperature(f"temperature must be > 0, got {tau}")
     if not 0.0 <= tau_plus < 1.0:
         raise BadConfig(f"tau_plus must lie in [0, 1), got {tau_plus}")
-    member = mask.membership
-    return ContrastiveGraphInfo(
-        total=tape.kernel(_Hex(member, mask.positive_index, tau, tau_plus, nn_rows), y,
-                          name="hex_loss"),
-        rows_with_h=member.any(axis=1), mask_mean_size=mask.mean_size)
-
-
-@dataclass
-class DimGraphInfo:
-    total: Node   # the kernel node; its kernel holds the two terms
-
-    def breakdown(self) -> LossBreakdown:
-        """Read the two terms that the kernel's last forward computed."""
-        return LossBreakdown(float(self.total.value[0, 0]), *self.total.aux.terms)
+    k = _Hex(member, tau, tau_plus, nn_rows)
+    k.node_idx = tape.kernel(k, y, name="hex_loss").idx
+    return k
 
 
 def _standardize(z: np.ndarray, ddof: int, var_eps: float):
@@ -267,7 +243,14 @@ def _standardize(z: np.ndarray, ddof: int, var_eps: float):
     return c, np.sqrt((c * c).sum(axis=0) / (z.shape[0] - ddof) + var_eps)
 
 
-class _Barlow:
+class _DimKernel:
+    def breakdown(self) -> LossBreakdown:
+        """The loss and the two terms, invariance and regularization, that
+        the last forward computed."""
+        return LossBreakdown(self.terms[0] + self.terms[1], *self.terms)
+
+
+class _Barlow(_DimKernel):
     def __init__(self, lam, scale, var_eps):
         self.lam, self.scale, self.var_eps = lam, scale, var_eps
 
@@ -294,7 +277,7 @@ class _Barlow:
 
 
 def build_barlow_graph(tape: Tape, y: Node, lam: float, scale: float,
-                       var_eps: float = 1e-12) -> DimGraphInfo:
+                       var_eps: float = 1e-12) -> _Barlow:
     """Barlow Twins as one kernel node on y, whose rows 0:b and b:2b are the
     n x d views za and zb. With a, b the standardized views (variance over
     n) and C = a^T b / n, the terms are scale * sum_k (1 - C_kk)^2 and
@@ -302,10 +285,12 @@ def build_barlow_graph(tape: Tape, y: Node, lam: float, scale: float,
     on the diagonal, 2 scale lam C_kl off it; ga = b G^T / n (a G / n for
     zb) goes back through the standardization as
     (ga - mean(ga) - a mean(ga a)) / s, column means."""
-    return DimGraphInfo(tape.kernel(_Barlow(lam, scale, var_eps), y, name="barlow_loss"))
+    k = _Barlow(lam, scale, var_eps)
+    k.node_idx = tape.kernel(k, y, name="barlow_loss").idx
+    return k
 
 
-class _Vicreg:
+class _Vicreg(_DimKernel):
     def __init__(self, sim_w, var_w, cov_w, var_eps):
         self.sim_w, self.var_w, self.cov_w, self.var_eps = sim_w, var_w, cov_w, var_eps
 
@@ -336,7 +321,7 @@ class _Vicreg:
 
 
 def build_vicreg_graph(tape: Tape, y: Node, sim_w: float, var_w: float, cov_w: float,
-                       var_eps: float = 1e-4) -> DimGraphInfo:
+                       var_eps: float = 1e-4) -> _Vicreg:
     """VICReg as one kernel node on y, whose rows 0:b and b:2b are the n x d
     views za and zb. Per view: c centered, s = sqrt(var + var_eps) over
     n - 1 rows, K = c^T c / (n - 1) with a zero diagonal. The terms are
@@ -345,14 +330,15 @@ def build_vicreg_graph(tape: Tape, y: Node, sim_w: float, var_w: float, cov_w: f
     negates the first part): 2 sim_w (za - zb) / (n d) +
     4 cov_w c K / (d (n - 1)) - var_w [s < 1] c / (2 d (n - 1) s), so the
     hinge's gradient is 0 at its kink, as relu's is."""
-    return DimGraphInfo(tape.kernel(_Vicreg(sim_w, var_w, cov_w, var_eps), y,
-                                    name="vicreg_loss"))
+    k = _Vicreg(sim_w, var_w, cov_w, var_eps)
+    k.node_idx = tape.kernel(k, y, name="vicreg_loss").idx
+    return k
 
 
 @dataclass
 class CombinedGraphInfo:
     total: Node      # the add node of the two weighted losses
-    parts: tuple     # (ContrastiveGraphInfo, DimGraphInfo)
+    parts: tuple     # (contrastive kernel, dimension kernel)
     weights: tuple   # (alpha * hex_scale, 1 - alpha)
 
     def breakdown(self) -> LossBreakdown:
@@ -365,12 +351,13 @@ class CombinedGraphInfo:
                                             + c2 * d.regularization_term))
 
 
-def build_combined_graph(tape: Tape, contra: ContrastiveGraphInfo, dim: DimGraphInfo,
+def build_combined_graph(tape: Tape, contra: _Hex, dim: _DimKernel,
                          alpha: float, hex_scale: float) -> CombinedGraphInfo:
     """alpha * hex_scale * contrastive loss + (1 - alpha) * dim loss."""
     if not 0.0 <= alpha <= 1.0:
         raise BadAlpha(f"alpha must lie in [0, 1], got {alpha}")
     weights = (alpha * hex_scale, 1.0 - alpha)
-    total = tape.add(tape.scalar_mul(contra.total, weights[0]),
-                     tape.scalar_mul(dim.total, weights[1]), name="combined_loss")
+    total = tape.add(tape.scalar_mul(tape.nodes[contra.node_idx], weights[0]),
+                     tape.scalar_mul(tape.nodes[dim.node_idx], weights[1]),
+                     name="combined_loss")
     return CombinedGraphInfo(total, (contra, dim), weights)

@@ -31,7 +31,7 @@ from . import losses as losses_mod
 from .autodiff import Tape, backward, forward
 from .data import (GenParams, HierarchicalDataset, _format_cell, _write_atomic,
                    augment_batch, generate, load_csv)
-from .errors import (BadConfig, BadDims, InsufficientSamples, IoError,
+from .errors import (BadConfig, BadDims, InsufficientSamples, IoError, NonFinite,
                      NumericalError, SchemaError, VersionMismatch, _check_finite,
                      _check_int)
 from .hierarchy import (mask_quality, supervised_mask, threshold_mask,
@@ -39,8 +39,7 @@ from .hierarchy import (mask_quality, supervised_mask, threshold_mask,
 from .linalg import cosine_sim_matrix, l2_normalize_rows
 from .losses import (NNQueue, build_barlow_graph, build_combined_graph,
                      build_hex_graph, build_info_nce_graph,
-                     build_vicreg_graph, nnclr_positive_rows,
-                     paired_positive_index)
+                     build_vicreg_graph, nnclr_positive_rows)
 from .rng import Rng, child_keys
 from .schedule import ThresholdSchedule, adaptive_threshold, threshold_for_epoch
 
@@ -287,23 +286,30 @@ def init_params(model: ModelConfig, input_dim: int, seed: int) -> ModelParams:
     return ModelParams(weights, biases, len(model.encoder_hidden) + 1)
 
 
-def mlp_forward(params: ModelParams, x: np.ndarray):
-    """Plain forward pass mirroring the tape graph op for op.
-
-    Returns (representation, raw projector output). tanh after every
-    encoder layer except the last (linear representation head); relu after
-    the projector's hidden layer; the final projector layer is linear.
-    """
+def _layer_outputs(params: ModelParams, x) -> list:
+    """Every layer's output on the rows of x, in order: tanh after every
+    encoder layer except the last (linear representation head), relu after
+    the projector's hidden layer, and a linear final projector layer. Like
+    the tape, it lets NaN and Inf through without numpy's warnings."""
     h = np.asarray(x, dtype=np.float64)
     n_enc = params.n_encoder_layers
-    for i in range(n_enc):
-        h = h @ params.weights[i] + params.biases[i]
-        if i < n_enc - 1:
-            h = np.tanh(h)
-    r = h
-    p = np.maximum(r @ params.weights[n_enc] + params.biases[n_enc], 0.0)
-    y = p @ params.weights[n_enc + 1] + params.biases[n_enc + 1]
-    return r, y
+    outs = []
+    with np.errstate(all="ignore"):
+        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+            h = h @ w + b
+            if i < n_enc - 1:
+                h = np.tanh(h)
+            elif i == n_enc:
+                h = np.maximum(h, 0.0)
+            outs.append(h)
+    return outs
+
+
+def mlp_forward(params: ModelParams, x: np.ndarray):
+    """Plain forward pass mirroring the tape graph op for op; returns the
+    representation and the raw projector output, unchecked."""
+    outs = _layer_outputs(params, x)
+    return outs[params.n_encoder_layers - 1], outs[-1]
 
 
 def build_model_graph(tape: Tape, params: ModelParams, x):
@@ -372,10 +378,11 @@ def train_epoch(state: TrainState, dataset: HierarchicalDataset) -> dict:
     ep_stream.child(0).shuffle(order)
     # Computed once per epoch, not per step: the order as an index array,
     # every step's augmentation key (child s of the augmentation domain is
-    # step s's), and per batch size the pairing and eligible-pair index.
+    # step s's), and per batch size the row-major flat index of the
+    # eligible pairs (neither the anchor itself nor its positive).
     order = np.asarray(order, dtype=np.intp)
     step_keys = child_keys(ep_stream.child(1).key, -(-n // bsz))
-    pairs: dict = {}
+    eligible: dict = {}
 
     totals: dict = {}
     counts: dict = {}
@@ -384,8 +391,8 @@ def train_epoch(state: TrainState, dataset: HierarchicalDataset) -> dict:
         b = len(idx)
         if b < 2:
             break
-        if b not in pairs:
-            pairs[b] = _batch_pairs(b)
+        if b not in eligible:
+            eligible[b] = np.flatnonzero(whole_batch_mask(2 * b))
         # Even keys augment view a, odd keys view b. Augmentation is row by
         # row, so both views come from one call on the stacked rows.
         keys = child_keys(int(step_keys[step]), 2 * b)
@@ -396,7 +403,7 @@ def train_epoch(state: TrainState, dataset: HierarchicalDataset) -> dict:
 
         try:
             step_row = _train_step(state, views, dataset.superclass_labels[idx],
-                                   lr, e, pairs[b])
+                                   lr, e, eligible[b])
         except NumericalError as err:
             raise type(err)(f"epoch {e + 1}, batch {step}: {err}") from err
 
@@ -415,27 +422,28 @@ def train_epoch(state: TrainState, dataset: HierarchicalDataset) -> dict:
     return row
 
 
-def _batch_pairs(b: int):
-    """The two-view pairing of 2b stacked rows, and the row-major flat index
-    of their eligible pairs (neither the anchor itself nor its positive)."""
-    pos = paired_positive_index(b)
-    return pos, np.flatnonzero(whole_batch_mask(2 * b, pos).membership)
-
-
-def _train_step(state: TrainState, views, batch_supers, lr, epoch, pairs) -> dict:
+def _train_step(state: TrainState, views, batch_supers, lr, epoch, elig) -> dict:
     """One SGD step on a batch of b rows; ``views`` stacks view a (rows
     0:b) on view b (rows b:2b), and the tape runs the model once on both.
-    ``pairs`` is ``_batch_pairs(b)``."""
+    ``elig`` is ``np.flatnonzero(whole_batch_mask(2 * b))``."""
     cfg = state.config
     loss_cfg = cfg.loss
     b = views.shape[0] // 2
-    pos, elig = pairs
     row_supers = np.concatenate([batch_supers, batch_supers])
 
     # Plain forward to derive the frozen constants (threshold, mask, NN rows).
     _, ya = mlp_forward(state.params, views[:b])
     _, yb = mlp_forward(state.params, views[b:])
-    z_full = l2_normalize_rows(np.vstack([ya, yb]))
+    try:
+        z_full = l2_normalize_rows(np.vstack([ya, yb]))
+    except NonFinite as err:    # name the first non-finite layer, if any
+        i = min((i for x in (views[:b], views[b:])
+                 for i, h in enumerate(_layer_outputs(state.params, x))
+                 if not np.isfinite(h).all()), default=None)
+        if i is None:
+            raise
+        raise NonFinite(f"{err}; the first layer to output one is layer {i} "
+                        f"(w{i}, b{i})") from None
 
     # NNCLR contrasts the queue's nearest neighbours of view a with view b
     # (Dwibedi et al., arXiv 2104.14548, eq. 2).
@@ -450,16 +458,15 @@ def _train_step(state: TrainState, views, batch_supers, lr, epoch, pairs) -> dic
     sched_eps = threshold_for_epoch(cfg.schedule, epoch)
     thr_used = ada_eps if sched_eps is None else sched_eps
 
-    diag_mask = threshold_mask(sims, ada_eps, pos)
-    dq = mask_quality(diag_mask, row_supers)
+    dq = mask_quality(threshold_mask(sims, ada_eps), row_supers)
     mask = None
     if loss_cfg.is_hex:
         if cfg.mask_source == "supervised":
-            mask = supervised_mask(row_supers, pos)
+            mask = supervised_mask(row_supers)
         elif cfg.mask_source == "all":
-            mask = whole_batch_mask(2 * b, pos)
+            mask = whole_batch_mask(2 * b)
         else:
-            mask = threshold_mask(sims, thr_used, pos)
+            mask = threshold_mask(sims, thr_used)
     # Nothing below reads the batch similarities; freeing them here keeps
     # them out of the tape pass's memory peak.
     del sims
@@ -474,7 +481,7 @@ def _train_step(state: TrainState, views, batch_supers, lr, epoch, pairs) -> dic
         contra = build_hex_graph(tape, y, mask, loss_cfg.tau,
                                  tau_plus=loss_cfg.tau_plus, nn_rows=nn_rows)
     elif not loss_cfg.is_dim:
-        contra = build_info_nce_graph(tape, y, pos, loss_cfg.tau, nn_rows=nn_rows)
+        contra = build_info_nce_graph(tape, y, 2 * b, loss_cfg.tau, nn_rows=nn_rows)
     if loss_cfg.kind.startswith("barlow"):
         dim = build_barlow_graph(tape, y, loss_cfg.barlow_lambda, loss_cfg.barlow_scale)
     elif loss_cfg.kind.startswith("vicreg"):
@@ -680,10 +687,15 @@ def load_checkpoint(path: str) -> TrainState:
     dims = layer_dims(config.model, len(arrays.get("w0", ())))
     shapes = {f"{kind}{i}": (1 if kind.endswith("b") else dims[i], dims[i + 1])
               for kind in ("w", "b", "mw", "mb") for i in layers}
-    has_queue = config.loss.uses_queue and header.get("queue_len")
-    if has_queue:    # 1 to queue_capacity rows
-        rows = min(max(len(arrays.get("queue", ())), 1), config.train.queue_capacity)
-        shapes["queue"] = (rows, config.model.proj_dim)
+    # A queue_len that miscounts the saved queue would resume with another.
+    queue_len, queue_rows = header.get("queue_len"), len(arrays.get("queue", ()))
+    if not (type(queue_len) is int and queue_len == queue_rows
+            or queue_len is None and not queue_rows):
+        raise IoError(f"{path}: queue_len {queue_len!r} does not count the "
+                      f"{queue_rows} saved queue rows")
+    if config.loss.uses_queue and queue_rows:    # 1 to queue_capacity rows
+        shapes["queue"] = (min(queue_rows, config.train.queue_capacity),
+                           config.model.proj_dim)
     missing = [name for name in shapes if name not in arrays]
     if missing:
         raise IoError(f"{path}: the header lists no array {', '.join(missing)}")
@@ -697,7 +709,7 @@ def load_checkpoint(path: str) -> TrainState:
     queue = None
     if config.loss.uses_queue:
         queue = NNQueue(config.train.queue_capacity)
-        if has_queue:
+        if queue_rows:
             queue.push(arrays["queue"])
     return TrainState(config, params, mom_w, mom_b, queue, epoch)
 

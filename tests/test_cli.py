@@ -465,3 +465,11 @@ class TestSchedule:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["schedule", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("epochs", ["0", "-1"])
+    def test_epochs_below_one_exit_code(self, tmp_path, capsys, epochs):
+        cfg = write_config(tmp_path, schedule={"kind": "step", "start": 0.9})
+        assert main(["schedule", "--config", cfg, "--epochs", epochs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --epochs must be >= 1, got {epochs}\n"

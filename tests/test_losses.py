@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,19 +9,18 @@ from hypothesis import strategies as st
 
 from hexreg.autodiff import Tape, backward, forward
 from hexreg.errors import BadAlpha, BadConfig, BadTemperature, EmptyQueue
-from hexreg.hierarchy import (HierarchyMask, supervised_mask, threshold_mask,
+from hexreg.hierarchy import (paired_positive_index, supervised_mask, threshold_mask,
                               whole_batch_mask)
 from hexreg.linalg import cosine_sim_matrix, l2_normalize_rows
-from hexreg.losses import (DimGraphInfo, NNQueue, build_barlow_graph,
-                           build_combined_graph, build_hex_graph,
-                           build_info_nce_graph, build_vicreg_graph,
-                           nnclr_positive_rows, paired_positive_index)
+from hexreg.losses import (NNQueue, build_barlow_graph, build_combined_graph,
+                           build_hex_graph, build_info_nce_graph, build_vicreg_graph,
+                           nnclr_positive_rows)
 
 
 def random_rows(rng, n_samples, dim=6):
-    """2n random unit rows and their two-view pairing i <-> i + n."""
+    """2n random unit rows and their positives in the two-view layout."""
     return (l2_normalize_rows(rng.normal(size=(2 * n_samples, dim))),
-            paired_positive_index(n_samples))
+            paired_positive_index(2 * n_samples))
 
 
 # ---------------------------------------------------------------------------
@@ -111,47 +111,50 @@ def oracle_vicreg_terms(za, zb, sim_w, var_w, cov_w):
 # InfoNCE
 # ---------------------------------------------------------------------------
 
-def info_nce_graph(z, pos, tau):
+def info_nce_graph(z, tau):
     """Evaluated build_info_nce_graph over rows z."""
     t = Tape()
-    info = build_info_nce_graph(t, t.input(z), pos, tau)
+    k = build_info_nce_graph(t, t.input(z), len(z), tau)
     forward(t)
-    return info
+    return k
 
 
 class TestInfoNce:
     def test_orthogonal_rows_give_log3(self):
-        bd = info_nce_graph(np.eye(4), paired_positive_index(2), 0.1).breakdown()
+        bd = info_nce_graph(np.eye(4), 0.1).breakdown()
         assert bd.total == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_perfect_positive_closed_form(self):
         z = np.zeros((4, 4))
         z[0, 0] = z[2, 0] = 1.0    # anchor 0 == its positive
         z[1, 1] = z[3, 1] = 1.0    # anchor 1 == its positive
-        bd = info_nce_graph(z, paired_positive_index(2), 0.1).breakdown()
+        bd = info_nce_graph(z, 0.1).breakdown()
         expected = math.log1p(2.0 * math.exp(-10.0))
         assert bd.total == pytest.approx(expected, rel=1e-12)
 
     def test_zero_temperature_rejected(self):
         t = Tape()
         with pytest.raises(BadTemperature):
-            build_info_nce_graph(t, t.input(np.eye(4)), paired_positive_index(2), 0.0)
+            build_info_nce_graph(t, t.input(np.eye(4)), 4, 0.0)
 
     def test_decomposition_identity(self):
         rng = np.random.default_rng(0)
         for n in (2, 4, 8):
-            z, pos = random_rows(rng, n)
-            bd = info_nce_graph(z, pos, 0.1).breakdown()
+            z, _ = random_rows(rng, n)
+            bd = info_nce_graph(z, 0.1).breakdown()
             assert abs(bd.total - (bd.invariance_term + bd.regularization_term)) <= 1e-10
 
     def test_permutation_invariance(self):
+        # Views a and b permuted the same way keep the layout's pairing.
         rng = np.random.default_rng(1)
         z, pos = random_rows(rng, 6)
-        perm = rng.permutation(12)
+        perm = rng.permutation(6)
+        perm = np.concatenate((perm, perm + 6))
         inv = np.empty(12, dtype=int)
         inv[perm] = np.arange(12)
-        permuted = info_nce_graph(z[perm], inv[pos[perm]], 0.1).breakdown().total
-        assert permuted == pytest.approx(info_nce_graph(z, pos, 0.1).breakdown().total,
+        assert (inv[pos[perm]] == pos).all()
+        permuted = info_nce_graph(z[perm], 0.1).breakdown().total
+        assert permuted == pytest.approx(info_nce_graph(z, 0.1).breakdown().total,
                                          abs=1e-12)
 
 
@@ -160,14 +163,13 @@ class TestInfoNce:
 # ---------------------------------------------------------------------------
 
 def hex_graph(z, member, *, tau_plus=0.1, tau=0.1):
-    """Evaluated build_hex_graph over rows z (pairing i <-> i + n/2) with an
-    explicit membership matrix."""
-    pos = paired_positive_index(len(z) // 2)
-    mask = HierarchyMask(np.asarray(member, dtype=bool), pos)
+    """Evaluated build_hex_graph over rows z with an explicit membership
+    matrix."""
     t = Tape()
-    info = build_hex_graph(t, t.input(z), mask, tau, tau_plus=tau_plus)
+    k = build_hex_graph(t, t.input(z), np.asarray(member, dtype=bool), tau,
+                        tau_plus=tau_plus)
     forward(t)
-    return info
+    return k
 
 
 def worked_example_batch():
@@ -185,7 +187,7 @@ class TestHexReweight:
     def test_single_member_worked_example(self):
         z, member = worked_example_batch()
         # One member: (e^{s/t} - tau_plus e^{s_pos/t}) / (1 - tau_plus)
-        got = hex_graph(z, member, tau_plus=0.1, tau=0.5).total.aux.q[0, 0]
+        got = hex_graph(z, member, tau_plus=0.1, tau=0.5).q[0, 0]
         expected = (math.exp(1.0) - 0.1 * math.exp(2.0)) / 0.9
         assert got == pytest.approx(expected, rel=1e-14)
         assert got == pytest.approx(2.1993, abs=5e-4)
@@ -197,21 +199,21 @@ class TestHexReweight:
 
     def test_empty_members(self):
         z, member = worked_example_batch()
-        info = hex_graph(z, member, tau_plus=0.5)
+        k = hex_graph(z, member, tau_plus=0.5)
         t = Tape()
-        ref = build_info_nce_graph(t, t.input(z), paired_positive_index(2), 0.1)
+        ref = build_info_nce_graph(t, t.input(z), 4, 0.1)
         forward(t)
-        assert info.rows_with_h.tolist() == [True, False, False, False]
-        np.testing.assert_array_equal(info.total.aux.log_denominator[1:],
-                                      ref.total.aux.log_denominator[1:])
-        assert info.total.aux.log_denominator[0, 0] != ref.total.aux.log_denominator[0, 0]
+        assert k.rows_with_h.tolist() == [True, False, False, False]
+        np.testing.assert_array_equal(k.log_denominator[1:],
+                                      ref.log_denominator[1:])
+        assert k.log_denominator[0, 0] != ref.log_denominator[0, 0]
 
     def test_two_members_vs_oracle(self):
         rng = np.random.default_rng(2)
         z = l2_normalize_rows(rng.normal(size=(16, 6)))
         member = np.zeros((16, 16), dtype=bool)
         member[0, [3, 11]] = True
-        got = hex_graph(z, member, tau_plus=0.1).total.aux.q[0, 0]
+        got = hex_graph(z, member, tau_plus=0.1).q[0, 0]
         hs = [float(np.dot(z[0], z[3])), float(np.dot(z[0], z[11]))]
         pos_sim = float(np.dot(z[0], z[8]))
         want = oracle_q(hs, pos_sim, 0.1, 0.1)
@@ -228,7 +230,7 @@ class TestHexReweight:
             member[i, j] = True
             tau = float(rng.choice([0.1, 0.2, 0.5, 0.7]))
             tau_plus = float(rng.choice([0.0, 0.1, 0.5]))
-            got = hex_graph(z, member, tau_plus=tau_plus, tau=tau).total.aux.q[i, 0]
+            got = hex_graph(z, member, tau_plus=tau_plus, tau=tau).q[i, 0]
             s = float(np.dot(z[i], z[j]))
             p = float(np.dot(z[i], z[(i + n) % (2 * n)]))
             want = max((math.exp(s / tau) - tau_plus * math.exp(p / tau)) / (1.0 - tau_plus),
@@ -241,15 +243,15 @@ class TestHexReweight:
         for _ in range(80):
             n = int(rng.choice([2, 4, 8]))
             z, pos = random_rows(rng, n)
-            mask = threshold_mask(cosine_sim_matrix(z), float(rng.uniform(-0.5, 0.6)), pos)
-            if not mask.membership.any():
+            mask = threshold_mask(cosine_sim_matrix(z), float(rng.uniform(-0.5, 0.6)))
+            if not mask.any():
                 continue
             tau = float(rng.choice([0.1, 0.2, 0.5, 0.9]))
             tau_plus = float(rng.choice([0.0, 0.1, 0.5]))
-            q = hex_graph(z, mask.membership, tau_plus=tau_plus, tau=tau).total.aux.q[:, 0]
-            for i in np.nonzero(mask.membership.any(axis=1))[0]:
+            q = hex_graph(z, mask, tau_plus=tau_plus, tau=tau).q[:, 0]
+            for i in np.nonzero(mask.any(axis=1))[0]:
                 hs = [float(np.dot(z[i], z[a]))
-                      for a in np.nonzero(mask.membership[i])[0]]
+                      for a in np.nonzero(mask[i])[0]]
                 p = float(np.dot(z[i], z[pos[i]]))
                 want = oracle_q(hs, p, tau, tau_plus)
                 assert abs(q[i] - want) <= 1e-12 * q_scale(hs, p, tau, tau_plus)
@@ -262,10 +264,10 @@ class TestHexLoss:
         rng = np.random.default_rng(4)
         for n in (2, 4, 8, 16):
             for tau in (0.1, 0.2, 0.5):
-                z, pos = random_rows(rng, n)
-                mask = threshold_mask(cosine_sim_matrix(z), 1.0, pos)
-                got = hex_graph(z, mask.membership, tau=tau).breakdown().total
-                assert got == info_nce_graph(z, pos, tau).breakdown().total
+                z, _ = random_rows(rng, n)
+                mask = threshold_mask(cosine_sim_matrix(z), 1.0)
+                got = hex_graph(z, mask, tau=tau).breakdown().total
+                assert got == info_nce_graph(z, tau).breakdown().total
 
     def test_equal_member_similarities_and_no_prior_give_info_nce(self):
         # Rows of one group are copies, so every member of a row, all drawn
@@ -275,20 +277,20 @@ class TestHexLoss:
         for b, tau in ((6, 0.1), (9, 0.2), (12, 0.5)):
             groups = np.arange(2 * b) % 3
             z = l2_normalize_rows(rng.normal(size=(3, 5)))[groups]
-            pos = paired_positive_index(b)
+            pos = paired_positive_index(2 * b)
             member = groups[None, :] == (groups[:, None] + 1) % 3
             member[np.arange(2 * b), pos] = False
-            info = hex_graph(z, member, tau_plus=0.0, tau=tau)
-            assert info.total.aux.live[:, 0].all()
-            want = info_nce_graph(z, pos, tau).breakdown().total
-            got = info.breakdown().total
+            k = hex_graph(z, member, tau_plus=0.0, tau=tau)
+            assert k.live[:, 0].all()
+            want = info_nce_graph(z, tau).breakdown().total
+            got = k.breakdown().total
             assert abs(got - want) <= 1e-12 * loss_scale(z, pos, tau, want)
 
     def test_whole_batch_vs_oracle(self):
-        z, pos = np.eye(4), paired_positive_index(2)
-        mask = whole_batch_mask(4, pos)
-        got = hex_graph(z, mask.membership).breakdown().total
-        want = oracle_hex_loss(z, pos, 0.1, mask.membership)
+        z, pos = np.eye(4), paired_positive_index(4)
+        mask = whole_batch_mask(4)
+        got = hex_graph(z, mask).breakdown().total
+        want = oracle_hex_loss(z, pos, 0.1, mask)
         assert abs(got - want) <= 1e-12 * loss_scale(z, pos, 0.1, want)
 
     def test_random_masks_vs_oracle(self):
@@ -297,30 +299,28 @@ class TestHexLoss:
             n = int(rng.choice([2, 4, 8]))
             tau = float(rng.choice([0.1, 0.2, 0.5]))
             z, pos = random_rows(rng, n)
-            mask = threshold_mask(cosine_sim_matrix(z), float(rng.uniform(-0.2, 0.6)), pos)
-            got = hex_graph(z, mask.membership, tau=tau).breakdown().total
-            want = oracle_hex_loss(z, pos, tau, mask.membership)
+            mask = threshold_mask(cosine_sim_matrix(z), float(rng.uniform(-0.2, 0.6)))
+            got = hex_graph(z, mask, tau=tau).breakdown().total
+            want = oracle_hex_loss(z, pos, tau, mask)
             assert abs(got - want) <= 1e-12 * loss_scale(z, pos, tau, want)
 
     def test_tau_one_rejected(self):
-        z, pos = np.eye(4), paired_positive_index(2)
         for tau_plus in (1.0, 1.0 + 5e-13, 1.5, float("nan")):
             with pytest.raises(BadConfig, match=r"tau_plus must lie in \[0, 1\)"):
-                hex_graph(z, whole_batch_mask(4, pos).membership, tau_plus=tau_plus)
+                hex_graph(np.eye(4), whole_batch_mask(4), tau_plus=tau_plus)
 
     def test_negative_tau_plus_rejected(self):
-        z, pos = np.eye(4), paired_positive_index(2)
         for tau_plus in (-0.1, -1e-300):
             with pytest.raises(BadConfig, match=r"tau_plus must lie in \[0, 1\)"):
-                hex_graph(z, whole_batch_mask(4, pos).membership, tau_plus=tau_plus)
+                hex_graph(np.eye(4), whole_batch_mask(4), tau_plus=tau_plus)
 
     def test_supervised_mask_and_breakdown_fields(self):
         rng = np.random.default_rng(6)
-        z, pos = random_rows(rng, 8)
+        z, _ = random_rows(rng, 8)
         labels = np.tile(rng.integers(0, 2, size=8), 2)
-        mask = supervised_mask(labels, pos)
-        bd = hex_graph(z, mask.membership).breakdown()
-        assert bd.mean_H_size == pytest.approx(mask.membership.sum(1).mean())
+        mask = supervised_mask(labels)
+        bd = hex_graph(z, mask).breakdown()
+        assert bd.mean_H_size == pytest.approx(mask.sum(1).mean())
         assert bd.hex_term_mean is not None
         assert np.isfinite(bd.total)
 
@@ -333,7 +333,7 @@ def hex_cases(draw):
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     z = l2_normalize_rows(rng.normal(size=(2 * b, draw(st.integers(2, 6)))))
-    pos = paired_positive_index(b)
+    pos = paired_positive_index(2 * b)
     bits = draw(st.lists(st.booleans(), min_size=4 * b * b, max_size=4 * b * b))
     member = np.array(bits).reshape(2 * b, 2 * b)
     member[np.arange(2 * b), np.arange(2 * b)] = False
@@ -345,8 +345,7 @@ def hex_cases(draw):
 
 def _graph_value(c, member):
     t = Tape()
-    build_hex_graph(t, t.input(c["z"]), HierarchyMask(member, c["pos"]),
-                    c["tau"], tau_plus=c["tau_plus"])
+    build_hex_graph(t, t.input(c["z"]), member, c["tau"], tau_plus=c["tau_plus"])
     return forward(t)
 
 
@@ -362,7 +361,7 @@ class TestHexProperties:
     @given(hex_cases())
     def test_empty_mask_equals_info_nce_bitwise(self, c):
         t = Tape()
-        build_info_nce_graph(t, t.input(c["z"]), c["pos"], c["tau"])
+        build_info_nce_graph(t, t.input(c["z"]), len(c["z"]), c["tau"])
         assert _graph_value(c, np.zeros_like(c["member"])) == forward(t)
 
 
@@ -548,9 +547,9 @@ class TestDimKernels:
         rng = np.random.default_rng(19)
         za, zb = rng.normal(size=(8, 4)), rng.normal(size=(8, 4))
         t = Tape()
-        info = build(t, t.input(np.vstack((za, zb))), *weights, var_eps=0.0)
+        k = build(t, t.input(np.vstack((za, zb))), *weights, var_eps=0.0)
         forward(t)
-        bd = info.breakdown()
+        bd = k.breakdown()
         want = oracle(za, zb, *weights)
         assert bd.invariance_term == pytest.approx(want[0], rel=1e-12)
         assert bd.regularization_term == pytest.approx(want[1], rel=1e-12)
@@ -559,22 +558,22 @@ class TestDimKernels:
     @pytest.mark.parametrize("build,weights", DIM_LOSSES)
     def test_builder_records_one_kernel_node(self, build, weights):
         t = Tape()
-        info = build(t, t.input(np.ones((16, 4))), *weights)
-        assert t.nodes[1:] == [info.total] and info.total.op == "kernel"
+        k = build(t, t.input(np.ones((16, 4))), *weights)
+        assert k.node_idx == 1 and [n.op for n in t.nodes] == ["input", "kernel"]
 
 
 def desk_batch(rng, b=64, d=8):
-    """Two views of b random rows, stacked and normalized, with the
-    two-view pairing."""
+    """Two views of b random rows, stacked and normalized, with their
+    positives."""
     ya, yb = rng.normal(size=(2, b, d))
-    return l2_normalize_rows(np.vstack((ya, yb))), paired_positive_index(b)
+    return l2_normalize_rows(np.vstack((ya, yb))), paired_positive_index(2 * b)
 
 
-def desk_threshold_mask(z, pos):
+def desk_threshold_mask(z):
     """The desk schedule's mask: eligible mean + 2 std."""
     sims = cosine_sim_matrix(z)
-    eligible = sims[whole_batch_mask(len(z), pos).membership]
-    return threshold_mask(sims, eligible.mean() + 2.0 * eligible.std(), pos)
+    eligible = sims[whole_batch_mask(len(z))]
+    return threshold_mask(sims, eligible.mean() + 2.0 * eligible.std())
 
 
 class TestHexKernel:
@@ -593,49 +592,48 @@ class TestHexKernel:
         def loss(y_value):
             t = Tape()
             y = t.input(y_value)
-            info = build_hex_graph(t, y, mask, 0.5, tau_plus=tau_plus, nn_rows=nn_rows)
-            return forward(t), t, y, info
+            k = build_hex_graph(t, y, mask, 0.5, tau_plus=tau_plus, nn_rows=nn_rows)
+            return forward(t), t, y, k
 
-        _, t, y, info = loss(y0)
+        _, t, y, k = loss(y0)
         assert [n.op for n in t.nodes].count("kernel") == 1
         backward(t)
         fd = central_diff(lambda v: loss(v)[0], y0, h)
         assert np.abs(y.grad - fd).max() <= 1e-6 * np.abs(fd).max()
         assert not y.grad[:fixed_rows].any()
-        return info
+        return k
 
     def test_empty_mask(self):
-        z, pos = random_rows(np.random.default_rng(20), 8, dim=4)
-        info = self.assert_fd_gradient(
-            z, HierarchyMask(np.zeros((16, 16), dtype=bool), pos))
-        assert info.total.aux.q is None
+        z, _ = random_rows(np.random.default_rng(20), 8, dim=4)
+        k = self.assert_fd_gradient(z, np.zeros((16, 16), dtype=bool))
+        assert k.q is None
 
     def test_live_rows(self):
-        z, pos = random_rows(np.random.default_rng(21), 8, dim=4)
-        mask = threshold_mask(cosine_sim_matrix(z), 0.3, pos)
-        info = self.assert_fd_gradient(z, mask, tau_plus=0.0)
-        assert info.total.aux.live[info.rows_with_h].all()
+        z, _ = random_rows(np.random.default_rng(21), 8, dim=4)
+        k = self.assert_fd_gradient(z, threshold_mask(cosine_sim_matrix(z), 0.3),
+                                    tau_plus=0.0)
+        assert k.live[k.rows_with_h].all()
 
     def test_threshold_mask_with_clamped_and_unclamped_rows(self):
         # Row 0's positive is a near-duplicate and the prior is large, so
         # its estimate falls below the floor.
         rng = np.random.default_rng(21)
-        z, pos = random_rows(rng, 8, dim=4)
+        z, _ = random_rows(rng, 8, dim=4)
         z[8] = l2_normalize_rows(z[:1] + 1e-3 * rng.normal(size=(1, 4)))[0]
-        mask = threshold_mask(cosine_sim_matrix(z), 0.3, pos)
-        info = self.assert_fd_gradient(z, mask, tau_plus=0.9)
-        live = info.total.aux.live[info.rows_with_h, 0]
+        k = self.assert_fd_gradient(z, threshold_mask(cosine_sim_matrix(z), 0.3),
+                                    tau_plus=0.9)
+        live = k.live[k.rows_with_h, 0]
         assert live.any() and not live.all()
-        assert not info.total.aux.live[0, 0] and info.rows_with_h[0]
-        assert info.breakdown().clamp_events == np.count_nonzero(~live)
+        assert not k.live[0, 0] and k.rows_with_h[0]
+        assert k.breakdown().clamp_events == np.count_nonzero(~live)
 
     def test_whole_batch_mask(self):
-        z, pos = random_rows(np.random.default_rng(22), 8, dim=4)
-        self.assert_fd_gradient(z, whole_batch_mask(16, pos))
+        z, _ = random_rows(np.random.default_rng(22), 8, dim=4)
+        self.assert_fd_gradient(z, whole_batch_mask(16))
 
     def test_constant_first_half(self):
-        z, pos = random_rows(np.random.default_rng(23), 8, dim=4)
-        self.assert_fd_gradient(z, threshold_mask(cosine_sim_matrix(z), 0.3, pos),
+        z, _ = random_rows(np.random.default_rng(23), 8, dim=4)
+        self.assert_fd_gradient(z, threshold_mask(cosine_sim_matrix(z), 0.3),
                                 fixed_rows=8)
 
     @pytest.mark.parametrize("tau", [0.1, 0.2])   # simclr_hex, nnclr_hex defaults
@@ -646,41 +644,41 @@ class TestHexKernel:
         rng = np.random.default_rng(17)
         z, pos = desk_batch(rng)
         if source == "all":
-            mask = whole_batch_mask(len(z), pos)
+            mask = whole_batch_mask(len(z))
         elif source == "supervised":
-            mask = supervised_mask(np.tile(rng.integers(0, 4, size=len(pos) // 2), 2), pos)
+            mask = supervised_mask(np.tile(rng.integers(0, 4, size=len(pos) // 2), 2))
         else:
-            mask = desk_threshold_mask(z, pos)
-        info = hex_graph(z, mask.membership, tau=tau)
-        assert info.total.aux.live[info.rows_with_h].any()
-        got = info.breakdown().total
-        want = oracle_hex_loss(z, pos, tau, mask.membership)
+            mask = desk_threshold_mask(z)
+        k = hex_graph(z, mask, tau=tau)
+        assert k.live[k.rows_with_h].any()
+        got = k.breakdown().total
+        want = oracle_hex_loss(z, pos, tau, mask)
         assert abs(got - want) <= 1e-12 * loss_scale(z, pos, tau, want)
 
     def test_desk_size_tape_peak_memory(self):
         # b = 64, d = 8 and the desk threshold mask. The kernel keeps one
         # n x n array between forward and vjp, and the q term reads member
         # entries only.
-        z, pos = desk_batch(np.random.default_rng(3))
-        mask = desk_threshold_mask(z, pos)
+        z, _ = desk_batch(np.random.default_rng(3))
+        mask = desk_threshold_mask(z)
         tracemalloc.start()
         try:
             t = Tape()
-            info = build_hex_graph(t, t.input(z), mask, 0.1)
+            k = build_hex_graph(t, t.input(z), mask, 0.1)
             forward(t)
             backward(t)
-            info.breakdown()
+            k.breakdown()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.count_nonzero(info.rows_with_h) > 0
+        assert np.count_nonzero(k.rows_with_h) > 0
         assert peak <= 3 * len(z) ** 2 * 8
 
 
 def combined(hex_value, dim_value, alpha, hex_scale):
     t = Tape()
-    build_combined_graph(t, DimGraphInfo(t.input([[hex_value]])),
-                         DimGraphInfo(t.input([[dim_value]])), alpha, hex_scale)
+    build_combined_graph(t, SimpleNamespace(node_idx=t.input([[hex_value]]).idx),
+                         SimpleNamespace(node_idx=t.input([[dim_value]]).idx), alpha, hex_scale)
     return forward(t)
 
 
@@ -700,10 +698,10 @@ class TestCombined:
 
     def test_breakdown_weighs_each_column_as_the_total(self):
         rng = np.random.default_rng(25)
-        z, pos = random_rows(rng, 8, dim=4)
+        z, _ = random_rows(rng, 8, dim=4)
         t = Tape()
         y = t.input(z)
-        contra = build_hex_graph(t, y, threshold_mask(cosine_sim_matrix(z), 0.3, pos), 0.1)
+        contra = build_hex_graph(t, y, threshold_mask(cosine_sim_matrix(z), 0.3), 0.1)
         dim = build_barlow_graph(t, y, 0.005, 0.1)
         info = build_combined_graph(t, contra, dim, 0.5, 5.0)
         forward(t)
@@ -726,7 +724,7 @@ class TestGraphParity:
     def test_info_nce_graph(self):
         rng = np.random.default_rng(12)
         z, pos = random_rows(rng, 4)
-        bd = info_nce_graph(z, pos, 0.1).breakdown()
+        bd = info_nce_graph(z, 0.1).breakdown()
         want = oracle_hex_loss(z, pos, 0.1, np.zeros((8, 8), dtype=bool))
         scale = loss_scale(z, pos, 0.1, want)
         assert abs(bd.total - want) <= 1e-12 * scale
@@ -736,10 +734,10 @@ class TestGraphParity:
 
     def test_hex_graph_gradients_finite(self):
         rng = np.random.default_rng(14)
-        zv, pos = random_rows(rng, 4)
+        zv, _ = random_rows(rng, 4)
         t = Tape()
         z = t.input(zv)
-        build_hex_graph(t, z, whole_batch_mask(8, pos), 0.1)
+        build_hex_graph(t, z, whole_batch_mask(8), 0.1)
         forward(t)
         backward(t)
         assert np.isfinite(z.grad).all()

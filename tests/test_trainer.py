@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -9,10 +10,11 @@ import pytest
 from hexreg import autodiff, trainer
 from hexreg.autodiff import Tape, forward
 from hexreg.data import augment_batch, generate
-from hexreg.errors import (BadConfig, IoError, NonFinite, NotNormalized,
-                           SchemaError, VersionMismatch, ZeroMatrix)
+from hexreg.errors import (BadConfig, IoError, NonFinite, SchemaError,
+                           VersionMismatch, ZeroMatrix)
+from hexreg.hierarchy import whole_batch_mask
 from hexreg.linalg import l2_normalize_rows
-from hexreg.losses import build_info_nce_graph, paired_positive_index
+from hexreg.losses import build_info_nce_graph
 from hexreg.rng import Rng, child_keys
 from hexreg.trainer import (ModelConfig, TrainConfig, build_model_graph,
                             evaluate, init_params, init_state,
@@ -37,6 +39,11 @@ def tiny_config(**over):
     for key, sub in over.items():
         raw.setdefault(key, {}).update(sub)
     return TrainConfig.from_dict(raw)
+
+
+def eligible(b):
+    """The eligible-pair index a training step on b samples is given."""
+    return np.flatnonzero(whole_batch_mask(2 * b))
 
 
 def metrics_text(rows):
@@ -83,11 +90,11 @@ class TestForwardParity:
 
         t = Tape()
         w, b, gr, gy = build_model_graph(t, params, np.vstack([xa, xb]))
-        info = build_info_nce_graph(t, gy, paired_positive_index(5), 0.1)
+        k = build_info_nce_graph(t, gy, 10, 0.1)
         forward(t)
         assert np.array_equal(gr.value, np.vstack([ra, rb]))
         assert np.array_equal(gy.value, np.vstack([ya, yb]))
-        assert np.array_equal(info.total.aux.z, z_plain)
+        assert np.array_equal(k.z, z_plain)
 
 
 class TestTrainEpoch:
@@ -126,14 +133,39 @@ class TestTrainEpoch:
             train_epoch(state, ds)
 
     def test_every_numerical_error_names_epoch_and_batch(self):
-        # The plain forward's embeddings overflow to a zero row, which the
-        # similarity matrix rejects before the tape runs.
+        # The plain forward's embeddings are finite, but their norms
+        # overflow; the normalization rejects them before the tape runs.
         cfg = tiny_config()
         ds = generate(cfg.data)
         state = init_state(cfg, ds.dim)
         state.params.weights[-1][:] = 1e200
-        with np.errstate(over="ignore"), pytest.raises(
-                NotNormalized, match=r"^epoch 1, batch 0: row 0 has norm"):
+        with pytest.raises(NonFinite, match=r"^epoch 1, batch 0: row 0 has a "
+                                            r"non-finite norm \(inf\)$"):
+            train_epoch(state, ds)
+
+    @pytest.mark.parametrize("layer", [0, 2, 3])
+    def test_a_non_finite_plain_forward_names_its_first_layer(self, layer):
+        # A NaN bias makes every later layer's output NaN too; numpy
+        # warns of none of it.
+        cfg = tiny_config()
+        ds = generate(cfg.data)
+        state = init_state(cfg, ds.dim)
+        state.params.biases[layer][0, 0] = np.nan
+        with pytest.raises(NonFinite, match=(
+                rf"^epoch 1, batch 0: matrix contains NaN or Inf entries; the first "
+                rf"layer to output one is layer {layer} \(w{layer}, b{layer}\)$")):
+            train_epoch(state, ds)
+
+    def test_an_overflowing_plain_forward_names_its_first_layer(self):
+        cfg = tiny_config()
+        ds = generate(cfg.data)
+        state = init_state(cfg, ds.dim)
+        # Each of the 16 projector hidden units reads about 10, so the last
+        # layer's sums overflow.
+        state.params.biases[2][:] = 10.0
+        state.params.weights[3][:] = 1e308
+        with pytest.raises(NonFinite, match=r"; the first layer to output one is "
+                                            r"layer 3 \(w3, b3\)$"):
             train_epoch(state, ds)
 
     def test_diagnostics_error_names_the_epoch(self):
@@ -171,7 +203,7 @@ class TestTrainEpoch:
                             for k in range(3))
         supers = ds.superclass_labels[:8]
         losses = [trainer._train_step(copy.deepcopy(state), np.vstack((xa, b)), supers,
-                                      0.0, 1, trainer._batch_pairs(8))["loss_total"]
+                                      0.0, 1, eligible(8))["loss_total"]
                   for b in (xb, other_xb)]
         assert losses[0] != losses[1]
 
@@ -248,7 +280,7 @@ class TestTrainEpoch:
             monkeypatch.setattr(trainer, "build_model_graph", build)
             losses.append(trainer._train_step(copy.deepcopy(state), views,
                                               ds.superclass_labels[:8], 0.0, 1,
-                                              trainer._batch_pairs(8))["loss_total"])
+                                              eligible(8))["loss_total"])
         assert losses[0] == losses[1]
         stacked, two_view = ([n.grad for n in t.nodes if n.op == "input"] for t in tapes)
         assert len(stacked) == len(two_view) == 8
@@ -282,14 +314,14 @@ class TestTrainEpoch:
         def loss_at(params):
             t = Tape()
             _, _, _, y = build_model_graph(t, params, views)
-            build_info_nce_graph(t, y, paired_positive_index(16), cfg.loss.tau)
+            build_info_nce_graph(t, y, 32, cfg.loss.tau)
             return forward(t)
 
         # with momentum 0, one real step moves the weights by -lr * gradient
         h = 1e-5
         state3 = init_state(cfg, ds.dim)
         trainer._train_step(state3, views, ds.superclass_labels[idx], cfg.optimizer.lr, 0,
-                            trainer._batch_pairs(16))
+                            eligible(16))
         delta = [(w1 - w0) / -cfg.optimizer.lr
                  for w0, w1 in zip(p0.weights, state3.params.weights)]
         for li in (0, len(p0.weights) - 1):
@@ -341,19 +373,28 @@ class TestEvaluate:
             evaluate(state, ds, "knn_class", k=10 ** 6)
 
 
+def state_bytes(state):
+    """name -> bytes of every array a checkpoint holds, the NN queue included."""
+    return {name: a.tobytes() for name, a in trainer._state_arrays(state)}
+
+
 class TestCheckpointing:
-    def test_resume_reproduces_uninterrupted_run(self, tmp_path):
-        cfg = tiny_config(train={"epochs": 4})
+    # The kinds that train at tiny_config's defaults.
+    @pytest.mark.parametrize("kind", ["simclr", "simclr_hex", "nnclr", "nnclr_hex",
+                                      "barlow", "barlow_hex"])
+    def test_resume_reproduces_uninterrupted_run(self, tmp_path, kind):
+        cfg = tiny_config(loss={"kind": kind}, train={"epochs": 4})
         full_rows, _, full_state = run_training(cfg)
 
         out = str(tmp_path / "run")
-        rows_a, _, state_a = run_training(cfg, out_dir=out, checkpoint_every=2)
+        run_training(cfg, out_dir=out, checkpoint_every=2)
         ckpt = os.path.join(out, "ckpt_000002.bin")
         assert os.path.exists(ckpt)
         rows_b, _, state_b = run_training(cfg, out_dir=out, resume_from=ckpt)
         assert metrics_text(rows_b) == metrics_text(full_rows)
-        for wa, wb in zip(full_state.params.weights, state_b.params.weights):
-            assert np.array_equal(wa, wb)
+        full = state_bytes(full_state)
+        assert state_bytes(state_b) == full
+        assert ("queue" in full) == cfg.loss.uses_queue
 
     def test_rows_of_finished_epochs_survive_a_failing_epoch(self, tmp_path,
                                                              monkeypatch):
@@ -472,14 +513,7 @@ class TestCheckpointing:
         state = init_state(cfg, generate(cfg.data).dim)
         path = str(tmp_path / "s.bin")
         save_checkpoint(state, path)
-        blob = open(path, "rb").read()
-        (blob_len,) = struct.unpack("<I", blob[8:12])
-        header = json.loads(blob[12:12 + blob_len])
-        del header[key]
-        new_blob = json.dumps(header).encode()
-        with open(path, "wb") as fh:
-            fh.write(blob[:8] + struct.pack("<I", len(new_blob)) + new_blob
-                     + blob[12 + blob_len:])
+        self._rewrite_header(path, lambda header: header.pop(key))
         with pytest.raises(IoError, match=rf"s\.bin: the header has no '{key}'$"):
             load_checkpoint(path)
 
@@ -493,6 +527,12 @@ class TestCheckpointing:
         train_epoch(state, ds)
         path = str(tmp_path / "s.bin")
         save_checkpoint(state, path)
+        TestCheckpointing._rewrite_header(path, edit)
+        return path
+
+    @staticmethod
+    def _rewrite_header(path, edit):
+        """Change the header of the checkpoint at path in place by ``edit``."""
         blob = open(path, "rb").read()
         (blob_len,) = struct.unpack("<I", blob[8:12])
         header = json.loads(blob[12:12 + blob_len])
@@ -501,7 +541,6 @@ class TestCheckpointing:
         with open(path, "wb") as fh:
             fh.write(blob[:8] + struct.pack("<I", len(new_blob)) + new_blob
                      + blob[12 + blob_len:])
-        return path
 
     def test_header_with_swapped_weight_dims_names_the_array(self, tmp_path):
         def swap(header):
@@ -539,6 +578,33 @@ class TestCheckpointing:
                                           r"not \(4, 4\)$"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("kind,value,rows", [
+        ("nnclr", 3, 32), ("nnclr", 99, 32), ("nnclr", "x", 32), ("nnclr", 0, 32),
+        ("nnclr", None, 32), ("nnclr", True, 32), ("nnclr", "del", 32),
+        ("simclr", 5, 0), ("simclr", "x", 0)])
+    def test_queue_len_that_does_not_count_the_queue_is_refused(self, tmp_path, kind,
+                                                               value, rows):
+        def edit(header):
+            if value == "del":
+                del header["queue_len"]
+            else:
+                header["queue_len"] = value
+
+        path = self._saved_with_header(tmp_path, edit, loss={"kind": kind})
+        shown = None if value == "del" else value
+        with pytest.raises(IoError, match=rf"s\.bin: queue_len {re.escape(repr(shown))} "
+                                          rf"does not count the {rows} saved queue rows$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind", ["simclr", "nnclr"])
+    def test_queue_len_zero_without_a_queue_loads(self, tmp_path, kind):
+        cfg = tiny_config(loss={"kind": kind})
+        path = str(tmp_path / "s.bin")
+        save_checkpoint(init_state(cfg, generate(cfg.data).dim), path)
+        self._rewrite_header(path, lambda header: header.update({"queue_len": 0}))
+        back = load_checkpoint(path)
+        assert back.queue is None if kind == "simclr" else len(back.queue) == 0
+
     @pytest.mark.parametrize("every", [0, -1])
     def test_checkpoint_every_below_one_is_refused_before_any_output(self, tmp_path,
                                                                     every):
@@ -562,14 +628,7 @@ class TestCheckpointing:
         state = init_state(cfg, generate(cfg.data).dim)
         path = str(tmp_path / "s.bin")
         save_checkpoint(state, path)
-        blob = open(path, "rb").read()
-        (blob_len,) = struct.unpack("<I", blob[8:12])
-        header = json.loads(blob[12:12 + blob_len])
-        header["config"]["loss"][key] = value
-        new_blob = json.dumps(header).encode()
-        with open(path, "wb") as fh:
-            fh.write(blob[:8] + struct.pack("<I", len(new_blob)) + new_blob
-                     + blob[12 + blob_len:])
+        self._rewrite_header(path, lambda h: h["config"]["loss"].update({key: value}))
         with pytest.raises(BadConfig, match=rf"bad 'loss' section: .*'{key}'"):
             load_checkpoint(path)
 
