@@ -2,15 +2,17 @@
 
 A Tape records an acyclic graph of matrix operations; ``forward`` evaluates
 every node in insertion order and returns the terminal scalar, ``backward``
-accumulates gradients for all input (parameter) nodes. The operation set is
-what the model graph and the loss mix need:
+accumulates gradients for all input (parameter) nodes. The trainer is the
+tape's one client, and the operation set is what its step records: the
+model's layers and one loss kernel.
 
-    input, constant, matmul, add, scalar_mul, tanh, relu, kernel
+    input, constant, matmul, add, tanh, relu, kernel
 
-``kernel(k, x)`` is a loss on one parent: its value is ``k.value(x)`` and
-its vjp ``k.vjp(g)``. k keeps what its forward saved, so each kernel node
-has its own. A kernel's masks and fixed rows are plain constant arrays it
-holds, never nodes, so no gradient can flow into them. ``add`` supports
+``kernel(k, x)`` records a node named ``k.name`` on one parent: its value
+is ``k.value(x)`` and its vjp ``k.vjp(g)``. A kernel is a plain numpy
+object that knows nothing of the tape; it keeps what its forward saved, so
+each kernel node has its own. Its masks and fixed rows are constant arrays
+it holds, never nodes, so no gradient can flow into them. ``add`` supports
 numpy broadcasting between 2-D shapes (a bias row on a batch); gradients
 are reduced back over broadcast axes. Values and gradients are
 deterministic functions of the graph and its inputs.
@@ -36,36 +38,27 @@ values and one vector-Jacobian product per parent. ``forward`` and
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import NonFinite
 
+
+@dataclass(eq=False, slots=True)
 class Node:
-    __slots__ = ("idx", "op", "parents", "aux", "value", "grad",
-                 "requires_grad", "name")
-
-    def __init__(self, idx, op, parents=(), aux=None, value=None,
-                 requires_grad=False, name=""):
-        self.idx = idx
-        self.op = op
-        self.parents = parents
-        self.aux = aux
-        self.value = value
-        self.grad = None
-        self.requires_grad = requires_grad
-        self.name = name
-
-    def __repr__(self):
-        shape = None if self.value is None else self.value.shape
-        return f"Node({self.idx}, {self.op}, {self.name or ''}, shape={shape})"
+    idx: int
+    op: str
+    parents: tuple = ()
+    aux: object = None          # a kernel node's kernel
+    value: np.ndarray = None
+    requires_grad: bool = False
+    name: str = ""
+    grad: np.ndarray = None
 
 
 def _as_value(v) -> np.ndarray:
     a = np.asarray(v, dtype=np.float64)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
-    elif a.ndim == 1:
-        a = a.reshape(1, -1)
     if a.ndim != 2:
         raise ValueError(f"tape values must be 2-D, got shape {a.shape}")
     return a
@@ -112,23 +105,20 @@ class Tape:
         self.nodes.append(node)
         return node
 
-    def matmul(self, a: Node, b: Node, name="") -> Node:
-        return self._record("matmul", (a, b), name=name)
+    def matmul(self, a: Node, b: Node) -> Node:
+        return self._record("matmul", (a, b))
 
-    def add(self, a: Node, b: Node, name="") -> Node:
-        return self._record("add", (a, b), name=name)
+    def add(self, a: Node, b: Node) -> Node:
+        return self._record("add", (a, b))
 
-    def scalar_mul(self, a: Node, c: float, name="") -> Node:
-        return self._record("scalar_mul", (a,), aux=float(c), name=name)
+    def tanh(self, a: Node) -> Node:
+        return self._record("tanh", (a,))
 
-    def tanh(self, a: Node, name="") -> Node:
-        return self._record("tanh", (a,), name=name)
+    def relu(self, a: Node) -> Node:
+        return self._record("relu", (a,))
 
-    def relu(self, a: Node, name="") -> Node:
-        return self._record("relu", (a,), name=name)
-
-    def kernel(self, k, x: Node, name="") -> Node:
-        return self._record("kernel", (x,), aux=k, name=name)
+    def kernel(self, k, x: Node) -> Node:
+        return self._record("kernel", (x,), aux=k, name=k.name)
 
 
 # op -> (value(node, *parent_values), one vjp(node, g) per parent). Every op
@@ -137,7 +127,6 @@ _OPS = {
     "matmul": (lambda n, a, b: a @ b, (lambda n, g: g @ n.parents[1].value.T,
                                        lambda n, g: n.parents[0].value.T @ g)),
     "add": (lambda n, a, b: a + b, (lambda n, g: g, lambda n, g: g)),
-    "scalar_mul": (lambda n, a: a * n.aux, (lambda n, g: g * n.aux,)),
     "tanh": (lambda n, a: np.tanh(a), (lambda n, g: g * (1.0 - n.value * n.value),)),
     "relu": (lambda n, a: np.maximum(a, 0.0), (lambda n, g: g * (n.parents[0].value > 0.0),)),
     "kernel": (lambda n, x: n.aux.value(x), (lambda n, g: n.aux.vjp(g),)),
@@ -169,8 +158,9 @@ def forward(tape: Tape) -> float:
     Only the terminal's value is checked. When it is NaN/Inf, the nodes are
     rescanned in recording order and NonFinite names the first bad one.
     When a kernel raises NonFinite itself (the HEX kernel's zero-row guard
-    on y), a non-finite node recorded before it is named instead, as it
-    came first; otherwise the kernel's message is prefixed by its node.
+    on y, or the combined loss naming its non-finite part), a non-finite
+    node recorded before it is named instead, as it came first; otherwise
+    the kernel's message is prefixed by its node.
 
     A non-finite value that never reaches the terminal does not raise:
     ``relu(-inf)`` is 0. The terms a loss kernel
@@ -180,8 +170,6 @@ def forward(tape: Tape) -> float:
     terminal implies finite HEX terms (``pos_logits``, ``log_denominator``,
     ``q``) and finite Barlow/VICReg terms.
     """
-    if not tape.nodes:
-        raise ValueError("empty tape")
     with np.errstate(all="ignore"):
         for node in tape.nodes:
             if node.op in ("input", "constant"):
@@ -222,8 +210,6 @@ def backward(tape: Tape):
     one. A NaN or Inf gradient that reaches no input does not raise.
     """
     terminal = tape.nodes[-1]
-    if terminal.value is None:
-        raise ValueError("run forward before backward")
     for node in tape.nodes:
         node.grad = None
     terminal.grad = np.ones((1, 1))

@@ -22,7 +22,7 @@ from . import diagnostics as diag
 from .data import GenParams, _format_cell, _write_atomic, generate, load_csv, save_csv
 from .errors import BadConfig, HexRegError, IoError, SchemaError
 from .schedule import threshold_for_epoch
-from .trainer import TrainConfig, run_training
+from .trainer import TrainConfig, evaluate, load_checkpoint, run_training
 
 DIAGNOSE_COLUMNS = ["n_samples", "dim", "rankme_super", "rankme_random",
                     "mean_super", "mean_regular", "skew_super", "skew_regular",
@@ -110,6 +110,11 @@ def cmd_train(args) -> int:
         for seed in seeds:
             cfg = _apply_overrides(raw, seed, args.epochs, kind)
             cells.append((cfg, os.path.join(args.out, f"{kind}_seed{seed}")))
+    dirs = [out for _, out in cells]    # two cells must not share a directory
+    twice = [d for d in dirs if dirs.count(d) > 1]
+    if twice:
+        raise BadConfig(f"the run matrix holds the cell {os.path.basename(twice[0])} "
+                        f"twice; list each seed and loss kind once")
     workers = _int("HEXREG_THREADS", os.environ.get("HEXREG_THREADS", "1"))
     summaries = []
     if workers > 1 and len(cells) > 1:
@@ -125,7 +130,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .trainer import evaluate, load_checkpoint
     state = load_checkpoint(args.checkpoint)
     dataset = load_csv(args.data) if args.data else state.config.load_dataset()
     model_dim = state.params.weights[0].shape[0]

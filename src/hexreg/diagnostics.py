@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import (BadConfig, EmptyTrainSet, InsufficientSamples,
                      MissingLabels, ZeroMatrix)
-from .linalg import _safe_unit_rows, as_matrix, singular_values, unit_rows
+from .linalg import _safe_unit_rows, as_matrix, l2_normalize_rows, singular_values, unit_rows
 from .rng import Rng
 
 RANKME_EPS = 1e-7
@@ -243,9 +243,10 @@ def rank_and_similarity_columns(r, z, superclass_labels, n_subsets: int,
                                 subset_size: int, seed: int) -> dict:
     """The six rank and similarity columns of a diagnostics row: the mean
     effective ranks of subset_rank_curve on r, and distribution_stats of z's
-    rows scaled to unit norm."""
+    rows scaled to unit norm. A row of z with zero norm has no direction,
+    so it raises NonFinite naming the row."""
     rank = subset_rank_curve(r, superclass_labels, n_subsets, subset_size, seed=seed)
-    stats = distribution_stats(_safe_unit_rows(z), superclass_labels)
+    stats = distribution_stats(l2_normalize_rows(z), superclass_labels)
     return {"rankme_super": rank.mean_rankme_superclass,
             "rankme_random": rank.mean_rankme_random,
             "mean_super": stats.mean_super, "mean_regular": stats.mean_regular,

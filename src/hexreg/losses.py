@@ -1,13 +1,13 @@
-"""Contrastive and redundancy-reduction losses as tape-graph builders.
+"""Contrastive and redundancy-reduction losses as plain numpy kernels.
 
-Each loss is one autodiff ``kernel`` node on y, the 2b x d projector
-output in ``hierarchy``'s two-view layout, whose vjp returns the gradient
-with respect to y. Each ``build_*_graph`` function is the one
-implementation of its formula and returns its kernel k; after a forward,
-``k.breakdown()`` reports the loss and its terms. k keeps its node's index
-(``k.node_idx``), not the node, which holds k: the cycle would keep each
-step's tape alive until the garbage collector ran. The independent
-plain-loop numpy oracles that check the builders live in
+Each loss is a kernel k on y, the 2b x d projector output in
+``hierarchy``'s two-view layout: ``k.value(y)`` is the loss as a 1 x 1
+array, ``k.vjp(g)`` the gradient with respect to y for the upstream
+gradient g, ``k.breakdown()`` the loss and its terms after a forward, and
+``k.name`` names it in errors. A kernel knows nothing of the autodiff
+tape; the trainer records it as one node. Each ``build_*_graph`` function
+is the one implementation of its formula and returns its kernel. The
+independent plain-loop numpy oracles that check them live in
 ``tests/test_losses.py``.
 
 The hierarchical variant splits the softmax denominator: the members of
@@ -43,8 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Node, Tape
-from .errors import BadAlpha, BadConfig, BadTemperature, EmptyQueue
+from .errors import BadAlpha, BadConfig, BadTemperature, EmptyQueue, NonFinite
 from .hierarchy import paired_positive_index
 from .linalg import l2_normalize_rows, row_norms
 
@@ -105,7 +104,7 @@ def nnclr_positive_rows(q: NNQueue, z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# graph builders
+# loss kernels and their builders
 # ---------------------------------------------------------------------------
 
 class _Hex:
@@ -122,6 +121,8 @@ class _Hex:
     After a forward it holds z and the n x 1 columns ``pos_logits``
     (s_pos / tau), ``log_denominator``, ``q`` and ``live`` (both None when
     no row has members). ``rows_with_h`` marks the rows with members."""
+
+    name = "hex_loss"
 
     def __init__(self, member, tau, tau_plus, nn_rows):
         self.pos = paired_positive_index(len(member))
@@ -212,16 +213,15 @@ class _Hex:
         return g_y
 
 
-def build_info_nce_graph(tape: Tape, y: Node, n: int, tau: float, *,
-                         nn_rows=None) -> _Hex:
-    """InfoNCE on y's n rows: the HEX graph with no anchor holding members."""
-    return build_hex_graph(tape, y, np.zeros((n, n), dtype=bool), tau, nn_rows=nn_rows)
+def build_info_nce_graph(n: int, tau: float, *, nn_rows=None) -> _Hex:
+    """InfoNCE on y's n rows: the HEX kernel with no anchor holding members."""
+    return build_hex_graph(np.zeros((n, n), dtype=bool), tau, nn_rows=nn_rows)
 
 
-def build_hex_graph(tape: Tape, y: Node, member: np.ndarray, tau: float, *,
+def build_hex_graph(member: np.ndarray, tau: float, *,
                     tau_plus: float = DEFAULT_TAU_PLUS, nn_rows=None) -> _Hex:
-    """Hierarchically decomposed InfoNCE as one kernel node on the
-    projector output y, whose rows the kernel normalizes.
+    """Hierarchically decomposed InfoNCE as one kernel on the projector
+    output y, whose rows the kernel normalizes.
 
     The n x n membership mask ``member``, the layout's positives and
     NNCLR's neighbour rows ``nn_rows`` (which replace rows 0:b of the
@@ -232,9 +232,7 @@ def build_hex_graph(tape: Tape, y: Node, member: np.ndarray, tau: float, *,
         raise BadTemperature(f"temperature must be > 0, got {tau}")
     if not 0.0 <= tau_plus < 1.0:
         raise BadConfig(f"tau_plus must lie in [0, 1), got {tau_plus}")
-    k = _Hex(member, tau, tau_plus, nn_rows)
-    k.node_idx = tape.kernel(k, y, name="hex_loss").idx
-    return k
+    return _Hex(member, tau, tau_plus, nn_rows)
 
 
 def _standardize(z: np.ndarray, ddof: int, var_eps: float):
@@ -251,6 +249,8 @@ class _DimKernel:
 
 
 class _Barlow(_DimKernel):
+    name = "barlow_loss"
+
     def __init__(self, lam, scale, var_eps):
         self.lam, self.scale, self.var_eps = lam, scale, var_eps
 
@@ -276,21 +276,20 @@ class _Barlow(_DimKernel):
                                for gx, x, s in ((b @ gc.T, a, sa), (a @ gc, b, sb))])
 
 
-def build_barlow_graph(tape: Tape, y: Node, lam: float, scale: float,
-                       var_eps: float = 1e-12) -> _Barlow:
-    """Barlow Twins as one kernel node on y, whose rows 0:b and b:2b are the
+def build_barlow_graph(lam: float, scale: float, var_eps: float = 1e-12) -> _Barlow:
+    """Barlow Twins as one kernel on y, whose rows 0:b and b:2b are the
     n x d views za and zb. With a, b the standardized views (variance over
     n) and C = a^T b / n, the terms are scale * sum_k (1 - C_kk)^2 and
     scale * lam * sum_{k != l} C_kl^2. VJP: G = dL/dC is -2 scale (1 - C_kk)
     on the diagonal, 2 scale lam C_kl off it; ga = b G^T / n (a G / n for
     zb) goes back through the standardization as
     (ga - mean(ga) - a mean(ga a)) / s, column means."""
-    k = _Barlow(lam, scale, var_eps)
-    k.node_idx = tape.kernel(k, y, name="barlow_loss").idx
-    return k
+    return _Barlow(lam, scale, var_eps)
 
 
 class _Vicreg(_DimKernel):
+    name = "vicreg_loss"
+
     def __init__(self, sim_w, var_w, cov_w, var_eps):
         self.sim_w, self.var_w, self.cov_w, self.var_eps = sim_w, var_w, cov_w, var_eps
 
@@ -320,9 +319,9 @@ class _Vicreg(_DimKernel):
             for g_sim, (c, s, cov) in zip((g, -g), self._views)])
 
 
-def build_vicreg_graph(tape: Tape, y: Node, sim_w: float, var_w: float, cov_w: float,
+def build_vicreg_graph(sim_w: float, var_w: float, cov_w: float,
                        var_eps: float = 1e-4) -> _Vicreg:
-    """VICReg as one kernel node on y, whose rows 0:b and b:2b are the n x d
+    """VICReg as one kernel on y, whose rows 0:b and b:2b are the n x d
     views za and zb. Per view: c centered, s = sqrt(var + var_eps) over
     n - 1 rows, K = c^T c / (n - 1) with a zero diagonal. The terms are
     sim_w * mean((za - zb)^2) and, summed over both views,
@@ -330,34 +329,44 @@ def build_vicreg_graph(tape: Tape, y: Node, sim_w: float, var_w: float, cov_w: f
     negates the first part): 2 sim_w (za - zb) / (n d) +
     4 cov_w c K / (d (n - 1)) - var_w [s < 1] c / (2 d (n - 1) s), so the
     hinge's gradient is 0 at its kink, as relu's is."""
-    k = _Vicreg(sim_w, var_w, cov_w, var_eps)
-    k.node_idx = tape.kernel(k, y, name="vicreg_loss").idx
-    return k
+    return _Vicreg(sim_w, var_w, cov_w, var_eps)
 
 
-@dataclass
-class CombinedGraphInfo:
-    total: Node      # the add node of the two weighted losses
-    parts: tuple     # (contrastive kernel, dimension kernel)
-    weights: tuple   # (alpha * hex_scale, 1 - alpha)
+class _Mix:
+    """c1 * h + c2 * d of a contrastive kernel h and a dimension kernel d,
+    with vjp h.vjp(c1 g) + d.vjp(c2 g). A part whose value is NaN or Inf
+    raises NonFinite naming it, the HEX part first."""
+
+    name = "combined_loss"
+
+    def __init__(self, parts, weights):
+        self.parts, self.weights = parts, weights
+
+    def value(self, y):
+        values = [k.value(y) for k in self.parts]
+        for k, v in zip(self.parts, values):
+            if not np.isfinite(v).all():
+                raise NonFinite(f"the {k.name} term is {v[0, 0]}")
+        self.total = self.weights[0] * values[0] + self.weights[1] * values[1]
+        return self.total
+
+    def vjp(self, g):
+        (h, d), (c1, c2) = self.parts, self.weights
+        return h.vjp(c1 * g) + d.vjp(c2 * g)
 
     def breakdown(self) -> LossBreakdown:
         """The two loss columns mixed as the total mixes the losses; the
         HEX columns are the contrastive part's."""
         (h, d), (c1, c2) = (p.breakdown() for p in self.parts), self.weights
-        return replace(h, total=float(self.total.value[0, 0]),
+        return replace(h, total=float(self.total[0, 0]),
                        invariance_term=c1 * h.invariance_term + c2 * d.invariance_term,
                        regularization_term=(c1 * h.regularization_term
                                             + c2 * d.regularization_term))
 
 
-def build_combined_graph(tape: Tape, contra: _Hex, dim: _DimKernel,
-                         alpha: float, hex_scale: float) -> CombinedGraphInfo:
-    """alpha * hex_scale * contrastive loss + (1 - alpha) * dim loss."""
+def build_combined_graph(contra: _Hex, dim: _DimKernel, alpha: float,
+                         hex_scale: float) -> _Mix:
+    """alpha * hex_scale * contrastive loss + (1 - alpha) * dim loss, one kernel."""
     if not 0.0 <= alpha <= 1.0:
         raise BadAlpha(f"alpha must lie in [0, 1], got {alpha}")
-    weights = (alpha * hex_scale, 1.0 - alpha)
-    total = tape.add(tape.scalar_mul(tape.nodes[contra.node_idx], weights[0]),
-                     tape.scalar_mul(tape.nodes[dim.node_idx], weights[1]),
-                     name="combined_loss")
-    return CombinedGraphInfo(total, (contra, dim), weights)
+    return _Mix((contra, dim), (alpha * hex_scale, 1.0 - alpha))

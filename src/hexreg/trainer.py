@@ -3,10 +3,11 @@ augmented views per sample, loss selection over the supported objectives,
 SGD-with-momentum via the autodiff tape, per-epoch diagnostics, and
 bitwise-reproducible checkpointing.
 
-The model works row by row, so each step records it on the tape once, on
-the two views stacked into 2b rows (view a in rows 0:b, view b in rows
-b:2b). Every loss is one kernel node on that stacked projector output;
-a loss that reads the views apart splits it at b.
+This module is the tape's one client. The model works row by row, so each
+step records it once, on the two views stacked into 2b rows (view a in
+rows 0:b, view b in rows b:2b), with the layer loop that also runs it on
+arrays. The loss, a tape-free kernel from ``losses``, is one ``kernel``
+node on that stacked output; a loss that reads the views splits it at b.
 
 Determinism: everything derives from the run seed through fixed stream
 labels (0 = weight init, 1 = per-epoch streams, 4 = diagnostics draws,
@@ -22,6 +23,7 @@ import os
 import struct
 import time
 from dataclasses import asdict, dataclass, field, fields
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -189,6 +191,15 @@ _SECTION_TYPES = {
 }
 
 
+def _section(name: str, typ, values, **defaults):
+    """typ(**defaults, **values); a bad key, or values that are not a
+    mapping, raise BadConfig naming the section."""
+    try:
+        return typ(**{**defaults, **dict(values)})
+    except TypeError as e:
+        raise BadConfig(f"bad '{name}' section: {e}") from e
+
+
 @dataclass
 class TrainConfig:
     data: GenParams | str
@@ -208,30 +219,17 @@ class TrainConfig:
         unknown = set(raw) - known
         if unknown:
             raise BadConfig(f"unknown config sections: {sorted(unknown)}")
-        sections = {}
-        for name, typ in _SECTION_TYPES.items():
-            sub = dict(raw.get(name, {}))
-            try:
-                sections[name] = typ(**sub)
-            except TypeError as e:
-                raise BadConfig(f"bad '{name}' section: {e}") from e
+        sections = {name: _section(name, typ, raw.get(name, {}))
+                    for name, typ in _SECTION_TYPES.items()}
         data_raw = raw.get("data", {})
         if isinstance(data_raw, str):
             data = data_raw
         elif isinstance(data_raw, dict) and "path" in data_raw:
             data = str(data_raw["path"])
         else:
-            try:
-                data = GenParams(**dict(data_raw))
-            except TypeError as e:
-                raise BadConfig(f"bad 'data' section: {e}") from e
-        sched_raw = dict(raw.get("schedule", {}))
-        sched_raw.setdefault("kind", "adaptive")
-        sched_raw.setdefault("total_epochs", sections["train"].epochs)
-        try:
-            schedule = ThresholdSchedule(**sched_raw)
-        except TypeError as e:
-            raise BadConfig(f"bad 'schedule' section: {e}") from e
+            data = _section("data", GenParams, data_raw)
+        schedule = _section("schedule", ThresholdSchedule, raw.get("schedule", {}),
+                            kind="adaptive", total_epochs=sections["train"].epochs)
         mask_source = raw.get("mask_source")
         if mask_source not in (None, "supervised", "all"):
             raise BadConfig("mask_source must be null, 'supervised' or 'all'")
@@ -260,9 +258,8 @@ class TrainConfig:
 
 @dataclass
 class ModelParams:
-    weights: list
+    weights: list    # the encoder's layers, then the projector's two
     biases: list
-    n_encoder_layers: int
 
 
 def layer_dims(model: ModelConfig, input_dim: int) -> list:
@@ -283,33 +280,38 @@ def init_params(model: ModelConfig, input_dim: int, seed: int) -> ModelParams:
         u = root.child(i).uniform_array(fan_in * fan_out)
         weights.append((a * (2.0 * u - 1.0)).reshape(fan_in, fan_out))
         biases.append(np.zeros((1, fan_out)))
-    return ModelParams(weights, biases, len(model.encoder_hidden) + 1)
+    return ModelParams(weights, biases)
 
 
-def _layer_outputs(params: ModelParams, x) -> list:
-    """Every layer's output on the rows of x, in order: tanh after every
+# The four ops of the model on numpy arrays; a Tape has the same four.
+_NUMPY_OPS = SimpleNamespace(matmul=np.matmul, add=np.add, tanh=np.tanh,
+                             relu=lambda a: np.maximum(a, 0.0))
+
+
+def _layer_outputs(params: ModelParams, h, ops=_NUMPY_OPS) -> list:
+    """Every layer's output on the rows of h, in order: tanh after every
     encoder layer except the last (linear representation head), relu after
-    the projector's hidden layer, and a linear final projector layer. Like
-    the tape, it lets NaN and Inf through without numpy's warnings."""
-    h = np.asarray(x, dtype=np.float64)
-    n_enc = params.n_encoder_layers
+    the projector's hidden layer, and a linear final projector layer. With
+    a Tape as ops and nodes as h and params, it records those layers; on
+    arrays it lets NaN and Inf through without warnings, as the tape does."""
+    last_enc = len(params.weights) - 3
     outs = []
     with np.errstate(all="ignore"):
         for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-            h = h @ w + b
-            if i < n_enc - 1:
-                h = np.tanh(h)
-            elif i == n_enc:
-                h = np.maximum(h, 0.0)
+            h = ops.add(ops.matmul(h, w), b)
+            if i < last_enc:
+                h = ops.tanh(h)
+            elif i == last_enc + 1:
+                h = ops.relu(h)
             outs.append(h)
     return outs
 
 
 def mlp_forward(params: ModelParams, x: np.ndarray):
-    """Plain forward pass mirroring the tape graph op for op; returns the
+    """Plain forward pass, the tape graph's layers on arrays; returns the
     representation and the raw projector output, unchecked."""
-    outs = _layer_outputs(params, x)
-    return outs[params.n_encoder_layers - 1], outs[-1]
+    outs = _layer_outputs(params, np.asarray(x, dtype=np.float64))
+    return outs[-3], outs[-1]
 
 
 def build_model_graph(tape: Tape, params: ModelParams, x):
@@ -319,16 +321,9 @@ def build_model_graph(tape: Tape, params: ModelParams, x):
     Returns (weight_nodes, bias_nodes, repr_node, proj_node)."""
     w_nodes = [tape.input(w, name=f"w{i}") for i, w in enumerate(params.weights)]
     b_nodes = [tape.input(b, name=f"b{i}") for i, b in enumerate(params.biases)]
-    n_enc = params.n_encoder_layers
-    h = tape.constant(np.asarray(x, dtype=np.float64), name="x")
-    for i in range(n_enc):
-        h = tape.add(tape.matmul(h, w_nodes[i]), b_nodes[i])
-        if i < n_enc - 1:
-            h = tape.tanh(h)
-    r = h
-    p = tape.relu(tape.add(tape.matmul(r, w_nodes[n_enc]), b_nodes[n_enc]))
-    y = tape.add(tape.matmul(p, w_nodes[n_enc + 1]), b_nodes[n_enc + 1])
-    return w_nodes, b_nodes, r, y
+    x = tape.constant(np.asarray(x, dtype=np.float64), name="x")
+    outs = _layer_outputs(ModelParams(w_nodes, b_nodes), x, tape)
+    return w_nodes, b_nodes, outs[-3], outs[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -471,26 +466,25 @@ def _train_step(state: TrainState, views, batch_supers, lr, epoch, elig) -> dict
     # them out of the tape pass's memory peak.
     del sims
 
-    # Differentiable graph with the mask and NN rows frozen as constants.
-    # Each loss is one kernel node on y, the HEX one first: backward adds
-    # their contributions to y in reverse recording order.
-    tape = Tape()
-    w_nodes, b_nodes, _, y = build_model_graph(tape, state.params, views)
+    # The loss kernel, with the mask and NN rows frozen as constants.
     contra = dim = None
     if loss_cfg.is_hex:
-        contra = build_hex_graph(tape, y, mask, loss_cfg.tau,
-                                 tau_plus=loss_cfg.tau_plus, nn_rows=nn_rows)
+        contra = build_hex_graph(mask, loss_cfg.tau, tau_plus=loss_cfg.tau_plus,
+                                 nn_rows=nn_rows)
     elif not loss_cfg.is_dim:
-        contra = build_info_nce_graph(tape, y, 2 * b, loss_cfg.tau, nn_rows=nn_rows)
+        contra = build_info_nce_graph(2 * b, loss_cfg.tau, nn_rows=nn_rows)
     if loss_cfg.kind.startswith("barlow"):
-        dim = build_barlow_graph(tape, y, loss_cfg.barlow_lambda, loss_cfg.barlow_scale)
+        dim = build_barlow_graph(loss_cfg.barlow_lambda, loss_cfg.barlow_scale)
     elif loss_cfg.kind.startswith("vicreg"):
-        dim = build_vicreg_graph(tape, y, loss_cfg.vicreg_sim,
-                                 loss_cfg.vicreg_var, loss_cfg.vicreg_cov)
-    info = contra or dim
+        dim = build_vicreg_graph(loss_cfg.vicreg_sim, loss_cfg.vicreg_var, loss_cfg.vicreg_cov)
+    loss = contra or dim
     if contra is not None and dim is not None:
-        info = build_combined_graph(tape, contra, dim, loss_cfg.alpha, loss_cfg.hex_scale)
+        loss = build_combined_graph(contra, dim, loss_cfg.alpha, loss_cfg.hex_scale)
 
+    # The model graph, and the loss as one kernel node on its output y.
+    tape = Tape()
+    w_nodes, b_nodes, _, y = build_model_graph(tape, state.params, views)
+    tape.kernel(loss, y)
     loss_value = forward(tape)
     backward(tape)
 
@@ -506,7 +500,7 @@ def _train_step(state: TrainState, views, batch_supers, lr, epoch, elig) -> dict
     if state.queue is not None:
         state.queue.push(z_full[b:])
 
-    bd = info.breakdown()
+    bd = loss.breakdown()
     return {"loss_total": loss_value, "loss_invariance": bd.invariance_term,
             "loss_regularization": bd.regularization_term,
             "hex_term_mean": bd.hex_term_mean, "threshold": thr_used,
@@ -573,6 +567,8 @@ def write_metrics_csv(rows: list, path: str):
 
 
 def read_metrics_csv(path: str) -> list:
+    """The rows of a metrics file; SchemaError names the path and line of
+    a missing epoch column or cell, a bad cell count or a non-number."""
     try:
         with open(path, "r", newline="") as fh:
             lines = fh.read().splitlines()
@@ -581,13 +577,19 @@ def read_metrics_csv(path: str) -> list:
     if not lines or not lines[0]:
         raise SchemaError(f"{path}: empty metrics file, expected a header row")
     header = lines[0].split(",")
+    if "epoch" not in header:
+        raise SchemaError(f"{path}: line 1: the header has no epoch column")
     rows = []
     for line_no, ln in enumerate(lines[1:], start=2):
         if not ln:
             continue
+        cells = ln.split(",")
+        if len(cells) != len(header):
+            raise SchemaError(f"{path}: line {line_no}: {len(cells)} cells, but the "
+                              f"header has {len(header)}")
         row = {}
         try:
-            for name, cell in zip(header, ln.split(",")):
+            for name, cell in zip(header, cells):
                 if cell == "":
                     row[name] = None
                 elif name in ("epoch", "clamp_events"):
@@ -596,6 +598,8 @@ def read_metrics_csv(path: str) -> list:
                     row[name] = float(cell)
         except ValueError as e:
             raise SchemaError(f"{path}: line {line_no}, column {name}: {e}") from e
+        if row["epoch"] is None:
+            raise SchemaError(f"{path}: line {line_no}, column epoch: the cell is empty")
         rows.append(row)
     return rows
 
@@ -605,15 +609,10 @@ def read_metrics_csv(path: str) -> list:
 # ---------------------------------------------------------------------------
 
 def _state_arrays(state: TrainState) -> list:
-    arrays = []
-    for i, w in enumerate(state.params.weights):
-        arrays.append((f"w{i}", w))
-    for i, b in enumerate(state.params.biases):
-        arrays.append((f"b{i}", b))
-    for i, v in enumerate(state.mom_w):
-        arrays.append((f"mw{i}", v))
-    for i, v in enumerate(state.mom_b):
-        arrays.append((f"mb{i}", v))
+    p = state.params
+    arrays = [(f"{kind}{i}", a) for kind, group in (("w", p.weights), ("b", p.biases),
+                                                    ("mw", state.mom_w), ("mb", state.mom_b))
+              for i, a in enumerate(group)]
     if state.queue is not None and len(state.queue) > 0:
         arrays.append(("queue", state.queue.as_matrix()))
     return arrays
@@ -681,8 +680,7 @@ def load_checkpoint(path: str) -> TrainState:
     if offset != len(raw):
         raise IoError(f"{path}: {len(raw) - offset} trailing bytes")
 
-    n_enc = len(config.model.encoder_hidden) + 1
-    layers = range(n_enc + 2)
+    layers = range(len(config.model.encoder_hidden) + 3)
     # The input dim is w0's row count; every other width is the config's.
     dims = layer_dims(config.model, len(arrays.get("w0", ())))
     shapes = {f"{kind}{i}": (1 if kind.endswith("b") else dims[i], dims[i + 1])
@@ -703,7 +701,7 @@ def load_checkpoint(path: str) -> TrainState:
         if arrays[name].shape != shape:
             raise IoError(f"{path}: array {name} has shape {arrays[name].shape}, not {shape}")
     params = ModelParams([arrays[f"w{i}"] for i in layers],
-                         [arrays[f"b{i}"] for i in layers], n_enc)
+                         [arrays[f"b{i}"] for i in layers])
     mom_w = [arrays[f"mw{i}"] for i in layers]
     mom_b = [arrays[f"mb{i}"] for i in layers]
     queue = None

@@ -16,6 +16,8 @@ class _WeightedSum:
     """sum(x * w) for a constant weight w, as one kernel node: the tests'
     scalar reducer. It counts the vjps it was asked for."""
 
+    name = "weighted_sum"
+
     def __init__(self, w=1.0):
         self.w, self.asked = w, 0
 
@@ -32,9 +34,25 @@ def total(t, a, w=1.0):
     return t.kernel(_WeightedSum(w), a)
 
 
+class _Scale:
+    """x * c for a constant c, as one kernel node with a matrix value."""
+
+    def __init__(self, c, name="scale"):
+        self.c, self.name = c, name
+
+    def value(self, x):
+        return x * self.c
+
+    def vjp(self, g):
+        return g * self.c
+
+
 class _UnitRowSum:
     """The sum of x's rows scaled to unit norm; like the HEX kernel, it
     raises NonFinite on a zero row. Its tests run forward only."""
+
+    def __init__(self, name="unit_row_sum"):
+        self.name = name
 
     def value(self, x):
         return l2_normalize_rows(x).sum().reshape(1, 1)
@@ -76,7 +94,7 @@ class TestForward:
     def test_non_finite_identifies_node(self):
         t = Tape()
         x = t.input([[0.0]])
-        t.scalar_mul(x, np.inf, name="bad_scale")
+        t.kernel(_Scale(np.inf, "bad_scale"), x)
         with pytest.raises(NonFinite, match="bad_scale"):
             forward(t)
 
@@ -116,7 +134,7 @@ class TestBackwardBasics:
         c = t.constant(np.full((2, 3), 2.0))
         masked = _WeightedSum(np.array([[2.0, 0.0, 2.0], [0.0, 2.0, 0.0]]))
         on_c = _WeightedSum()
-        from_c = t.scalar_mul(c, 3.0)
+        from_c = t.kernel(_Scale(3.0), c)
         total(t, t.add(t.kernel(masked, x), t.kernel(on_c, from_c)))
         forward(t)
         backward(t)
@@ -156,10 +174,6 @@ def _graph_for_op(op, rng):
         b = t.input(rng.normal(size=(4, 2)))
         total(t, t.matmul(a, b))
         return t, [a, b]
-    if op == "scalar_mul":
-        a = t.input(rng.normal(size=(3, 3)))
-        total(t, t.scalar_mul(a, -1.7))
-        return t, [a]
     if op == "tanh":
         a = t.input(rng.normal(size=(3, 3)))
         total(t, t.tanh(a))
@@ -180,6 +194,8 @@ class _ProductKernel:
     """x * exp(x) + c for a constant c that broadcasts over x, as one kernel
     node with a matrix value."""
 
+    name = "product"
+
     def __init__(self, c):
         self.c = c
 
@@ -191,7 +207,7 @@ class _ProductKernel:
         return g * (1.0 + self.x) * self.exp_x
 
 
-ALL_OPS = ["matmul", "add", "scalar_mul", "tanh", "relu", "kernel"]
+ALL_OPS = ["matmul", "add", "tanh", "relu", "kernel"]
 
 
 @pytest.mark.parametrize("op", ALL_OPS)
@@ -239,8 +255,8 @@ def test_gradient_shared_by_two_parents_is_not_mutated():
     t = Tape()
     x = t.input([[1.0, -2.0], [0.5, 3.0]])
     y = t.input([[4.0, 0.0], [-1.0, 2.0]])
-    u = t.scalar_mul(x, 3.0)
-    v = t.scalar_mul(y, 5.0)
+    u = t.kernel(_Scale(3.0), x)
+    v = t.kernel(_Scale(5.0), y)
     s = t.add(x, y)
     total(t, t.add(s, t.add(u, v)))
     forward(t)
@@ -257,7 +273,7 @@ class TestNonFinite:
     def test_nan_reaching_the_loss_names_the_first_bad_node(self):
         t = Tape()
         x = t.input([[0.0, 2.0]])
-        bad = t.scalar_mul(x, np.inf, name="bad_scale")
+        bad = t.kernel(_Scale(np.inf, "bad_scale"), x)
         total(t, t.add(bad, t.constant([[1.0, 1.0]])))
         with pytest.raises(NonFinite, match=r"^non-finite value at node 1 \(bad_scale\)$"):
             forward(t)
@@ -266,8 +282,8 @@ class TestNonFinite:
         # the value 1e100 is finite; the gradient 1e200 * 1e200 overflows
         t = Tape()
         x = t.input([[1e-300]], name="w")
-        scaled = t.scalar_mul(x, 1.0, name="scaled")
-        total(t, t.scalar_mul(t.scalar_mul(scaled, 1e200), 1e200))
+        scaled = t.kernel(_Scale(1.0, "scaled"), x)
+        total(t, t.kernel(_Scale(1e200), t.kernel(_Scale(1e200), scaled)))
         assert np.isfinite(forward(t))
         with pytest.raises(NonFinite, match=r"^non-finite gradient at node 1 \(scaled\)$"):
             backward(t)
@@ -275,7 +291,7 @@ class TestNonFinite:
     def test_non_finite_value_that_misses_the_loss_does_not_raise(self):
         t = Tape()
         x = t.input([[1.0]], name="w")
-        total(t, t.relu(t.scalar_mul(x, -np.inf)))
+        total(t, t.relu(t.kernel(_Scale(-np.inf), x)))
         assert forward(t) == 0.0
         # the loss is finite; w's gradient, 0 * -inf, is not
         with pytest.raises(NonFinite, match=r"^non-finite gradient at node 0 \(w\)$"):
@@ -285,15 +301,15 @@ class TestNonFinite:
         t = Tape()
         w = t.input([[2.0]], name="w")
         c = t.constant([[1.0]])
-        total(t, t.add(w, t.relu(t.scalar_mul(c, -np.inf))))
+        total(t, t.add(w, t.relu(t.kernel(_Scale(-np.inf), c))))
         assert forward(t) == 2.0
         backward(t)
         np.testing.assert_array_equal(w.grad, [[1.0]])
 
     def test_earlier_non_finite_node_beats_a_zero_row(self):
         t = Tape()
-        bad = t.scalar_mul(t.input([[0.0]]), np.inf, name="bad_scale")
-        zero = t.kernel(_UnitRowSum(), t.constant([[0.0, 0.0]]), name="zero_row")
+        bad = t.kernel(_Scale(np.inf, "bad_scale"), t.input([[0.0]]))
+        zero = t.kernel(_UnitRowSum("zero_row"), t.constant([[0.0, 0.0]]))
         total(t, t.add(zero, bad))
         with pytest.raises(NonFinite, match=r"^non-finite value at node 1 \(bad_scale\)$"):
             forward(t)
@@ -301,7 +317,7 @@ class TestNonFinite:
     def test_zero_row_alone_keeps_its_message(self):
         # A kernel's own NonFinite keeps its message, prefixed by the node.
         t = Tape()
-        t.kernel(_UnitRowSum(), t.input([[1.0, 0.0], [0.0, 0.0]]), name="z")
+        t.kernel(_UnitRowSum("z"), t.input([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(NonFinite, match=r"^node 1 \(z\): row 1 has norm "
                                             r"0\.000e\+00 <= 1e-12$"):
             forward(t)

@@ -204,6 +204,34 @@ class TestTrain:
         assert main(["train", "--config", cfg, "--out", part, "--resume", ckpt]) == 2
         assert "metrics.csv" in capsys.readouterr().err
 
+    def test_resume_into_metrics_without_an_epoch_column_exit_code(self, tmp_path,
+                                                                   capsys):
+        cfg = write_config(tmp_path, train={"epochs": 4})
+        part = str(tmp_path / "part")
+        main(["train", "--config", cfg, "--out", part, "--checkpoint-every", "2"])
+        metrics = os.path.join(part, "metrics.csv")
+        text = open(metrics).read()
+        open(metrics, "w").write(text.replace("epoch,", "step,", 1))
+        ckpt = os.path.join(part, "ckpt_000002.bin")
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--out", part, "--resume", ckpt]) == 2
+        assert (f"error: {metrics}: line 1: the header has no epoch column"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flags,cell", [
+        (["--seeds", "1,2,1"], "simclr_seed1"),
+        (["--seeds", "01,1"], "simclr_seed1"),
+        (["--seeds", "3", "--loss-kinds", "simclr,barlow,simclr"], "simclr_seed3")],
+        ids=["seed", "padded_seed", "loss_kind"])
+    def test_run_matrix_with_a_repeated_cell_exit_code(self, tmp_path, capsys, flags,
+                                                       cell):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "matrix"
+        assert main(["train", "--config", cfg, "--out", str(out), *flags]) == 1
+        assert (f"the run matrix holds the cell {cell} twice"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_resume_with_a_changed_tau_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, train={"epochs": 4})
         part = str(tmp_path / "part")
@@ -420,6 +448,21 @@ class TestDiagnose:
         path = tmp_path / "bad.csv"
         path.write_text("f0,f1,class\n1.0,0.0,0\n")
         assert main(["diagnose", "--embeddings", str(path)]) == 2
+
+    def test_all_zero_row_exit_code(self, tmp_path, capsys):
+        # A zero row has no direction to compare; the message says so
+        # rather than blaming a normalization.
+        path = self._block_csv(tmp_path)
+        lines = open(path).read().splitlines()
+        cells = lines[4].split(",")
+        lines[4] = ",".join(["0.0"] * 8 + cells[8:])     # data row 3
+        open(path, "w").write("\n".join(lines) + "\n")
+        out = tmp_path / "diag.csv"
+        assert main(["diagnose", "--embeddings", path, "--out", str(out),
+                     "--rankme-subsets", "4", "--subset-size", "12"]) == 3
+        assert ("error: row 3 has norm 0.000e+00 <= 1e-12"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_non_finite_feature_cell_exit_code(self, tmp_path, capsys):
         path = tmp_path / "nan.csv"

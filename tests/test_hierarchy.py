@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexreg.autodiff import Tape, forward
 from hexreg.errors import BadConfig, MissingLabels
 from hexreg.hierarchy import (mask_quality, paired_positive_index, supervised_mask,
                               threshold_mask, whole_batch_mask)
@@ -105,7 +104,7 @@ class TestOddRowCount:
         paired_positive_index, whole_batch_mask,
         lambda n: threshold_mask(np.zeros((n, n)), 0.5),
         lambda n: supervised_mask(np.zeros(n)),
-        lambda n: build_hex_graph(Tape(), None, np.zeros((n, n), dtype=bool), 0.1)])
+        lambda n: build_hex_graph(np.zeros((n, n), dtype=bool), 0.1)])
     def test_raises_bad_config(self, build):
         with pytest.raises(BadConfig, match=r"even row count, got 5$"):
             build(5)
@@ -170,10 +169,8 @@ class TestCountsMatchTheElementwiseFormulas:
     def test_hex_graph_non_member_mask(self, case):
         member, _ = case
         n = member.shape[0]
-        t = Tape()
-        z = t.input(l2_normalize_rows(np.random.default_rng(n).normal(size=(n, 3))))
-        k = build_hex_graph(t, z, member, 0.5)
-        forward(t)
+        k = build_hex_graph(member, 0.5)
+        k.value(l2_normalize_rows(np.random.default_rng(n).normal(size=(n, 3))))
         want = 1.0 - np.eye(n)
         want[member] = 0.0
         masked_exp = np.exp((k.z @ k.z.T) * (1.0 / 0.5)) * want   # k.z: z's unit rows

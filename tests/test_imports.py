@@ -12,7 +12,8 @@ attribute somewhere in the package; a field that shares its name with an
 attribute read elsewhere passes unseen. And every method of a package
 class, dunders aside, must be referenced as an attribute somewhere in the
 package. The same blind spot holds: a method named like an attribute used
-elsewhere, such as numpy's ``sum`` or ``copy``, passes unseen.
+elsewhere, such as numpy's ``sum`` or ``copy``, passes unseen. Only the
+trainer imports ``autodiff``: every loss is a tape-free kernel.
 """
 
 import ast
@@ -162,3 +163,31 @@ def test_finds_an_unreferenced_method():
 def test_every_method_is_referenced():
     unused = unreferenced_methods(package_sources())
     assert not unused, f"methods in src/hexreg that nothing there calls: {unused}"
+
+
+def imported_modules(source: str) -> set:
+    """The dotted names a source imports, without a leading ``hexreg.``:
+    ``from .a import b`` gives a and a.b, ``from . import a`` gives a."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names.add(base)
+            names.update(f"{base}.{alias.name}".lstrip(".") for alias in node.names)
+    return {name.removeprefix("hexreg.") for name in names if name}
+
+
+def test_finds_each_form_of_import():
+    src = ("from . import autodiff\nfrom .errors import NonFinite\n"
+           "import hexreg.linalg\nfrom hexreg import rng\n")
+    assert imported_modules(src) == {"autodiff", "errors", "errors.NonFinite",
+                                     "linalg", "hexreg", "rng"}
+
+
+def test_only_the_trainer_imports_autodiff():
+    importers = sorted(f for f, text in package_sources().items()
+                       if any(name.split(".")[0] == "autodiff"
+                              for name in imported_modules(text)))
+    assert importers == ["trainer.py"]

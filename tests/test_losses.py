@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexreg.autodiff import Tape, backward, forward
-from hexreg.errors import BadAlpha, BadConfig, BadTemperature, EmptyQueue
+from hexreg.errors import BadAlpha, BadConfig, BadTemperature, EmptyQueue, NonFinite
 from hexreg.hierarchy import (paired_positive_index, supervised_mask, threshold_mask,
                               whole_batch_mask)
 from hexreg.linalg import cosine_sim_matrix, l2_normalize_rows
@@ -21,6 +20,16 @@ def random_rows(rng, n_samples, dim=6):
     """2n random unit rows and their positives in the two-view layout."""
     return (l2_normalize_rows(rng.normal(size=(2 * n_samples, dim))),
             paired_positive_index(2 * n_samples))
+
+
+def loss_of(k, y) -> float:
+    """The value of loss kernel k on y, as the tape's forward returns it."""
+    return float(k.value(np.array(y, dtype=np.float64))[0, 0])
+
+
+def grad_of(k) -> np.ndarray:
+    """The gradient with respect to y of k's last forward."""
+    return k.vjp(np.ones((1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +122,8 @@ def oracle_vicreg_terms(za, zb, sim_w, var_w, cov_w):
 
 def info_nce_graph(z, tau):
     """Evaluated build_info_nce_graph over rows z."""
-    t = Tape()
-    k = build_info_nce_graph(t, t.input(z), len(z), tau)
-    forward(t)
+    k = build_info_nce_graph(len(z), tau)
+    loss_of(k, z)
     return k
 
 
@@ -133,9 +141,8 @@ class TestInfoNce:
         assert bd.total == pytest.approx(expected, rel=1e-12)
 
     def test_zero_temperature_rejected(self):
-        t = Tape()
         with pytest.raises(BadTemperature):
-            build_info_nce_graph(t, t.input(np.eye(4)), 4, 0.0)
+            build_info_nce_graph(4, 0.0)
 
     def test_decomposition_identity(self):
         rng = np.random.default_rng(0)
@@ -165,10 +172,8 @@ class TestInfoNce:
 def hex_graph(z, member, *, tau_plus=0.1, tau=0.1):
     """Evaluated build_hex_graph over rows z with an explicit membership
     matrix."""
-    t = Tape()
-    k = build_hex_graph(t, t.input(z), np.asarray(member, dtype=bool), tau,
-                        tau_plus=tau_plus)
-    forward(t)
+    k = build_hex_graph(np.asarray(member, dtype=bool), tau, tau_plus=tau_plus)
+    loss_of(k, z)
     return k
 
 
@@ -200,9 +205,7 @@ class TestHexReweight:
     def test_empty_members(self):
         z, member = worked_example_batch()
         k = hex_graph(z, member, tau_plus=0.5)
-        t = Tape()
-        ref = build_info_nce_graph(t, t.input(z), 4, 0.1)
-        forward(t)
+        ref = info_nce_graph(z, 0.1)
         assert k.rows_with_h.tolist() == [True, False, False, False]
         np.testing.assert_array_equal(k.log_denominator[1:],
                                       ref.log_denominator[1:])
@@ -344,9 +347,7 @@ def hex_cases(draw):
 
 
 def _graph_value(c, member):
-    t = Tape()
-    build_hex_graph(t, t.input(c["z"]), member, c["tau"], tau_plus=c["tau_plus"])
-    return forward(t)
+    return loss_of(build_hex_graph(member, c["tau"], tau_plus=c["tau_plus"]), c["z"])
 
 
 class TestHexProperties:
@@ -360,9 +361,8 @@ class TestHexProperties:
     @settings(max_examples=30, deadline=None)
     @given(hex_cases())
     def test_empty_mask_equals_info_nce_bitwise(self, c):
-        t = Tape()
-        build_info_nce_graph(t, t.input(c["z"]), len(c["z"]), c["tau"])
-        assert _graph_value(c, np.zeros_like(c["member"])) == forward(t)
+        want = loss_of(build_info_nce_graph(len(c["z"]), c["tau"]), c["z"])
+        assert _graph_value(c, np.zeros_like(c["member"])) == want
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +415,10 @@ class TestNNQueue:
 # ---------------------------------------------------------------------------
 
 def dim_graph(build, za, zb, *weights, **kw):
-    """(loss, tape, y node) of build_barlow_graph or build_vicreg_graph
-    evaluated on y, the views za and zb stacked."""
-    t = Tape()
-    y = t.input(np.vstack((za, zb)))
-    build(t, y, *weights, **kw)
-    return forward(t), t, y
+    """(loss, kernel) of build_barlow_graph or build_vicreg_graph evaluated
+    on y, the views za and zb stacked."""
+    k = build(*weights, **kw)
+    return loss_of(k, np.vstack((za, zb))), k
 
 
 def barlow(za, zb, lam, scale, **kw):
@@ -443,10 +441,9 @@ class TestBarlow:
         za[:, 0] = [1.0, 2.0, 3.0, 4.0]
         for build, weights, want in ((build_barlow_graph, (0.005, 0.1), 0.2),
                                      (build_vicreg_graph, (25.0, 25.0, 1.0), 16.5)):
-            loss, t, y = dim_graph(build, za, za.copy(), *weights)
+            loss, k = dim_graph(build, za, za.copy(), *weights)
             assert loss == pytest.approx(want, rel=1e-9)
-            backward(t)
-            assert np.isfinite(y.grad).all()
+            assert np.isfinite(grad_of(k)).all()
 
     def test_seeded_vs_oracle(self):
         rng = np.random.default_rng(9)
@@ -501,17 +498,16 @@ DIM_LOSSES = [(build_barlow_graph, (0.3, 0.1)), (build_vicreg_graph, (25.0, 25.0
 
 
 class TestDimKernels:
-    """Each builder records one kernel node whose analytic VJP matches
-    central differences of its value."""
+    """Each builder returns one kernel whose analytic VJP matches central
+    differences of its value."""
 
     @staticmethod
     def assert_fd_gradients(build, weights, za, zb, h):
-        _, t, y = dim_graph(build, za, zb, *weights)
-        backward(t)
+        g = grad_of(dim_graph(build, za, zb, *weights)[1])
         for grad, fd in (
-                (y.grad[:len(za)],
+                (g[:len(za)],
                  central_diff(lambda v: dim_graph(build, v, zb, *weights)[0], za, h)),
-                (y.grad[len(za):],
+                (g[len(za):],
                  central_diff(lambda v: dim_graph(build, za, v, *weights)[0], zb, h))):
             assert np.abs(grad - fd).max() <= 1e-5 * np.abs(fd).max()
 
@@ -546,20 +542,21 @@ class TestDimKernels:
     def test_breakdown_matches_the_oracle_terms(self, build, weights, oracle):
         rng = np.random.default_rng(19)
         za, zb = rng.normal(size=(8, 4)), rng.normal(size=(8, 4))
-        t = Tape()
-        k = build(t, t.input(np.vstack((za, zb))), *weights, var_eps=0.0)
-        forward(t)
-        bd = k.breakdown()
+        bd = dim_graph(build, za, zb, *weights, var_eps=0.0)[1].breakdown()
         want = oracle(za, zb, *weights)
         assert bd.invariance_term == pytest.approx(want[0], rel=1e-12)
         assert bd.regularization_term == pytest.approx(want[1], rel=1e-12)
         assert bd.total == bd.invariance_term + bd.regularization_term
 
     @pytest.mark.parametrize("build,weights", DIM_LOSSES)
-    def test_builder_records_one_kernel_node(self, build, weights):
+    def test_builder_returns_a_named_kernel(self, build, weights):
+        # The tape names the kernel's node k.name, so errors name the loss.
+        k = build(*weights)
         t = Tape()
-        k = build(t, t.input(np.ones((16, 4))), *weights)
-        assert k.node_idx == 1 and [n.op for n in t.nodes] == ["input", "kernel"]
+        t.kernel(k, t.input(np.ones((16, 4))))
+        assert (build.__name__, k.name) in {("build_barlow_graph", "barlow_loss"),
+                                            ("build_vicreg_graph", "vicreg_loss")}
+        assert [(n.op, n.name) for n in t.nodes] == [("input", ""), ("kernel", k.name)]
 
 
 def desk_batch(rng, b=64, d=8):
@@ -577,7 +574,7 @@ def desk_threshold_mask(z):
 
 
 class TestHexKernel:
-    """build_hex_graph records one kernel node whose vjp matches central
+    """build_hex_graph returns one kernel whose vjp matches central
     differences of its value, on each kind of mask a training step uses."""
 
     @staticmethod
@@ -589,18 +586,16 @@ class TestHexKernel:
         nn_rows = z[:fixed_rows] if fixed_rows else None
         y0 = z * np.random.default_rng(len(z)).uniform(0.5, 2.0, size=(len(z), 1))
 
-        def loss(y_value):
-            t = Tape()
-            y = t.input(y_value)
-            k = build_hex_graph(t, y, mask, 0.5, tau_plus=tau_plus, nn_rows=nn_rows)
-            return forward(t), t, y, k
+        def kernel():
+            return build_hex_graph(mask, 0.5, tau_plus=tau_plus, nn_rows=nn_rows)
 
-        _, t, y, k = loss(y0)
-        assert [n.op for n in t.nodes].count("kernel") == 1
-        backward(t)
-        fd = central_diff(lambda v: loss(v)[0], y0, h)
-        assert np.abs(y.grad - fd).max() <= 1e-6 * np.abs(fd).max()
-        assert not y.grad[:fixed_rows].any()
+        k = kernel()
+        assert k.name == "hex_loss"
+        loss_of(k, y0)
+        g = grad_of(k)
+        fd = central_diff(lambda v: loss_of(kernel(), v), y0, h)
+        assert np.abs(g - fd).max() <= 1e-6 * np.abs(fd).max()
+        assert not g[:fixed_rows].any()
         return k
 
     def test_empty_mask(self):
@@ -663,8 +658,9 @@ class TestHexKernel:
         mask = desk_threshold_mask(z)
         tracemalloc.start()
         try:
+            k = build_hex_graph(mask, 0.1)
             t = Tape()
-            k = build_hex_graph(t, t.input(z), mask, 0.1)
+            t.kernel(k, t.input(z))
             forward(t)
             backward(t)
             k.breakdown()
@@ -675,11 +671,20 @@ class TestHexKernel:
         assert peak <= 3 * len(z) ** 2 * 8
 
 
+class _Fixed:
+    """A loss kernel whose value is c on any y; its tests run forward only."""
+
+    def __init__(self, c, name):
+        self.c, self.name = c, name
+
+    def value(self, y):
+        return np.array([[self.c]])
+
+
 def combined(hex_value, dim_value, alpha, hex_scale):
-    t = Tape()
-    build_combined_graph(t, SimpleNamespace(node_idx=t.input([[hex_value]]).idx),
-                         SimpleNamespace(node_idx=t.input([[dim_value]]).idx), alpha, hex_scale)
-    return forward(t)
+    mix = build_combined_graph(_Fixed(hex_value, "hex_loss"),
+                               _Fixed(dim_value, "barlow_loss"), alpha, hex_scale)
+    return loss_of(mix, np.zeros((2, 2)))
 
 
 class TestCombined:
@@ -699,13 +704,11 @@ class TestCombined:
     def test_breakdown_weighs_each_column_as_the_total(self):
         rng = np.random.default_rng(25)
         z, _ = random_rows(rng, 8, dim=4)
-        t = Tape()
-        y = t.input(z)
-        contra = build_hex_graph(t, y, threshold_mask(cosine_sim_matrix(z), 0.3), 0.1)
-        dim = build_barlow_graph(t, y, 0.005, 0.1)
-        info = build_combined_graph(t, contra, dim, 0.5, 5.0)
-        forward(t)
-        bd, h, d = info.breakdown(), contra.breakdown(), dim.breakdown()
+        contra = build_hex_graph(threshold_mask(cosine_sim_matrix(z), 0.3), 0.1)
+        dim = build_barlow_graph(0.005, 0.1)
+        mix = build_combined_graph(contra, dim, 0.5, 5.0)
+        loss_of(mix, z)
+        bd, h, d = mix.breakdown(), contra.breakdown(), dim.breakdown()
         assert bd.total == 2.5 * h.total + 0.5 * d.total
         assert bd.invariance_term == 2.5 * h.invariance_term + 0.5 * d.invariance_term
         assert bd.regularization_term == (2.5 * h.regularization_term
@@ -714,6 +717,40 @@ class TestCombined:
             h.hex_term_mean, h.mean_H_size, h.clamp_events)
         assert abs(bd.invariance_term + bd.regularization_term - bd.total) <= 1e-12 * (
             abs(bd.invariance_term) + abs(bd.regularization_term))
+
+    @pytest.mark.parametrize("build,weights", DIM_LOSSES)
+    def test_mix_of_two_kernels_matches_its_parts_bitwise(self, build, weights):
+        # The mix's value is c1 h + c2 d and its vjp h.vjp(c1 g) + d.vjp(c2 g),
+        # bit for bit; c1 = alpha * hex_scale and c2 = 1 - alpha.
+        rng = np.random.default_rng(26)
+        z, _ = random_rows(rng, 8, dim=4)
+        y = z * rng.uniform(0.5, 2.0, size=(16, 1))
+        mask = threshold_mask(cosine_sim_matrix(z), 0.3)
+        h, d = build_hex_graph(mask, 0.1), build(*weights)
+        mix = build_combined_graph(build_hex_graph(mask, 0.1), build(*weights), 0.25, 5.0)
+        assert mix.name == "combined_loss"
+        got = loss_of(mix, y)
+        assert got == (1.25 * h.value(y) + 0.75 * d.value(y))[0, 0]
+        g = np.array([[0.5]])
+        want = h.vjp(1.25 * g) + d.vjp(0.75 * g)
+        assert mix.vjp(g).tobytes() == want.tobytes()
+        fd = central_diff(lambda v: loss_of(mix, v), y, 1e-6)
+        assert np.abs(grad_of(mix) - fd).max() <= 1e-6 * np.abs(fd).max()
+
+    @pytest.mark.parametrize("bad", ["hex_loss", "vicreg_loss"])
+    def test_a_non_finite_part_is_named(self, bad):
+        # The HEX part is checked first; the tape prefixes the mix's node.
+        values = {"hex_loss": 1.0, "vicreg_loss": 2.0, bad: math.nan}
+        mix = build_combined_graph(*(_Fixed(values[n], n) for n in values), 0.5, 5.0)
+        t = Tape()
+        t.kernel(mix, t.input(np.ones((4, 2))))
+        with pytest.raises(NonFinite, match=rf"^node 1 \(combined_loss\): the {bad} "
+                                            rf"term is nan$"):
+            forward(t)
+        both = build_combined_graph(_Fixed(math.inf, "hex_loss"),
+                                    _Fixed(math.nan, "vicreg_loss"), 0.5, 5.0)
+        with pytest.raises(NonFinite, match=r"^the hex_loss term is inf$"):
+            loss_of(both, np.ones((4, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -734,13 +771,10 @@ class TestGraphParity:
 
     def test_hex_graph_gradients_finite(self):
         rng = np.random.default_rng(14)
-        zv, _ = random_rows(rng, 4)
-        t = Tape()
-        z = t.input(zv)
-        build_hex_graph(t, z, whole_batch_mask(8), 0.1)
-        forward(t)
-        backward(t)
-        assert np.isfinite(z.grad).all()
+        z, _ = random_rows(rng, 4)
+        k = build_hex_graph(whole_batch_mask(8), 0.1)
+        loss_of(k, z)
+        assert np.isfinite(grad_of(k)).all()
 
     def test_barlow_graph(self):
         # The trainer's default var_eps moves the value by under 1e-9.

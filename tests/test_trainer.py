@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import os
 import re
@@ -90,7 +91,8 @@ class TestForwardParity:
 
         t = Tape()
         w, b, gr, gy = build_model_graph(t, params, np.vstack([xa, xb]))
-        k = build_info_nce_graph(t, gy, 10, 0.1)
+        k = build_info_nce_graph(10, 0.1)
+        t.kernel(k, gy)
         forward(t)
         assert np.array_equal(gr.value, np.vstack([ra, rb]))
         assert np.array_equal(gy.value, np.vstack([ya, yb]))
@@ -98,10 +100,12 @@ class TestForwardParity:
 
 
 class TestTrainEpoch:
-    @pytest.mark.parametrize("kind", ["barlow", "vicreg", "simclr_hex"])
+    @pytest.mark.parametrize("kind", ["barlow", "vicreg", "simclr_hex", "barlow_hex",
+                                      "vicreg_hex"])
     def test_desk_dim_step_records_at_most_22_nodes(self, kind, monkeypatch):
         # Desk model and batch: 19 model nodes, then the loss as one kernel
-        # node on the projector output.
+        # node on the projector output; a combined kind mixes its two
+        # losses inside that kernel.
         cfg = trainer.TrainConfig.from_dict({"loss": {"kind": kind},
                                              "data": {"samples_per_class": 8}})
         ds = cfg.load_dataset()
@@ -113,6 +117,22 @@ class TestTrainEpoch:
         for t in tapes:
             assert [n.op for n in t.nodes].count("kernel") == 1
             assert t.nodes[-1].op == "kernel"
+
+    @pytest.mark.parametrize("kind", ["simclr_hex", "nnclr_hex", "barlow_hex"])
+    def test_a_desk_epoch_leaves_no_reference_cycles(self, kind):
+        # A step's tape, nodes and kernels must be freed by reference
+        # counting alone: a cycle through them would keep every step's
+        # arrays alive until the collector ran, and peak memory with them.
+        cfg = trainer.TrainConfig.from_dict({"loss": {"kind": kind}})
+        ds = cfg.load_dataset()
+        state = init_state(cfg, ds.dim)
+        gc.collect()
+        gc.disable()
+        try:
+            train_epoch(state, ds)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_zero_lr_leaves_params_unchanged(self):
         cfg = tiny_config(optimizer={"lr": 0.0})
@@ -186,7 +206,7 @@ class TestTrainEpoch:
         ds = generate(cfg.data)
         state = init_state(cfg, ds.dim)
         ds.x[0] = 0.0
-        state.params.biases[state.params.n_encoder_layers][:] = 1.0
+        state.params.biases[-2][:] = 1.0    # the projector's hidden layer
         r, y = mlp_forward(state.params, ds.x)
         assert not r[0].any() and np.all(np.linalg.norm(y, axis=1) > 0)
         row = trainer.run_diagnostics(state, ds, 4)
@@ -247,7 +267,7 @@ class TestTrainEpoch:
             b = x.shape[0] // 2
             w_nodes = [tape.input(w, name=f"w{i}") for i, w in enumerate(params.weights)]
             b_nodes = [tape.input(c, name=f"b{i}") for i, c in enumerate(params.biases)]
-            n_enc = params.n_encoder_layers
+            n_enc = len(params.weights) - 2
             outs = []
             for v in (x[:b], x[b:]):
                 h = tape.constant(v)
@@ -314,7 +334,7 @@ class TestTrainEpoch:
         def loss_at(params):
             t = Tape()
             _, _, _, y = build_model_graph(t, params, views)
-            build_info_nce_graph(t, y, 32, cfg.loss.tau)
+            t.kernel(build_info_nce_graph(32, cfg.loss.tau), y)
             return forward(t)
 
         # with momentum 0, one real step moves the weights by -lr * gradient
@@ -647,6 +667,25 @@ class TestCheckpointing:
             run_training(cfg, out_dir=out,
                          resume_from=os.path.join(out, "ckpt_000002.bin"))
 
+    @pytest.mark.parametrize("line,edit,message", [
+        (0, lambda cells: ["step", *cells[1:]], r"line 1: the header has no epoch column$"),
+        (2, lambda cells: [*cells, "1.0"], r"line 3: 21 cells, but the header has 20$"),
+        (1, lambda cells: cells[:-1], r"line 2: 19 cells, but the header has 20$"),
+        (2, lambda cells: ["", *cells[1:]], r"line 3, column epoch: the cell is empty$")],
+        ids=["no_epoch_column", "extra_cell", "missing_cell", "empty_epoch"])
+    def test_resume_rejects_a_malformed_metrics_file(self, tmp_path, line, edit, message):
+        cfg = tiny_config(train={"epochs": 4})
+        out = str(tmp_path / "run")
+        run_training(cfg, out_dir=out, checkpoint_every=2)
+        metrics = os.path.join(out, "metrics.csv")
+        lines = open(metrics).read().splitlines()
+        lines[line] = ",".join(edit(lines[line].split(",")))
+        with open(metrics, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=re.escape(metrics) + ": " + message):
+            run_training(cfg, out_dir=out,
+                         resume_from=os.path.join(out, "ckpt_000002.bin"))
+
     def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch):
         cfg = tiny_config()
         state = init_state(cfg, generate(cfg.data).dim)
@@ -729,6 +768,12 @@ class TestConfig:
         from hexreg.errors import BadConfig
         with pytest.raises(BadConfig):
             TrainConfig.from_dict({"nope": {}})
+
+    @pytest.mark.parametrize("section", ["model", "loss", "optimizer", "augment",
+                                         "train", "schedule", "data"])
+    def test_section_that_is_not_an_object_is_rejected(self, section):
+        with pytest.raises(BadConfig, match=rf"^bad '{section}' section: "):
+            TrainConfig.from_dict({section: 5})
 
     @pytest.mark.parametrize("key,value", [("qhi_sign", "subtract"),
                                            ("qhi_n", "anchors")])
