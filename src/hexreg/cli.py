@@ -16,17 +16,14 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-
 from . import diagnostics as diag
-from .data import GenParams, _format_cell, _write_atomic, generate, load_csv, save_csv
+from .data import GenParams, _write_atomic, csv_text, generate, load_csv, save_csv
 from .errors import BadConfig, HexRegError, IoError, SchemaError
 from .schedule import threshold_for_epoch
-from .trainer import TrainConfig, evaluate, load_checkpoint, run_training
+from .trainer import (DIAGNOSTICS_COLUMNS, TrainConfig, evaluate, load_checkpoint,
+                      run_training)
 
-DIAGNOSE_COLUMNS = ["n_samples", "dim", "rankme_super", "rankme_random",
-                    "mean_super", "mean_regular", "skew_super", "skew_regular",
-                    "knn_class", "knn_super"]
+DIAGNOSE_COLUMNS = ["n_samples", "dim", *DIAGNOSTICS_COLUMNS]
 
 
 def _load_config(path: str) -> dict:
@@ -79,8 +76,7 @@ def _apply_overrides(raw: dict, seed=None, epochs=None, loss_kind=None) -> dict:
     return out
 
 
-def _run_cell(raw_cfg: dict, out_dir: str, checkpoint_every, resume):
-    config = TrainConfig.from_dict(raw_cfg)
+def _run_cell(config: TrainConfig, out_dir: str, checkpoint_every, resume):
     _, summary, _ = run_training(config, out_dir=out_dir,
                                  checkpoint_every=checkpoint_every,
                                  resume_from=resume)
@@ -93,7 +89,7 @@ def cmd_train(args) -> int:
              if args.seeds else None)
     kinds = args.loss_kinds.split(",") if args.loss_kinds else None
     if seeds is None and kinds is None:
-        cfg = _apply_overrides(raw, args.seed, args.epochs, args.loss_kind)
+        cfg = TrainConfig.from_dict(_apply_overrides(raw, args.seed, args.epochs, args.loss_kind))
         summary = _run_cell(cfg, args.out, args.checkpoint_every, args.resume)
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
@@ -105,10 +101,10 @@ def cmd_train(args) -> int:
                       else raw.get("train", {}).get("seed", 1)]
     kinds = kinds or [args.loss_kind if args.loss_kind
                       else raw.get("loss", {}).get("kind", "simclr")]
-    cells = []
+    cells = []    # every cell's config is checked before the first cell runs
     for kind in kinds:
         for seed in seeds:
-            cfg = _apply_overrides(raw, seed, args.epochs, kind)
+            cfg = TrainConfig.from_dict(_apply_overrides(raw, seed, args.epochs, kind))
             cells.append((cfg, os.path.join(args.out, f"{kind}_seed{seed}")))
     dirs = [out for _, out in cells]    # two cells must not share a directory
     twice = [d for d in dirs if dirs.count(d) > 1]
@@ -151,8 +147,7 @@ def cmd_diagnose(args) -> int:
     supers = ds.superclass_labels
     subset_size = args.subset_size
     if subset_size is None:
-        smallest = min(np.count_nonzero(supers == s) for s in np.unique(supers))
-        subset_size = min(100, smallest)
+        subset_size = min(100, *(g.size for g in diag.superclass_groups(supers, 1)))
     columns = diag.rank_and_similarity_columns(x, x, supers, args.rankme_subsets,
                                                subset_size, args.seed)
 
@@ -164,9 +159,8 @@ def cmd_diagnose(args) -> int:
                                   x[q_idx], supers[q_idx], args.knn_k)
     row = {"n_samples": n, "dim": ds.dim, **columns,
            "knn_class": knn_class, "knn_super": knn_super}
-    lines = [",".join(DIAGNOSE_COLUMNS),
-             ",".join(_format_cell(row[c]) for c in DIAGNOSE_COLUMNS)]
-    return _emit("\n".join(lines) + "\n", args.out)
+    return _emit(csv_text(DIAGNOSE_COLUMNS, [[row[c] for c in DIAGNOSE_COLUMNS]]),
+                 args.out)
 
 
 def _emit(text: str, out) -> int:
@@ -189,10 +183,8 @@ def cmd_schedule(args) -> int:
     epochs = args.epochs if args.epochs is not None else config.train.epochs
     if epochs < 1:
         raise BadConfig(f"--epochs must be >= 1, got {epochs}")
-    lines = ["epoch,epsilon"]
-    for e in range(epochs):
-        lines.append(f"{e},{repr(float(threshold_for_epoch(sched, e)))}")
-    return _emit("\n".join(lines) + "\n", args.out)
+    rows = ([e, float(threshold_for_epoch(sched, e))] for e in range(epochs))
+    return _emit(csv_text(["epoch", "epsilon"], rows), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,9 +13,11 @@ implementation of the recipe; each row is the stream a per-sample
 ``Rng`` would give, so the stream layout, and every output bit, is the
 same as drawing one sample at a time.
 
-CSV schema (also the public ingestion format):
-``f0,f1,...,f{d-1},class,superclass`` with comma separators, LF line
-endings, no quoting, and floats written as shortest round-trip decimals.
+CSV format, for every file this package writes or reads: comma separators,
+LF line endings, no quoting, a header row, and ``_format_cell`` cells.
+``csv_text`` formats a file and ``read_csv`` splits one; no other code
+assembles or parses a CSV row. The dataset schema, also the public
+ingestion format, is ``f0,f1,...,f{d-1},class,superclass``.
 """
 
 from __future__ import annotations
@@ -153,50 +155,69 @@ def _format_cell(v) -> str:
     return repr(float(v))
 
 
-def save_csv(d: HierarchicalDataset, path: str):
-    lines = [",".join([f"f{j}" for j in range(d.dim)] + ["class", "superclass"])]
-    for i in range(d.n_samples):
-        cells = [*d.x[i], d.class_labels[i], d.superclass_labels[i]]
-        lines.append(",".join(_format_cell(v) for v in cells))
-    _write_atomic(path, ("\n".join(lines) + "\n").encode())
+def csv_text(header, rows) -> str:
+    """The text of a CSV file: the header's names, then one line of
+    ``_format_cell`` cells per row."""
+    lines = [",".join(header)]
+    lines += [",".join(_format_cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def load_csv(path: str) -> HierarchicalDataset:
-    """Read the schema above; feature columns must be f0..f{d-1} in order
-    and every feature cell finite."""
+def read_csv(path: str) -> tuple:
+    """(header, [(line_no, cells)]) of the CSV file at path, the header on
+    line 1, blank lines skipped. SchemaError names the line of a row whose
+    cell count is not the header's."""
     try:
         with open(path, "r", newline="") as fh:
             lines = fh.read().splitlines()
     except OSError as e:
         raise IoError(f"cannot read {path}: {e}") from e
-    if not lines:
-        raise SchemaError(f"{path}: empty file")
+    if not lines or not lines[0]:
+        raise SchemaError(f"{path}: empty file, expected a header row")
     header = lines[0].split(",")
+    rows = []
+    for line_no, ln in enumerate(lines[1:], start=2):
+        if ln:
+            cells = ln.split(",")
+            if len(cells) != len(header):
+                raise SchemaError(f"{path}: line {line_no}: {len(cells)} cells, but "
+                                  f"the header has {len(header)}")
+            rows.append((line_no, cells))
+    return header, rows
+
+
+def save_csv(d: HierarchicalDataset, path: str):
+    header = [f"f{j}" for j in range(d.dim)] + ["class", "superclass"]
+    rows = ([*x, c, s] for x, c, s in zip(d.x, d.class_labels, d.superclass_labels))
+    _write_atomic(path, csv_text(header, rows).encode())
+
+
+def load_csv(path: str) -> HierarchicalDataset:
+    """Read the schema above; feature columns must be f0..f{d-1} in order
+    and every feature cell finite."""
+    header, rows = read_csv(path)
     if len(header) < 3 or header[-2:] != ["class", "superclass"]:
         raise SchemaError(f"{path}: header must end with 'class,superclass'")
     d = len(header) - 2
     if header[:d] != [f"f{j}" for j in range(d)]:
         raise SchemaError(f"{path}: feature columns must be f0..f{d - 1} in order")
-    rows = [ln for ln in lines[1:] if ln]
     n = len(rows)
     if n == 0:
         raise SchemaError(f"{path}: no data rows")
     x = np.empty((n, d))
     cls = np.empty(n, dtype=np.int64)
     sup = np.empty(n, dtype=np.int64)
-    for i, ln in enumerate(rows):
-        cells = ln.split(",")
-        if len(cells) != d + 2:
-            raise SchemaError(f"{path}: row {i + 1} has {len(cells)} cells, expected {d + 2}")
+    for i, (line_no, cells) in enumerate(rows):
         try:
             x[i] = [float(c) for c in cells[:d]]
             cls[i] = int(cells[d])
             sup[i] = int(cells[d + 1])
         except ValueError as e:
-            raise SchemaError(f"{path}: row {i + 1}: {e}") from e
+            raise SchemaError(f"{path}: line {line_no}: {e}") from e
     bad = np.argwhere(~np.isfinite(x))
     if bad.size:
         i, j = bad[0].tolist()
-        raise SchemaError(f"{path}: row {i + 1}: feature f{j} must be finite, "
-                          f"got {rows[i].split(',')[j]!r}")
+        line_no, cells = rows[i]
+        raise SchemaError(f"{path}: line {line_no}: feature f{j} must be finite, "
+                          f"got {cells[j]!r}")
     return HierarchicalDataset(x, cls, sup)

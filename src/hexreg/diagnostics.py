@@ -20,12 +20,13 @@ rows with themselves and with every later row, one array row per later
 row, so its same-superclass pool is one contiguous slice of rows and the
 other pool the slice after it: no mask is built. The KNN probe scores
 _BLOCK queries at a time in one buffer, in k argmax rounds (_top_k).
+
+``subset_rank_curve`` and ``distribution_stats`` return dicts keyed by
+metrics column. ``holdout_size``, ``check_knn_k`` and ``superclass_groups``
+are the probes' preconditions, which a run checks before it trains.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -39,20 +40,6 @@ RANKME_EPS = 1e-7
 # Rows per similarity block. A block's similarities take _BLOCK * N * 8
 # bytes; the statistics hold two such arrays at a time.
 _BLOCK = 128
-
-
-@dataclass
-class RankCurvePoint:
-    mean_rankme_superclass: float
-    mean_rankme_random: float
-
-
-@dataclass
-class DistributionStats:
-    mean_super: Optional[float]
-    mean_regular: Optional[float]
-    skew_super: Optional[float]
-    skew_regular: Optional[float]
 
 
 def rankme(r) -> float:
@@ -75,25 +62,31 @@ def _draw(stream: Rng, pool: np.ndarray, size: int) -> np.ndarray:
     return np.asarray(items[:size], dtype=np.intp)
 
 
+def superclass_groups(superclass_labels, subset_size: int, name="subset_size") -> list:
+    """The row indices of each superclass, in label order. Raises
+    InsufficientSamples, naming ``name``, when the smallest superclass
+    cannot fill a subset of subset_size rows."""
+    labels = np.asarray(superclass_labels)
+    groups = [np.nonzero(labels == s)[0] for s in np.unique(labels)]
+    smallest = min(g.size for g in groups)
+    if smallest < subset_size:
+        raise InsufficientSamples(
+            f"{name}: smallest superclass has {smallest} < {subset_size} samples")
+    return groups
+
+
 def subset_rank_curve(representations, superclass_labels, n_subsets: int,
-                      subset_size: int, seed: int) -> RankCurvePoint:
-    """Mean effective rank over subsets drawn (a) from one uniformly chosen
-    superclass each and (b) uniformly from all samples."""
+                      subset_size: int, seed: int) -> dict:
+    """``rankme_super`` and ``rankme_random``: the mean effective rank over
+    subsets drawn (a) from one uniformly chosen superclass each and (b)
+    uniformly from all samples."""
     a = as_matrix(representations)
     labels = np.asarray(superclass_labels)
     if labels.shape[0] != a.shape[0]:
         raise MissingLabels("one superclass label per row is required")
     if n_subsets < 1 or subset_size < 1:
         raise BadConfig("n_subsets and subset_size must be >= 1")
-    if a.shape[0] < subset_size:
-        raise InsufficientSamples(
-            f"{a.shape[0]} samples cannot fill subsets of {subset_size}")
-    supers = np.unique(labels)
-    groups = [np.nonzero(labels == s)[0] for s in supers]
-    smallest = min(g.size for g in groups)
-    if smallest < subset_size:
-        raise InsufficientSamples(
-            f"smallest superclass has {smallest} < {subset_size} samples")
+    groups = superclass_groups(labels, subset_size)
     root = Rng.from_seed(seed)
     all_idx = np.arange(a.shape[0])
     super_vals = []
@@ -106,7 +99,8 @@ def subset_rank_curve(representations, superclass_labels, n_subsets: int,
         rt = root.child(1).child(j)
         idx = _draw(rt, all_idx, subset_size)
         random_vals.append(rankme(a[idx]))
-    return RankCurvePoint(float(np.mean(super_vals)), float(np.mean(random_vals)))
+    return {"rankme_super": float(np.mean(super_vals)),
+            "rankme_random": float(np.mean(random_vals))}
 
 
 def _pool_summary(count: int, total: float, s2: float, s3: float) -> tuple:
@@ -178,9 +172,11 @@ def _block_deviations(z: np.ndarray, r0: int, r1: int, hi: int,
     return s
 
 
-def distribution_stats(z, superclass_labels) -> DistributionStats:
+def distribution_stats(z, superclass_labels) -> dict:
     """Pool the cosine similarities of each unit row of z with every other
-    row, split by shared superclass, and summarize each pool.
+    row, split by shared superclass, and summarize each pool as
+    ``mean_super`` and ``skew_super`` (same superclass) and
+    ``mean_regular`` and ``skew_regular`` (the other pool).
 
     The pool means mu come from row sums (_pair_sums), in O(N * d). One
     sweep over superclass-sorted row blocks then sums d, d^2 and d^3 of
@@ -234,9 +230,8 @@ def distribution_stats(z, superclass_labels) -> DistributionStats:
 
     mean_super, skew_super = _pool_summary(counts[0], totals[0], s2[0], s3[0])
     mean_regular, skew_regular = _pool_summary(counts[1], totals[1], s2[1], s3[1])
-    return DistributionStats(
-        mean_super=mean_super, mean_regular=mean_regular,
-        skew_super=skew_super, skew_regular=skew_regular)
+    return {"mean_super": mean_super, "mean_regular": mean_regular,
+            "skew_super": skew_super, "skew_regular": skew_regular}
 
 
 def rank_and_similarity_columns(r, z, superclass_labels, n_subsets: int,
@@ -245,12 +240,8 @@ def rank_and_similarity_columns(r, z, superclass_labels, n_subsets: int,
     effective ranks of subset_rank_curve on r, and distribution_stats of z's
     rows scaled to unit norm. A row of z with zero norm has no direction,
     so it raises NonFinite naming the row."""
-    rank = subset_rank_curve(r, superclass_labels, n_subsets, subset_size, seed=seed)
-    stats = distribution_stats(l2_normalize_rows(z), superclass_labels)
-    return {"rankme_super": rank.mean_rankme_superclass,
-            "rankme_random": rank.mean_rankme_random,
-            "mean_super": stats.mean_super, "mean_regular": stats.mean_regular,
-            "skew_super": stats.skew_super, "skew_regular": stats.skew_regular}
+    return {**subset_rank_curve(r, superclass_labels, n_subsets, subset_size, seed=seed),
+            **distribution_stats(l2_normalize_rows(z), superclass_labels)}
 
 
 def _top_k(sims: np.ndarray, k: int) -> tuple:
@@ -267,21 +258,35 @@ def _top_k(sims: np.ndarray, k: int) -> tuple:
     return cols, vals
 
 
-def holdout_split(n: int, fraction: float, seed: int) -> tuple:
-    """(query, train) row indices of a KNN probe: the first
-    max(1, round(fraction * n)) rows of a shuffle drawn from stream 5 of the
-    seed are the queries, the rest the training rows. The fraction must lie
-    in (0, 1) and leave at least one training row."""
+def holdout_size(n: int, fraction: float) -> int:
+    """The query row count max(1, round(fraction * n)) of a KNN probe on n
+    rows. The fraction must lie in (0, 1) and leave at least one training
+    row."""
     if not 0.0 < fraction < 1.0:
         raise BadConfig(f"holdout fraction must lie in (0, 1), got {fraction}")
     n_query = max(1, int(round(fraction * n)))
     if n_query >= n:
         raise EmptyTrainSet(f"a holdout fraction of {fraction} leaves none of "
                             f"the {n} rows for training")
+    return n_query
+
+
+def holdout_split(n: int, fraction: float, seed: int) -> tuple:
+    """(query, train) row indices of a KNN probe: the first
+    holdout_size(n, fraction) rows of a shuffle drawn from stream 5 of the
+    seed are the queries, the rest the training rows."""
+    n_query = holdout_size(n, fraction)
     perm = list(range(n))
     Rng.from_seed(seed).child(5).shuffle(perm)
     return (np.asarray(perm[:n_query], dtype=np.intp),
             np.asarray(perm[n_query:], dtype=np.intp))
+
+
+def check_knn_k(k: int, n_train: int, name: str = "k"):
+    """A KNN probe over n_train training rows needs k in [1, n_train];
+    BadConfig names ``name`` otherwise."""
+    if k < 1 or k > n_train:
+        raise BadConfig(f"{name} must lie in [1, {n_train}], got {k}")
 
 
 def knn_accuracy(train_repr, train_labels, query_repr, query_labels,
@@ -299,8 +304,7 @@ def knn_accuracy(train_repr, train_labels, query_repr, query_labels,
     ql = np.asarray(query_labels)
     if tl.shape[0] != train.shape[0] or ql.shape[0] != query.shape[0]:
         raise MissingLabels("labels must match the row counts")
-    if k < 1 or k > train.shape[0]:
-        raise BadConfig(f"k must lie in [1, {train.shape[0]}], got {k}")
+    check_knn_k(k, train.shape[0])
     train = _safe_unit_rows(train)
     query = _safe_unit_rows(query)
     buf = np.empty((min(_BLOCK, query.shape[0]), train.shape[0]))

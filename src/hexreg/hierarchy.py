@@ -10,23 +10,15 @@ similarity matrix, which other rows count as members of the anchor's
 hierarchical grouping H(i). The anchor itself and its positive are never
 members, whatever the source of the mask. Membership by threshold uses a
 strict inequality so a degenerate threshold equal to every similarity
-yields an empty mask.
+yields an empty mask. ``mask_quality`` scores a mask against the
+superclass labels as three metrics columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BadConfig, MissingLabels
-
-
-@dataclass
-class MaskQuality:
-    precision: float
-    recall: float
-    mean_mask_size: float
 
 
 def paired_positive_index(n: int) -> np.ndarray:
@@ -63,9 +55,10 @@ def whole_batch_mask(n: int) -> np.ndarray:
     return _clear_self_and_positive(np.ones((n, n), dtype=bool))
 
 
-def mask_quality(member: np.ndarray, superclass_labels) -> MaskQuality:
-    """Precision/recall of an estimated mask against superclass truth, and
-    its mean row size.
+def mask_quality(member: np.ndarray, superclass_labels) -> dict:
+    """The metrics columns ``mask_precision`` and ``mask_recall`` of an
+    estimated mask against superclass truth, and ``mask_size``, its mean
+    row size.
 
     Counted over all (anchor, candidate) pairs. With no predicted pairs the
     precision is vacuously 1.0; with no true pairs the recall is 1.0.
@@ -76,4 +69,5 @@ def mask_quality(member: np.ndarray, superclass_labels) -> MaskQuality:
     fn = int(np.count_nonzero(truth)) - tp
     precision = tp / predicted if predicted else 1.0
     recall = tp / (tp + fn) if tp + fn else 1.0
-    return MaskQuality(precision, recall, predicted / member.shape[0])
+    return {"mask_precision": precision, "mask_recall": recall,
+            "mask_size": predicted / member.shape[0]}

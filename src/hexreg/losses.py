@@ -3,12 +3,14 @@
 Each loss is a kernel k on y, the 2b x d projector output in
 ``hierarchy``'s two-view layout: ``k.value(y)`` is the loss as a 1 x 1
 array, ``k.vjp(g)`` the gradient with respect to y for the upstream
-gradient g, ``k.breakdown()`` the loss and its terms after a forward, and
-``k.name`` names it in errors. A kernel knows nothing of the autodiff
-tape; the trainer records it as one node. Each ``build_*_graph`` function
-is the one implementation of its formula and returns its kernel. The
-independent plain-loop numpy oracles that check them live in
-``tests/test_losses.py``.
+gradient g, and ``k.name`` names it in errors. After a forward,
+``k.breakdown()`` is a dict keyed by metrics column: ``loss_total`` and
+its terms ``loss_invariance`` and ``loss_regularization``, and from the
+HEX/InfoNCE kernel also ``hex_term_mean``, ``mean_H_size`` and
+``clamp_events``. A kernel knows nothing of the autodiff tape; the trainer
+records it as one node. Each ``build_*_graph`` function is the one
+implementation of its formula and returns its kernel. The independent
+plain-loop numpy oracles that check them live in ``tests/test_losses.py``.
 
 The hierarchical variant splits the softmax denominator: the members of
 the anchor's estimated grouping H(i) are replaced by one reweighted term,
@@ -38,9 +40,6 @@ vjp is given in the builder's docstring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
-
 import numpy as np
 
 from .errors import BadAlpha, BadConfig, BadTemperature, EmptyQueue, NonFinite
@@ -51,20 +50,6 @@ DEFAULT_TAU_PLUS = 0.1
 
 LOSS_KINDS = ("simclr", "simclr_hex", "nnclr", "nnclr_hex",
               "barlow", "barlow_hex", "vicreg", "vicreg_hex")
-
-
-# ---------------------------------------------------------------------------
-# breakdown record
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LossBreakdown:
-    total: float
-    invariance_term: float
-    regularization_term: float
-    hex_term_mean: Optional[float] = None
-    mean_H_size: float = 0.0
-    clamp_events: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +120,7 @@ class _Hex:
         self.rows_with_h = member.any(axis=1)
         self.q = self.live = None
 
-    def breakdown(self) -> LossBreakdown:
+    def breakdown(self) -> dict:
         """Read the decomposition out of the last forward."""
         hex_mean = None
         floored = 0
@@ -143,14 +128,12 @@ class _Hex:
             rows = self.rows_with_h
             floored = int(np.count_nonzero(rows & ~self.live[:, 0]))
             hex_mean = float(self.q[rows, 0].mean())
-        return LossBreakdown(
-            total=float(self.loss),
-            invariance_term=float((-self.pos_logits).mean()),
-            regularization_term=float(self.log_denominator.mean()),
-            hex_term_mean=hex_mean,
-            mean_H_size=self.idx.size / len(self.rows_with_h),
-            clamp_events=floored,
-        )
+        return {"loss_total": float(self.loss),
+                "loss_invariance": float((-self.pos_logits).mean()),
+                "loss_regularization": float(self.log_denominator.mean()),
+                "hex_term_mean": hex_mean,
+                "mean_H_size": self.idx.size / len(self.rows_with_h),
+                "clamp_events": floored}
 
     def value(self, y):
         self._y = y
@@ -242,10 +225,12 @@ def _standardize(z: np.ndarray, ddof: int, var_eps: float):
 
 
 class _DimKernel:
-    def breakdown(self) -> LossBreakdown:
+    def breakdown(self) -> dict:
         """The loss and the two terms, invariance and regularization, that
         the last forward computed."""
-        return LossBreakdown(self.terms[0] + self.terms[1], *self.terms)
+        inv, reg = self.terms
+        return {"loss_total": inv + reg, "loss_invariance": inv,
+                "loss_regularization": reg}
 
 
 class _Barlow(_DimKernel):
@@ -354,14 +339,13 @@ class _Mix:
         (h, d), (c1, c2) = self.parts, self.weights
         return h.vjp(c1 * g) + d.vjp(c2 * g)
 
-    def breakdown(self) -> LossBreakdown:
-        """The two loss columns mixed as the total mixes the losses; the
-        HEX columns are the contrastive part's."""
+    def breakdown(self) -> dict:
+        """The two loss terms mixed as the total mixes the losses; the HEX
+        columns are the contrastive part's."""
         (h, d), (c1, c2) = (p.breakdown() for p in self.parts), self.weights
-        return replace(h, total=float(self.total[0, 0]),
-                       invariance_term=c1 * h.invariance_term + c2 * d.invariance_term,
-                       regularization_term=(c1 * h.regularization_term
-                                            + c2 * d.regularization_term))
+        return {**h, "loss_total": float(self.total[0, 0]),
+                **{c: c1 * h[c] + c2 * d[c]
+                   for c in ("loss_invariance", "loss_regularization")}}
 
 
 def build_combined_graph(contra: _Hex, dim: _DimKernel, alpha: float,

@@ -31,8 +31,8 @@ import numpy as np
 from . import diagnostics as diag
 from . import losses as losses_mod
 from .autodiff import Tape, backward, forward
-from .data import (GenParams, HierarchicalDataset, _format_cell, _write_atomic,
-                   augment_batch, generate, load_csv)
+from .data import (GenParams, HierarchicalDataset, _write_atomic, augment_batch,
+                   csv_text, generate, load_csv, read_csv)
 from .errors import (BadConfig, BadDims, InsufficientSamples, IoError, NonFinite,
                      NumericalError, SchemaError, VersionMismatch, _check_finite,
                      _check_int)
@@ -46,12 +46,17 @@ from .rng import Rng, child_keys
 from .schedule import ThresholdSchedule, adaptive_threshold, threshold_for_epoch
 
 CHECKPOINT_MAGIC = b"HEXCKPT1"
+# The columns of a run_diagnostics row; the rest of METRICS_COLUMNS are a
+# train_epoch row's. Each name is the key its producer returns.
+DIAGNOSTICS_COLUMNS = [
+    "rankme_super", "rankme_random", "mean_super", "mean_regular",
+    "skew_super", "skew_regular", "knn_class", "knn_super",
+]
 METRICS_COLUMNS = [
     "epoch", "loss_total", "loss_invariance", "loss_regularization",
     "hex_term_mean", "threshold", "adaptive_threshold", "mean_H_size",
     "clamp_events", "mask_precision", "mask_recall", "mask_size",
-    "rankme_super", "rankme_random", "mean_super", "mean_regular",
-    "skew_super", "skew_regular", "knn_class", "knn_super",
+    *DIAGNOSTICS_COLUMNS,
 ]
 
 
@@ -292,25 +297,25 @@ def _layer_outputs(params: ModelParams, h, ops=_NUMPY_OPS) -> list:
     """Every layer's output on the rows of h, in order: tanh after every
     encoder layer except the last (linear representation head), relu after
     the projector's hidden layer, and a linear final projector layer. With
-    a Tape as ops and nodes as h and params, it records those layers; on
-    arrays it lets NaN and Inf through without warnings, as the tape does."""
+    a Tape as ops and nodes as h and params, it records those layers."""
     last_enc = len(params.weights) - 3
     outs = []
-    with np.errstate(all="ignore"):
-        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-            h = ops.add(ops.matmul(h, w), b)
-            if i < last_enc:
-                h = ops.tanh(h)
-            elif i == last_enc + 1:
-                h = ops.relu(h)
-            outs.append(h)
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = ops.add(ops.matmul(h, w), b)
+        if i < last_enc:
+            h = ops.tanh(h)
+        elif i == last_enc + 1:
+            h = ops.relu(h)
+        outs.append(h)
     return outs
 
 
 def mlp_forward(params: ModelParams, x: np.ndarray):
     """Plain forward pass, the tape graph's layers on arrays; returns the
-    representation and the raw projector output, unchecked."""
-    outs = _layer_outputs(params, np.asarray(x, dtype=np.float64))
+    representation and the raw projector output, unchecked. NaN and Inf
+    pass through without warnings, as they do on the tape."""
+    with np.errstate(all="ignore"):
+        outs = _layer_outputs(params, np.asarray(x, dtype=np.float64))
     return outs[-3], outs[-1]
 
 
@@ -354,6 +359,12 @@ def _epoch_lr(opt: OptimConfig, epoch: int, total: int) -> float:
     return opt.lr * 0.5 * (1.0 + np.cos(np.pi * epoch / max(1, total)))
 
 
+def _check_trainable(n: int):
+    if n < 2:
+        raise InsufficientSamples(f"training needs at least 2 rows, the dataset "
+                                  f"has {n}")
+
+
 def train_epoch(state: TrainState, dataset: HierarchicalDataset) -> dict:
     """Run one epoch of shuffled two-view batches; returns the metrics row
     (loss terms, thresholds, mask statistics) and advances state.epoch.
@@ -363,9 +374,7 @@ def train_epoch(state: TrainState, dataset: HierarchicalDataset) -> dict:
     cfg = state.config
     e = state.epoch
     n = dataset.n_samples
-    if n < 2:
-        raise InsufficientSamples(f"training needs at least 2 rows, the dataset "
-                                  f"has {n}")
+    _check_trainable(n)
     bsz = cfg.train.batch_size
     lr = _epoch_lr(cfg.optimizer, e, cfg.train.epochs)
     ep_stream = Rng.from_seed(cfg.train.seed).child(1).child(e)
@@ -432,9 +441,10 @@ def _train_step(state: TrainState, views, batch_supers, lr, epoch, elig) -> dict
     try:
         z_full = l2_normalize_rows(np.vstack([ya, yb]))
     except NonFinite as err:    # name the first non-finite layer, if any
-        i = min((i for x in (views[:b], views[b:])
-                 for i, h in enumerate(_layer_outputs(state.params, x))
-                 if not np.isfinite(h).all()), default=None)
+        with np.errstate(all="ignore"):
+            i = min((i for x in (views[:b], views[b:])
+                     for i, h in enumerate(_layer_outputs(state.params, x))
+                     if not np.isfinite(h).all()), default=None)
         if i is None:
             raise
         raise NonFinite(f"{err}; the first layer to output one is layer {i} "
@@ -485,7 +495,7 @@ def _train_step(state: TrainState, views, batch_supers, lr, epoch, elig) -> dict
     tape = Tape()
     w_nodes, b_nodes, _, y = build_model_graph(tape, state.params, views)
     tape.kernel(loss, y)
-    loss_value = forward(tape)
+    forward(tape)
     backward(tape)
 
     # SGD with momentum on every parameter node's accumulated gradient.
@@ -500,13 +510,10 @@ def _train_step(state: TrainState, views, batch_supers, lr, epoch, elig) -> dict
     if state.queue is not None:
         state.queue.push(z_full[b:])
 
-    bd = loss.breakdown()
-    return {"loss_total": loss_value, "loss_invariance": bd.invariance_term,
-            "loss_regularization": bd.regularization_term,
-            "hex_term_mean": bd.hex_term_mean, "threshold": thr_used,
-            "adaptive_threshold": ada_eps, "mean_H_size": bd.mean_H_size,
-            "clamp_events": bd.clamp_events, "mask_precision": dq.precision,
-            "mask_recall": dq.recall, "mask_size": dq.mean_mask_size}
+    # A loss without a HEX term keeps the no-HEX values of its columns.
+    return {"hex_term_mean": None, "mean_H_size": 0.0, "clamp_events": 0,
+            **loss.breakdown(), "threshold": thr_used,
+            "adaptive_threshold": ada_eps, **dq}
 
 
 # ---------------------------------------------------------------------------
@@ -560,33 +567,19 @@ def run_diagnostics(state: TrainState, dataset: HierarchicalDataset,
 # ---------------------------------------------------------------------------
 
 def write_metrics_csv(rows: list, path: str):
-    lines = [",".join(METRICS_COLUMNS)]
-    lines += [",".join(_format_cell(row.get(c)) for c in METRICS_COLUMNS)
-              for row in rows]
-    _write_atomic(path, ("\n".join(lines) + "\n").encode())
+    cells = ([row.get(c) for c in METRICS_COLUMNS] for row in rows)
+    _write_atomic(path, csv_text(METRICS_COLUMNS, cells).encode())
 
 
 def read_metrics_csv(path: str) -> list:
     """The rows of a metrics file; SchemaError names the path and line of
-    a missing epoch column or cell, a bad cell count or a non-number."""
-    try:
-        with open(path, "r", newline="") as fh:
-            lines = fh.read().splitlines()
-    except OSError as e:
-        raise IoError(f"cannot read {path}: {e}") from e
-    if not lines or not lines[0]:
-        raise SchemaError(f"{path}: empty metrics file, expected a header row")
-    header = lines[0].split(",")
+    a missing epoch column or cell, a bad cell count, a non-number or a
+    NaN or Inf, which a run never writes."""
+    header, lines = read_csv(path)
     if "epoch" not in header:
         raise SchemaError(f"{path}: line 1: the header has no epoch column")
     rows = []
-    for line_no, ln in enumerate(lines[1:], start=2):
-        if not ln:
-            continue
-        cells = ln.split(",")
-        if len(cells) != len(header):
-            raise SchemaError(f"{path}: line {line_no}: {len(cells)} cells, but the "
-                              f"header has {len(header)}")
+    for line_no, cells in lines:
         row = {}
         try:
             for name, cell in zip(header, cells):
@@ -596,6 +589,8 @@ def read_metrics_csv(path: str) -> list:
                     row[name] = int(cell)
                 else:
                     row[name] = float(cell)
+                    if not np.isfinite(row[name]):
+                        raise ValueError(f"must be finite, got {cell!r}")
         except ValueError as e:
             raise SchemaError(f"{path}: line {line_no}, column {name}: {e}") from e
         if row["epoch"] is None:
@@ -762,6 +757,13 @@ def run_training(config: TrainConfig, out_dir: Optional[str] = None,
             raise BadConfig(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     t0 = time.time()
     dataset = config.load_dataset()
+    # Refuse a dataset that training or diagnostics cannot use, before any output.
+    n = dataset.n_samples
+    _check_trainable(n)
+    diag.check_knn_k(config.train.knn_k,
+                     n - diag.holdout_size(n, config.train.holdout_fraction), "train.knn_k")
+    diag.superclass_groups(dataset.superclass_labels, config.train.rank_subset_size,
+                           "train.rank_subset_size")
     prior_rows: list = []
     if resume_from is not None:
         state = load_checkpoint(resume_from)

@@ -232,6 +232,21 @@ class TestTrain:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_run_matrix_with_a_bad_cell_runs_no_cell_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "matrix"
+        assert main(["train", "--config", cfg, "--out", str(out), "--seeds", "1",
+                     "--loss-kinds", "simclr,bogus"]) == 1
+        assert "got 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rank_subset_larger_than_a_superclass_exit_code(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, train={"rank_subset_size": 30})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        assert ("train.rank_subset_size: smallest superclass has 12 < 30 samples"
+                in capsys.readouterr().err)
+        assert not os.path.exists(tmp_path / "run")
+
     def test_resume_with_a_changed_tau_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, train={"epochs": 4})
         part = str(tmp_path / "part")
@@ -295,6 +310,8 @@ class TestTrain:
         ("train", {"queue_capacity": 0}, "train.queue_capacity must be >= 1, got 0"),
         ("train", {"holdout_fraction": None}, "train.holdout_fraction must be a finite number"),
         ("train", {"holdout_fraction": 0.0}, "train.holdout_fraction must lie in (0, 1)"),
+        # 24 rows: 5 held out leave 19 training rows for the KNN probe.
+        ("train", {"knn_k": 40}, "train.knn_k must lie in [1, 19], got 40"),
     ])
     def test_bad_section_value_exit_code(self, tmp_path, capsys, section, values,
                                          message):
@@ -469,7 +486,7 @@ class TestDiagnose:
         path.write_text("f0,f1,class,superclass\n1.0,0.0,0,0\n0.0,nan,1,0\n")
         out = tmp_path / "diag.csv"
         assert main(["diagnose", "--embeddings", str(path), "--out", str(out)]) == 2
-        assert f"{path}: row 2: feature f1 must be finite" in capsys.readouterr().err
+        assert f"{path}: line 3: feature f1 must be finite" in capsys.readouterr().err
         assert not out.exists()
 
 

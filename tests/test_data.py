@@ -240,7 +240,7 @@ class TestCsvRoundTrip:
     def test_non_finite_feature_cell_names_the_row(self, tmp_path, cell):
         path = tmp_path / "nonfinite.csv"
         path.write_text(f"f0,f1,class,superclass\n0.1,0.2,0,0\n0.3,{cell},1,0\n")
-        with pytest.raises(SchemaError, match=f"row 2: feature f1 must be finite, "
+        with pytest.raises(SchemaError, match=f"line 3: feature f1 must be finite, "
                                               f"got '{cell}'"):
             load_csv(str(path))
 

@@ -120,14 +120,14 @@ class TestSubsetRankCurve:
     def test_block_structure_lowers_superclass_rank(self):
         x, labels = self._block_data()
         pt = subset_rank_curve(x, labels, n_subsets=6, subset_size=30, seed=1)
-        assert pt.mean_rankme_superclass < pt.mean_rankme_random
+        assert pt["rankme_super"] < pt["rankme_random"]
 
     def test_identical_rows(self):
         x = np.tile(np.arange(1.0, 5.0), (40, 1))
         labels = np.repeat([0, 1], 20)
         pt = subset_rank_curve(x, labels, n_subsets=4, subset_size=10, seed=2)
-        assert pt.mean_rankme_superclass == pytest.approx(1.0, abs=0.01)
-        assert pt.mean_rankme_random == pytest.approx(1.0, abs=0.01)
+        assert pt["rankme_super"] == pytest.approx(1.0, abs=0.01)
+        assert pt["rankme_random"] == pytest.approx(1.0, abs=0.01)
 
     def test_deterministic_under_seed(self):
         x, labels = self._block_data()
@@ -206,8 +206,8 @@ class TestDistributionStats:
         gram = np.full((4, 4), 0.5)
         np.fill_diagonal(gram, 1.0)
         st = distribution_stats(rows_with_gram(gram), [0, 0, 0, 0])
-        assert st.mean_regular is None
-        assert st.mean_super == pytest.approx(0.5)
+        assert st["mean_regular"] is None
+        assert st["mean_super"] == pytest.approx(0.5)
 
     def test_block_structured_ratio(self):
         labels = np.repeat([0, 1], 3)
@@ -215,10 +215,10 @@ class TestDistributionStats:
         gram = np.where(same, 0.9, 0.1)
         np.fill_diagonal(gram, 1.0)
         st = distribution_stats(rows_with_gram(gram), labels)
-        assert st.mean_super == pytest.approx(0.9)
-        assert st.mean_regular == pytest.approx(0.1)
-        assert st.skew_super is None       # constant pools have no skew
-        assert st.skew_regular is None
+        assert st["mean_super"] == pytest.approx(0.9)
+        assert st["mean_regular"] == pytest.approx(0.1)
+        assert st["skew_super"] is None       # constant pools have no skew
+        assert st["skew_regular"] is None
 
     def test_symmetric_pools_zero_skew(self):
         labels = np.repeat([0, 1], 4)
@@ -229,7 +229,7 @@ class TestDistributionStats:
             block[upper] = [-0.2, -0.15, -0.1, 0.1, 0.15, 0.2]
             block.T[upper] = block[upper]
         st = distribution_stats(rows_with_gram(gram), labels)
-        assert st.skew_super == pytest.approx(0.0, abs=1e-12)
+        assert st["skew_super"] == pytest.approx(0.0, abs=1e-12)
 
     def test_skews_match_pow_oracle(self):
         rng = np.random.default_rng(59)
@@ -240,11 +240,11 @@ class TestDistributionStats:
         st = distribution_stats(z, labels)
         eligible = ~np.eye(120, dtype=bool)
         same = labels[:, None] == labels[None, :]
-        assert st.mean_super == pytest.approx(sims[eligible & same].mean(),
+        assert st["mean_super"] == pytest.approx(sims[eligible & same].mean(),
                                               rel=1e-12)
-        assert st.skew_super == pytest.approx(skew_oracle(sims[eligible & same]),
+        assert st["skew_super"] == pytest.approx(skew_oracle(sims[eligible & same]),
                                               rel=1e-12)
-        assert st.skew_regular == pytest.approx(skew_oracle(sims[eligible & ~same]),
+        assert st["skew_regular"] == pytest.approx(skew_oracle(sims[eligible & ~same]),
                                                 rel=1e-12)
 
     @pytest.mark.parametrize("sizes", [
@@ -260,7 +260,7 @@ class TestDistributionStats:
         z = l2_normalize_rows(1.5 * centers[labels] + rng.normal(size=(labels.size, 8)))
         st = distribution_stats(z, labels)
         assert st == distribution_stats(z, labels)
-        got = [(st.mean_super, st.skew_super), (st.mean_regular, st.skew_regular)]
+        got = [(st["mean_super"], st["skew_super"]), (st["mean_regular"], st["skew_regular"])]
         for (mean, skew), (mean_o, skew_o) in zip(got, pools_oracle(z, labels)):
             for v, o in ((mean, mean_o), (skew, skew_o)):
                 if o is None:
@@ -279,7 +279,7 @@ class TestDistributionStats:
         centers = l2_normalize_rows(rng.normal(size=(4, dim)))
         z = l2_normalize_rows(centers[labels] + std * rng.normal(size=(1600, dim)))
         st = distribution_stats(z, labels)
-        got = [(st.mean_super, st.skew_super), (st.mean_regular, st.skew_regular)]
+        got = [(st["mean_super"], st["skew_super"]), (st["mean_regular"], st["skew_regular"])]
         for pair, want in zip(got, pools_oracle(z, labels)):
             assert None not in want
             assert pair == pytest.approx(want, rel=1e-8)

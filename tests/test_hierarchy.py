@@ -114,14 +114,14 @@ class TestMaskQuality:
     def test_perfect_estimate(self):
         labels = np.array([0, 0, 1, 0, 0, 1])
         q = mask_quality(supervised_mask(labels), labels)
-        assert q.precision == 1.0 and q.recall == 1.0
+        assert q["mask_precision"] == 1.0 and q["mask_recall"] == 1.0
 
     def test_vacuous_precision(self):
         labels = np.array([0, 0, 0, 0])
         q = mask_quality(threshold_mask(np.zeros((4, 4)), 1.0), labels)
-        assert q.precision == 1.0
-        assert q.recall == 0.0
-        assert q.mean_mask_size == 0.0
+        assert q["mask_precision"] == 1.0
+        assert q["mask_recall"] == 0.0
+        assert q["mask_size"] == 0.0
 
     def test_counting(self):
         # rows 0..2 share a superclass and the layout pairs 0-2 and 1-3, so
@@ -132,9 +132,9 @@ class TestMaskQuality:
         est[1, 0] = True                  # TP
         est[0, 3] = True                  # FP (different superclass)
         q = mask_quality(est, labels)
-        assert q.precision == pytest.approx(2 / 3)
-        assert q.recall == pytest.approx(2 / 4)
-        assert q.mean_mask_size == pytest.approx(3 / 4)
+        assert q["mask_precision"] == pytest.approx(2 / 3)
+        assert q["mask_recall"] == pytest.approx(2 / 4)
+        assert q["mask_size"] == pytest.approx(3 / 4)
 
 
 @st.composite
@@ -161,7 +161,7 @@ class TestCountsMatchTheElementwiseFormulas:
         want = (tp / (tp + fp) if tp + fp else 1.0, tp / (tp + fn) if tp + fn else 1.0,
                 float(est.sum(axis=1).mean()))
         q = mask_quality(est, labels)
-        got = (q.precision, q.recall, q.mean_mask_size)
+        got = (q["mask_precision"], q["mask_recall"], q["mask_size"])
         assert got == want and all(type(v) is float for v in got)
 
     @settings(max_examples=40, deadline=None)

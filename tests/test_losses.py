@@ -130,7 +130,7 @@ def info_nce_graph(z, tau):
 class TestInfoNce:
     def test_orthogonal_rows_give_log3(self):
         bd = info_nce_graph(np.eye(4), 0.1).breakdown()
-        assert bd.total == pytest.approx(math.log(3.0), abs=1e-12)
+        assert bd["loss_total"] == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_perfect_positive_closed_form(self):
         z = np.zeros((4, 4))
@@ -138,7 +138,7 @@ class TestInfoNce:
         z[1, 1] = z[3, 1] = 1.0    # anchor 1 == its positive
         bd = info_nce_graph(z, 0.1).breakdown()
         expected = math.log1p(2.0 * math.exp(-10.0))
-        assert bd.total == pytest.approx(expected, rel=1e-12)
+        assert bd["loss_total"] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_temperature_rejected(self):
         with pytest.raises(BadTemperature):
@@ -149,7 +149,8 @@ class TestInfoNce:
         for n in (2, 4, 8):
             z, _ = random_rows(rng, n)
             bd = info_nce_graph(z, 0.1).breakdown()
-            assert abs(bd.total - (bd.invariance_term + bd.regularization_term)) <= 1e-10
+            assert abs(bd["loss_total"]
+                       - (bd["loss_invariance"] + bd["loss_regularization"])) <= 1e-10
 
     def test_permutation_invariance(self):
         # Views a and b permuted the same way keep the layout's pairing.
@@ -160,8 +161,8 @@ class TestInfoNce:
         inv = np.empty(12, dtype=int)
         inv[perm] = np.arange(12)
         assert (inv[pos[perm]] == pos).all()
-        permuted = info_nce_graph(z[perm], 0.1).breakdown().total
-        assert permuted == pytest.approx(info_nce_graph(z, 0.1).breakdown().total,
+        permuted = info_nce_graph(z[perm], 0.1).breakdown()["loss_total"]
+        assert permuted == pytest.approx(info_nce_graph(z, 0.1).breakdown()["loss_total"],
                                          abs=1e-12)
 
 
@@ -269,8 +270,8 @@ class TestHexLoss:
             for tau in (0.1, 0.2, 0.5):
                 z, _ = random_rows(rng, n)
                 mask = threshold_mask(cosine_sim_matrix(z), 1.0)
-                got = hex_graph(z, mask, tau=tau).breakdown().total
-                assert got == info_nce_graph(z, tau).breakdown().total
+                got = hex_graph(z, mask, tau=tau).breakdown()["loss_total"]
+                assert got == info_nce_graph(z, tau).breakdown()["loss_total"]
 
     def test_equal_member_similarities_and_no_prior_give_info_nce(self):
         # Rows of one group are copies, so every member of a row, all drawn
@@ -285,14 +286,14 @@ class TestHexLoss:
             member[np.arange(2 * b), pos] = False
             k = hex_graph(z, member, tau_plus=0.0, tau=tau)
             assert k.live[:, 0].all()
-            want = info_nce_graph(z, tau).breakdown().total
-            got = k.breakdown().total
+            want = info_nce_graph(z, tau).breakdown()["loss_total"]
+            got = k.breakdown()["loss_total"]
             assert abs(got - want) <= 1e-12 * loss_scale(z, pos, tau, want)
 
     def test_whole_batch_vs_oracle(self):
         z, pos = np.eye(4), paired_positive_index(4)
         mask = whole_batch_mask(4)
-        got = hex_graph(z, mask).breakdown().total
+        got = hex_graph(z, mask).breakdown()["loss_total"]
         want = oracle_hex_loss(z, pos, 0.1, mask)
         assert abs(got - want) <= 1e-12 * loss_scale(z, pos, 0.1, want)
 
@@ -303,7 +304,7 @@ class TestHexLoss:
             tau = float(rng.choice([0.1, 0.2, 0.5]))
             z, pos = random_rows(rng, n)
             mask = threshold_mask(cosine_sim_matrix(z), float(rng.uniform(-0.2, 0.6)))
-            got = hex_graph(z, mask, tau=tau).breakdown().total
+            got = hex_graph(z, mask, tau=tau).breakdown()["loss_total"]
             want = oracle_hex_loss(z, pos, tau, mask)
             assert abs(got - want) <= 1e-12 * loss_scale(z, pos, tau, want)
 
@@ -323,9 +324,9 @@ class TestHexLoss:
         labels = np.tile(rng.integers(0, 2, size=8), 2)
         mask = supervised_mask(labels)
         bd = hex_graph(z, mask).breakdown()
-        assert bd.mean_H_size == pytest.approx(mask.sum(1).mean())
-        assert bd.hex_term_mean is not None
-        assert np.isfinite(bd.total)
+        assert bd["mean_H_size"] == pytest.approx(mask.sum(1).mean())
+        assert bd["hex_term_mean"] is not None
+        assert np.isfinite(bd["loss_total"])
 
 
 @st.composite
@@ -544,9 +545,9 @@ class TestDimKernels:
         za, zb = rng.normal(size=(8, 4)), rng.normal(size=(8, 4))
         bd = dim_graph(build, za, zb, *weights, var_eps=0.0)[1].breakdown()
         want = oracle(za, zb, *weights)
-        assert bd.invariance_term == pytest.approx(want[0], rel=1e-12)
-        assert bd.regularization_term == pytest.approx(want[1], rel=1e-12)
-        assert bd.total == bd.invariance_term + bd.regularization_term
+        assert bd["loss_invariance"] == pytest.approx(want[0], rel=1e-12)
+        assert bd["loss_regularization"] == pytest.approx(want[1], rel=1e-12)
+        assert bd["loss_total"] == bd["loss_invariance"] + bd["loss_regularization"]
 
     @pytest.mark.parametrize("build,weights", DIM_LOSSES)
     def test_builder_returns_a_named_kernel(self, build, weights):
@@ -620,7 +621,7 @@ class TestHexKernel:
         live = k.live[k.rows_with_h, 0]
         assert live.any() and not live.all()
         assert not k.live[0, 0] and k.rows_with_h[0]
-        assert k.breakdown().clamp_events == np.count_nonzero(~live)
+        assert k.breakdown()["clamp_events"] == np.count_nonzero(~live)
 
     def test_whole_batch_mask(self):
         z, _ = random_rows(np.random.default_rng(22), 8, dim=4)
@@ -646,7 +647,7 @@ class TestHexKernel:
             mask = desk_threshold_mask(z)
         k = hex_graph(z, mask, tau=tau)
         assert k.live[k.rows_with_h].any()
-        got = k.breakdown().total
+        got = k.breakdown()["loss_total"]
         want = oracle_hex_loss(z, pos, tau, mask)
         assert abs(got - want) <= 1e-12 * loss_scale(z, pos, tau, want)
 
@@ -709,14 +710,14 @@ class TestCombined:
         mix = build_combined_graph(contra, dim, 0.5, 5.0)
         loss_of(mix, z)
         bd, h, d = mix.breakdown(), contra.breakdown(), dim.breakdown()
-        assert bd.total == 2.5 * h.total + 0.5 * d.total
-        assert bd.invariance_term == 2.5 * h.invariance_term + 0.5 * d.invariance_term
-        assert bd.regularization_term == (2.5 * h.regularization_term
-                                          + 0.5 * d.regularization_term)
-        assert (bd.hex_term_mean, bd.mean_H_size, bd.clamp_events) == (
-            h.hex_term_mean, h.mean_H_size, h.clamp_events)
-        assert abs(bd.invariance_term + bd.regularization_term - bd.total) <= 1e-12 * (
-            abs(bd.invariance_term) + abs(bd.regularization_term))
+        assert bd["loss_total"] == 2.5 * h["loss_total"] + 0.5 * d["loss_total"]
+        assert bd["loss_invariance"] == 2.5 * h["loss_invariance"] + 0.5 * d["loss_invariance"]
+        assert bd["loss_regularization"] == (2.5 * h["loss_regularization"]
+                                             + 0.5 * d["loss_regularization"])
+        assert (bd["hex_term_mean"], bd["mean_H_size"], bd["clamp_events"]) == (
+            h["hex_term_mean"], h["mean_H_size"], h["clamp_events"])
+        inv, reg = bd["loss_invariance"], bd["loss_regularization"]
+        assert abs(inv + reg - bd["loss_total"]) <= 1e-12 * (abs(inv) + abs(reg))
 
     @pytest.mark.parametrize("build,weights", DIM_LOSSES)
     def test_mix_of_two_kernels_matches_its_parts_bitwise(self, build, weights):
@@ -764,10 +765,10 @@ class TestGraphParity:
         bd = info_nce_graph(z, 0.1).breakdown()
         want = oracle_hex_loss(z, pos, 0.1, np.zeros((8, 8), dtype=bool))
         scale = loss_scale(z, pos, 0.1, want)
-        assert abs(bd.total - want) <= 1e-12 * scale
+        assert abs(bd["loss_total"] - want) <= 1e-12 * scale
         inv = -sum(float(np.dot(z[i], z[pos[i]])) for i in range(8)) / 8 / 0.1
-        assert abs(bd.invariance_term - inv) <= 1e-12 * scale
-        assert abs(bd.regularization_term - (want - inv)) <= 1e-12 * scale
+        assert abs(bd["loss_invariance"] - inv) <= 1e-12 * scale
+        assert abs(bd["loss_regularization"] - (want - inv)) <= 1e-12 * scale
 
     def test_hex_graph_gradients_finite(self):
         rng = np.random.default_rng(14)

@@ -15,7 +15,7 @@ from hexreg.errors import (BadConfig, IoError, NonFinite, SchemaError,
                            VersionMismatch, ZeroMatrix)
 from hexreg.hierarchy import whole_batch_mask
 from hexreg.linalg import l2_normalize_rows
-from hexreg.losses import build_info_nce_graph
+from hexreg.losses import LOSS_KINDS, build_info_nce_graph
 from hexreg.rng import Rng, child_keys
 from hexreg.trainer import (ModelConfig, TrainConfig, build_model_graph,
                             evaluate, init_params, init_state,
@@ -48,12 +48,10 @@ def eligible(b):
 
 
 def metrics_text(rows):
-    buf = []
-    from hexreg.data import _format_cell
+    from hexreg.data import csv_text
     from hexreg.trainer import METRICS_COLUMNS
-    for row in rows:
-        buf.append(",".join(_format_cell(row.get(c)) for c in METRICS_COLUMNS))
-    return "\n".join(buf)
+    return csv_text(METRICS_COLUMNS, ([row.get(c) for c in METRICS_COLUMNS]
+                                      for row in rows))
 
 
 class TestInitParams:
@@ -671,8 +669,12 @@ class TestCheckpointing:
         (0, lambda cells: ["step", *cells[1:]], r"line 1: the header has no epoch column$"),
         (2, lambda cells: [*cells, "1.0"], r"line 3: 21 cells, but the header has 20$"),
         (1, lambda cells: cells[:-1], r"line 2: 19 cells, but the header has 20$"),
-        (2, lambda cells: ["", *cells[1:]], r"line 3, column epoch: the cell is empty$")],
-        ids=["no_epoch_column", "extra_cell", "missing_cell", "empty_epoch"])
+        (2, lambda cells: ["", *cells[1:]], r"line 3, column epoch: the cell is empty$"),
+        *[(1, lambda cells, v=v: [cells[0], v, *cells[2:]],
+           rf"line 2, column loss_total: must be finite, got '{v}'$")
+          for v in ("nan", "inf", "-Infinity")]],
+        ids=["no_epoch_column", "extra_cell", "missing_cell", "empty_epoch",
+             "nan_cell", "inf_cell", "minus_infinity_cell"])
     def test_resume_rejects_a_malformed_metrics_file(self, tmp_path, line, edit, message):
         cfg = tiny_config(train={"epochs": 4})
         out = str(tmp_path / "run")
@@ -748,6 +750,18 @@ class TestLossKinds:
         rows_a, _, _ = run_training(base)
         rows_b, _, _ = run_training(hexc)
         assert metrics_text(rows_a) == metrics_text(rows_b)
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_each_row_holds_exactly_its_listed_columns(self, kind):
+        # write_metrics_csv writes the listed columns only, so a key that a
+        # producer returns and METRICS_COLUMNS lacks would be dropped unseen.
+        # One epoch: vicreg diverges in the second on this config.
+        cfg = tiny_config(loss={"kind": kind}, train={"epochs": 1})
+        dataset = cfg.load_dataset()
+        state = init_state(cfg, dataset.dim)
+        diag_columns = set(trainer.DIAGNOSTICS_COLUMNS)
+        assert set(train_epoch(state, dataset)) == set(trainer.METRICS_COLUMNS) - diag_columns
+        assert set(trainer.run_diagnostics(state, dataset, 1)) == diag_columns
 
     def test_supervised_mask_source(self):
         cfg = tiny_config(loss={"kind": "simclr_hex"})
