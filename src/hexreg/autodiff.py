@@ -8,7 +8,7 @@ model's layers and one loss kernel.
 
     input, constant, matmul, add, tanh, relu, kernel
 
-``kernel(k, x)`` records a node named ``k.name`` on one parent: its value
+``kernel(k, x)`` records a node on one parent: its value
 is ``k.value(x)`` and its vjp ``k.vjp(g)``. A kernel is a plain numpy
 object that knows nothing of the tape; it keeps what its forward saved, so
 each kernel node has its own. Its masks and fixed rows are constant arrays
@@ -23,12 +23,10 @@ written in place once made, so one array may be handed to several parents:
 the first contribution to a node is kept as it is and later ones are added
 out of place.
 
-Finiteness is checked once per pass, on what a caller consumes: ``forward``
-checks the terminal value and ``backward`` the gradient of each input node.
-Only after a failed check are the nodes rescanned, so that NonFinite names
-the first bad node, the one a check after every node would have named. A
-NaN or Inf that reaches neither the loss nor a parameter gradient, such as
-``relu(-inf) = 0``, does not raise.
+The tape only computes: ``forward`` and ``backward`` run under
+``np.errstate(all="ignore")`` and check nothing, so a NaN or Inf passes
+through as numpy makes it. Its caller decides what is at fault; the
+trainer checks the loss and each parameter gradient once per step.
 
 An op is defined in two places: its ``Tape`` method, which records the node,
 and its entry in ``_OPS``, which gives the node's value from its parents'
@@ -42,18 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite
-
 
 @dataclass(eq=False, slots=True)
 class Node:
-    idx: int
     op: str
     parents: tuple = ()
     aux: object = None          # a kernel node's kernel
     value: np.ndarray = None
     requires_grad: bool = False
-    name: str = ""
     grad: np.ndarray = None
 
 
@@ -84,24 +78,22 @@ class Tape:
 
     # -- leaf nodes -------------------------------------------------------
 
-    def input(self, value, name="") -> Node:
-        return self._leaf("input", value, True, name)
+    def input(self, value) -> Node:
+        return self._leaf("input", value, True)
 
-    def constant(self, value, name="") -> Node:
-        return self._leaf("constant", value, False, name)
+    def constant(self, value) -> Node:
+        return self._leaf("constant", value, False)
 
-    def _leaf(self, op, value, requires_grad, name) -> Node:
-        node = Node(len(self.nodes), op, value=_as_value(value),
-                    requires_grad=requires_grad, name=name)
+    def _leaf(self, op, value, requires_grad) -> Node:
+        node = Node(op, value=_as_value(value), requires_grad=requires_grad)
         self.nodes.append(node)
         return node
 
     # -- operations -------------------------------------------------------
 
-    def _record(self, op, parents, aux=None, name="") -> Node:
+    def _record(self, op, parents, aux=None) -> Node:
         req = any(p.requires_grad for p in parents)
-        node = Node(len(self.nodes), op, parents=tuple(parents), aux=aux,
-                    requires_grad=req, name=name)
+        node = Node(op, parents=tuple(parents), aux=aux, requires_grad=req)
         self.nodes.append(node)
         return node
 
@@ -118,7 +110,7 @@ class Tape:
         return self._record("relu", (a,))
 
     def kernel(self, k, x: Node) -> Node:
-        return self._record("kernel", (x,), aux=k, name=k.name)
+        return self._record("kernel", (x,), aux=k)
 
 
 # op -> (value(node, *parent_values), one vjp(node, g) per parent). Every op
@@ -133,57 +125,16 @@ _OPS = {
 }
 
 
-def _all_finite(a: np.ndarray) -> bool:
-    """The one finiteness test of a tape pass; every check goes through it."""
-    return bool(np.isfinite(a).all())
-
-
-def _first_non_finite(nodes, attr: str):
-    """First node of ``nodes`` whose ``attr`` array holds a NaN or Inf."""
-    for node in nodes:
-        a = getattr(node, attr)
-        if a is not None and not _all_finite(a):
-            return node
-    return None
-
-
-def _non_finite(node: Node, what: str) -> NonFinite:
-    return NonFinite(f"non-finite {what} at node {node.idx} ({node.name or node.op})")
-
-
 def forward(tape: Tape) -> float:
     """Evaluate all nodes in order; return the terminal scalar value.
 
     The last node recorded on the tape is the terminal and must be 1x1.
-    Only the terminal's value is checked. When it is NaN/Inf, the nodes are
-    rescanned in recording order and NonFinite names the first bad one.
-    When a kernel raises NonFinite itself (the HEX kernel's zero-row guard
-    on y, or the combined loss naming its non-finite part), a non-finite
-    node recorded before it is named instead, as it came first; otherwise
-    the kernel's message is prefixed by its node.
-
-    A non-finite value that never reaches the terminal does not raise:
-    ``relu(-inf)`` is 0. The terms a loss kernel
-    keeps from its forward are still checked, because each reaches the
-    kernel's value only through sums, products, log and mean, and each of
-    those turns a NaN or Inf operand into a NaN or Inf result: a finite
-    terminal implies finite HEX terms (``pos_logits``, ``log_denominator``,
-    ``q``) and finite Barlow/VICReg terms.
     """
     with np.errstate(all="ignore"):
         for node in tape.nodes:
-            if node.op in ("input", "constant"):
-                continue
-            try:
+            if node.op not in ("input", "constant"):
                 node.value = _OPS[node.op][0](node, *[p.value for p in node.parents])
-            except NonFinite as err:
-                bad = _first_non_finite(tape.nodes[:node.idx], "value")
-                if bad is not None:
-                    raise _non_finite(bad, "value") from None
-                raise NonFinite(f"node {node.idx} ({node.name or node.op}): {err}") from None
     out = tape.nodes[-1].value
-    if not _all_finite(out):
-        raise _non_finite(_first_non_finite(tape.nodes, "value"), "value")
     if out.shape != (1, 1):
         raise ValueError(f"terminal node must be scalar (1x1), got {out.shape}")
     return float(out[0, 0])
@@ -201,13 +152,6 @@ def backward(tape: Tape):
 
     Must be called after forward. Constants and nodes computed from
     constants alone receive no gradient, and none is computed for them.
-
-    Only the gradients of input nodes, which an optimizer reads, are
-    checked. A node's gradient is final when the reverse loop reaches it,
-    since every node that consumes it was recorded after it. When an input's
-    gradient is NaN/Inf, the gradients are rescanned in reverse recording
-    order, the order the loop visits them, and NonFinite names the first bad
-    one. A NaN or Inf gradient that reaches no input does not raise.
     """
     terminal = tape.nodes[-1]
     for node in tape.nodes:
@@ -215,16 +159,8 @@ def backward(tape: Tape):
     terminal.grad = np.ones((1, 1))
     with np.errstate(all="ignore"):
         for node in reversed(tape.nodes):
-            g = node.grad
-            if g is None:
-                continue
-            if node.op == "input":
-                if not _all_finite(g):
-                    bad = _first_non_finite(reversed(tape.nodes), "grad")
-                    raise _non_finite(bad, "gradient")
-                continue
-            if not node.requires_grad:
+            if node.grad is None or node.op in ("input", "constant"):
                 continue
             for parent, vjp in zip(node.parents, _OPS[node.op][1]):
                 if parent.requires_grad:
-                    _accumulate(parent, vjp(node, g))
+                    _accumulate(parent, vjp(node, node.grad))

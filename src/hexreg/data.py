@@ -164,9 +164,11 @@ def csv_text(header, rows) -> str:
 
 
 def read_csv(path: str) -> tuple:
-    """(header, [(line_no, cells)]) of the CSV file at path, the header on
-    line 1, blank lines skipped. SchemaError names the line of a row whose
-    cell count is not the header's."""
+    """(header, n, rows) of the CSV file at path: the header on line 1, the
+    number n of non-blank rows after it, and an iterator of (line_no,
+    cells) that splits one row at a time, so only the text lines and the
+    current row's cells are held. SchemaError names the line of a row
+    whose cell count is not the header's, when the row is reached."""
     try:
         with open(path, "r", newline="") as fh:
             lines = fh.read().splitlines()
@@ -175,15 +177,17 @@ def read_csv(path: str) -> tuple:
     if not lines or not lines[0]:
         raise SchemaError(f"{path}: empty file, expected a header row")
     header = lines[0].split(",")
-    rows = []
-    for line_no, ln in enumerate(lines[1:], start=2):
-        if ln:
-            cells = ln.split(",")
-            if len(cells) != len(header):
-                raise SchemaError(f"{path}: line {line_no}: {len(cells)} cells, but "
-                                  f"the header has {len(header)}")
-            rows.append((line_no, cells))
-    return header, rows
+
+    def rows():
+        for line_no, ln in enumerate(lines[1:], start=2):
+            if ln:
+                cells = ln.split(",")
+                if len(cells) != len(header):
+                    raise SchemaError(f"{path}: line {line_no}: {len(cells)} cells, "
+                                      f"but the header has {len(header)}")
+                yield line_no, cells
+
+    return header, len(lines) - 1 - lines.count(""), rows()
 
 
 def save_csv(d: HierarchicalDataset, path: str):
@@ -195,13 +199,12 @@ def save_csv(d: HierarchicalDataset, path: str):
 def load_csv(path: str) -> HierarchicalDataset:
     """Read the schema above; feature columns must be f0..f{d-1} in order
     and every feature cell finite."""
-    header, rows = read_csv(path)
+    header, n, rows = read_csv(path)
     if len(header) < 3 or header[-2:] != ["class", "superclass"]:
         raise SchemaError(f"{path}: header must end with 'class,superclass'")
     d = len(header) - 2
     if header[:d] != [f"f{j}" for j in range(d)]:
         raise SchemaError(f"{path}: feature columns must be f0..f{d - 1} in order")
-    n = len(rows)
     if n == 0:
         raise SchemaError(f"{path}: no data rows")
     x = np.empty((n, d))
@@ -214,10 +217,9 @@ def load_csv(path: str) -> HierarchicalDataset:
             sup[i] = int(cells[d + 1])
         except ValueError as e:
             raise SchemaError(f"{path}: line {line_no}: {e}") from e
-    bad = np.argwhere(~np.isfinite(x))
-    if bad.size:
-        i, j = bad[0].tolist()
-        line_no, cells = rows[i]
-        raise SchemaError(f"{path}: line {line_no}: feature f{j} must be finite, "
-                          f"got {cells[j]!r}")
+        finite = np.isfinite(x[i])
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise SchemaError(f"{path}: line {line_no}: feature f{j} must be finite, "
+                              f"got {cells[j]!r}")
     return HierarchicalDataset(x, cls, sup)

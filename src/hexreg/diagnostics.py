@@ -219,9 +219,13 @@ def distribution_stats(z, superclass_labels) -> dict:
             for pool, weight, rows in ((0, 1.0, d[:r1 - r0]),
                                        (0, 2.0, d[r1 - r0:hi - r0]),
                                        (1, 2.0, d[hi - r0:])):
+                # numpy's sum, not a BLAS dot: OpenBLAS splits a long dot
+                # across threads, so its bits depend on the thread count.
                 f = rows.ravel()
-                ff = np.multiply(f, f, out=sq_buf[:f.size])
-                power[:, pool] += weight * np.array([f.sum(), f @ f, ff @ f])
+                fk = np.multiply(f, f, out=sq_buf[:f.size])
+                sum_sq = fk.sum()
+                fk *= f
+                power[:, pool] += weight * np.array([f.sum(), sum_sq, fk.sum()])
     s1, s2, s3 = power
     delta = s1 / np.maximum(counts, 1)
     s3 = s3 - 3.0 * delta * s2 + 2.0 * counts * delta ** 3

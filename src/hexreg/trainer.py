@@ -9,6 +9,15 @@ rows 0:b, view b in rows b:2b), with the layer loop that also runs it on
 arrays. The loss, a tape-free kernel from ``losses``, is one ``kernel``
 node on that stacked output; a loss that reads the views splits it at b.
 
+Faults: the tape only computes, so a step checks, once each and before
+it changes any state, the plain forward's projector rows, the loss, and
+each parameter gradient from the last layer down. Its NonFinite names the
+first layer to output a NaN or Inf (else the last layer, whose rows' norm
+overflows or is zero), the loss term by its kernel's name, or the
+parameter and its layer; ``train_epoch`` adds the epoch and batch. A
+finite loss implies finite reported terms, since each reaches the loss only
+through sums, products, log and mean, which keep a NaN or Inf.
+
 Determinism: everything derives from the run seed through fixed stream
 labels (0 = weight init, 1 = per-epoch streams, 4 = diagnostics draws,
 5 = evaluation split). Within an epoch stream, label 0 shuffles the sample
@@ -324,9 +333,9 @@ def build_model_graph(tape: Tape, params: ModelParams, x):
     parameter; a training step passes both views stacked.
 
     Returns (weight_nodes, bias_nodes, repr_node, proj_node)."""
-    w_nodes = [tape.input(w, name=f"w{i}") for i, w in enumerate(params.weights)]
-    b_nodes = [tape.input(b, name=f"b{i}") for i, b in enumerate(params.biases)]
-    x = tape.constant(np.asarray(x, dtype=np.float64), name="x")
+    w_nodes = [tape.input(w) for w in params.weights]
+    b_nodes = [tape.input(b) for b in params.biases]
+    x = tape.constant(np.asarray(x, dtype=np.float64))
     outs = _layer_outputs(ModelParams(w_nodes, b_nodes), x, tape)
     return w_nodes, b_nodes, outs[-3], outs[-1]
 
@@ -440,15 +449,15 @@ def _train_step(state: TrainState, views, batch_supers, lr, epoch, elig) -> dict
     _, yb = mlp_forward(state.params, views[b:])
     try:
         z_full = l2_normalize_rows(np.vstack([ya, yb]))
-    except NonFinite as err:    # name the first non-finite layer, if any
+    except NonFinite as err:
         with np.errstate(all="ignore"):
             i = min((i for x in (views[:b], views[b:])
                      for i, h in enumerate(_layer_outputs(state.params, x))
                      if not np.isfinite(h).all()), default=None)
-        if i is None:
-            raise
-        raise NonFinite(f"{err}; the first layer to output one is layer {i} "
-                        f"(w{i}, b{i})") from None
+        where = "the first layer to output one is"
+        if i is None:    # finite rows whose norm overflows or is zero
+            i, where = len(state.params.weights) - 1, "the rows are the output of"
+        raise NonFinite(f"{err}; {where} layer {i} (w{i}, b{i})") from None
 
     # NNCLR contrasts the queue's nearest neighbours of view a with view b
     # (Dwibedi et al., arXiv 2104.14548, eq. 2).
@@ -495,8 +504,14 @@ def _train_step(state: TrainState, views, batch_supers, lr, epoch, elig) -> dict
     tape = Tape()
     w_nodes, b_nodes, _, y = build_model_graph(tape, state.params, views)
     tape.kernel(loss, y)
-    forward(tape)
+    value = forward(tape)
+    if not np.isfinite(value):
+        raise NonFinite(f"the {loss.name} term is {value}")
     backward(tape)
+    for i in reversed(range(len(w_nodes))):
+        for name, node in ((f"w{i}", w_nodes[i]), (f"b{i}", b_nodes[i])):
+            if not np.isfinite(node.grad).all():
+                raise NonFinite(f"the gradient of {name} (layer {i}) is not finite")
 
     # SGD with momentum on every parameter node's accumulated gradient.
     mom = cfg.optimizer.momentum
@@ -575,7 +590,7 @@ def read_metrics_csv(path: str) -> list:
     """The rows of a metrics file; SchemaError names the path and line of
     a missing epoch column or cell, a bad cell count, a non-number or a
     NaN or Inf, which a run never writes."""
-    header, lines = read_csv(path)
+    header, _, lines = read_csv(path)
     if "epoch" not in header:
         raise SchemaError(f"{path}: line 1: the header has no epoch column")
     rows = []

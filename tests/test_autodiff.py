@@ -16,8 +16,6 @@ class _WeightedSum:
     """sum(x * w) for a constant weight w, as one kernel node: the tests'
     scalar reducer. It counts the vjps it was asked for."""
 
-    name = "weighted_sum"
-
     def __init__(self, w=1.0):
         self.w, self.asked = w, 0
 
@@ -37,8 +35,8 @@ def total(t, a, w=1.0):
 class _Scale:
     """x * c for a constant c, as one kernel node with a matrix value."""
 
-    def __init__(self, c, name="scale"):
-        self.c, self.name = c, name
+    def __init__(self, c):
+        self.c = c
 
     def value(self, x):
         return x * self.c
@@ -50,9 +48,6 @@ class _Scale:
 class _UnitRowSum:
     """The sum of x's rows scaled to unit norm; like the HEX kernel, it
     raises NonFinite on a zero row. Its tests run forward only."""
-
-    def __init__(self, name="unit_row_sum"):
-        self.name = name
 
     def value(self, x):
         return l2_normalize_rows(x).sum().reshape(1, 1)
@@ -91,12 +86,11 @@ class TestForward:
         t.kernel(_UnitRowSum(), t.input([[3.0, 4.0]]))
         assert forward(t) == pytest.approx(1.4, abs=1e-12)
 
-    def test_non_finite_identifies_node(self):
+    def test_non_finite_value_passes_through(self):
+        # 0 * inf is NaN; the tape neither raises nor warns.
         t = Tape()
-        x = t.input([[0.0]])
-        t.kernel(_Scale(np.inf, "bad_scale"), x)
-        with pytest.raises(NonFinite, match="bad_scale"):
-            forward(t)
+        total(t, t.kernel(_Scale(np.inf), t.input([[0.0, 2.0]])))
+        assert np.isnan(forward(t))
 
     def test_terminal_must_be_scalar(self):
         t = Tape()
@@ -267,94 +261,70 @@ def test_gradient_shared_by_two_parents_is_not_mutated():
 
 
 class TestNonFinite:
-    """A pass raises exactly when what its caller reads is non-finite (the
-    loss, or an input's gradient), naming the first bad node."""
-
-    def test_nan_reaching_the_loss_names_the_first_bad_node(self):
-        t = Tape()
-        x = t.input([[0.0, 2.0]])
-        bad = t.kernel(_Scale(np.inf, "bad_scale"), x)
-        total(t, t.add(bad, t.constant([[1.0, 1.0]])))
-        with pytest.raises(NonFinite, match=r"^non-finite value at node 1 \(bad_scale\)$"):
-            forward(t)
-
-    def test_gradient_that_becomes_inf_is_named(self):
-        # the value 1e100 is finite; the gradient 1e200 * 1e200 overflows
-        t = Tape()
-        x = t.input([[1e-300]], name="w")
-        scaled = t.kernel(_Scale(1.0, "scaled"), x)
-        total(t, t.kernel(_Scale(1e200), t.kernel(_Scale(1e200), scaled)))
-        assert np.isfinite(forward(t))
-        with pytest.raises(NonFinite, match=r"^non-finite gradient at node 1 \(scaled\)$"):
-            backward(t)
+    """The tape only computes: a NaN or Inf passes through forward and
+    backward as numpy makes it, and the only error a pass raises is one a
+    kernel raises itself. What is at fault is the caller's to say."""
 
     def test_non_finite_value_that_misses_the_loss_does_not_raise(self):
         t = Tape()
-        x = t.input([[1.0]], name="w")
+        x = t.input([[1.0]])
         total(t, t.relu(t.kernel(_Scale(-np.inf), x)))
         assert forward(t) == 0.0
         # the loss is finite; w's gradient, 0 * -inf, is not
-        with pytest.raises(NonFinite, match=r"^non-finite gradient at node 0 \(w\)$"):
-            backward(t)
+        backward(t)
+        assert np.isnan(x.grad).all()
 
     def test_non_finite_gradient_that_misses_every_input_does_not_raise(self):
         t = Tape()
-        w = t.input([[2.0]], name="w")
+        w = t.input([[2.0]])
         c = t.constant([[1.0]])
         total(t, t.add(w, t.relu(t.kernel(_Scale(-np.inf), c))))
         assert forward(t) == 2.0
         backward(t)
         np.testing.assert_array_equal(w.grad, [[1.0]])
 
-    def test_earlier_non_finite_node_beats_a_zero_row(self):
-        t = Tape()
-        bad = t.kernel(_Scale(np.inf, "bad_scale"), t.input([[0.0]]))
-        zero = t.kernel(_UnitRowSum("zero_row"), t.constant([[0.0, 0.0]]))
-        total(t, t.add(zero, bad))
-        with pytest.raises(NonFinite, match=r"^non-finite value at node 1 \(bad_scale\)$"):
-            forward(t)
-
     def test_zero_row_alone_keeps_its_message(self):
-        # A kernel's own NonFinite keeps its message, prefixed by the node.
+        # A kernel's own NonFinite passes through as the kernel raised it.
         t = Tape()
-        t.kernel(_UnitRowSum("z"), t.input([[1.0, 0.0], [0.0, 0.0]]))
-        with pytest.raises(NonFinite, match=r"^node 1 \(z\): row 1 has norm "
-                                            r"0\.000e\+00 <= 1e-12$"):
+        t.kernel(_UnitRowSum(), t.input([[1.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(NonFinite, match=r"^row 1 has norm 0\.000e\+00 <= 1e-12$"):
             forward(t)
 
 
 def test_a_passing_train_step_checks_the_loss_and_each_parameter_gradient(monkeypatch):
-    # Desk config: 4 x 4 x 100 rows x 32 dims, batch 64, MLP 32-64-16-32-8.
+    # The tape checks nothing, so the trainer does. Desk config: 4 x 4 x 100
+    # rows x 32 dims, batch 64, MLP 32-64-16-32-8. One non-finite entry in
+    # any of the eight parameter gradients of a passing backward fails the
+    # step, named with its layer, and with all eight bad the last layer's
+    # weight is named; a NaN loss is named by its term.
     cfg = trainer.TrainConfig.from_dict({"loss": {"kind": "simclr_hex"},
                                          "schedule": {"kind": "adaptive"},
                                          "data": {"seed": 1}})
     dataset = cfg.load_dataset()
-    state = trainer.init_state(cfg, dataset.dim)
-    checks = []
-    real_check = autodiff._all_finite
-    monkeypatch.setattr(autodiff, "_all_finite",
-                        lambda a: checks.append(a.shape) or real_check(a))
-    passes = []
+    names = [f"{kind}{i}" for kind in "wb" for i in range(4)]
+    cases = [([name], name) for name in names] + [(names, "w3")]
+    for bad, named in cases:
+        state = trainer.init_state(cfg, dataset.dim)
+        params = dict(zip(names, state.params.weights + state.params.biases))
+        before = {name: a.copy() for name, a in params.items()}
 
-    def counted(fn):
-        def run(tape):
-            before = len(checks)
-            out = fn(tape)
-            passes.append((fn.__name__, tape, len(checks) - before))
-            return out
-        return run
+        def poisoned(tape):
+            backward(tape)
+            for node in tape.nodes:
+                if any(node.value is params[name] for name in bad):
+                    node.grad = node.grad.copy()
+                    node.grad[-1, -1] = np.inf
 
-    monkeypatch.setattr(trainer, "forward", counted(autodiff.forward))
-    monkeypatch.setattr(trainer, "backward", counted(autodiff.backward))
-    trainer.train_epoch(state, dataset)
-    assert len(passes) == 2 * 25
-    for name, tape, n_checks in passes:
-        n_inputs = sum(node.op == "input" for node in tape.nodes)
-        assert n_inputs == 8
-        if name == "forward":
-            assert n_checks == 1
-        else:
-            assert 1 <= n_checks <= n_inputs
+        monkeypatch.setattr(trainer, "backward", poisoned)
+        with pytest.raises(NonFinite, match=rf"^epoch 1, batch 0: the gradient of "
+                                            rf"{named} \(layer {named[1]}\) is not finite$"):
+            trainer.train_epoch(state, dataset)
+        for name, a in params.items():
+            assert a.tobytes() == before[name].tobytes(), (bad, name)
+    monkeypatch.setattr(trainer, "backward", backward)
+    monkeypatch.setattr(trainer, "forward", lambda tape: forward(tape) * np.nan)
+    with pytest.raises(NonFinite, match=r"^epoch 1, batch 0: the hex_loss term is nan$"):
+        trainer.train_epoch(trainer.init_state(cfg, dataset.dim), dataset)
 
 
 def test_training_steps_record_every_table_op_and_no_other(monkeypatch):

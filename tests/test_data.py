@@ -260,6 +260,23 @@ class TestCsvRoundTrip:
         assert ds.n_samples == 3 and ds.dim == 3
         np.testing.assert_array_equal(ds.superclass_labels, [0, 0, 1])
 
+    @pytest.mark.parametrize("samples_per_class", [100, 400])
+    def test_load_peaks_below_three_times_the_file_size(self, tmp_path,
+                                                        samples_per_class):
+        # 1600 and 6400 rows of 32 features: the text lines and one split
+        # row are held at a time, never every row's cells.
+        ds = generate(GenParams(samples_per_class=samples_per_class, seed=3))
+        path = tmp_path / "ds.csv"
+        save_csv(ds, str(path))
+        tracemalloc.start()
+        try:
+            back = load_csv(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.x.tobytes() == ds.x.tobytes()
+        assert peak <= 3 * path.stat().st_size
+
     def test_line_endings_and_no_quoting(self, tmp_path):
         ds = generate(GenParams(n_super=1, classes_per_super=1,
                                 samples_per_class=2, input_dim=2, seed=6))

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -503,3 +506,33 @@ class TestRunDiagnostics:
                                             probe_labels[query], cfg.train.knn_k)
         columns = trainer.METRICS_COLUMNS
         assert list(row) == columns[columns.index("rankme_super"):]
+
+
+# One desk simclr_hex epoch and a diagnostics pass; prints every cell of
+# both rows, floats in hex, and the bytes of every parameter and momentum.
+_THREADS_RUN = """
+from hexreg import trainer
+cfg = trainer.TrainConfig.from_dict({"loss": {"kind": "simclr_hex"}})
+ds = cfg.load_dataset()
+state = trainer.init_state(cfg, ds.dim)
+row = trainer.train_epoch(state, ds)
+row.update(trainer.run_diagnostics(state, ds, state.epoch))
+print(sorted((k, v.hex() if isinstance(v, float) else v) for k, v in row.items()))
+print([a.tobytes().hex() for a in state.params.weights + state.params.biases
+       + state.mom_w + state.mom_b])
+"""
+
+
+def test_a_desk_row_does_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a long dot product across threads, so a sum taken
+    # with one can read other last bits at one thread than at two.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", _THREADS_RUN], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]

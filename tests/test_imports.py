@@ -13,7 +13,9 @@ attribute read elsewhere passes unseen. And every method of a package
 class, dunders aside, must be referenced as an attribute somewhere in the
 package. The same blind spot holds: a method named like an attribute used
 elsewhere, such as numpy's ``sum`` or ``copy``, passes unseen. Only the
-trainer imports ``autodiff``: every loss is a tape-free kernel.
+trainer imports ``autodiff``: every loss is a tape-free kernel. And
+``autodiff`` imports no module of the package, so the tape cannot raise
+the package's errors: faults are named by the trainer.
 """
 
 import ast
@@ -191,3 +193,24 @@ def test_only_the_trainer_imports_autodiff():
                        if any(name.split(".")[0] == "autodiff"
                               for name in imported_modules(text)))
     assert importers == ["trainer.py"]
+
+
+def package_imports(source: str) -> list:
+    """The import statements of source that name a module of the package:
+    relative ones, and those of ``hexreg`` or a submodule of it."""
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "hexreg")
+            or isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "hexreg" for alias in node.names)]
+
+
+def test_finds_each_package_import():
+    src = ("import numpy as np\nfrom . import errors\nfrom .linalg import x\n"
+           "import hexreg.rng\nfrom hexreg import data\nfrom dataclasses import field\n")
+    assert package_imports(src) == ["from . import errors", "from .linalg import x",
+                                    "import hexreg.rng", "from hexreg import data"]
+
+
+def test_the_tape_imports_no_package_module():
+    assert package_imports(package_sources()["autodiff.py"]) == []

@@ -551,13 +551,10 @@ class TestDimKernels:
 
     @pytest.mark.parametrize("build,weights", DIM_LOSSES)
     def test_builder_returns_a_named_kernel(self, build, weights):
-        # The tape names the kernel's node k.name, so errors name the loss.
+        # The trainer names a non-finite loss by k.name.
         k = build(*weights)
-        t = Tape()
-        t.kernel(k, t.input(np.ones((16, 4))))
         assert (build.__name__, k.name) in {("build_barlow_graph", "barlow_loss"),
                                             ("build_vicreg_graph", "vicreg_loss")}
-        assert [(n.op, n.name) for n in t.nodes] == [("input", ""), ("kernel", k.name)]
 
 
 def desk_batch(rng, b=64, d=8):
@@ -740,13 +737,12 @@ class TestCombined:
 
     @pytest.mark.parametrize("bad", ["hex_loss", "vicreg_loss"])
     def test_a_non_finite_part_is_named(self, bad):
-        # The HEX part is checked first; the tape prefixes the mix's node.
+        # The HEX part is checked first; the tape adds nothing to the message.
         values = {"hex_loss": 1.0, "vicreg_loss": 2.0, bad: math.nan}
         mix = build_combined_graph(*(_Fixed(values[n], n) for n in values), 0.5, 5.0)
         t = Tape()
         t.kernel(mix, t.input(np.ones((4, 2))))
-        with pytest.raises(NonFinite, match=rf"^node 1 \(combined_loss\): the {bad} "
-                                            rf"term is nan$"):
+        with pytest.raises(NonFinite, match=rf"^the {bad} term is nan$"):
             forward(t)
         both = build_combined_graph(_Fixed(math.inf, "hex_loss"),
                                     _Fixed(math.nan, "vicreg_loss"), 0.5, 5.0)

@@ -147,19 +147,78 @@ class TestTrainEpoch:
         state = init_state(cfg, ds.dim)
         state.params.weights[-1][:] = 0.0
         state.params.biases[-1][:] = 0.0
-        with pytest.raises(NonFinite, match=r"^epoch 1, batch 0: row 0 has norm"):
+        with pytest.raises(NonFinite, match=r"^epoch 1, batch 0: row 0 has norm "
+                                            r"0\.000e\+00 <= 1e-12; the rows are the "
+                                            r"output of layer 3 \(w3, b3\)$"):
             train_epoch(state, ds)
 
     def test_every_numerical_error_names_epoch_and_batch(self):
         # The plain forward's embeddings are finite, but their norms
-        # overflow; the normalization rejects them before the tape runs.
+        # overflow; the normalization rejects them before the tape runs,
+        # and no layer outputs a NaN or Inf, so the last layer is named.
         cfg = tiny_config()
         ds = generate(cfg.data)
         state = init_state(cfg, ds.dim)
         state.params.weights[-1][:] = 1e200
         with pytest.raises(NonFinite, match=r"^epoch 1, batch 0: row 0 has a "
-                                            r"non-finite norm \(inf\)$"):
+                                            r"non-finite norm \(inf\); the rows are the "
+                                            r"output of layer 3 \(w3, b3\)$"):
             train_epoch(state, ds)
+
+    @staticmethod
+    def _failing_run(monkeypatch, breaks):
+        """Train a tiny simclr run, 4 steps per epoch, whose global step 5
+        (epoch 2, batch 1) has its loss kernel edited by ``breaks``.
+        Returns the message of the NonFinite raised there, and the bytes
+        of every parameter and momentum before and after that step."""
+        cfg = tiny_config()
+        ds = generate(cfg.data)
+        state = init_state(cfg, ds.dim)
+
+        def arrays():
+            return [a.tobytes() for a in state.params.weights + state.params.biases
+                    + state.mom_w + state.mom_b]
+
+        real, built, before = trainer.build_info_nce_graph, [], []
+
+        def build(*args, **kwargs):
+            k = real(*args, **kwargs)
+            built.append(k)
+            if len(built) == 6:
+                before.extend(arrays())
+                breaks(k)
+            return k
+
+        monkeypatch.setattr(trainer, "build_info_nce_graph", build)
+        with pytest.raises(NonFinite) as err:
+            for _ in range(2):
+                train_epoch(state, ds)
+        return str(err.value), before, arrays()
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_a_non_finite_loss_names_its_term(self, monkeypatch, value):
+        def returns_value(k):
+            k.value = lambda y: np.full((1, 1), value)
+
+        message, before, after = self._failing_run(monkeypatch, returns_value)
+        assert message == f"epoch 2, batch 1: the hex_loss term is {value}"
+        assert after == before
+
+    def test_a_non_finite_gradient_names_its_parameter_and_layer(self, monkeypatch):
+        # The loss is finite, but one entry of its gradient at y is inf; the
+        # last layer's gradients are the first to hold it.
+        def inf_gradient(k):
+            vjp = k.vjp
+
+            def bad_vjp(g):
+                g_y = vjp(g)
+                g_y[0, 0] = np.inf
+                return g_y
+            k.vjp = bad_vjp
+
+        message, before, after = self._failing_run(monkeypatch, inf_gradient)
+        assert message == "epoch 2, batch 1: the gradient of w3 (layer 3) is not finite"
+        assert after == before
 
     @pytest.mark.parametrize("layer", [0, 2, 3])
     def test_a_non_finite_plain_forward_names_its_first_layer(self, layer):
@@ -263,8 +322,8 @@ class TestTrainEpoch:
         # them; a selector matmul copies values exactly.
         def two_view_graph(tape, params, x):
             b = x.shape[0] // 2
-            w_nodes = [tape.input(w, name=f"w{i}") for i, w in enumerate(params.weights)]
-            b_nodes = [tape.input(c, name=f"b{i}") for i, c in enumerate(params.biases)]
+            w_nodes = [tape.input(w) for w in params.weights]
+            b_nodes = [tape.input(c) for c in params.biases]
             n_enc = len(params.weights) - 2
             outs = []
             for v in (x[:b], x[b:]):
@@ -718,6 +777,20 @@ class TestLossKinds:
         assert np.isfinite(rows[-1]["loss_total"])
         if cfg.loss.uses_queue:
             assert len(state.queue) > 0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("kind", ["simclr", "simclr_hex", "nnclr",
+                                      "nnclr_hex", "barlow", "barlow_hex"])
+    def test_desk_kinds_train_at_their_defaults(self, kind, seed):
+        # Desk config: 4 x 4 x 100 rows x 32 dims, batch 64, MLP 32-64-16-32-8,
+        # and every other setting at its default. The VICReg kinds diverge
+        # in their first epoch there, so they are not in this list.
+        cfg = TrainConfig.from_dict({"loss": {"kind": kind},
+                                     "data": {"seed": seed}, "train": {"seed": seed}})
+        dataset = cfg.load_dataset()
+        state = init_state(cfg, dataset.dim)
+        for _ in range(3):
+            assert np.isfinite(train_epoch(state, dataset)["loss_total"])
 
     @pytest.mark.parametrize("kind", ["simclr", "simclr_hex", "nnclr",
                                       "nnclr_hex", "barlow", "barlow_hex",
