@@ -20,8 +20,8 @@ from . import diagnostics as diag
 from .data import GenParams, _write_atomic, csv_text, generate, load_csv, save_csv
 from .errors import BadConfig, HexRegError, IoError, SchemaError
 from .schedule import threshold_for_epoch
-from .trainer import (DIAGNOSTICS_COLUMNS, TrainConfig, evaluate, load_checkpoint,
-                      run_training)
+from .trainer import (DIAGNOSTICS_COLUMNS, TrainConfig, _section, evaluate,
+                      load_checkpoint, run_training)
 
 DIAGNOSE_COLUMNS = ["n_samples", "dim", *DIAGNOSTICS_COLUMNS]
 
@@ -49,14 +49,11 @@ def _int(what: str, text: str) -> int:
 
 def cmd_gen_data(args) -> int:
     raw = _load_config(args.config).get("data", {})
-    if not isinstance(raw, dict) or "path" in raw:
+    if not isinstance(raw, dict):
         raise BadConfig("gen-data needs generator parameters in the 'data' section")
     if args.seed is not None:
         raw = {**raw, "seed": args.seed}
-    try:
-        params = GenParams(**raw)
-    except TypeError as e:
-        raise BadConfig(f"bad 'data' section: {e}") from e
+    params = _section("data", GenParams, raw)
     ds = generate(params)
     save_csv(ds, args.out)
     print(f"wrote {ds.n_samples} rows ({params.n_super} superclasses x "

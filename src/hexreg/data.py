@@ -112,11 +112,8 @@ def augment_batch(x: np.ndarray, noise_sigma: float, mask_prob: float,
     """Row-wise augmentation: add isotropic Gaussian noise, then zero each
     coordinate independently with probability mask_prob. One seed per row;
     row i consumes its stream's first 2d uniforms as d Box-Muller Gaussians
-    and the next d uniforms for the masking decisions."""
-    if noise_sigma < 0:
-        raise BadParams("noise_sigma must be >= 0")
-    if not 0.0 <= mask_prob < 1.0:
-        raise BadParams("mask_prob must lie in [0, 1)")
+    and the next d uniforms for the masking decisions. The config's
+    ``augment`` section checks noise_sigma and mask_prob."""
     a = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n, d = a.shape
     keys = seed_keys(seeds)

@@ -39,14 +39,6 @@ class BadDims(UsageError):
     pass
 
 
-class BadAlpha(UsageError):
-    pass
-
-
-class BadTemperature(UsageError):
-    pass
-
-
 # -- data / schema / io --------------------------------------------------
 
 class IoError(DataError):
@@ -84,10 +76,6 @@ class NonFinite(NumericalError):
 
 
 class EmptyBatch(NumericalError):
-    pass
-
-
-class EmptyQueue(NumericalError):
     pass
 
 

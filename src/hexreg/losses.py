@@ -12,6 +12,14 @@ records it as one node. Each ``build_*_graph`` function is the one
 implementation of its formula and returns its kernel. The independent
 plain-loop numpy oracles that check them live in ``tests/test_losses.py``.
 
+A kernel is only a formula: it checks none of its arguments and raises
+nothing of its own. Each rule is checked once, by its owner. The config
+sections (``trainer.LossConfig``) refuse a bad tau, tau_plus or alpha
+before any kernel is built; the trainer checks each step's loss and names
+the kernel, or the part of a combined kind, whose value is NaN or Inf. The
+NNCLR support set is training state, held by ``trainer.TrainState``;
+``nnclr_positive_rows`` only reads it.
+
 The hierarchical variant splits the softmax denominator: the members of
 the anchor's estimated grouping H(i) are replaced by one reweighted term,
 the hard-negative estimator of Robinson et al. (arXiv 2010.04592, beta = 1)
@@ -42,7 +50,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadAlpha, BadConfig, BadTemperature, EmptyQueue, NonFinite
 from .hierarchy import paired_positive_index
 from .linalg import l2_normalize_rows, row_norms
 
@@ -52,40 +59,11 @@ LOSS_KINDS = ("simclr", "simclr_hex", "nnclr", "nnclr_hex",
               "barlow", "barlow_hex", "vicreg", "vicreg_hex")
 
 
-# ---------------------------------------------------------------------------
-# nearest-neighbor queue
-# ---------------------------------------------------------------------------
-
-class NNQueue:
-    """FIFO of unit-norm embedding rows in one array, oldest evicted first."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise BadConfig(f"queue capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._rows = None
-
-    def __len__(self) -> int:
-        return 0 if self._rows is None else len(self._rows)
-
-    def push(self, rows: np.ndarray):
-        rows = np.array(rows, dtype=np.float64, ndmin=2)
-        if self._rows is not None:
-            rows = np.concatenate((self._rows, rows))
-        self._rows = rows[-self.capacity:]
-
-    def as_matrix(self) -> np.ndarray:
-        if not len(self):
-            raise EmptyQueue("queue holds no entries")
-        return self._rows
-
-
-def nnclr_positive_rows(q: NNQueue, z: np.ndarray) -> np.ndarray:
-    """For each row of z, the queue entry with the highest cosine similarity;
-    ties go to the oldest entry."""
-    entries = q.as_matrix()
-    sims = np.asarray(z, dtype=np.float64) @ entries.T
-    return entries[np.argmax(sims, axis=1)]
+def nnclr_positive_rows(entries: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """For each row of z, the row of ``entries`` (the NN queue, unit rows,
+    oldest first) with the highest cosine similarity; ties go to the oldest
+    entry."""
+    return entries[np.argmax(np.asarray(z, dtype=np.float64) @ entries.T, axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +189,6 @@ def build_hex_graph(member: np.ndarray, tau: float, *,
     normalized rows) enter as constants; gradients flow through every
     similarity inside q and the denominator, never into them.
     """
-    if tau <= 0.0:
-        raise BadTemperature(f"temperature must be > 0, got {tau}")
-    if not 0.0 <= tau_plus < 1.0:
-        raise BadConfig(f"tau_plus must lie in [0, 1), got {tau_plus}")
     return _Hex(member, tau, tau_plus, nn_rows)
 
 
@@ -319,8 +293,9 @@ def build_vicreg_graph(sim_w: float, var_w: float, cov_w: float,
 
 class _Mix:
     """c1 * h + c2 * d of a contrastive kernel h and a dimension kernel d,
-    with vjp h.vjp(c1 g) + d.vjp(c2 g). A part whose value is NaN or Inf
-    raises NonFinite naming it, the HEX part first."""
+    with vjp h.vjp(c1 g) + d.vjp(c2 g). After a forward, ``part_values``
+    holds (name, value) of h, then of d, so that a caller can name the
+    part behind a NaN or Inf total."""
 
     name = "combined_loss"
 
@@ -329,9 +304,7 @@ class _Mix:
 
     def value(self, y):
         values = [k.value(y) for k in self.parts]
-        for k, v in zip(self.parts, values):
-            if not np.isfinite(v).all():
-                raise NonFinite(f"the {k.name} term is {v[0, 0]}")
+        self.part_values = [(k.name, float(v[0, 0])) for k, v in zip(self.parts, values)]
         self.total = self.weights[0] * values[0] + self.weights[1] * values[1]
         return self.total
 
@@ -351,6 +324,4 @@ class _Mix:
 def build_combined_graph(contra: _Hex, dim: _DimKernel, alpha: float,
                          hex_scale: float) -> _Mix:
     """alpha * hex_scale * contrastive loss + (1 - alpha) * dim loss, one kernel."""
-    if not 0.0 <= alpha <= 1.0:
-        raise BadAlpha(f"alpha must lie in [0, 1], got {alpha}")
     return _Mix((contra, dim), (alpha * hex_scale, 1.0 - alpha))

@@ -9,11 +9,12 @@ rows 0:b, view b in rows b:2b), with the layer loop that also runs it on
 arrays. The loss, a tape-free kernel from ``losses``, is one ``kernel``
 node on that stacked output; a loss that reads the views splits it at b.
 
-Faults: the tape only computes, so a step checks, once each and before
-it changes any state, the plain forward's projector rows, the loss, and
-each parameter gradient from the last layer down. Its NonFinite names the
-first layer to output a NaN or Inf (else the last layer, whose rows' norm
-overflows or is zero), the loss term by its kernel's name, or the
+Faults: the tape and the loss kernels only compute, so a step checks, once
+each and before it changes any state, the plain forward's projector rows,
+the loss, and each parameter gradient from the last layer down. Its
+NonFinite names the first layer to output a NaN or Inf (else the last
+layer, whose rows' norm overflows or is zero), the loss term by its
+kernel's name (a combined kind's first non-finite part, HEX first), or the
 parameter and its layer; ``train_epoch`` adds the epoch and batch. A
 finite loss implies finite reported terms, since each reaches the loss only
 through sums, products, log and mean, which keep a NaN or Inf.
@@ -48,9 +49,8 @@ from .errors import (BadConfig, BadDims, InsufficientSamples, IoError, NonFinite
 from .hierarchy import (mask_quality, supervised_mask, threshold_mask,
                         whole_batch_mask)
 from .linalg import cosine_sim_matrix, l2_normalize_rows
-from .losses import (NNQueue, build_barlow_graph, build_combined_graph,
-                     build_hex_graph, build_info_nce_graph,
-                     build_vicreg_graph, nnclr_positive_rows)
+from .losses import (build_barlow_graph, build_combined_graph, build_hex_graph,
+                     build_info_nce_graph, build_vicreg_graph, nnclr_positive_rows)
 from .rng import Rng, child_keys
 from .schedule import ThresholdSchedule, adaptive_threshold, threshold_for_epoch
 
@@ -235,13 +235,9 @@ class TrainConfig:
             raise BadConfig(f"unknown config sections: {sorted(unknown)}")
         sections = {name: _section(name, typ, raw.get(name, {}))
                     for name, typ in _SECTION_TYPES.items()}
-        data_raw = raw.get("data", {})
-        if isinstance(data_raw, str):
-            data = data_raw
-        elif isinstance(data_raw, dict) and "path" in data_raw:
-            data = str(data_raw["path"])
-        else:
-            data = _section("data", GenParams, data_raw)
+        data = raw.get("data", {})
+        if not isinstance(data, str):    # a dataset CSV path, or generator params
+            data = _section("data", GenParams, data)
         schedule = _section("schedule", ThresholdSchedule, raw.get("schedule", {}),
                             kind="adaptive", total_epochs=sections["train"].epochs)
         mask_source = raw.get("mask_source")
@@ -350,7 +346,7 @@ class TrainState:
     params: ModelParams
     mom_w: list
     mom_b: list
-    queue: Optional[NNQueue]
+    queue: Optional[np.ndarray]    # NN kinds: unit rows, oldest first
     epoch: int = 0     # epochs completed so far
 
 
@@ -358,7 +354,7 @@ def init_state(config: TrainConfig, input_dim: int) -> TrainState:
     params = init_params(config.model, input_dim, config.train.seed)
     mom_w = [np.zeros_like(w) for w in params.weights]
     mom_b = [np.zeros_like(b) for b in params.biases]
-    queue = NNQueue(config.train.queue_capacity) if config.loss.uses_queue else None
+    queue = np.empty((0, config.model.proj_dim)) if config.loss.uses_queue else None
     return TrainState(config, params, mom_w, mom_b, queue, 0)
 
 
@@ -472,6 +468,8 @@ def _train_step(state: TrainState, views, batch_supers, lr, epoch, elig) -> dict
     sched_eps = threshold_for_epoch(cfg.schedule, epoch)
     thr_used = ada_eps if sched_eps is None else sched_eps
 
+    # For NN kinds rows 0:b of sims are queue neighbours; mask quality scores
+    # them with their anchor's superclass, a proxy, as the queue keeps no labels.
     dq = mask_quality(threshold_mask(sims, ada_eps), row_supers)
     mask = None
     if loss_cfg.is_hex:
@@ -506,7 +504,9 @@ def _train_step(state: TrainState, views, batch_supers, lr, epoch, elig) -> dict
     tape.kernel(loss, y)
     value = forward(tape)
     if not np.isfinite(value):
-        raise NonFinite(f"the {loss.name} term is {value}")
+        terms = [*getattr(loss, "part_values", ()), (loss.name, value)]
+        name, value = next((n, v) for n, v in terms if not np.isfinite(v))
+        raise NonFinite(f"the {name} term is {value}")
     backward(tape)
     for i in reversed(range(len(w_nodes))):
         for name, node in ((f"w{i}", w_nodes[i]), (f"b{i}", b_nodes[i])):
@@ -521,9 +521,9 @@ def _train_step(state: TrainState, views, batch_supers, lr, epoch, elig) -> dict
         v += node.grad
         p_arr -= lr * v
 
-    # NNCLR queue learns the fresh positive-view embeddings after the step.
+    # The NNCLR queue learns view b's fresh embeddings, evicting its oldest rows.
     if state.queue is not None:
-        state.queue.push(z_full[b:])
+        state.queue = np.concatenate((state.queue, z_full[b:]))[-cfg.train.queue_capacity:]
 
     # A loss without a HEX term keeps the no-HEX values of its columns.
     return {"hex_term_mean": None, "mean_H_size": 0.0, "clamp_events": 0,
@@ -624,7 +624,7 @@ def _state_arrays(state: TrainState) -> list:
                                                     ("mw", state.mom_w), ("mb", state.mom_b))
               for i, a in enumerate(group)]
     if state.queue is not None and len(state.queue) > 0:
-        arrays.append(("queue", state.queue.as_matrix()))
+        arrays.append(("queue", state.queue))
     return arrays
 
 
@@ -716,9 +716,7 @@ def load_checkpoint(path: str) -> TrainState:
     mom_b = [arrays[f"mb{i}"] for i in layers]
     queue = None
     if config.loss.uses_queue:
-        queue = NNQueue(config.train.queue_capacity)
-        if queue_rows:
-            queue.push(arrays["queue"])
+        queue = arrays["queue"] if queue_rows else np.empty((0, config.model.proj_dim))
     return TrainState(config, params, mom_w, mom_b, queue, epoch)
 
 

@@ -107,6 +107,33 @@ class TestTrain:
         main(["train", "--config", cfg, "--out", out, "--seed", "9"])
         assert json.load(open(os.path.join(out, "summary.json")))["seed"] == 9
 
+    def test_training_from_the_gen_data_file_matches_the_generated_run(self, tmp_path):
+        # A string "data" names a dataset CSV; the file gen-data writes holds
+        # every generated bit, so the two runs write the same metrics.csv.
+        gen = write_config(tmp_path, "gen.json", loss={"kind": "simclr_hex"})
+        csv = str(tmp_path / "ds.csv")
+        assert main(["gen-data", "--config", gen, "--out", csv]) == 0
+        from_csv = write_config(tmp_path, "csv.json", data=csv, loss={"kind": "simclr_hex"})
+        for cfg, out in ((gen, "gen"), (from_csv, "csv")):
+            assert main(["train", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+        assert ((tmp_path / "gen" / "metrics.csv").read_bytes()
+                == (tmp_path / "csv" / "metrics.csv").read_bytes())
+
+    @pytest.mark.parametrize("data", [{"path": "x.csv", "seed": 3, "n_super": "junk"},
+                                      {"path": 5}])
+    def test_a_data_object_with_a_path_is_refused(self, tmp_path, capsys, data):
+        # A dataset file has one spelling, a string "data"; in an object,
+        # "path" is an unknown generator parameter.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**BASE_CONFIG, "data": data}))
+        out = str(tmp_path / "run")
+        for argv in (["train", "--config", str(cfg), "--out", out],
+                     ["gen-data", "--config", str(cfg), "--out", out]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert "bad 'data' section" in err and "'path'" in err
+        assert not os.path.exists(out)
+
     def test_hex_with_threshold_one_matches_plain(self, tmp_path):
         cfg_a = write_config(tmp_path, "a.json",
                              schedule={"kind": "fixed", "start": 1.0, "floor": 0.0})
@@ -312,6 +339,11 @@ class TestTrain:
         ("train", {"holdout_fraction": 0.0}, "train.holdout_fraction must lie in (0, 1)"),
         # 24 rows: 5 held out leave 19 training rows for the KNN probe.
         ("train", {"knn_k": 40}, "train.knn_k must lie in [1, 19], got 40"),
+        ("loss", {"kind": "barlow_hex", "alpha": 1.5}, "loss.alpha must lie in [0, 1], got 1.5"),
+        ("loss", {"kind": "nnclr_hex", "tau_plus": -0.1},
+         "loss.tau_plus must lie in [0, 1), got -0.1"),
+        ("augment", {"noise_sigma": -0.1}, "augment.noise_sigma must be >= 0, got -0.1"),
+        ("augment", {"mask_prob": 1.0}, "augment.mask_prob must lie in [0, 1), got 1.0"),
     ])
     def test_bad_section_value_exit_code(self, tmp_path, capsys, section, values,
                                          message):

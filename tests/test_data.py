@@ -199,10 +199,8 @@ class TestAugment:
         assert np.abs(out[~zeros] - 5.0).max() < 6.0
 
     def test_bad_params(self):
-        with pytest.raises(BadParams):
-            augment(np.ones(3), -0.1, 0.0, seed=0)
-        with pytest.raises(BadParams):
-            augment(np.ones(3), 0.0, 1.0, seed=0)
+        # noise_sigma and mask_prob are the config's to check
+        # (test_trainer.py's error table); the seeds are the caller's.
         with pytest.raises(BadParams, match="one seed per row"):
             augment_batch(np.ones((3, 2)), 0.1, 0.0, [1, 2])
 

@@ -15,7 +15,9 @@ package. The same blind spot holds: a method named like an attribute used
 elsewhere, such as numpy's ``sum`` or ``copy``, passes unseen. Only the
 trainer imports ``autodiff``: every loss is a tape-free kernel. And
 ``autodiff`` imports no module of the package, so the tape cannot raise
-the package's errors: faults are named by the trainer.
+the package's errors: faults are named by the trainer. ``losses`` has no
+``raise`` statement and imports nothing from ``errors``: a loss kernel is
+only a formula, and the config sections and the trainer own its checks.
 """
 
 import ast
@@ -214,3 +216,30 @@ def test_finds_each_package_import():
 
 def test_the_tape_imports_no_package_module():
     assert package_imports(package_sources()["autodiff.py"]) == []
+
+
+def raise_lines(source: str) -> list:
+    """The line of each ``raise`` statement in source, in order."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Raise))
+
+
+def error_imports(source: str) -> list:
+    """What source imports from the package's ``errors`` module, sorted."""
+    return sorted(name for name in imported_modules(source)
+                  if name.split(".")[0] == "errors")
+
+
+def test_finds_each_raise_and_each_errors_import():
+    src = ("from .errors import NonFinite\nfrom hexreg import errors\n"
+           "def f(x):\n    try:\n        return 1 / x\n    except ZeroDivisionError:\n"
+           "        raise\n    raise NonFinite(x)\n")
+    assert raise_lines(src) == [7, 8]
+    assert error_imports(src) == ["errors", "errors.NonFinite"]
+    assert error_imports("import hexreg.errors as e\nfrom . import rng\n") == ["errors"]
+
+
+def test_the_loss_kernels_raise_nothing_and_import_no_error():
+    source = package_sources()["losses.py"]
+    assert raise_lines(source) == []
+    assert error_imports(source) == []

@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexreg.autodiff import Tape, backward, forward
-from hexreg.errors import BadAlpha, BadConfig, BadTemperature, EmptyQueue, NonFinite
 from hexreg.hierarchy import (paired_positive_index, supervised_mask, threshold_mask,
                               whole_batch_mask)
 from hexreg.linalg import cosine_sim_matrix, l2_normalize_rows
-from hexreg.losses import (NNQueue, build_barlow_graph, build_combined_graph,
+from hexreg.losses import (build_barlow_graph, build_combined_graph,
                            build_hex_graph, build_info_nce_graph, build_vicreg_graph,
                            nnclr_positive_rows)
 
@@ -140,10 +139,6 @@ class TestInfoNce:
         expected = math.log1p(2.0 * math.exp(-10.0))
         assert bd["loss_total"] == pytest.approx(expected, rel=1e-12)
 
-    def test_zero_temperature_rejected(self):
-        with pytest.raises(BadTemperature):
-            build_info_nce_graph(4, 0.0)
-
     def test_decomposition_identity(self):
         rng = np.random.default_rng(0)
         for n in (2, 4, 8):
@@ -197,11 +192,6 @@ class TestHexReweight:
         expected = (math.exp(1.0) - 0.1 * math.exp(2.0)) / 0.9
         assert got == pytest.approx(expected, rel=1e-14)
         assert got == pytest.approx(2.1993, abs=5e-4)
-
-    def test_tau_one(self):
-        z, member = worked_example_batch()
-        with pytest.raises(BadConfig, match=r"tau_plus must lie in \[0, 1\)"):
-            hex_graph(z, member, tau_plus=1.0)
 
     def test_empty_members(self):
         z, member = worked_example_batch()
@@ -308,16 +298,6 @@ class TestHexLoss:
             want = oracle_hex_loss(z, pos, tau, mask)
             assert abs(got - want) <= 1e-12 * loss_scale(z, pos, tau, want)
 
-    def test_tau_one_rejected(self):
-        for tau_plus in (1.0, 1.0 + 5e-13, 1.5, float("nan")):
-            with pytest.raises(BadConfig, match=r"tau_plus must lie in \[0, 1\)"):
-                hex_graph(np.eye(4), whole_batch_mask(4), tau_plus=tau_plus)
-
-    def test_negative_tau_plus_rejected(self):
-        for tau_plus in (-0.1, -1e-300):
-            with pytest.raises(BadConfig, match=r"tau_plus must lie in \[0, 1\)"):
-                hex_graph(np.eye(4), whole_batch_mask(4), tau_plus=tau_plus)
-
     def test_supervised_mask_and_breakdown_fields(self):
         rng = np.random.default_rng(6)
         z, _ = random_rows(rng, 8)
@@ -371,44 +351,21 @@ class TestHexProperties:
 # ---------------------------------------------------------------------------
 
 class TestNNQueue:
+    """``nnclr_positive_rows`` on the queue array, unit rows oldest first;
+    the trainer's push and eviction are tested in ``test_trainer.py``."""
+
     def test_exact_copy_wins(self):
-        q = NNQueue(8)
         z = l2_normalize_rows(np.random.default_rng(8).normal(size=(3, 4)))
-        q.push(z)
-        np.testing.assert_array_equal(nnclr_positive_rows(q, z), z)
+        np.testing.assert_array_equal(nnclr_positive_rows(z, z), z)
 
     def test_chooses_most_similar(self):
-        q = NNQueue(4)
-        q.push(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        out = nnclr_positive_rows(q, np.array([[0.6, 0.8], [0.8, 0.6]]))
+        out = nnclr_positive_rows(np.eye(2), np.array([[0.6, 0.8], [0.8, 0.6]]))
         np.testing.assert_array_equal(out, [[0.0, 1.0], [1.0, 0.0]])
 
-    def test_empty_queue(self):
-        with pytest.raises(EmptyQueue):
-            nnclr_positive_rows(NNQueue(4), np.array([[1.0, 0.0]]))
-
     def test_tie_breaks_to_oldest(self):
-        q = NNQueue(4)
-        q.push(np.array([[0.0, 1.0], [0.0, -1.0]]))  # both orthogonal to query
-        out = nnclr_positive_rows(q, np.array([[1.0, 0.0]]))
+        entries = np.array([[0.0, 1.0], [0.0, -1.0]])   # both orthogonal to the query
+        out = nnclr_positive_rows(entries, np.array([[1.0, 0.0]]))
         np.testing.assert_array_equal(out, [[0.0, 1.0]])
-
-    def test_push_copies_the_rows(self):
-        q = NNQueue(4)
-        rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-        q.push(rows)
-        rows[:] = 0.0
-        np.testing.assert_array_equal(q.as_matrix(), np.eye(2))
-
-    def test_fifo_eviction(self):
-        q = NNQueue(2)
-        q.push(np.array([[1.0, 0.0]]))
-        q.push(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        m = q.as_matrix()
-        assert len(q) == 2
-        np.testing.assert_array_equal(m[0], [0.0, 1.0])
-        q.push(np.arange(10.0).reshape(5, 2))   # one push beyond the capacity
-        np.testing.assert_array_equal(q.as_matrix(), [[6.0, 7.0], [8.0, 9.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -695,10 +652,6 @@ class TestCombined:
     def test_scaled_mix(self):
         assert combined(2.0, 4.0, 0.5, 5.0) == pytest.approx(7.0, abs=1e-12)
 
-    def test_bad_alpha(self):
-        with pytest.raises(BadAlpha):
-            combined(1.0, 1.0, 1.5, 1.0)
-
     def test_breakdown_weighs_each_column_as_the_total(self):
         rng = np.random.default_rng(25)
         z, _ = random_rows(rng, 8, dim=4)
@@ -737,17 +690,16 @@ class TestCombined:
 
     @pytest.mark.parametrize("bad", ["hex_loss", "vicreg_loss"])
     def test_a_non_finite_part_is_named(self, bad):
-        # The HEX part is checked first; the tape adds nothing to the message.
+        # The mix checks nothing: a NaN part gives a NaN total, and the
+        # part values, HEX part first, let the trainer name the part.
         values = {"hex_loss": 1.0, "vicreg_loss": 2.0, bad: math.nan}
         mix = build_combined_graph(*(_Fixed(values[n], n) for n in values), 0.5, 5.0)
         t = Tape()
         t.kernel(mix, t.input(np.ones((4, 2))))
-        with pytest.raises(NonFinite, match=rf"^the {bad} term is nan$"):
-            forward(t)
-        both = build_combined_graph(_Fixed(math.inf, "hex_loss"),
-                                    _Fixed(math.nan, "vicreg_loss"), 0.5, 5.0)
-        with pytest.raises(NonFinite, match=r"^the hex_loss term is inf$"):
-            loss_of(both, np.ones((4, 2)))
+        assert math.isnan(forward(t))
+        assert [n for n, _ in mix.part_values] == ["hex_loss", "vicreg_loss"]
+        assert [math.isnan(v) for _, v in mix.part_values] == [
+            n == bad for n in ("hex_loss", "vicreg_loss")]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,12 +167,13 @@ class TestTrainEpoch:
             train_epoch(state, ds)
 
     @staticmethod
-    def _failing_run(monkeypatch, breaks):
-        """Train a tiny simclr run, 4 steps per epoch, whose global step 5
-        (epoch 2, batch 1) has its loss kernel edited by ``breaks``.
-        Returns the message of the NonFinite raised there, and the bytes
-        of every parameter and momentum before and after that step."""
-        cfg = tiny_config()
+    def _failing_run(monkeypatch, breaks, kind="simclr", builder="build_info_nce_graph"):
+        """Train a tiny run of ``kind``, 4 steps per epoch, whose global
+        step 5 (epoch 2, batch 1) has the kernel that ``trainer.<builder>``
+        returns edited by ``breaks``. Returns the message of the NonFinite
+        raised there, and the bytes of every parameter and momentum before
+        and after that step."""
+        cfg = tiny_config(loss={"kind": kind})
         ds = generate(cfg.data)
         state = init_state(cfg, ds.dim)
 
@@ -179,7 +181,7 @@ class TestTrainEpoch:
             return [a.tobytes() for a in state.params.weights + state.params.biases
                     + state.mom_w + state.mom_b]
 
-        real, built, before = trainer.build_info_nce_graph, [], []
+        real, built, before = getattr(trainer, builder), [], []
 
         def build(*args, **kwargs):
             k = real(*args, **kwargs)
@@ -189,7 +191,7 @@ class TestTrainEpoch:
                 breaks(k)
             return k
 
-        monkeypatch.setattr(trainer, "build_info_nce_graph", build)
+        monkeypatch.setattr(trainer, builder, build)
         with pytest.raises(NonFinite) as err:
             for _ in range(2):
                 train_epoch(state, ds)
@@ -202,6 +204,24 @@ class TestTrainEpoch:
 
         message, before, after = self._failing_run(monkeypatch, returns_value)
         assert message == f"epoch 2, batch 1: the hex_loss term is {value}"
+        assert after == before
+
+    @pytest.mark.parametrize("values,term", [
+        ((None, np.nan), "barlow_loss term is nan"),
+        ((np.inf, None), "hex_loss term is inf"),
+        ((np.inf, np.nan), "hex_loss term is inf")])
+    def test_a_combined_kind_names_its_first_non_finite_part(self, monkeypatch, values,
+                                                             term):
+        # barlow_hex mixes hex_loss and barlow_loss; a None keeps the part's
+        # own value, and the HEX part is named first.
+        def returns_values(mix):
+            for k, v in zip(mix.parts, values):
+                if v is not None:
+                    k.value = lambda y, v=v: np.full((1, 1), v)
+
+        message, before, after = self._failing_run(monkeypatch, returns_values,
+                                                   "barlow_hex", "build_combined_graph")
+        assert message == f"epoch 2, batch 1: the {term}"
         assert after == before
 
     def test_a_non_finite_gradient_names_its_parameter_and_layer(self, monkeypatch):
@@ -283,6 +303,68 @@ class TestTrainEpoch:
                                       0.0, 1, eligible(8))["loss_total"]
                   for b in (xb, other_xb)]
         assert losses[0] != losses[1]
+
+    @staticmethod
+    def _queue_run(monkeypatch):
+        """One tiny nnclr epoch, 4 steps of 8 rows, with queue_capacity 12.
+        Returns, per step, the normalized rows z of the step's plain
+        forward and the state's queue array just after the step."""
+        cfg = tiny_config(loss={"kind": "nnclr"}, train={"queue_capacity": 12})
+        ds = generate(cfg.data)
+        state = init_state(cfg, ds.dim)
+        zs, queues = [], []
+        real_norm, real_step = trainer.l2_normalize_rows, trainer._train_step
+
+        def norm(y):
+            zs.append(real_norm(y))
+            return zs[-1]
+
+        def step(state, *rest):
+            row = real_step(state, *rest)
+            queues.append(state.queue)
+            return row
+
+        monkeypatch.setattr(trainer, "l2_normalize_rows", norm)
+        monkeypatch.setattr(trainer, "_train_step", step)
+        assert state.queue.shape == (0, 4)
+        train_epoch(state, ds)
+        return zs, queues
+
+    def test_the_nn_queue_evicts_its_oldest_rows_first(self, monkeypatch):
+        # Each step pushes its view-b rows, z[8:]; the queue keeps the last
+        # 12 rows pushed, oldest first.
+        zs, queues = self._queue_run(monkeypatch)
+        assert [len(q) for q in queues] == [8, 12, 12, 12]
+        for k, q in enumerate(queues):
+            pushed = np.concatenate([z[8:] for z in zs[:k + 1]])
+            assert q.dtype == np.float64
+            assert q.tobytes() == pushed[-12:].tobytes()
+
+    def test_the_nn_queue_push_copies_the_rows(self, monkeypatch):
+        # A push makes a new array: no step writes into an earlier step's
+        # queue, and the queue shares no memory with the rows it was given.
+        zs, queues = self._queue_run(monkeypatch)
+        want = [q.copy() for q in queues]
+        for z in zs:
+            z[:] = 0.0
+        for q, w in zip(queues, want):
+            assert q.tobytes() == w.tobytes()
+        assert not any(np.shares_memory(a, b) for a, b in zip(queues, queues[1:]))
+
+    def test_an_nn_step_on_an_empty_queue_is_info_nce(self):
+        # With no queue rows there are no neighbours: the step is simclr's
+        # at the same tau, bit for bit, and then fills the queue.
+        cfgs = [tiny_config(loss={"kind": kind, "tau": 0.1}) for kind in ("nnclr", "simclr")]
+        ds = generate(cfgs[0].data)
+        states = [init_state(cfg, ds.dim) for cfg in cfgs]
+        views = augment_batch(np.vstack((ds.x[:8], ds.x[:8])), 0.2, 0.1, np.arange(16))
+        rows = [trainer._train_step(st, views, ds.superclass_labels[:8], 0.05, 0,
+                                    eligible(8)) for st in states]
+        assert rows[0] == rows[1]
+        nn_arrays = state_bytes(states[0])
+        assert nn_arrays.pop("queue") == states[0].queue.tobytes()
+        assert nn_arrays == state_bytes(states[1])
+        assert states[0].queue.shape == (8, 4) and states[1].queue is None
 
     def test_views_take_even_and_odd_step_keys(self, monkeypatch):
         # View a of batch row i is augmented with step key 2i, view b with
@@ -419,6 +501,46 @@ class TestTrainEpoch:
                 assert abs(a - n) / denom < 1e-5
 
 
+def traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of calling fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryGrowth:
+    """Peaks of a desk simclr_hex epoch and of a diagnostics pass at 1600,
+    3200 and 6400 rows (the desk data with 100, 200 and 400 samples per
+    class). An epoch holds one batch at a time, so its peak barely grows
+    with the data; a pass holds a few N x 128 blocks, so its peak may grow
+    linearly but not as N x N (which would quadruple it as N doubles)."""
+
+    @pytest.fixture(scope="class")
+    def peaks(self):
+        out = {}
+        for n in (1600, 3200, 6400):
+            cfg = TrainConfig.from_dict({"loss": {"kind": "simclr_hex"},
+                                         "data": {"samples_per_class": n // 16}})
+            ds = cfg.load_dataset()
+            state = init_state(cfg, ds.dim)
+            out[n] = (traced_peak(lambda: train_epoch(state, ds)),
+                      traced_peak(lambda: trainer.run_diagnostics(state, ds, 1)))
+        return out
+
+    def test_an_epoch_peak_does_not_grow_with_the_data(self, peaks):
+        # Measured: 1.06, 1.09 and 1.13 MB.
+        assert peaks[3200][0] <= 1.1 * peaks[1600][0]
+        assert peaks[6400][0] <= 1.1 * peaks[1600][0]
+
+    def test_a_diagnostics_peak_grows_at_most_linearly(self, peaks):
+        # Measured: 4.8, 7.6 and 15.2 MB.
+        assert peaks[3200][1] <= 2.2 * peaks[1600][1]
+        assert peaks[6400][1] <= 2.2 * peaks[3200][1]
+
+
 class TestEvaluate:
     def test_chance_level_untrained(self):
         # features carry no label information -> accuracy near 1/L
@@ -547,7 +669,8 @@ class TestCheckpointing:
             assert np.array_equal(wa, wb)
         for va, vb in zip(state.mom_w, back.mom_w):
             assert np.array_equal(va, vb)
-        assert np.array_equal(state.queue.as_matrix(), back.queue.as_matrix())
+        assert state.queue.shape == (32, 4)
+        assert back.queue.tobytes() == state.queue.tobytes()
 
     def test_corrupt_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -933,6 +1056,16 @@ class TestConfig:
          r"train\.holdout_fraction must be a finite number"),
         ("train", {"holdout_fraction": 1.0},
          r"train\.holdout_fraction must lie in \(0, 1\), got 1\.0"),
+        # Values the loss kernels and augment_batch once refused themselves.
+        ("loss", {"kind": "simclr_hex", "tau_plus": 1.0 + 5e-13},
+         r"loss\.tau_plus must lie in \[0, 1\), got 1\.0000000000005$"),
+        ("loss", {"tau_plus": 1.5}, r"loss\.tau_plus must lie in \[0, 1\), got 1\.5$"),
+        ("loss", {"tau_plus": float("nan")}, r"loss\.tau_plus must be a finite number"),
+        ("loss", {"tau_plus": -0.1}, r"loss\.tau_plus must lie in \[0, 1\), got -0\.1$"),
+        ("loss", {"tau_plus": -1e-300},
+         r"loss\.tau_plus must lie in \[0, 1\), got -1e-300$"),
+        ("augment", {"noise_sigma": -0.1}, r"augment\.noise_sigma must be >= 0, got -0\.1$"),
+        ("augment", {"mask_prob": 1.0}, r"augment\.mask_prob must lie in \[0, 1\), got 1\.0$"),
     ])
     def test_bad_section_values_name_the_field(self, section, values, message):
         with pytest.raises(BadConfig, match=message):
