@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexreg.autodiff import Tape, backward, forward
+from hexreg.errors import BadConfig
 from hexreg.hierarchy import (paired_positive_index, supervised_mask, threshold_mask,
                               whole_batch_mask)
 from hexreg.linalg import cosine_sim_matrix, l2_normalize_rows
 from hexreg.losses import (build_barlow_graph, build_combined_graph,
                            build_hex_graph, build_info_nce_graph, build_vicreg_graph,
                            nnclr_positive_rows)
+from hexreg.trainer import LossConfig
 
 
 def random_rows(rng, n_samples, dim=6):
@@ -139,6 +141,11 @@ class TestInfoNce:
         expected = math.log1p(2.0 * math.exp(-10.0))
         assert bd["loss_total"] == pytest.approx(expected, rel=1e-12)
 
+    def test_zero_temperature_rejected(self):
+        # The kernel takes tau as given; the loss section refuses 0 first.
+        with pytest.raises(BadConfig, match=r"loss\.tau must be > 0, got 0\.0$"):
+            LossConfig(kind="simclr", tau=0.0)
+
     def test_decomposition_identity(self):
         rng = np.random.default_rng(0)
         for n in (2, 4, 8):
@@ -192,6 +199,11 @@ class TestHexReweight:
         expected = (math.exp(1.0) - 0.1 * math.exp(2.0)) / 0.9
         assert got == pytest.approx(expected, rel=1e-14)
         assert got == pytest.approx(2.1993, abs=5e-4)
+
+    def test_tau_one(self):
+        # The kernel takes tau_plus as given; the loss section refuses 1 first.
+        with pytest.raises(BadConfig, match=r"loss\.tau_plus must lie in \[0, 1\)"):
+            LossConfig(kind="simclr_hex", tau_plus=1.0)
 
     def test_empty_members(self):
         z, member = worked_example_batch()
@@ -648,6 +660,11 @@ class TestCombined:
 
     def test_alpha_one(self):
         assert combined(3.0, 4.0, 1.0, 1.0) == 3.0
+
+    def test_bad_alpha(self):
+        # The mix takes alpha as given; the loss section refuses 1.5 first.
+        with pytest.raises(BadConfig, match=r"loss\.alpha must lie in \[0, 1\], got 1\.5$"):
+            LossConfig(kind="barlow_hex", alpha=1.5)
 
     def test_scaled_mix(self):
         assert combined(2.0, 4.0, 0.5, 5.0) == pytest.approx(7.0, abs=1e-12)
