@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import diagnostics as diag
 from .data import GenParams, _write_atomic, csv_text, generate, load_csv, save_csv
-from .errors import BadConfig, HexRegError, IoError, SchemaError
+from .errors import BadConfig, HexRegError, IoError, SchemaError, check
 from .schedule import threshold_for_epoch
 from .trainer import (DIAGNOSTICS_COLUMNS, TrainConfig, _section, evaluate,
                       load_checkpoint, run_training)
@@ -129,6 +129,12 @@ def cmd_eval(args) -> int:
     if dataset.dim != model_dim:
         raise SchemaError(f"{args.data or 'the run dataset'} has {dataset.dim} feature "
                           f"columns; the checkpoint's model takes {model_dim}")
+    # A refusal names the flag, or the run's setting that stands in for it.
+    n, train = dataset.n_samples, state.config.train
+    frac = train.holdout_fraction if args.holdout is None else args.holdout
+    diag.check_knn_k(train.knn_k if args.k is None else args.k,
+                     n - diag.holdout_size(n, frac, "--holdout"),
+                     "train.knn_k" if args.k is None else "--k")
     out = {}
     probes = ["knn_class", "knn_super"] if args.probe == "both" else [args.probe]
     for probe in probes:
@@ -142,13 +148,17 @@ def cmd_diagnose(args) -> int:
     ds = load_csv(args.embeddings)
     x = ds.x
     supers = ds.superclass_labels
+    n = ds.n_samples
+    # Each flag's refusal names the flag, before any work.
+    check("--rankme-subsets", args.rankme_subsets, "int >= 1")
     subset_size = args.subset_size
     if subset_size is None:
         subset_size = min(100, *(g.size for g in diag.superclass_groups(supers, 1)))
+    diag.superclass_groups(supers, subset_size, "--subset-size")
+    diag.check_knn_k(args.knn_k, n - diag.holdout_size(n, args.holdout, "--holdout"), "--knn-k")
     columns = diag.rank_and_similarity_columns(x, x, supers, args.rankme_subsets,
                                                subset_size, args.seed)
 
-    n = ds.n_samples
     q_idx, t_idx = diag.holdout_split(n, args.holdout, args.seed)
     knn_class = diag.knn_accuracy(x[t_idx], ds.class_labels[t_idx],
                                   x[q_idx], ds.class_labels[q_idx], args.knn_k)
@@ -178,8 +188,7 @@ def cmd_schedule(args) -> int:
               "no epoch table exists")
         return 0
     epochs = args.epochs if args.epochs is not None else config.train.epochs
-    if epochs < 1:
-        raise BadConfig(f"--epochs must be >= 1, got {epochs}")
+    check("--epochs", epochs, "int >= 1")
     rows = ([e, float(threshold_for_epoch(sched, e))] for e in range(epochs))
     return _emit(csv_text(["epoch", "epsilon"], rows), args.out)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams, IoError, SchemaError, _is_finite_real
+from .errors import BadConfig, IoError, SchemaError, check_fields, refusal
 from .rng import Rng, box_muller, child_keys, seed_keys, uniform_rows
 
 
@@ -44,24 +44,16 @@ class GenParams:
     seed: int = 7
 
     def __post_init__(self):
-        counts = ("n_super", "classes_per_super", "samples_per_class", "input_dim")
-        for name in counts + ("seed",):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise BadParams(f"{name} must be an integer, got {value!r}")
-        for name in counts:
-            if getattr(self, name) < 1:
-                raise BadParams(f"{name} must be >= 1")
-        for name in ("sigma_super", "sigma_class", "sigma_sample"):
-            value = getattr(self, name)
-            if not _is_finite_real(value):
-                raise BadParams(f"{name} must be finite, got {value!r}")
-        if not self.sigma_sample > 0:
-            raise BadParams("sigma ordering violated: sigma_sample must be > 0")
-        if not self.sigma_sample <= self.sigma_class:
-            raise BadParams("sigma ordering violated: sigma_sample <= sigma_class")
-        if not self.sigma_class <= self.sigma_super:
-            raise BadParams("sigma ordering violated: sigma_class <= sigma_super")
+        check_fields("data", self, n_super="int >= 1", classes_per_super="int >= 1",
+                     samples_per_class="int >= 1", input_dim="int >= 1",
+                     sigma_super="real", sigma_class="real", sigma_sample="real > 0",
+                     seed="int")
+        if self.sigma_sample > self.sigma_class:
+            raise refusal("data.sigma_sample", f"be <= data.sigma_class ({self.sigma_class!r})",
+                          self.sigma_sample)
+        if self.sigma_class > self.sigma_super:
+            raise refusal("data.sigma_class", f"be <= data.sigma_super ({self.sigma_super!r})",
+                          self.sigma_class)
 
 
 @dataclass
@@ -118,7 +110,7 @@ def augment_batch(x: np.ndarray, noise_sigma: float, mask_prob: float,
     n, d = a.shape
     keys = seed_keys(seeds)
     if keys.size != n:
-        raise BadParams(f"augment_batch needs one seed per row, got {keys.size} "
+        raise BadConfig(f"augment_batch needs one seed per row, got {keys.size} "
                         f"seeds for {n} rows")
     u = uniform_rows(keys, 3 * d)
     out = a + noise_sigma * box_muller(u[:, :2 * d])

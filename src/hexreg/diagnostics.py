@@ -23,15 +23,16 @@ _BLOCK queries at a time in one buffer, in k argmax rounds (_top_k).
 
 ``subset_rank_curve`` and ``distribution_stats`` return dicts keyed by
 metrics column. ``holdout_size``, ``check_knn_k`` and ``superclass_groups``
-are the probes' preconditions, which a run checks before it trains.
+are the probes' preconditions, which a run checks before it trains and the
+CLI before it probes; each refusal names the setting or flag it was given.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import (BadConfig, EmptyTrainSet, InsufficientSamples,
-                     MissingLabels, ZeroMatrix)
+from .errors import (EmptyTrainSet, InsufficientSamples, MissingLabels, ZeroMatrix,
+                     refusal)
 from .linalg import _safe_unit_rows, as_matrix, l2_normalize_rows, singular_values, unit_rows
 from .rng import Rng
 
@@ -63,9 +64,11 @@ def _draw(stream: Rng, pool: np.ndarray, size: int) -> np.ndarray:
 
 
 def superclass_groups(superclass_labels, subset_size: int, name="subset_size") -> list:
-    """The row indices of each superclass, in label order. Raises
-    InsufficientSamples, naming ``name``, when the smallest superclass
-    cannot fill a subset of subset_size rows."""
+    """The row indices of each superclass, in label order. Raises BadConfig
+    when subset_size < 1, and InsufficientSamples when the smallest
+    superclass cannot fill a subset of subset_size rows, each naming ``name``."""
+    if subset_size < 1:
+        raise refusal(name, "be >= 1", subset_size)
     labels = np.asarray(superclass_labels)
     groups = [np.nonzero(labels == s)[0] for s in np.unique(labels)]
     smallest = min(g.size for g in groups)
@@ -84,8 +87,8 @@ def subset_rank_curve(representations, superclass_labels, n_subsets: int,
     labels = np.asarray(superclass_labels)
     if labels.shape[0] != a.shape[0]:
         raise MissingLabels("one superclass label per row is required")
-    if n_subsets < 1 or subset_size < 1:
-        raise BadConfig("n_subsets and subset_size must be >= 1")
+    if n_subsets < 1:
+        raise refusal("n_subsets", "be >= 1", n_subsets)
     groups = superclass_groups(labels, subset_size)
     root = Rng.from_seed(seed)
     all_idx = np.arange(a.shape[0])
@@ -262,12 +265,12 @@ def _top_k(sims: np.ndarray, k: int) -> tuple:
     return cols, vals
 
 
-def holdout_size(n: int, fraction: float) -> int:
+def holdout_size(n: int, fraction: float, name: str = "holdout fraction") -> int:
     """The query row count max(1, round(fraction * n)) of a KNN probe on n
-    rows. The fraction must lie in (0, 1) and leave at least one training
-    row."""
+    rows. The fraction must lie in (0, 1), BadConfig names ``name``
+    otherwise, and leave at least one training row."""
     if not 0.0 < fraction < 1.0:
-        raise BadConfig(f"holdout fraction must lie in (0, 1), got {fraction}")
+        raise refusal(name, "lie in (0, 1)", fraction)
     n_query = max(1, int(round(fraction * n)))
     if n_query >= n:
         raise EmptyTrainSet(f"a holdout fraction of {fraction} leaves none of "
@@ -290,7 +293,7 @@ def check_knn_k(k: int, n_train: int, name: str = "k"):
     """A KNN probe over n_train training rows needs k in [1, n_train];
     BadConfig names ``name`` otherwise."""
     if k < 1 or k > n_train:
-        raise BadConfig(f"{name} must lie in [1, {n_train}], got {k}")
+        raise refusal(name, f"lie in [1, {n_train}]", k)
 
 
 def knn_accuracy(train_repr, train_labels, query_repr, query_labels,

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BadConfig, EmptyBatch, _check_finite, _check_int
+from .errors import EmptyBatch, check_fields, refusal
 
 KINDS = ("step", "cos", "adaptive", "fixed")
 
@@ -29,22 +29,17 @@ class ThresholdSchedule:
     sigma_multiplier: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise BadConfig(f"schedule kind must be one of {KINDS}, got {self.kind!r}")
-        for name in ("start", "floor", "step_down", "sigma_multiplier"):
-            _check_finite(f"schedule.{name}", getattr(self, name))
-        for name in ("period_epochs", "total_epochs"):
-            _check_int(f"schedule.{name}", getattr(self, name))
+        check_fields("schedule", self, kind=KINDS, start="real", floor="real",
+                     step_down="real", period_epochs="int >= 1", total_epochs="int",
+                     sigma_multiplier="real > 0")
+        for_kind = f"for the {self.kind} schedule"
         if self.kind in ("step", "cos") and self.start < self.floor:
-            raise BadConfig(f"start ({self.start}) must be >= floor ({self.floor})")
+            raise refusal("schedule.start", f"be >= schedule.floor ({self.floor!r}) {for_kind}",
+                          self.start)
         if self.kind == "step" and self.step_down <= 0:
-            raise BadConfig("step_down must be > 0 for the step schedule")
-        if self.period_epochs < 1:
-            raise BadConfig("period_epochs must be >= 1")
+            raise refusal("schedule.step_down", f"be > 0 {for_kind}", self.step_down)
         if self.kind == "cos" and self.total_epochs < 1:
-            raise BadConfig("total_epochs must be >= 1 for the cos schedule")
-        if self.sigma_multiplier <= 0:
-            raise BadConfig("sigma_multiplier must be > 0")
+            raise refusal("schedule.total_epochs", f"be >= 1 {for_kind}", self.total_epochs)
 
 
 def step_threshold(s: ThresholdSchedule, epoch: int) -> float:

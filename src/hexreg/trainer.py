@@ -9,6 +9,12 @@ rows 0:b, view b in rows b:2b), with the layer loop that also runs it on
 arrays. The loss, a tape-free kernel from ``losses``, is one ``kernel``
 node on that stacked output; a loss that reads the views splits it at b.
 
+Config: each section's ``__post_init__`` states every field's type and
+range once, to ``errors.check_fields``, which refuses a value as
+``<section>.<field> must <rule>, got <value!r>`` and stores each real as a
+float. Only cross-field rules, in ``GenParams`` and ``ThresholdSchedule``,
+are written out, in the same words.
+
 Faults: the tape and the loss kernels only compute, so a step checks, once
 each and before it changes any state, the plain forward's projector rows,
 the loss, and each parameter gradient from the last layer down. Its
@@ -32,7 +38,7 @@ import json
 import os
 import struct
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
 from typing import Optional
 
@@ -43,9 +49,8 @@ from . import losses as losses_mod
 from .autodiff import Tape, backward, forward
 from .data import (GenParams, HierarchicalDataset, _write_atomic, augment_batch,
                    csv_text, generate, load_csv, read_csv)
-from .errors import (BadConfig, BadDims, InsufficientSamples, IoError, NonFinite,
-                     NumericalError, SchemaError, VersionMismatch, _check_finite,
-                     _check_int)
+from .errors import (BadConfig, InsufficientSamples, IoError, NonFinite, NumericalError,
+                     SchemaError, VersionMismatch, check, check_fields)
 from .hierarchy import (mask_quality, supervised_mask, threshold_mask,
                         whole_batch_mask)
 from .linalg import cosine_sim_matrix, l2_normalize_rows
@@ -81,16 +86,8 @@ class ModelConfig:
     proj_dim: int = 8
 
     def __post_init__(self):
-        if not isinstance(self.encoder_hidden, list):
-            raise BadConfig(f"model.encoder_hidden must be a list of widths, "
-                            f"got {self.encoder_hidden!r}")
-        for i, width in enumerate(self.encoder_hidden):
-            _check_int(f"model.encoder_hidden[{i}]", width)
-        for name in ("repr_dim", "proj_hidden", "proj_dim"):
-            _check_int(f"model.{name}", getattr(self, name))
-        dims = self.encoder_hidden + [self.repr_dim, self.proj_hidden, self.proj_dim]
-        if any(d < 1 for d in dims):
-            raise BadDims(f"all layer widths must be >= 1, got {dims}")
+        check_fields("model", self, encoder_hidden="ints >= 1", repr_dim="int >= 1",
+                     proj_hidden="int >= 1", proj_dim="int >= 1")
 
 
 @dataclass
@@ -107,25 +104,17 @@ class LossConfig:
     vicreg_cov: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in losses_mod.LOSS_KINDS:
-            raise BadConfig(f"loss kind must be one of {losses_mod.LOSS_KINDS}, "
-                            f"got {self.kind!r}")
+        check_fields("loss", self, kind=losses_mod.LOSS_KINDS)
         if self.tau is None:
             self.tau = 0.2 if self.kind.startswith("nnclr") else 0.1
         if self.alpha is None:
             self.alpha = 0.5 if self.kind in ("barlow_hex", "vicreg_hex") else 1.0
         if self.hex_scale is None:
             self.hex_scale = 5.0 if self.kind == "vicreg_hex" else 1.0
-        for f in fields(self)[1:]:    # every field after kind is a number
-            _check_finite(f"loss.{f.name}", getattr(self, f.name))
         weights = ("barlow_lambda", "barlow_scale", "vicreg_sim", "vicreg_var", "vicreg_cov")
-        for name, rule, ok in [
-                ("alpha", "lie in [0, 1]", 0.0 <= self.alpha <= 1.0),
-                ("tau", "be > 0", self.tau > 0.0), ("hex_scale", "be > 0", self.hex_scale > 0.0),
-                ("tau_plus", "lie in [0, 1)", 0.0 <= self.tau_plus < 1.0),
-                *[(w, "be >= 0", getattr(self, w) >= 0.0) for w in weights]]:
-            if not ok:
-                raise BadConfig(f"loss.{name} must {rule}, got {getattr(self, name)}")
+        check_fields("loss", self, tau="real > 0", tau_plus="real [0, 1)",
+                     alpha="real [0, 1]", hex_scale="real > 0",
+                     **dict.fromkeys(weights, "real >= 0"))
 
     @property
     def is_hex(self) -> bool:
@@ -142,21 +131,13 @@ class LossConfig:
 
 @dataclass
 class OptimConfig:
-    lr: float = 0.1
+    lr: float = 0.1    # 0 freezes the parameters, useful for harness checks
     momentum: float = 0.9
     cosine_lr: bool = False
 
     def __post_init__(self):
-        _check_finite("optimizer.lr", self.lr)
-        _check_finite("optimizer.momentum", self.momentum)
-        if not isinstance(self.cosine_lr, bool):
-            raise BadConfig(f"optimizer.cosine_lr must be true or false, "
-                            f"got {self.cosine_lr!r}")
-        # lr == 0 is allowed (freezes parameters, useful for harness checks)
-        if self.lr < 0:
-            raise BadConfig(f"optimizer.lr must be >= 0, got {self.lr}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise BadConfig(f"optimizer.momentum must lie in [0, 1), got {self.momentum}")
+        check_fields("optimizer", self, lr="real >= 0", momentum="real [0, 1)",
+                     cosine_lr="bool")
 
 
 @dataclass
@@ -165,12 +146,7 @@ class AugmentConfig:
     mask_prob: float = 0.1
 
     def __post_init__(self):
-        _check_finite("augment.noise_sigma", self.noise_sigma)
-        _check_finite("augment.mask_prob", self.mask_prob)
-        if self.noise_sigma < 0:
-            raise BadConfig(f"augment.noise_sigma must be >= 0, got {self.noise_sigma}")
-        if not 0.0 <= self.mask_prob < 1.0:
-            raise BadConfig(f"augment.mask_prob must lie in [0, 1), got {self.mask_prob}")
+        check_fields("augment", self, noise_sigma="real >= 0", mask_prob="real [0, 1)")
 
 
 @dataclass
@@ -186,17 +162,10 @@ class RunConfig:
     rank_subset_size: int = 100
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "seed", "eval_every", "queue_capacity",
-                     "knn_k", "rank_subsets", "rank_subset_size"):
-            value = getattr(self, name)
-            _check_int(f"train.{name}", value)
-            least = 2 if name == "batch_size" else 1
-            if name != "seed" and value < least:
-                raise BadConfig(f"train.{name} must be >= {least}, got {value}")
-        _check_finite("train.holdout_fraction", self.holdout_fraction)
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise BadConfig(f"train.holdout_fraction must lie in (0, 1), "
-                            f"got {self.holdout_fraction}")
+        check_fields("train", self, epochs="int >= 1", batch_size="int >= 2", seed="int",
+                     eval_every="int >= 1", queue_capacity="int >= 1",
+                     holdout_fraction="real (0, 1)", knn_k="int >= 1",
+                     rank_subsets="int >= 1", rank_subset_size="int >= 1")
 
 
 _SECTION_TYPES = {
@@ -240,9 +209,7 @@ class TrainConfig:
             data = _section("data", GenParams, data)
         schedule = _section("schedule", ThresholdSchedule, raw.get("schedule", {}),
                             kind="adaptive", total_epochs=sections["train"].epochs)
-        mask_source = raw.get("mask_source")
-        if mask_source not in (None, "supervised", "all"):
-            raise BadConfig("mask_source must be null, 'supervised' or 'all'")
+        mask_source = check("mask_source", raw.get("mask_source"), (None, "supervised", "all"))
         return cls(data=data, schedule=schedule, mask_source=mask_source, **sections)
 
     def to_dict(self) -> dict:
@@ -544,8 +511,7 @@ def evaluate(state: TrainState, dataset: HierarchicalDataset,
 
     The split permutation derives from the run seed only, so it is stable
     across epochs and across runs that share a seed."""
-    if probe not in ("knn_class", "knn_super"):
-        raise BadConfig(f"probe must be knn_class or knn_super, got {probe!r}")
+    check("probe", probe, ("knn_class", "knn_super"))
     cfg = state.config
     frac = cfg.train.holdout_fraction if holdout_fraction is None else holdout_fraction
     seed = cfg.train.seed if seed is None else seed
@@ -765,9 +731,7 @@ def run_training(config: TrainConfig, out_dir: Optional[str] = None,
     checkpoint are reread from the existing metrics.csv when present.
     """
     if checkpoint_every is not None:
-        _check_int("checkpoint_every", checkpoint_every)
-        if checkpoint_every < 1:
-            raise BadConfig(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+        check("checkpoint_every", checkpoint_every, "int >= 1")
     t0 = time.time()
     dataset = config.load_dataset()
     # Refuse a dataset that training or diagnostics cannot use, before any output.

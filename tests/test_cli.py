@@ -362,9 +362,9 @@ class TestTrain:
 
 # --holdout values, with the exit code and message they give on the 24-row
 # BASE_CONFIG dataset and the 48-row diagnose fixture.
-HOLDOUT_ERRORS = [("-3", 1, "holdout fraction must lie in (0, 1), got -3.0"),
-                  ("0", 1, "holdout fraction must lie in (0, 1), got 0.0"),
-                  ("5", 1, "holdout fraction must lie in (0, 1), got 5.0"),
+HOLDOUT_ERRORS = [("-3", 1, "--holdout must lie in (0, 1), got -3.0"),
+                  ("0", 1, "--holdout must lie in (0, 1), got 0.0"),
+                  ("5", 1, "--holdout must lie in (0, 1), got 5.0"),
                   ("0.99", 2, "leaves none of the")]
 
 
@@ -405,6 +405,19 @@ class TestEval:
         assert (f"{csv} has 4 feature columns; the checkpoint's model takes 6"
                 in capsys.readouterr().err)
 
+    def test_run_k_beyond_the_rows_of_other_data_names_the_setting(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        main(["train", "--config", write_config(tmp_path, train={"knn_k": 5}), "--out", out,
+              "--checkpoint-every", "2"])
+        # 4 rows: 1 held out leaves 3 training rows.
+        small = write_config(tmp_path, name="small.json", data={"samples_per_class": 1})
+        csv = str(tmp_path / "small.csv")
+        main(["gen-data", "--config", small, "--out", csv])
+        capsys.readouterr()
+        ckpt = os.path.join(out, "ckpt_final.bin")
+        assert main(["eval", "--checkpoint", ckpt, "--data", csv]) == 1
+        assert capsys.readouterr().err == "error: train.knn_k must lie in [1, 3], got 5\n"
+
     @pytest.mark.parametrize("holdout,code,message", HOLDOUT_ERRORS)
     def test_bad_holdout_exit_code(self, tmp_path, capsys, holdout, code, message):
         cfg = write_config(tmp_path)
@@ -417,7 +430,8 @@ class TestEval:
 
 
 class TestDiagnose:
-    def _block_csv(self, tmp_path):
+    @staticmethod
+    def _block_csv(tmp_path):
         rng = np.random.default_rng(0)
         n_per, dim = 24, 8
         rows = []
@@ -520,6 +534,39 @@ class TestDiagnose:
         assert main(["diagnose", "--embeddings", str(path), "--out", str(out)]) == 2
         assert f"{path}: line 3: feature f1 must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+# Flag values, with the exit code and message they give; eval reads the
+# 24-row BASE_CONFIG run (19 training rows at holdout 0.2), diagnose the
+# 48-row block fixture (38 training rows, 24 rows per superclass).
+FLAG_ERRORS = [
+    ("diagnose", "--rankme-subsets", "0", 1, "--rankme-subsets must be >= 1, got 0"),
+    ("diagnose", "--subset-size", "0", 1, "--subset-size must be >= 1, got 0"),
+    ("diagnose", "--subset-size", "30", 2,
+     "--subset-size: smallest superclass has 24 < 30 samples"),
+    ("diagnose", "--knn-k", "0", 1, "--knn-k must lie in [1, 38], got 0"),
+    ("diagnose", "--holdout", "1.5", 1, "--holdout must lie in (0, 1), got 1.5"),
+    ("eval", "--k", "0", 1, "--k must lie in [1, 19], got 0"),
+    ("eval", "--k", "20", 1, "--k must lie in [1, 19], got 20"),
+    ("eval", "--holdout", "1.5", 1, "--holdout must lie in (0, 1), got 1.5"),
+]
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command,flag,value,code,message", FLAG_ERRORS,
+                             ids=[" ".join(row[:3]) for row in FLAG_ERRORS])
+    def test_a_bad_flag_value_names_the_flag(self, tmp_path, capsys, command, flag, value,
+                                             code, message):
+        if command == "eval":
+            out = str(tmp_path / "run")
+            main(["train", "--config", write_config(tmp_path), "--out", out,
+                  "--checkpoint-every", "2"])
+            args = ["eval", "--checkpoint", os.path.join(out, "ckpt_final.bin")]
+        else:
+            args = ["diagnose", "--embeddings", TestDiagnose._block_csv(tmp_path)]
+        capsys.readouterr()
+        assert main(args + [flag, value]) == code
+        assert f"error: {message}\n" == capsys.readouterr().err
 
 
 class TestSchedule:

@@ -6,7 +6,7 @@ import pytest
 
 from hexreg.data import (GenParams, HierarchicalDataset, augment_batch, generate,
                          load_csv, save_csv)
-from hexreg.errors import BadParams, SchemaError
+from hexreg.errors import BadConfig, SchemaError
 from hexreg.linalg import cosine_sim_matrix, l2_normalize_rows
 from hexreg.rng import Rng, box_muller, child_keys, seed_keys, uniform_rows
 
@@ -54,29 +54,31 @@ def generate_oracle(p: GenParams) -> HierarchicalDataset:
 
 class TestGenParams:
     def test_sigma_ordering_violation_names_inequality(self):
-        with pytest.raises(BadParams, match="sigma_class <= sigma_super"):
+        with pytest.raises(BadConfig, match=r"^data\.sigma_class must be <= data\.sigma_super "
+                                            r"\(0\.5\), got 1\.0$"):
             GenParams(sigma_super=0.5, sigma_class=1.0, sigma_sample=0.1)
-        with pytest.raises(BadParams, match="sigma_sample <= sigma_class"):
+        with pytest.raises(BadConfig, match=r"^data\.sigma_sample must be <= data\.sigma_class "
+                                            r"\(0\.5\), got 1\.0$"):
             GenParams(sigma_super=2.0, sigma_class=0.5, sigma_sample=1.0)
-        with pytest.raises(BadParams, match="sigma_sample must be > 0"):
+        with pytest.raises(BadConfig, match=r"^data\.sigma_sample must be > 0, got 0\.0$"):
             GenParams(sigma_sample=0.0)
 
     @pytest.mark.parametrize("field", ["sigma_super", "sigma_class", "sigma_sample"])
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"),
                                        True, "3", None])
     def test_non_finite_sigma_names_the_field(self, field, value):
-        with pytest.raises(BadParams, match=f"{field} must be finite"):
+        with pytest.raises(BadConfig, match=rf"^data\.{field} must be a finite number"):
             GenParams(**{field: value})
 
     def test_counts_positive(self):
-        with pytest.raises(BadParams):
+        with pytest.raises(BadConfig, match=r"^data\.n_super must be >= 1, got 0$"):
             GenParams(n_super=0)
 
     @pytest.mark.parametrize("field", ["n_super", "classes_per_super",
                                        "samples_per_class", "input_dim", "seed"])
     @pytest.mark.parametrize("value", [10.0, 10.5, True, "4", None])
     def test_non_integer_values_name_the_field(self, field, value):
-        with pytest.raises(BadParams, match=f"{field} must be an integer"):
+        with pytest.raises(BadConfig, match=rf"^data\.{field} must be an integer"):
             GenParams(**{field: value})
 
 
@@ -201,7 +203,7 @@ class TestAugment:
     def test_bad_params(self):
         # noise_sigma and mask_prob are the config's to check
         # (test_trainer.py's error table); the seeds are the caller's.
-        with pytest.raises(BadParams, match="one seed per row"):
+        with pytest.raises(BadConfig, match="one seed per row"):
             augment_batch(np.ones((3, 2)), 0.1, 0.0, [1, 2])
 
 

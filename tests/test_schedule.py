@@ -112,6 +112,20 @@ class TestScheduleValidation:
             with pytest.raises(BadConfig, match=rf"schedule\.{field} {message}"):
                 ThresholdSchedule(kind, **{field: value})
 
+    @pytest.mark.parametrize("kind,fields,message", [
+        ("step", {"start": 0.1, "floor": 0.5},
+         r"schedule\.start must be >= schedule\.floor \(0\.5\) for the step schedule, got 0\.1"),
+        ("cos", {"start": 0.1, "floor": 0.5},
+         r"schedule\.start must be >= schedule\.floor \(0\.5\) for the cos schedule, got 0\.1"),
+        ("step", {"step_down": 0.0},
+         r"schedule\.step_down must be > 0 for the step schedule, got 0\.0"),
+        ("cos", {"total_epochs": 0},
+         r"schedule\.total_epochs must be >= 1 for the cos schedule, got 0"),
+    ], ids=["step start", "cos start", "step step_down", "cos total_epochs"])
+    def test_cross_field_rules_name_the_field_and_kind(self, kind, fields, message):
+        with pytest.raises(BadConfig, match=rf"^{message}$"):
+            ThresholdSchedule(kind, **fields)
+
     def test_threshold_for_epoch_dispatch(self):
         assert threshold_for_epoch(ThresholdSchedule("fixed", start=0.75), 42) == 0.75
         assert threshold_for_epoch(ThresholdSchedule("adaptive"), 0) is None

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import json
 import os
@@ -11,13 +12,14 @@ import pytest
 
 from hexreg import autodiff, trainer
 from hexreg.autodiff import Tape, forward
-from hexreg.data import augment_batch, generate
+from hexreg.data import GenParams, augment_batch, generate
 from hexreg.errors import (BadConfig, IoError, NonFinite, SchemaError,
                            VersionMismatch, ZeroMatrix)
 from hexreg.hierarchy import whole_batch_mask
 from hexreg.linalg import l2_normalize_rows
 from hexreg.losses import LOSS_KINDS, build_info_nce_graph
 from hexreg.rng import Rng, child_keys
+from hexreg.schedule import ThresholdSchedule
 from hexreg.trainer import (ModelConfig, TrainConfig, build_model_graph,
                             evaluate, init_params, init_state,
                             load_checkpoint, mlp_forward, run_training,
@@ -1070,6 +1072,36 @@ class TestConfig:
     def test_bad_section_values_name_the_field(self, section, values, message):
         with pytest.raises(BadConfig, match=message):
             tiny_config(**{section: values})
+
+    @pytest.mark.parametrize("section,field", [
+        (section, f.name)
+        for section, typ in {"data": GenParams, "schedule": ThresholdSchedule,
+                             **trainer._SECTION_TYPES}.items()
+        for f in dataclasses.fields(typ)])
+    def test_every_field_refuses_a_value_of_the_wrong_type(self, section, field):
+        # A field added without a rule fails here.
+        with pytest.raises(BadConfig, match=rf"^{section}\.{field} must "):
+            TrainConfig.from_dict({section: {field: "x"}})
+
+    @pytest.mark.parametrize("section,field,value", [("data", "sigma_super", 3),
+                                                     ("loss", "tau", 1),
+                                                     ("schedule", "start", 1)])
+    def test_a_real_written_as_an_integer_is_stored_as_a_float(self, section, field,
+                                                              value):
+        as_int = TrainConfig.from_dict({section: {field: value}})
+        as_float = TrainConfig.from_dict({section: {field: float(value)}})
+        assert type(getattr(getattr(as_int, section), field)) is float
+        assert as_int.config_hash() == as_float.config_hash()
+
+    @pytest.mark.parametrize("section,field", [("data", "sigma_super"), ("loss", "tau")])
+    def test_an_integer_beyond_the_float_range_is_refused(self, section, field):
+        with pytest.raises(BadConfig, match=rf"^{section}\.{field} must be a finite number"):
+            TrainConfig.from_dict({section: {field: 10 ** 400}})
+
+    def test_mask_source_names_its_choices(self):
+        with pytest.raises(BadConfig, match=r"^mask_source must be one of "
+                                            r"\(None, 'supervised', 'all'\), got 'some'$"):
+            TrainConfig.from_dict({"mask_source": "some"})
 
     def test_zero_loss_weights_are_allowed(self):
         # A zero weight switches a term off, for ablations.
