@@ -85,6 +85,10 @@ def cmd_train(args) -> int:
     seeds = ([_int("each --seeds entry", s) for s in args.seeds.split(",")]
              if args.seeds else None)
     kinds = args.loss_kinds.split(",") if args.loss_kinds else None
+    # Each flag's refusal names the flag, before any cell is built.
+    for flag, value in (("--epochs", args.epochs), ("--checkpoint-every", args.checkpoint_every)):
+        if value is not None:
+            check(flag, value, "int >= 1")
     if seeds is None and kinds is None:
         cfg = TrainConfig.from_dict(_apply_overrides(raw, args.seed, args.epochs, args.loss_kind))
         summary = _run_cell(cfg, args.out, args.checkpoint_every, args.resume)

@@ -25,15 +25,15 @@ _BLOCK queries at a time in one buffer, in k argmax rounds (_top_k).
 metrics column. ``holdout_size``, ``check_knn_k`` and ``superclass_groups``
 are the probes' preconditions, which a run checks before it trains and the
 CLI before it probes; each refusal names the setting or flag it was given.
+The kernels take their arrays as given; ``trainer`` says who checks them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import (EmptyTrainSet, InsufficientSamples, MissingLabels, ZeroMatrix,
-                     refusal)
-from .linalg import _safe_unit_rows, as_matrix, l2_normalize_rows, singular_values, unit_rows
+from .errors import EmptyTrainSet, InsufficientSamples, ZeroMatrix, refusal
+from .linalg import _safe_unit_rows, l2_normalize_rows, singular_values
 from .rng import Rng
 
 RANKME_EPS = 1e-7
@@ -45,14 +45,12 @@ _BLOCK = 128
 
 def rankme(r) -> float:
     """Effective rank: exp of the entropy of the normalized singular-value
-    distribution, each share perturbed by RANKME_EPS."""
-    a = as_matrix(r)
-    if not np.any(a):
-        raise ZeroMatrix("effective rank of the zero matrix is undefined")
-    sv = singular_values(a)
+    distribution, each share perturbed by RANKME_EPS. Raises ZeroMatrix
+    when every singular value is 0."""
+    sv = singular_values(r)
     total = sv.sum()
     if total <= 0.0:
-        raise ZeroMatrix("singular values sum to zero")
+        raise ZeroMatrix("effective rank of the zero matrix is undefined")
     p = sv / total + RANKME_EPS
     return float(np.exp(-(p * np.log(p)).sum()))
 
@@ -78,30 +76,24 @@ def superclass_groups(superclass_labels, subset_size: int, name="subset_size") -
     return groups
 
 
-def subset_rank_curve(representations, superclass_labels, n_subsets: int,
+def subset_rank_curve(r, superclass_labels, n_subsets: int,
                       subset_size: int, seed: int) -> dict:
     """``rankme_super`` and ``rankme_random``: the mean effective rank over
     subsets drawn (a) from one uniformly chosen superclass each and (b)
     uniformly from all samples."""
-    a = as_matrix(representations)
-    labels = np.asarray(superclass_labels)
-    if labels.shape[0] != a.shape[0]:
-        raise MissingLabels("one superclass label per row is required")
-    if n_subsets < 1:
-        raise refusal("n_subsets", "be >= 1", n_subsets)
-    groups = superclass_groups(labels, subset_size)
+    groups = superclass_groups(superclass_labels, subset_size)
     root = Rng.from_seed(seed)
-    all_idx = np.arange(a.shape[0])
+    all_idx = np.arange(r.shape[0])
     super_vals = []
     random_vals = []
     for j in range(n_subsets):
         st = root.child(0).child(j)
         group = groups[st.randbelow(len(groups))]
         idx = _draw(st, group, subset_size)
-        super_vals.append(rankme(a[idx]))
+        super_vals.append(rankme(r[idx]))
         rt = root.child(1).child(j)
         idx = _draw(rt, all_idx, subset_size)
-        random_vals.append(rankme(a[idx]))
+        random_vals.append(rankme(r[idx]))
     return {"rankme_super": float(np.mean(super_vals)),
             "rankme_random": float(np.mean(random_vals))}
 
@@ -122,21 +114,14 @@ def _pool_summary(count: int, total: float, s2: float, s3: float) -> tuple:
 
 
 def _by_superclass(z, superclass_labels) -> tuple:
-    """Unit rows of z stably sorted by superclass label, and the (lo, hi)
-    row range of each superclass in that order. Raises NotNormalized if a
-    row norm deviates from 1 by more than 1e-9, and MissingLabels without
-    one label per row."""
-    a = unit_rows(z)
-    if superclass_labels is None:
-        raise MissingLabels("superclass labels are required")
+    """The unit rows z stably sorted by superclass label, one label per
+    row, and the (lo, hi) row range of each superclass in that order."""
     labels = np.asarray(superclass_labels)
-    if labels.shape[0] != a.shape[0]:
-        raise MissingLabels("one superclass label per row is required")
     order = np.argsort(labels, kind="stable")
     labels = labels[order]
     edges = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(),
              labels.shape[0]]
-    return a[order], list(zip(edges[:-1], edges[1:]))
+    return z[order], list(zip(edges[:-1], edges[1:]))
 
 
 def _pair_sums(a: np.ndarray, groups: list) -> tuple:
@@ -201,8 +186,7 @@ def distribution_stats(z, superclass_labels) -> dict:
     The two means are reported apart, never as their ratio: the other
     pool's mean sits near 0, where a ratio swings by orders of magnitude.
     Empty pools yield None statistics; constant pools yield means but None
-    skews. Raises NotNormalized if a row norm deviates from 1 by more than
-    1e-9.
+    skews. The rows of z are taken as given, at unit norm.
     """
     a, groups = _by_superclass(z, superclass_labels)
     counts, sums = _pair_sums(a, groups)
@@ -302,18 +286,15 @@ def knn_accuracy(train_repr, train_labels, query_repr, query_labels,
     similar training rows matches. Vote ties break by summed similarity,
     then by smallest label id; neighbor ties break by lowest train index.
     Queries are scored _BLOCK at a time in one buffer that _top_k overwrites,
-    each block's vote in O(_BLOCK * k^2) time and O(_BLOCK * k) memory."""
-    if np.asarray(train_repr).shape[0] == 0:
-        raise EmptyTrainSet("no training rows")
-    train = as_matrix(train_repr)
-    query = as_matrix(query_repr)
+    each block's vote in O(_BLOCK * k^2) time and O(_BLOCK * k) memory.
+
+    ``trainer.evaluate`` passes a caller's k through, so it is checked here:
+    _top_k would run k argmax rounds however few training rows there are."""
     tl = np.asarray(train_labels)
     ql = np.asarray(query_labels)
-    if tl.shape[0] != train.shape[0] or ql.shape[0] != query.shape[0]:
-        raise MissingLabels("labels must match the row counts")
-    check_knn_k(k, train.shape[0])
-    train = _safe_unit_rows(train)
-    query = _safe_unit_rows(query)
+    check_knn_k(k, train_repr.shape[0])
+    train = _safe_unit_rows(train_repr)
+    query = _safe_unit_rows(query_repr)
     buf = np.empty((min(_BLOCK, query.shape[0]), train.shape[0]))
     correct = 0
     for q0 in range(0, query.shape[0], _BLOCK):

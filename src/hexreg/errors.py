@@ -46,10 +46,6 @@ class VersionMismatch(DataError):
     pass
 
 
-class MissingLabels(DataError):
-    pass
-
-
 class InsufficientSamples(DataError):
     pass
 
@@ -60,15 +56,7 @@ class EmptyTrainSet(DataError):
 
 # -- numerical -----------------------------------------------------------
 
-class NotNormalized(NumericalError):
-    pass
-
-
 class NonFinite(NumericalError):
-    pass
-
-
-class EmptyBatch(NumericalError):
     pass
 
 

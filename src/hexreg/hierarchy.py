@@ -3,7 +3,7 @@
 Rows come in the two-view layout: a batch of b samples is n = 2b rows, view
 a in rows 0:b and view b in rows b:n, so row i's positive is row i + b or
 i - b. ``paired_positive_index`` is the one definition of that layout, and
-an odd row count raises BadConfig wherever a layout is read.
+every layout the trainer builds has 2b rows.
 
 A mask is an n x n bool array that marks, for every anchor row of a
 similarity matrix, which other rows count as members of the anchor's
@@ -18,13 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadConfig, MissingLabels
-
 
 def paired_positive_index(n: int) -> np.ndarray:
-    """Row i's positive among n rows in the two-view layout."""
-    if n % 2:
-        raise BadConfig(f"the two-view layout needs an even row count, got {n}")
+    """Row i's positive among n = 2b rows in the two-view layout."""
     return (np.arange(n) + n // 2) % n
 
 
@@ -44,8 +40,6 @@ def threshold_mask(sims: np.ndarray, epsilon: float) -> np.ndarray:
 
 def supervised_mask(superclass_labels) -> np.ndarray:
     """Members share the anchor's superclass label (oracle decomposition)."""
-    if superclass_labels is None:
-        raise MissingLabels("superclass labels are required")
     labels = np.asarray(superclass_labels)
     return _clear_self_and_positive(labels[:, None] == labels[None, :])
 

@@ -51,7 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hierarchy import paired_positive_index
-from .linalg import l2_normalize_rows, row_norms
+from .linalg import row_norms
 
 DEFAULT_TAU_PLUS = 0.1
 
@@ -73,7 +73,8 @@ def nnclr_positive_rows(entries: np.ndarray, z: np.ndarray) -> np.ndarray:
 class _Hex:
     """The HEX loss on y's rows, normalized to z, with e = exp(z z^T / tau).
     Given ``nn_rows``, they replace rows 0:b of z and only y's rows b:2b are
-    normalized; y's rows 0:b then get a zero gradient.
+    normalized; y's rows 0:b then get a zero gradient. The trainer has
+    checked that y's norms are finite and nonzero; ``vjp`` reuses them.
 
     Off H(i) the kernel works on whole n x n arrays; the q term reads the
     member entries only (``idx``, the row-major flat index of the mask),
@@ -114,8 +115,8 @@ class _Hex:
                 "clamp_events": floored}
 
     def value(self, y):
-        self._y = y
-        z = l2_normalize_rows(y[self.lo:])
+        self._norms = row_norms(y[self.lo:])[:, None]
+        z = y[self.lo:] / self._norms
         if self.lo:
             z = np.concatenate((self.nn_rows, z))
         self.z = z
@@ -168,9 +169,8 @@ class _Hex:
         g_z = gs @ z + (z.T @ gs).T
         # Back through each normalized row u = y / |y|: (g - u (g . u)) / |y|.
         u, g_u = z[self.lo:], g_z[self.lo:]
-        g_y = np.zeros(self._y.shape)
-        g_y[self.lo:] = ((g_u - u * (g_u * u).sum(axis=1, keepdims=True))
-                         / row_norms(self._y[self.lo:])[:, None])
+        g_y = np.zeros(z.shape)
+        g_y[self.lo:] = (g_u - u * (g_u * u).sum(axis=1, keepdims=True)) / self._norms
         return g_y
 
 

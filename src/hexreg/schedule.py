@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyBatch, check_fields, refusal
+from .errors import check_fields, refusal
 
 KINDS = ("step", "cos", "adaptive", "fixed")
 
@@ -56,8 +56,6 @@ def adaptive_threshold(batch_sims, sigma_multiplier: float = 2.0) -> float:
     pooled off-diagonal similarities. May legally exceed 1; combined with
     strict-inequality masks that simply yields empty memberships."""
     values = np.asarray(batch_sims, dtype=np.float64).ravel()
-    if values.size == 0:
-        raise EmptyBatch("adaptive threshold needs at least one similarity")
     # sum / size and d *= d give np.mean's and ** 2's bits without their
     # temporaries and dispatch.
     mean = float(values.sum() / values.size)

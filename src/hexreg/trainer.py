@@ -9,21 +9,25 @@ rows 0:b, view b in rows b:2b), with the layer loop that also runs it on
 arrays. The loss, a tape-free kernel from ``losses``, is one ``kernel``
 node on that stacked output; a loss that reads the views splits it at b.
 
-Config: each section's ``__post_init__`` states every field's type and
-range once, to ``errors.check_fields``, which refuses a value as
-``<section>.<field> must <rule>, got <value!r>`` and stores each real as a
-float. Only cross-field rules, in ``GenParams`` and ``ThresholdSchedule``,
-are written out, in the same words.
-
-Faults: the tape and the loss kernels only compute, so a step checks, once
-each and before it changes any state, the plain forward's projector rows,
-the loss, and each parameter gradient from the last layer down. Its
-NonFinite names the first layer to output a NaN or Inf (else the last
-layer, whose rows' norm overflows or is zero), the loss term by its
+Faults: the tape and the numeric kernels (``linalg``, ``hierarchy``,
+``schedule``, ``losses``, ``diagnostics``) only compute. Each value is
+checked once, where it enters the program:
+- a config section, each field, to ``errors.check_fields``; ``run_training``
+  that the dataset meets ``train.knn_k`` and ``train.rank_subset_size``;
+- ``load_csv``, a file's header, labels and finite features;
+- ``load_checkpoint``, the header, each array's shape, ``queue_len`` and
+  that each queue row is a finite unit row, as ``cosine_sim_matrix`` reads;
+- the CLI, each flag, which its refusal names, before any work;
+- the model's output: a step, before it changes any state, the plain
+  forward's projector rows, the loss and each parameter gradient from the
+  last layer down; ``run_diagnostics`` and ``evaluate``, the representations.
+A step's NonFinite names the first layer to output a NaN or Inf (else the
+last layer, whose rows' norm overflows or is zero), the loss term by its
 kernel's name (a combined kind's first non-finite part, HEX first), or the
-parameter and its layer; ``train_epoch`` adds the epoch and batch. A
-finite loss implies finite reported terms, since each reaches the loss only
-through sums, products, log and mean, which keep a NaN or Inf.
+parameter and its layer; ``train_epoch`` adds the epoch and batch,
+``run_diagnostics`` the epoch. A finite loss implies finite reported terms,
+since each reaches the loss only through sums, products, log and mean,
+which keep a NaN or Inf.
 
 Determinism: everything derives from the run seed through fixed stream
 labels (0 = weight init, 1 = per-epoch streams, 4 = diagnostics draws,
@@ -53,7 +57,7 @@ from .errors import (BadConfig, InsufficientSamples, IoError, NonFinite, Numeric
                      SchemaError, VersionMismatch, check, check_fields)
 from .hierarchy import (mask_quality, supervised_mask, threshold_mask,
                         whole_batch_mask)
-from .linalg import cosine_sim_matrix, l2_normalize_rows
+from .linalg import as_matrix, cosine_sim_matrix, l2_normalize_rows
 from .losses import (build_barlow_graph, build_combined_graph, build_hex_graph,
                      build_info_nce_graph, build_vicreg_graph, nnclr_positive_rows)
 from .rng import Rng, child_keys
@@ -516,10 +520,10 @@ def evaluate(state: TrainState, dataset: HierarchicalDataset,
     frac = cfg.train.holdout_fraction if holdout_fraction is None else holdout_fraction
     seed = cfg.train.seed if seed is None else seed
     k = cfg.train.knn_k if k is None else k
-    r, _ = mlp_forward(state.params, dataset.x)
     labels = (dataset.class_labels if probe == "knn_class"
               else dataset.superclass_labels)
     query_idx, train_idx = diag.holdout_split(dataset.n_samples, frac, seed)
+    r = as_matrix(mlp_forward(state.params, dataset.x)[0])
     return diag.knn_accuracy(r[train_idx], labels[train_idx],
                              r[query_idx], labels[query_idx], k)
 
@@ -533,7 +537,7 @@ def run_diagnostics(state: TrainState, dataset: HierarchicalDataset,
         r, y = mlp_forward(state.params, dataset.x)
         diag_seed = Rng.from_seed(cfg.train.seed).child(4).child(epoch).key
         return {
-            **diag.rank_and_similarity_columns(r, y, dataset.superclass_labels,
+            **diag.rank_and_similarity_columns(as_matrix(r), y, dataset.superclass_labels,
                                                cfg.train.rank_subsets,
                                                cfg.train.rank_subset_size, diag_seed),
             "knn_class": evaluate(state, dataset, "knn_class"),
@@ -683,6 +687,13 @@ def load_checkpoint(path: str) -> TrainState:
     queue = None
     if config.loss.uses_queue:
         queue = arrays["queue"] if queue_rows else np.empty((0, config.model.proj_dim))
+        with np.errstate(over="ignore"):
+            norms = np.sqrt((queue * queue).sum(axis=1))
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-9))    # NaN fails too
+        if bad.size:
+            i = int(bad[0])
+            raise IoError(f"{path}: queue row {i} has norm {norms[i]:.12f}, "
+                          f"expected 1 +- 1e-9")
     return TrainState(config, params, mom_w, mom_b, queue, epoch)
 
 

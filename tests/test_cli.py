@@ -8,7 +8,7 @@ import pytest
 from hexreg.cli import main
 from hexreg.data import load_csv
 from hexreg.linalg import l2_normalize_rows
-from hexreg.trainer import read_metrics_csv
+from hexreg.trainer import load_checkpoint, read_metrics_csv, save_checkpoint
 
 
 BASE_CONFIG = {
@@ -219,7 +219,30 @@ class TestTrain:
         out = tmp_path / "run"
         assert main(["train", "--config", cfg, "--out", str(out),
                      "--checkpoint-every", "0"]) == 1
-        assert "checkpoint_every must be >= 1, got 0" in capsys.readouterr().err
+        assert "--checkpoint-every must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [2.0, np.nan], ids=["scaled", "nan"])
+    def test_resume_from_a_queue_row_off_the_unit_sphere_exit_code(self, tmp_path, capsys,
+                                                                   scale):
+        cfg = write_config(tmp_path, loss={"kind": "nnclr"})
+        part = str(tmp_path / "part")
+        main(["train", "--config", cfg, "--out", part, "--checkpoint-every", "1"])
+        state = load_checkpoint(os.path.join(part, "ckpt_000001.bin"))
+        state.queue[3] *= scale
+        ckpt = str(tmp_path / "bad.bin")
+        save_checkpoint(state, ckpt)
+        out = tmp_path / "resumed"
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--out", str(out), "--resume", ckpt]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {ckpt}: queue row 3 has norm ")
+        assert not out.exists()
+
+    def test_epochs_zero_in_a_run_matrix_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        assert main(["train", "--config", write_config(tmp_path), "--out", str(out),
+                     "--seeds", "1,2", "--epochs", "0"]) == 1
+        assert capsys.readouterr().err == "error: --epochs must be >= 1, got 0\n"
         assert not out.exists()
 
     def test_resume_into_empty_metrics_exit_code(self, tmp_path, capsys):
@@ -536,10 +559,13 @@ class TestDiagnose:
         assert not out.exists()
 
 
-# Flag values, with the exit code and message they give; eval reads the
-# 24-row BASE_CONFIG run (19 training rows at holdout 0.2), diagnose the
-# 48-row block fixture (38 training rows, 24 rows per superclass).
+# Flag values, with the exit code and message they give; train and eval
+# read the 24-row BASE_CONFIG run (19 training rows at holdout 0.2),
+# diagnose the 48-row block fixture (38 training rows, 24 rows per
+# superclass).
 FLAG_ERRORS = [
+    ("train", "--checkpoint-every", "0", 1, "--checkpoint-every must be >= 1, got 0"),
+    ("train", "--epochs", "0", 1, "--epochs must be >= 1, got 0"),
     ("diagnose", "--rankme-subsets", "0", 1, "--rankme-subsets must be >= 1, got 0"),
     ("diagnose", "--subset-size", "0", 1, "--subset-size must be >= 1, got 0"),
     ("diagnose", "--subset-size", "30", 2,
@@ -557,16 +583,21 @@ class TestFlags:
                              ids=[" ".join(row[:3]) for row in FLAG_ERRORS])
     def test_a_bad_flag_value_names_the_flag(self, tmp_path, capsys, command, flag, value,
                                              code, message):
-        if command == "eval":
+        refused = tmp_path / "refused"    # eval writes no file
+        if command == "train":
+            args = ["train", "--config", write_config(tmp_path), "--out", str(refused)]
+        elif command == "eval":
             out = str(tmp_path / "run")
             main(["train", "--config", write_config(tmp_path), "--out", out,
                   "--checkpoint-every", "2"])
             args = ["eval", "--checkpoint", os.path.join(out, "ckpt_final.bin")]
         else:
-            args = ["diagnose", "--embeddings", TestDiagnose._block_csv(tmp_path)]
+            args = ["diagnose", "--embeddings", TestDiagnose._block_csv(tmp_path),
+                    "--out", str(refused)]
         capsys.readouterr()
         assert main(args + [flag, value]) == code
         assert f"error: {message}\n" == capsys.readouterr().err
+        assert not refused.exists()
 
 
 class TestSchedule:

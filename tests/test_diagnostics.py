@@ -357,7 +357,8 @@ class TestKnnAccuracy:
             knn_accuracy(np.eye(3), [0, 1, 2], np.eye(3), [0, 1, 2], k=4)
 
     def test_empty_train(self):
-        with pytest.raises(EmptyTrainSet):
+        # No training row leaves no k to choose: the k refusal meets it.
+        with pytest.raises(BadConfig, match=r"^k must lie in \[1, 0\], got 1$"):
             knn_accuracy(np.zeros((0, 3)), [], np.eye(3), [0, 1, 2], k=1)
 
     def test_chance_level_with_random_labels(self):

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexreg.errors import BadConfig, MissingLabels
 from hexreg.hierarchy import (mask_quality, paired_positive_index, supervised_mask,
                               threshold_mask, whole_batch_mask)
 from hexreg.linalg import cosine_sim_matrix, l2_normalize_rows
@@ -74,10 +73,6 @@ class TestSupervisedMask:
                     # reverse membership unless blocked by the pairing
                     assert m[a, i] or paired_positive_index(16)[a] == i
 
-    def test_missing_labels(self):
-        with pytest.raises(MissingLabels):
-            supervised_mask(None)
-
 
 class TestWholeBatchMask:
     @pytest.mark.parametrize("n,expected", [(4, 2), (2, 0), (6, 4)])
@@ -97,17 +92,6 @@ class TestNoSelfNoPositive:
         for m in masks:
             assert not m[np.arange(n), np.arange(n)].any()
             assert not m[np.arange(n), pos].any()
-
-
-class TestOddRowCount:
-    @pytest.mark.parametrize("build", [
-        paired_positive_index, whole_batch_mask,
-        lambda n: threshold_mask(np.zeros((n, n)), 0.5),
-        lambda n: supervised_mask(np.zeros(n)),
-        lambda n: build_hex_graph(np.zeros((n, n), dtype=bool), 0.1)])
-    def test_raises_bad_config(self, build):
-        with pytest.raises(BadConfig, match=r"even row count, got 5$"):
-            build(5)
 
 
 class TestMaskQuality:

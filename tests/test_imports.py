@@ -18,6 +18,9 @@ trainer imports ``autodiff``: every loss is a tape-free kernel. And
 the package's errors: faults are named by the trainer. ``losses`` has no
 ``raise`` statement and imports nothing from ``errors``: a loss kernel is
 only a formula, and the config sections and the trainer own its checks.
+Every leaf exception class of ``errors`` (one no other class there derives
+from) is named by some ``raise`` statement in the package, so a class whose
+last raise goes does not stay behind.
 """
 
 import ast
@@ -243,3 +246,34 @@ def test_the_loss_kernels_raise_nothing_and_import_no_error():
     source = package_sources()["losses.py"]
     assert raise_lines(source) == []
     assert error_imports(source) == []
+
+
+def unraised_errors(sources: dict) -> list[str]:
+    """Each leaf exception class of ``errors.py`` in ``sources`` (file name
+    -> text), one that no class there derives from, that no ``raise``
+    statement in ``sources`` names, as a name or an attribute."""
+    classes = [node for node in ast.parse(sources["errors.py"]).body
+               if isinstance(node, ast.ClassDef)]
+    bases = {base.id for cls in classes for base in cls.bases if isinstance(base, ast.Name)}
+    raised = set()
+    for text in sources.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised.update(n.id if isinstance(n, ast.Name) else n.attr
+                              for n in ast.walk(node.exc)
+                              if isinstance(n, (ast.Name, ast.Attribute)))
+    return sorted(cls.name for cls in classes if cls.name not in bases | raised)
+
+
+def test_finds_an_unraised_error():
+    sources = {"errors.py": "class E(Exception): pass\nclass A(E): pass\n"
+                            "class B(E): pass\nclass C(A): pass\nclass D(E): pass\n",
+               "m.py": "from . import errors\nfrom .errors import B, D\n"
+                       "def f(x):\n    if x:\n        raise B(x)\n"
+                       "    try:\n        raise errors.C\n    except D:\n        return D()\n"}
+    assert unraised_errors(sources) == ["D"]
+
+
+def test_every_leaf_error_is_raised():
+    unraised = unraised_errors(package_sources())
+    assert not unraised, f"error classes in src/hexreg/errors.py that nothing raises: {unraised}"

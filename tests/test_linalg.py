@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hexreg.errors import NonFinite, NotNormalized
+from hexreg.errors import NonFinite
 from hexreg.linalg import cosine_sim_matrix, l2_normalize_rows, singular_values
 
 
@@ -70,10 +70,6 @@ class TestCosineSimMatrix:
         sims = cosine_sim_matrix(z)
         np.testing.assert_allclose(sims[0, 1], s, atol=1e-15)
         np.testing.assert_allclose(sims[1, 0], s, atol=1e-15)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(NotNormalized):
-            cosine_sim_matrix([[1.0, 1.0]])
 
     def test_bitwise_symmetric_and_clamped(self):
         rng = np.random.default_rng(5)

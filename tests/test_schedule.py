@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hexreg.errors import BadConfig, EmptyBatch
+from hexreg.errors import BadConfig
 from hexreg.schedule import (ThresholdSchedule, adaptive_threshold,
                              cosine_threshold, step_threshold,
                              threshold_for_epoch)
@@ -61,10 +61,6 @@ class TestAdaptiveThreshold:
 
     def test_symmetric_pair(self):
         assert adaptive_threshold([-0.5, 0.5], 1.0) == pytest.approx(0.5)
-
-    def test_empty(self):
-        with pytest.raises(EmptyBatch):
-            adaptive_threshold([], 2.0)
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(8)

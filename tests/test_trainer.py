@@ -277,6 +277,36 @@ class TestTrainEpoch:
                                              r"rank of the zero matrix"):
             trainer.run_diagnostics(state, ds, 4)
 
+    @staticmethod
+    def _state_whose_representations_overflow():
+        """A tiny state whose encoder outputs Inf: every hidden unit reads
+        tanh(1), and the linear representation head sums 8 of them at 1e308."""
+        cfg = tiny_config()
+        ds = generate(cfg.data)
+        state = init_state(cfg, ds.dim)
+        state.params.weights[0][:] = 0.0
+        state.params.biases[0][:] = 1.0
+        state.params.weights[1][:] = 1e308
+        assert np.isinf(mlp_forward(state.params, ds.x)[0]).all()
+        return state, ds
+
+    def test_diagnostics_refuse_infinite_representations(self, monkeypatch):
+        # The kernels take r as given; the pass checks it once, on entry,
+        # so no SVD sees an Inf (LAPACK would return NaN for it).
+        def no_svd(m):
+            raise AssertionError("an SVD was given the unchecked representations")
+
+        monkeypatch.setattr(trainer.diag, "singular_values", no_svd)
+        state, ds = self._state_whose_representations_overflow()
+        with pytest.raises(NonFinite, match=r"^epoch 4, diagnostics: matrix contains "
+                                            r"NaN or Inf entries$"):
+            trainer.run_diagnostics(state, ds, 4)
+
+    def test_evaluate_refuses_infinite_representations(self):
+        state, ds = self._state_whose_representations_overflow()
+        with pytest.raises(NonFinite, match=r"^matrix contains NaN or Inf entries$"):
+            evaluate(state, ds, "knn_class")
+
     def test_zero_representation_row_is_diagnosed(self):
         # A zero input row with zero encoder biases has a zero representation
         # row; the projector's hidden bias keeps its projection row nonzero.
@@ -806,6 +836,22 @@ class TestCheckpointing:
         self._rewrite_header(path, lambda header: header.update({"queue_len": 0}))
         back = load_checkpoint(path)
         assert back.queue is None if kind == "simclr" else len(back.queue) == 0
+
+    @pytest.mark.parametrize("scale,shown", [(2.0, "2.000000000000"), (np.nan, "nan")],
+                             ids=["scaled", "nan"])
+    def test_queue_row_off_the_unit_sphere_is_refused(self, tmp_path, scale, shown):
+        # cosine_sim_matrix reads queue rows as they are, so a loaded queue
+        # row must be finite and of unit norm.
+        cfg = tiny_config(loss={"kind": "nnclr"})
+        ds = generate(cfg.data)
+        state = init_state(cfg, ds.dim)
+        train_epoch(state, ds)
+        state.queue[3] *= scale
+        path = str(tmp_path / "s.bin")
+        save_checkpoint(state, path)
+        with pytest.raises(IoError, match=rf"^{re.escape(path)}: queue row 3 has norm "
+                                          rf"{shown}, expected 1 \+- 1e-9$"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("every", [0, -1])
     def test_checkpoint_every_below_one_is_refused_before_any_output(self, tmp_path,
