@@ -112,9 +112,11 @@ def cmd_train(args) -> int:
     if twice:
         raise BadConfig(f"the run matrix holds the cell {os.path.basename(twice[0])} "
                         f"twice; list each seed and loss kind once")
-    workers = _int("HEXREG_THREADS", os.environ.get("HEXREG_THREADS", "1"))
-    summaries = []
-    if workers > 1 and len(cells) > 1:
+    threads = _int("HEXREG_THREADS", os.environ.get("HEXREG_THREADS", "1"))
+    # The pool starts all its workers at the first submit, so it gets no
+    # more workers than there are cells.
+    workers = min(check("HEXREG_THREADS", threads, "int >= 1"), len(cells))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_cell, cfg, out, args.checkpoint_every, None)
                        for cfg, out in cells]

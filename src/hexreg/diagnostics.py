@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import EmptyTrainSet, InsufficientSamples, ZeroMatrix, refusal
 from .linalg import _safe_unit_rows, l2_normalize_rows, singular_values
-from .rng import Rng
+from .rng import Rng, child_keys
 
 RANKME_EPS = 1e-7
 
@@ -56,9 +56,11 @@ def rankme(r) -> float:
 
 
 def _draw(stream: Rng, pool: np.ndarray, size: int) -> np.ndarray:
+    """size rows of pool drawn without replacement: the last size items
+    of stream's shuffle of pool, stopped after size swaps."""
     items = pool.tolist()
-    stream.shuffle(items)
-    return np.asarray(items[:size], dtype=np.intp)
+    stream.shuffle(items, size)
+    return np.asarray(items[len(items) - size:], dtype=np.intp)
 
 
 def superclass_groups(superclass_labels, subset_size: int, name="subset_size") -> list:
@@ -80,20 +82,26 @@ def subset_rank_curve(r, superclass_labels, n_subsets: int,
                       subset_size: int, seed: int) -> dict:
     """``rankme_super`` and ``rankme_random``: the mean effective rank over
     subsets drawn (a) from one uniformly chosen superclass each and (b)
-    uniformly from all samples."""
+    uniformly from all samples.
+
+    Subset j of (a) comes from the stream ``Rng.from_seed(seed).child(0)
+    .child(j)``: its first uniform picks the superclass (``randbelow``),
+    and the subset is the last subset_size rows of that superclass's row
+    indices after the stream's ``shuffle``. Subset j of (b) is the last
+    subset_size of all row indices after ``shuffle`` on the stream
+    ``.child(1).child(j)``. Each shuffle stops after subset_size swaps,
+    which leaves those rows as the full shuffle would."""
     groups = superclass_groups(superclass_labels, subset_size)
     root = Rng.from_seed(seed)
     all_idx = np.arange(r.shape[0])
     super_vals = []
     random_vals = []
-    for j in range(n_subsets):
-        st = root.child(0).child(j)
+    for sk, rk in zip(child_keys(root.child(0).key, n_subsets).tolist(),
+                      child_keys(root.child(1).key, n_subsets).tolist()):
+        st = Rng(sk)
         group = groups[st.randbelow(len(groups))]
-        idx = _draw(st, group, subset_size)
-        super_vals.append(rankme(r[idx]))
-        rt = root.child(1).child(j)
-        idx = _draw(rt, all_idx, subset_size)
-        random_vals.append(rankme(r[idx]))
+        super_vals.append(rankme(r[_draw(st, group, subset_size)]))
+        random_vals.append(rankme(r[_draw(Rng(rk), all_idx, subset_size)]))
     return {"rankme_super": float(np.mean(super_vals)),
             "rankme_random": float(np.mean(random_vals))}
 

@@ -25,6 +25,7 @@ this recipe:
 * ``shuffle`` is Fisher-Yates from the high index down:
   ``for i = n-1 .. 1: j = randbelow(i + 1); swap(items[i], items[j])``,
   so a list of n items consumes exactly n - 1 uniforms (none for n < 2).
+  A shuffle stopped after k swaps consumes k uniforms (at most n - 1).
 
 The row-wise functions ``seed_keys``, ``child_keys``, ``uniform_rows`` and
 ``box_muller`` are the single implementation of this recipe. Each works on
@@ -112,13 +113,19 @@ class Rng:
         """Integer in [0, n) via the uniform mapping (documented, portable)."""
         return min(int(self.uniform() * n), n - 1)
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates from the high index down.
+    def shuffle(self, items: list, k: int | None = None) -> None:
+        """In-place Fisher-Yates from the high index down; with k, only
+        its first k swaps.
 
-        For n items, draws the same n - 1 uniforms and indices as calling
-        ``randbelow`` once per swap, all at once; only the swaps run in
-        Python."""
-        bound = np.arange(len(items), 1, -1)
+        For n items, draws the same n - 1 uniforms and indices (min(k,
+        n - 1) with k) as calling ``randbelow`` once per swap, all at once;
+        only the swaps run in Python. Position i is final after the swap
+        at i, so the last k items are those the full shuffle of the stream
+        leaves there: a draw of k items without replacement in k swaps.
+        Each ``diagnostics.subset_rank_curve`` subset is drawn so from its
+        own stream; the KNN holdout split and each epoch's batch order take
+        the full shuffle."""
+        bound = np.arange(len(items), 1, -1)[:k]
         js = np.minimum((self.uniform_array(bound.size) * bound).astype(np.intp),
                         bound - 1)
         for i, j in zip(range(len(items) - 1, 0, -1), js.tolist()):

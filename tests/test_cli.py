@@ -1,10 +1,12 @@
 import json
 import os
 import struct
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from hexreg import cli
 from hexreg.cli import main
 from hexreg.data import load_csv
 from hexreg.linalg import l2_normalize_rows
@@ -202,6 +204,45 @@ class TestTrain:
         assert main(["train", "--config", cfg, "--out", str(out), "--seeds", "1,2"]) == 1
         assert "HEXREG_THREADS must be an integer, got 'two'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_threads_below_one_exit_code(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "matrix"
+        monkeypatch.setenv("HEXREG_THREADS", "0")
+        assert main(["train", "--config", cfg, "--out", str(out), "--seeds", "1,2"]) == 1
+        assert "HEXREG_THREADS must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads,seeds,workers", [("5000", "1,2", 2),
+                                                       ("3", "1,2,3,4", 3)])
+    def test_pool_gets_no_more_workers_than_cells(self, tmp_path, capsys, monkeypatch,
+                                                  threads, seeds, workers):
+        # A stand-in pool records its size and runs each cell inline, so no
+        # process is started, however large HEXREG_THREADS is.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setenv("HEXREG_THREADS", threads)
+        cfg = write_config(tmp_path, train={"epochs": 1, "eval_every": 1})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "m"),
+                     "--seeds", seeds]) == 0
+        assert sizes == [workers]
+        assert len(json.loads(capsys.readouterr().out)) == len(seeds.split(","))
 
     def test_resume_matches_uninterrupted(self, tmp_path):
         cfg = write_config(tmp_path, train={"epochs": 4})

@@ -328,17 +328,22 @@ class TestRngContract:
         keys = child_keys(dom.key, n)
         assert [int(k) for k in keys] == [dom.child(s).key for s in range(n)]
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 1600])
-    def test_shuffle_matches_scalar_fisher_yates(self, n):
+    @pytest.mark.parametrize("n,k", [
+        *(pytest.param(n, None, id=str(n)) for n in (0, 1, 2, 3, 17, 1600)),
+        *(pytest.param(n, k, id=f"{n}-k{k}")
+          for n in (2, 3, 17, 1600) for k in sorted({1, 5, n - 1, n}))])
+    def test_shuffle_matches_scalar_fisher_yates(self, n, k):
+        # shuffle(items, k) is the loop stopped after k of its n - 1 swaps.
+        swaps = max(n - 1, 0) if k is None else min(k, n - 1)
         for seed in (0, 1, 7, 2024):
             for start in (0, 3, 1 << 40):
                 stream = Rng(Rng.from_seed(seed).key, start)
                 expect = list(range(n))
-                for i in range(n - 1, 0, -1):
+                for i in range(n - 1, n - 1 - swaps, -1):
                     j = stream.randbelow(i + 1)
                     expect[i], expect[j] = expect[j], expect[i]
                 rng = Rng(Rng.from_seed(seed).key, start)
                 got = list(range(n))
-                rng.shuffle(got)
+                rng.shuffle(got, k)
                 assert got == expect
-                assert rng.counter == stream.counter == start + max(n - 1, 0)
+                assert rng.counter == stream.counter == start + swaps

@@ -171,7 +171,13 @@ class TestDraw:
             size = min(100, pool.size)
             got = _draw(Rng.from_seed(seed).child(j), pool, size)
             assert got.dtype == np.intp
-            assert got.tolist() == [int(i) for i in items[:size]]
+            assert got.tolist() == [int(i) for i in items[len(items) - size:]]
+
+    @pytest.mark.parametrize("n,size", [(2, 1), (40, 5), (400, 100), (1600, 100)])
+    def test_advances_its_stream_by_size_uniforms(self, n, size):
+        stream = Rng(Rng.from_seed(n).key, 3)
+        _draw(stream, np.arange(n), size)
+        assert stream.counter == 3 + size
 
 
 class TestSkewness:
@@ -505,6 +511,21 @@ class TestRunDiagnostics:
                                     ("knn_super", labels)):
             assert row[probe] == knn_oracle(r[train], probe_labels[train], r[query],
                                             probe_labels[query], cfg.train.knn_k)
+        # Subset j: the pass's diagnostics stream, its child 0 (superclass)
+        # or 1 (all rows), that stream's child j; the superclass is its first
+        # randbelow, the subset the last size items of its full shuffle.
+        diag = Rng.from_seed(Rng.from_seed(cfg.train.seed).child(4).child(state.epoch).key)
+        groups = [np.flatnonzero(labels == s).tolist() for s in np.unique(labels)]
+        size = cfg.train.rank_subset_size
+        ranks = ([], [])
+        for j in range(cfg.train.rank_subsets):
+            st = diag.child(0).child(j)
+            pools = (list(groups[st.randbelow(len(groups))]), list(range(ds.n_samples)))
+            for stream, pool, out in zip((st, diag.child(1).child(j)), pools, ranks):
+                stream.shuffle(pool)
+                out.append(rankme(r[pool[len(pool) - size:]]))
+        assert row["rankme_super"] == float(np.mean(ranks[0]))
+        assert row["rankme_random"] == float(np.mean(ranks[1]))
         columns = trainer.METRICS_COLUMNS
         assert list(row) == columns[columns.index("rankme_super"):]
 
