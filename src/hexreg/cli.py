@@ -81,6 +81,8 @@ def _run_cell(config: TrainConfig, out_dir: str, checkpoint_every, resume):
 
 
 def cmd_train(args) -> int:
+    threads = check("HEXREG_THREADS",
+                    _int("HEXREG_THREADS", os.environ.get("HEXREG_THREADS", "1")), "int >= 1")
     raw = _load_config(args.config)
     seeds = ([_int("each --seeds entry", s) for s in args.seeds.split(",")]
              if args.seeds else None)
@@ -89,6 +91,10 @@ def cmd_train(args) -> int:
     for flag, value in (("--epochs", args.epochs), ("--checkpoint-every", args.checkpoint_every)):
         if value is not None:
             check(flag, value, "int >= 1")
+    for one, many, value, values in (("--seed", "--seeds", args.seed, seeds),
+                                     ("--loss-kind", "--loss-kinds", args.loss_kind, kinds)):
+        if value is not None and values is not None:
+            raise BadConfig(f"{one} cannot be combined with {many}")
     if seeds is None and kinds is None:
         cfg = TrainConfig.from_dict(_apply_overrides(raw, args.seed, args.epochs, args.loss_kind))
         summary = _run_cell(cfg, args.out, args.checkpoint_every, args.resume)
@@ -98,24 +104,20 @@ def cmd_train(args) -> int:
     # run-matrix: seeds x loss kinds, one directory per cell
     if args.resume:
         raise BadConfig("--resume cannot be combined with a run matrix")
-    seeds = seeds or [args.seed if args.seed is not None
-                      else raw.get("train", {}).get("seed", 1)]
-    kinds = kinds or [args.loss_kind if args.loss_kind
-                      else raw.get("loss", {}).get("kind", "simclr")]
     cells = []    # every cell's config is checked before the first cell runs
-    for kind in kinds:
-        for seed in seeds:
+    for kind in kinds or [args.loss_kind]:
+        for seed in seeds or [args.seed]:
             cfg = TrainConfig.from_dict(_apply_overrides(raw, seed, args.epochs, kind))
-            cells.append((cfg, os.path.join(args.out, f"{kind}_seed{seed}")))
+            cells.append((cfg, os.path.join(
+                args.out, f"{cfg.loss.kind}_seed{cfg.train.seed}")))
     dirs = [out for _, out in cells]    # two cells must not share a directory
     twice = [d for d in dirs if dirs.count(d) > 1]
     if twice:
         raise BadConfig(f"the run matrix holds the cell {os.path.basename(twice[0])} "
                         f"twice; list each seed and loss kind once")
-    threads = _int("HEXREG_THREADS", os.environ.get("HEXREG_THREADS", "1"))
     # The pool starts all its workers at the first submit, so it gets no
     # more workers than there are cells.
-    workers = min(check("HEXREG_THREADS", threads, "int >= 1"), len(cells))
+    workers = min(threads, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_cell, cfg, out, args.checkpoint_every, None)
@@ -185,17 +187,17 @@ def _emit(text: str, out) -> int:
 
 
 def cmd_schedule(args) -> int:
-    raw = _load_config(args.config)
-    config = TrainConfig.from_dict(raw)
-    sched = config.schedule
+    if args.epochs is not None:    # the refusal names the flag, before any work
+        check("--epochs", args.epochs, "int >= 1")
+    config = TrainConfig.from_dict(_apply_overrides(_load_config(args.config),
+                                                    epochs=args.epochs))
+    sched, epochs = config.schedule, config.train.epochs
     if sched.kind == "adaptive":
         print(f"adaptive schedule: threshold = batch mean + "
               f"{sched.sigma_multiplier} * std, computed per batch; "
               "no epoch table exists")
         return 0
-    epochs = args.epochs if args.epochs is not None else config.train.epochs
-    check("--epochs", epochs, "int >= 1")
-    rows = ([e, float(threshold_for_epoch(sched, e))] for e in range(epochs))
+    rows = ([e, float(threshold_for_epoch(sched, e, epochs))] for e in range(epochs))
     return _emit(csv_text(["epoch", "epsilon"], rows), args.out)
 
 
@@ -246,7 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("schedule", help="print the epsilon(epoch) table as CSV")
     s.add_argument("--config", required=True)
     s.add_argument("--out")
-    s.add_argument("--epochs", type=int)
+    s.add_argument("--epochs", type=int,
+                   help="the run length, as hexreg train --epochs sets it; "
+                        "defaults to train.epochs")
     s.set_defaults(fn=cmd_schedule)
     return ap
 

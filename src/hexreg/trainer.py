@@ -15,8 +15,9 @@ checked once, where it enters the program:
 - a config section, each field, to ``errors.check_fields``; ``run_training``
   that the dataset meets ``train.knn_k`` and ``train.rank_subset_size``;
 - ``load_csv``, a file's header, labels and finite features;
-- ``load_checkpoint``, the header, each array's shape, ``queue_len`` and
-  that each queue row is a finite unit row, as ``cosine_sim_matrix`` reads;
+- ``load_checkpoint``, the header, that it lists exactly the arrays the
+  config expects, each array's shape, and that each queue row is a finite
+  unit row, as ``cosine_sim_matrix`` reads;
 - the CLI, each flag, which its refusal names, before any work;
 - the model's output: a step, before it changes any state, the plain
   forward's projector rows, the loss and each parameter gradient from the
@@ -174,15 +175,15 @@ class RunConfig:
 
 _SECTION_TYPES = {
     "model": ModelConfig, "loss": LossConfig, "optimizer": OptimConfig,
-    "augment": AugmentConfig, "train": RunConfig,
+    "augment": AugmentConfig, "train": RunConfig, "schedule": ThresholdSchedule,
 }
 
 
-def _section(name: str, typ, values, **defaults):
-    """typ(**defaults, **values); a bad key, or values that are not a
-    mapping, raise BadConfig naming the section."""
+def _section(name: str, typ, values):
+    """typ(**values); a bad key, or values that are not a mapping, raise
+    BadConfig naming the section."""
     try:
-        return typ(**{**defaults, **dict(values)})
+        return typ(**dict(values))
     except TypeError as e:
         raise BadConfig(f"bad '{name}' section: {e}") from e
 
@@ -202,7 +203,7 @@ class TrainConfig:
     def from_dict(cls, raw: dict) -> "TrainConfig":
         if not isinstance(raw, dict):
             raise BadConfig("config must be a JSON object")
-        known = {"data", "schedule", "mask_source"} | set(_SECTION_TYPES)
+        known = {"data", "mask_source"} | set(_SECTION_TYPES)
         unknown = set(raw) - known
         if unknown:
             raise BadConfig(f"unknown config sections: {sorted(unknown)}")
@@ -211,15 +212,12 @@ class TrainConfig:
         data = raw.get("data", {})
         if not isinstance(data, str):    # a dataset CSV path, or generator params
             data = _section("data", GenParams, data)
-        schedule = _section("schedule", ThresholdSchedule, raw.get("schedule", {}),
-                            kind="adaptive", total_epochs=sections["train"].epochs)
         mask_source = check("mask_source", raw.get("mask_source"), (None, "supervised", "all"))
-        return cls(data=data, schedule=schedule, mask_source=mask_source, **sections)
+        return cls(data=data, mask_source=mask_source, **sections)
 
     def to_dict(self) -> dict:
         out = {name: asdict(getattr(self, name)) for name in _SECTION_TYPES}
         out["data"] = self.data if isinstance(self.data, str) else asdict(self.data)
-        out["schedule"] = asdict(self.schedule)
         out["mask_source"] = self.mask_source
         return out
 
@@ -436,7 +434,7 @@ def _train_step(state: TrainState, views, batch_supers, lr, epoch, elig) -> dict
 
     sims = cosine_sim_matrix(z_used)
     ada_eps = adaptive_threshold(sims.ravel()[elig], cfg.schedule.sigma_multiplier)
-    sched_eps = threshold_for_epoch(cfg.schedule, epoch)
+    sched_eps = threshold_for_epoch(cfg.schedule, epoch, cfg.train.epochs)
     thr_used = ada_eps if sched_eps is None else sched_eps
 
     # For NN kinds rows 0:b of sims are queue neighbours; mask quality scores
@@ -593,7 +591,7 @@ def _state_arrays(state: TrainState) -> list:
     arrays = [(f"{kind}{i}", a) for kind, group in (("w", p.weights), ("b", p.biases),
                                                     ("mw", state.mom_w), ("mb", state.mom_b))
               for i, a in enumerate(group)]
-    if state.queue is not None and len(state.queue) > 0:
+    if state.queue is not None:
         arrays.append(("queue", state.queue))
     return arrays
 
@@ -603,12 +601,11 @@ def save_checkpoint(state: TrainState, path: str):
     names and shapes, then the flat little-endian float64 payload."""
     arrays = _state_arrays(state)
     header = {
-        "format_version": 1,
+        "format_version": 2,
         "epoch_completed": state.epoch,
         "config": state.config.to_dict(),
         "arrays": [{"name": n, "rows": a.shape[0], "cols": a.shape[1]}
                    for n, a in arrays],
-        "queue_len": len(state.queue) if state.queue is not None else None,
     }
     blob = json.dumps(header, sort_keys=True).encode()
     parts = [CHECKPOINT_MAGIC, struct.pack("<I", len(blob)), blob]
@@ -631,7 +628,7 @@ def load_checkpoint(path: str) -> TrainState:
         raise IoError(f"{path}: corrupt header: {e}") from e
     if not isinstance(header, dict):
         raise IoError(f"{path}: corrupt header: not a JSON object")
-    if header.get("format_version") != 1:
+    if header.get("format_version") != 2:
         raise VersionMismatch(f"{path}: unsupported format version "
                               f"{header.get('format_version')!r}")
     for key in ("config", "arrays", "epoch_completed"):
@@ -665,18 +662,15 @@ def load_checkpoint(path: str) -> TrainState:
     dims = layer_dims(config.model, len(arrays.get("w0", ())))
     shapes = {f"{kind}{i}": (1 if kind.endswith("b") else dims[i], dims[i + 1])
               for kind in ("w", "b", "mw", "mb") for i in layers}
-    # A queue_len that miscounts the saved queue would resume with another.
-    queue_len, queue_rows = header.get("queue_len"), len(arrays.get("queue", ()))
-    if not (type(queue_len) is int and queue_len == queue_rows
-            or queue_len is None and not queue_rows):
-        raise IoError(f"{path}: queue_len {queue_len!r} does not count the "
-                      f"{queue_rows} saved queue rows")
-    if config.loss.uses_queue and queue_rows:    # 1 to queue_capacity rows
-        shapes["queue"] = (min(queue_rows, config.train.queue_capacity),
+    if config.loss.uses_queue:    # 0 to queue_capacity rows
+        shapes["queue"] = (min(len(arrays.get("queue", ())), config.train.queue_capacity),
                            config.model.proj_dim)
     missing = [name for name in shapes if name not in arrays]
     if missing:
         raise IoError(f"{path}: the header lists no array {', '.join(missing)}")
+    extra = [name for name in arrays if name not in shapes]
+    if extra:
+        raise IoError(f"{path}: the config expects no array {', '.join(extra)}")
     for name, shape in shapes.items():
         if arrays[name].shape != shape:
             raise IoError(f"{path}: array {name} has shape {arrays[name].shape}, not {shape}")
@@ -684,9 +678,8 @@ def load_checkpoint(path: str) -> TrainState:
                          [arrays[f"b{i}"] for i in layers])
     mom_w = [arrays[f"mw{i}"] for i in layers]
     mom_b = [arrays[f"mb{i}"] for i in layers]
-    queue = None
-    if config.loss.uses_queue:
-        queue = arrays["queue"] if queue_rows else np.empty((0, config.model.proj_dim))
+    queue = arrays.get("queue")
+    if queue is not None:
         with np.errstate(over="ignore"):
             norms = np.sqrt((queue * queue).sum(axis=1))
         bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-9))    # NaN fails too
@@ -705,11 +698,9 @@ def _resume_conflicts(saved: TrainConfig, given: TrainConfig) -> list:
     """'key saved != given' for each config field on which a resumed run
     would differ from the run that wrote the checkpoint.
 
-    train.epochs may change, which lengthens or shortens the run, unless the
-    total is read mid-run: by optimizer.cosine_lr, or by a cos schedule
-    whose total_epochs follows it. schedule.total_epochs may change with
-    it where it equals train.epochs on both sides, as it does when left to
-    its default, and no cos schedule reads it."""
+    train.epochs may change, which lengthens or shortens the run, unless
+    either side reads the total mid-run: by optimizer.cosine_lr, or by a cos
+    schedule."""
     def flat(config):
         out = {}
         for name, section in config.to_dict().items():
@@ -720,15 +711,9 @@ def _resume_conflicts(saved: TrainConfig, given: TrainConfig) -> list:
         return out
 
     a, b = flat(saved), flat(given)
-    follows = all(f["schedule.total_epochs"] == f["train.epochs"] for f in (a, b))
-    cos_follows = follows and "cos" in (a["schedule.kind"], b["schedule.kind"])
-    ignored = set()
-    if not (a["optimizer.cosine_lr"] or b["optimizer.cosine_lr"] or cos_follows):
-        ignored.add("train.epochs")
-    if follows and not cos_follows:
-        ignored.add("schedule.total_epochs")
+    reads_total = any(f["optimizer.cosine_lr"] or f["schedule.kind"] == "cos" for f in (a, b))
     return [f"{k} {a.get(k)!r} != {b.get(k)!r}" for k in sorted(a.keys() | b.keys())
-            if k not in ignored and a.get(k) != b.get(k)]
+            if a.get(k) != b.get(k) and (reads_total or k != "train.epochs")]
 
 
 def run_training(config: TrainConfig, out_dir: Optional[str] = None,

@@ -196,21 +196,36 @@ class TestTrain:
         assert "each --seeds entry must be an integer, got 'x'" in capsys.readouterr().err
         assert not out.exists()
 
+    # Every hexreg train reads HEXREG_THREADS: a single run as well as a matrix.
     def test_threads_that_is_not_an_integer_exit_code(self, tmp_path, capsys,
                                                       monkeypatch):
         cfg = write_config(tmp_path)
         out = tmp_path / "matrix"
         monkeypatch.setenv("HEXREG_THREADS", "two")
-        assert main(["train", "--config", cfg, "--out", str(out), "--seeds", "1,2"]) == 1
-        assert "HEXREG_THREADS must be an integer, got 'two'" in capsys.readouterr().err
-        assert not out.exists()
+        for flags in ([], ["--seeds", "1,2"]):
+            assert main(["train", "--config", cfg, "--out", str(out), *flags]) == 1
+            assert "HEXREG_THREADS must be an integer, got 'two'" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_threads_below_one_exit_code(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path)
         out = tmp_path / "matrix"
         monkeypatch.setenv("HEXREG_THREADS", "0")
-        assert main(["train", "--config", cfg, "--out", str(out), "--seeds", "1,2"]) == 1
-        assert "HEXREG_THREADS must be >= 1, got 0" in capsys.readouterr().err
+        for flags in ([], ["--seeds", "1,2"]):
+            assert main(["train", "--config", cfg, "--out", str(out), *flags]) == 1
+            assert "HEXREG_THREADS must be >= 1, got 0" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--seed", "3", "--seeds", "1,2"], "--seed cannot be combined with --seeds"),
+        (["--loss-kind", "simclr_hex", "--loss-kinds", "simclr,barlow"],
+         "--loss-kind cannot be combined with --loss-kinds")], ids=["seed", "loss-kind"])
+    def test_a_flag_and_its_matrix_list_exit_code(self, tmp_path, capsys, flags, message):
+        # The matrix list would silently drop the single flag.
+        cfg = write_config(tmp_path)
+        out = tmp_path / "matrix"
+        assert main(["train", "--config", cfg, "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("threads,seeds,workers", [("5000", "1,2", 2),
@@ -658,14 +673,30 @@ class TestSchedule:
 
     def test_cos_endpoints(self, tmp_path, capsys):
         cfg = write_config(tmp_path, schedule={"kind": "cos", "start": 0.95,
-                                               "floor": 0.65,
-                                               "total_epochs": 450},
+                                               "floor": 0.65},
                            train={"epochs": 450})
         assert main(["schedule", "--config", cfg]) == 0
         lines = capsys.readouterr().out.splitlines()
         table = dict(ln.split(",") for ln in lines[1:])
         assert float(table["0"]) == pytest.approx(0.95)
         assert float(table["449"]) == pytest.approx(0.65, abs=1e-4)
+
+    def test_epochs_flag_prints_the_trained_threshold_column(self, tmp_path, capsys):
+        # --epochs sets train.epochs, which the cos schedule reads, in both
+        # commands, so the table is the run's own.
+        cfg = write_config(tmp_path, loss={"kind": "simclr_hex"},
+                           schedule={"kind": "cos", "start": 0.9, "floor": 0.5},
+                           train={"epochs": 2, "eval_every": 10})
+        out = str(tmp_path / "run")
+        assert main(["schedule", "--config", cfg, "--epochs", "6"]) == 0
+        table = [ln.split(",")[1] for ln in capsys.readouterr().out.splitlines()[1:]]
+        assert main(["train", "--config", cfg, "--out", out, "--epochs", "6"]) == 0
+        trained = read_metrics_csv(os.path.join(out, "metrics.csv"))
+        # A metrics row holds the mean of the epoch's per-batch thresholds,
+        # which may differ from their common value in the last bit.
+        assert [r["threshold"] for r in trained] == pytest.approx(
+            [float(t) for t in table], rel=1e-12, abs=0)
+        assert len(table) == 6 and float(table[3]) > 0.5
 
     def test_adaptive_notice(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -33,21 +33,21 @@ class TestStepThreshold:
 
 class TestCosineThreshold:
     def test_endpoints(self):
-        s = ThresholdSchedule("cos", start=0.95, floor=0.65, total_epochs=450)
-        assert cosine_threshold(s, 0) == pytest.approx(0.95)
-        assert cosine_threshold(s, 450) == pytest.approx(0.65)
+        s = ThresholdSchedule("cos", start=0.95, floor=0.65)
+        assert cosine_threshold(s, 0, 450) == pytest.approx(0.95)
+        assert cosine_threshold(s, 450, 450) == pytest.approx(0.65)
 
     def test_midpoint(self):
-        s = ThresholdSchedule("cos", start=0.95, floor=0.65, total_epochs=100)
-        assert cosine_threshold(s, 50) == pytest.approx(0.80)
+        s = ThresholdSchedule("cos", start=0.95, floor=0.65)
+        assert cosine_threshold(s, 50, 100) == pytest.approx(0.80)
 
     def test_flat_after_total(self):
-        s = ThresholdSchedule("cos", start=0.9, floor=0.5, total_epochs=10)
-        assert cosine_threshold(s, 25) == pytest.approx(0.5)
+        s = ThresholdSchedule("cos", start=0.9, floor=0.5)
+        assert cosine_threshold(s, 25, 10) == pytest.approx(0.5)
 
     def test_monotone_and_bounded(self):
-        s = ThresholdSchedule("cos", start=0.9, floor=0.2, total_epochs=77)
-        vals = [cosine_threshold(s, e) for e in range(120)]
+        s = ThresholdSchedule("cos", start=0.9, floor=0.2)
+        vals = [cosine_threshold(s, e, 77) for e in range(120)]
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
         assert all(s.floor - 1e-12 <= v <= s.start + 1e-12 for v in vals)
 
@@ -84,7 +84,7 @@ class TestScheduleValidation:
                                              ("adaptive", {"floor": 0.95})])
     def test_floor_binds_only_the_kinds_that_read_it(self, kind, fields):
         s = ThresholdSchedule(kind, **fields)
-        assert threshold_for_epoch(s, 3) == (0.05 if kind == "fixed" else None)
+        assert threshold_for_epoch(s, 3, 10) == (0.05 if kind == "fixed" else None)
 
     def test_bad_kind(self):
         with pytest.raises(BadConfig):
@@ -100,7 +100,6 @@ class TestScheduleValidation:
         ("floor", True, "must be a finite number"),
         ("step_down", "0.1", "must be a finite number"),
         ("period_epochs", 2.5, "must be an integer"),
-        ("total_epochs", 100.0, "must be an integer"),
         ("period_epochs", True, "must be an integer"),
     ])
     def test_bad_values_name_the_field(self, field, value, message):
@@ -115,13 +114,11 @@ class TestScheduleValidation:
          r"schedule\.start must be >= schedule\.floor \(0\.5\) for the cos schedule, got 0\.1"),
         ("step", {"step_down": 0.0},
          r"schedule\.step_down must be > 0 for the step schedule, got 0\.0"),
-        ("cos", {"total_epochs": 0},
-         r"schedule\.total_epochs must be >= 1 for the cos schedule, got 0"),
-    ], ids=["step start", "cos start", "step step_down", "cos total_epochs"])
+    ], ids=["step start", "cos start", "step step_down"])
     def test_cross_field_rules_name_the_field_and_kind(self, kind, fields, message):
         with pytest.raises(BadConfig, match=rf"^{message}$"):
             ThresholdSchedule(kind, **fields)
 
     def test_threshold_for_epoch_dispatch(self):
-        assert threshold_for_epoch(ThresholdSchedule("fixed", start=0.75), 42) == 0.75
-        assert threshold_for_epoch(ThresholdSchedule("adaptive"), 0) is None
+        assert threshold_for_epoch(ThresholdSchedule("fixed", start=0.75), 42, 10) == 0.75
+        assert threshold_for_epoch(ThresholdSchedule("adaptive"), 0, 10) is None

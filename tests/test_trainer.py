@@ -19,7 +19,6 @@ from hexreg.hierarchy import whole_batch_mask
 from hexreg.linalg import l2_normalize_rows
 from hexreg.losses import LOSS_KINDS, build_info_nce_graph
 from hexreg.rng import Rng, child_keys
-from hexreg.schedule import ThresholdSchedule
 from hexreg.trainer import (ModelConfig, TrainConfig, build_model_graph,
                             evaluate, init_params, init_state,
                             load_checkpoint, mlp_forward, run_training,
@@ -679,8 +678,8 @@ class TestCheckpointing:
         {"schedule": {"kind": "cos", "start": 0.9, "floor": 0.5}}])
     def test_resume_refuses_a_changed_epoch_count_that_is_read_mid_run(self, tmp_path,
                                                                        override):
-        # The cosine lr and a cos schedule that follows train.epochs read
-        # the total every epoch, so the resumed rows would match no run.
+        # The cosine lr and a cos schedule read train.epochs every epoch,
+        # so the resumed rows would match no run.
         out = str(tmp_path / "run")
         run_training(tiny_config(train={"epochs": 2}, **override), out_dir=out,
                      checkpoint_every=1)
@@ -810,32 +809,30 @@ class TestCheckpointing:
                                           r"not \(4, 4\)$"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("kind,value,rows", [
-        ("nnclr", 3, 32), ("nnclr", 99, 32), ("nnclr", "x", 32), ("nnclr", 0, 32),
-        ("nnclr", None, 32), ("nnclr", True, 32), ("nnclr", "del", 32),
-        ("simclr", 5, 0), ("simclr", "x", 0)])
-    def test_queue_len_that_does_not_count_the_queue_is_refused(self, tmp_path, kind,
-                                                               value, rows):
-        def edit(header):
-            if value == "del":
-                del header["queue_len"]
-            else:
-                header["queue_len"] = value
-
-        path = self._saved_with_header(tmp_path, edit, loss={"kind": kind})
-        shown = None if value == "del" else value
-        with pytest.raises(IoError, match=rf"s\.bin: queue_len {re.escape(repr(shown))} "
-                                          rf"does not count the {rows} saved queue rows$"):
+    @pytest.mark.parametrize("saved,given,message", [
+        ("nnclr", "simclr", "the config expects no array queue"),
+        ("simclr", "nnclr", "the header lists no array queue")])
+    def test_queue_array_must_match_the_config(self, tmp_path, saved, given, message):
+        path = self._saved_with_header(
+            tmp_path, lambda header: header["config"]["loss"].update({"kind": given}),
+            loss={"kind": saved})
+        with pytest.raises(IoError, match=rf"s\.bin: {message}$"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("kind", ["simclr", "nnclr"])
-    def test_queue_len_zero_without_a_queue_loads(self, tmp_path, kind):
-        cfg = tiny_config(loss={"kind": kind})
+    def test_queue_saved_before_the_first_step_round_trips_empty(self, tmp_path):
+        cfg = tiny_config(loss={"kind": "nnclr"})
+        state = init_state(cfg, generate(cfg.data).dim)
         path = str(tmp_path / "s.bin")
-        save_checkpoint(init_state(cfg, generate(cfg.data).dim), path)
-        self._rewrite_header(path, lambda header: header.update({"queue_len": 0}))
+        save_checkpoint(state, path)
         back = load_checkpoint(path)
-        assert back.queue is None if kind == "simclr" else len(back.queue) == 0
+        assert back.queue.shape == (0, 4)
+        assert state_bytes(back) == state_bytes(state)
+
+    def test_format_version_1_is_refused(self, tmp_path):
+        path = self._saved_with_header(
+            tmp_path, lambda header: header.update({"format_version": 1}))
+        with pytest.raises(VersionMismatch, match=r"s\.bin: unsupported format version 1$"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("scale,shown", [(2.0, "2.000000000000"), (np.nan, "nan")],
                              ids=["scaled", "nan"])
@@ -1039,6 +1036,11 @@ class TestConfig:
         with pytest.raises(BadConfig, match=rf"bad 'loss' section: .*'{key}'"):
             tiny_config(loss={"kind": "simclr_hex", key: value})
 
+    def test_removed_schedule_total_epochs_rejected_by_name(self):
+        # train.epochs is the run's only length; the cos schedule reads it.
+        with pytest.raises(BadConfig, match=r"bad 'schedule' section: .*'total_epochs'"):
+            tiny_config(schedule={"kind": "cos", "total_epochs": 3})
+
     @pytest.mark.parametrize("field", ["epochs", "batch_size", "seed", "eval_every",
                                        "queue_capacity", "knn_k", "rank_subsets",
                                        "rank_subset_size"])
@@ -1078,7 +1080,7 @@ class TestConfig:
          r"schedule\.sigma_multiplier must be a finite number"),
         ("schedule", {"period_epochs": 2.5}, r"schedule\.period_epochs must be an integer"),
         ("schedule", {"start": float("nan")}, r"schedule\.start must be a finite number"),
-        ("schedule", {"total_epochs": 3.0}, r"schedule\.total_epochs must be an integer"),
+        ("schedule", {"step_down": True}, r"schedule\.step_down must be a finite number"),
         ("loss", {"tau": 0.0}, r"loss\.tau must be > 0"),
         ("loss", {"tau": -0.1}, r"loss\.tau must be > 0"),
         ("loss", {"kind": "simclr_hex", "tau_plus": -1e-9},
@@ -1121,8 +1123,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("section,field", [
         (section, f.name)
-        for section, typ in {"data": GenParams, "schedule": ThresholdSchedule,
-                             **trainer._SECTION_TYPES}.items()
+        for section, typ in {"data": GenParams, **trainer._SECTION_TYPES}.items()
         for f in dataclasses.fields(typ)])
     def test_every_field_refuses_a_value_of_the_wrong_type(self, section, field):
         # A field added without a rule fails here.
